@@ -11,15 +11,13 @@ between inputs with disjoint output sets, metastability must appear.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .executor import ExecutionTrace, TraceRound, outputs, read_outcomes
+from .executor import ExecutionTrace, TraceRound, _Budget, outputs, read_outcomes
 from .netlist import (
     Circuit,
     Gate,
-    ParseError,
     RegisterDecl,
     RegType,
     Role,
@@ -32,25 +30,18 @@ from .ternary_core import (
     META,
     ONE,
     ZERO,
-    BudgetError,
     CubeSet,
     InputError,
+    ParseError,
     TernaryWord,
+    all_words,
+    content_lines,
     res_contains,
     res_full,
     res_members,
+    stable_words,
     words_compatible,
 )
-
-
-def _words(m: int):
-    for digits in itertools.product((ZERO, ONE, META), repeat=m):
-        yield TernaryWord.from_digits(digits)
-
-
-def _stable(m: int):
-    for digits in itertools.product((ZERO, ONE), repeat=m):
-        yield TernaryWord.from_digits(digits)
 
 
 @dataclass(frozen=True)
@@ -82,35 +73,36 @@ class FunctionSpec:
         return self.values[x]
 
 
+def _full_domain(m: int, given: Mapping, check: Callable) -> dict:
+    """given as a dict over all m-digit words in lex order. Raises at the first
+    input missing or rejected by check(x, value), or on words of other widths."""
+    table = {}
+    for x in all_words(m):
+        v = given.get(x)
+        if v is None:
+            raise InputError(f"specification misses input {x}")
+        check(x, v)
+        table[x] = v
+    if len(given) != len(table):
+        raise InputError("specification has inputs of the wrong width")
+    return table
+
+
 def natural_spec(m: int, n: int,
                  entries: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
-    table = {}
-    for x in _words(m):
-        e = entries.get(x)
-        if e is None:
-            raise InputError(f"specification misses input {x}")
+    def check(x, e):
         if len(e) != n:
             raise InputError(f"entry for {x} has width {len(e)}, expected {n}")
-        table[x] = e
-    if len(entries) != len(table):
-        raise InputError("specification has inputs of the wrong width")
-    return FunctionSpec(m, n, entries=table)
+    return FunctionSpec(m, n, entries=_full_domain(m, entries, check))
 
 
 def general_spec(m: int, n: int,
                  values: Mapping[TernaryWord, CubeSet]) -> FunctionSpec:
-    table = {}
-    for x in _words(m):
-        v = values.get(x)
-        if v is None:
-            raise InputError(f"specification misses input {x}")
+    def check(x, v):
         if v.width != n or len(v) == 0:
             raise InputError(f"value for {x} must be a nonempty set of "
                              f"{n}-digit cubes")
-        table[x] = v
-    if len(values) != len(table):
-        raise InputError("specification has inputs of the wrong width")
-    return FunctionSpec(m, n, values=table)
+    return FunctionSpec(m, n, values=_full_domain(m, values, check))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +132,7 @@ def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
     """
     m, n = _check_bool_table(table)
     entries = {}
-    for x in _words(m):
+    for x in all_words(m):
         resolved = [table[y] for y in res_full(x)]
         digits = []
         for i in range(n):
@@ -156,7 +148,7 @@ def closure_general(f: FunctionSpec,
     resolutions: a bit stays pinned to b only if every partial resolution
     allows exactly b there."""
     entries = {}
-    for x in _words(f.m):
+    for x in all_words(f.m):
         digits = []
         for i in range(f.n):
             seen = set()
@@ -229,25 +221,24 @@ def find_natural_subfunction(g: FunctionSpec,
     if g.m > 8:
         raise InputError("natural-subfunction search is capped at 8 inputs")
     m, n = g.m, g.n
-    ys = list(_stable(m))
+    ys = list(stable_words(m))
     candidates = {}
     for y in ys:
         val = g.value_cubeset(y)
-        cands = [e for e in _stable(n)
+        cands = [e for e in stable_words(n)
                  if any(res_contains(c, e) for c in val)]
         if not cands:
             return None
         candidates[y] = cands
 
-    # per metastable input: allowed cubes, join-so-far bit masks, count left
+    # per metastable input: allowed cubes and join-so-far bit masks
     class Req:
-        __slots__ = ("cubes", "zeros", "ones", "left")
+        __slots__ = ("cubes", "zeros", "ones")
 
         def __init__(self, x):
             self.cubes = [tuple(c.digits()) for c in g.value_cubeset(x)]
             self.zeros = 0
             self.ones = 0
-            self.left = 0
 
         def feasible(self):
             for cube in self.cubes:
@@ -263,28 +254,23 @@ def find_natural_subfunction(g: FunctionSpec,
 
     reqs = {}
     touched = {y: [] for y in ys}
-    for x in _words(m):
+    for x in all_words(m):
         if x.is_stable:
             continue
         req = Req(x)
         for y in res_full(x):
             touched[y].append(req)
-            req.left += 1
         reqs[x] = req
 
     chosen = {}
-    nodes = 0
+    budget = _Budget(max_nodes, "subfunction search")
 
     def assign(idx: int) -> bool:
-        nonlocal nodes
         if idx == len(ys):
             return True
         y = ys[idx]
         for e in candidates[y]:
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetError("subfunction search budget exceeded; "
-                                  "raise the max-states cap")
+            budget.spend(1)
             undo = []
             ok = True
             for req in touched[y]:
@@ -294,7 +280,6 @@ def find_natural_subfunction(g: FunctionSpec,
                         req.ones |= 1 << i
                     else:
                         req.zeros |= 1 << i
-                req.left -= 1
                 if not req.feasible():
                     ok = False
                     break
@@ -305,7 +290,6 @@ def find_natural_subfunction(g: FunctionSpec,
                 del chosen[y]
             for req, zeros, ones in undo:
                 req.zeros, req.ones = zeros, ones
-                req.left += 1
         return False
 
     if not assign(0):
@@ -412,7 +396,8 @@ def synthesize(h: FunctionSpec) -> Circuit:
         return gid
 
     for i in range(n):
-        table = {y: 1 if entries[y].digit(i) is ONE else 0 for y in _stable(m)}
+        table = {y: 1 if entries[y].digit(i) is ONE else 0
+                 for y in stable_words(m)}
         pis = prime_implicants(table)
         if not pis:
             gates.append(Gate(f"y{i}_zero", "CONST0", ()))
@@ -551,16 +536,8 @@ def metastable_witness(c: Circuit, r: int,
 
     width = c.m + c.k + c.n
     out_lo = width - c.n
-    left = [max_states if max_states is not None else 0]
+    budget = _Budget(max_states, "witness search")
     failed: set[tuple[TernaryWord, int]] = set()
-
-    def spend(k: int):
-        if max_states is None:
-            return
-        left[0] -= k
-        if left[0] < 0:
-            raise BudgetError("witness search budget exceeded; "
-                              "raise the max-states cap")
 
     def dfs(state: TernaryWord, remaining: int):
         if remaining == 0:
@@ -570,7 +547,7 @@ def metastable_witness(c: Circuit, r: int,
         if (state, remaining) in failed:
             return None
         outcomes = read_outcomes(c, state)
-        spend(len(outcomes))
+        budget.spend(len(outcomes))
         for read, nxt in outcomes:
             ev = eval_dag(c.dag, read)
             tail = dfs(nxt.concat(ev), remaining - 1)
@@ -595,6 +572,31 @@ def metastable_witness(c: Circuit, r: int,
 # ---------------------------------------------------------------------------
 # Table files
 
+def _read_table(text: str, kind: str, what: str):
+    """The `<kind> m=<m> n=<n>` header of a table file, then a generator of
+    its `(lineno, lhs, rhs)` rows; a row without `->` raises when reached."""
+    lines = content_lines(text)
+    lineno, line = next(lines, (1, None))
+    if line is None:
+        raise ParseError(1, f"missing {kind} header")
+    tok = line.split()
+    if len(tok) != 3 or tok[0] != kind \
+            or not tok[1].startswith("m=") or not tok[2].startswith("n="):
+        raise ParseError(lineno, f"expected header: {kind} m=<m> n=<n>")
+    try:
+        m, n = int(tok[1][2:]), int(tok[2][2:])
+    except ValueError:
+        raise ParseError(lineno, "bad arity in header") from None
+
+    def rows():
+        for lineno, line in lines:
+            if "->" not in line:
+                raise ParseError(lineno, f"expected: <input> -> <{what}>")
+            lhs, rhs = (s.strip() for s in line.split("->", 1))
+            yield lineno, lhs, rhs
+    return m, n, rows()
+
+
 def parse_spec_table(text: str) -> FunctionSpec:
     """Read a specification table.
 
@@ -603,30 +605,8 @@ def parse_spec_table(text: str) -> FunctionSpec:
     commas (or containing M) form a general value; the two styles cannot
     be mixed in one file.
     """
-    header = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            tok = line.split()
-            if len(tok) != 3 or tok[0] != "spec" \
-                    or not tok[1].startswith("m=") or not tok[2].startswith("n="):
-                raise ParseError(lineno, "expected header: spec m=<m> n=<n>")
-            try:
-                header = (int(tok[1][2:]), int(tok[2][2:]))
-            except ValueError:
-                raise ParseError(lineno, "bad arity in header") from None
-            continue
-        if "->" not in line:
-            raise ParseError(lineno, "expected: <input> -> <outputs>")
-        lhs, rhs = (s.strip() for s in line.split("->", 1))
-        rows.append((lineno, lhs, rhs))
-    if header is None:
-        raise ParseError(1, "missing spec header")
-    m, n = header
-
+    m, n, rows = _read_table(text, "spec", "outputs")
+    rows = list(rows)
     natural = any("*" in rhs for _, _, rhs in rows)
     general = any("M" in rhs or "," in rhs for _, _, rhs in rows)
     if natural and general:
@@ -657,7 +637,7 @@ def parse_spec_table(text: str) -> FunctionSpec:
 
 def emit_spec_table(f: FunctionSpec) -> str:
     lines = [f"spec m={f.m} n={f.n}"]
-    for x in _words(f.m):
+    for x in all_words(f.m):
         if f.is_natural_form:
             rhs = str(f.entries[x]).replace("M", "*")
         else:
@@ -669,46 +649,28 @@ def emit_spec_table(f: FunctionSpec) -> str:
 def parse_truth_table(text: str) -> dict[TernaryWord, TernaryWord]:
     """Read a Boolean truth table: header `table m=<m> n=<n>`, then all
     2^m lines `<input> -> <output>` over stable words."""
-    header = None
+    m, n, rows = _read_table(text, "table", "output")
     table: dict[TernaryWord, TernaryWord] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            tok = line.split()
-            if len(tok) != 3 or tok[0] != "table" \
-                    or not tok[1].startswith("m=") or not tok[2].startswith("n="):
-                raise ParseError(lineno, "expected header: table m=<m> n=<n>")
-            try:
-                header = (int(tok[1][2:]), int(tok[2][2:]))
-            except ValueError:
-                raise ParseError(lineno, "bad arity in header") from None
-            continue
-        if "->" not in line:
-            raise ParseError(lineno, "expected: <input> -> <output>")
-        lhs, rhs = (s.strip() for s in line.split("->", 1))
+    for lineno, lhs, rhs in rows:
         try:
             x, y = TernaryWord.parse(lhs), TernaryWord.parse(rhs)
         except InputError as e:
             raise ParseError(lineno, str(e)) from None
         if not x.is_stable or not y.is_stable:
             raise ParseError(lineno, "truth tables are stable words only")
-        if len(x) != header[0] or len(y) != header[1]:
+        if len(x) != m or len(y) != n:
             raise ParseError(lineno, "row width disagrees with header")
         if x in table:
             raise ParseError(lineno, f"input {x} listed twice")
         table[x] = y
-    if header is None:
-        raise ParseError(1, "missing table header")
-    if len(table) != 1 << header[0]:
-        raise InputError(f"truth table needs all {1 << header[0]} input rows")
+    if len(table) != 1 << m:
+        raise InputError(f"truth table needs all {1 << m} input rows")
     return table
 
 
 def emit_truth_table(table: Mapping[TernaryWord, TernaryWord]) -> str:
     m, n = _check_bool_table(table)
     lines = [f"table m={m} n={n}"]
-    for x in _stable(m):
+    for x in stable_words(m):
         lines.append(f"{x} -> {table[x]}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ import sys
 from . import analysis, components, executor
 from .netlist import emit_netlist, parse_netlist
 from .ternary_core import (
-    DEFAULT_MAX_META_BITS,
     DEFAULT_MAX_STATES,
     BudgetError,
     InputError,
@@ -50,9 +49,8 @@ def _load_circuit(path):
     return parse_netlist(_read_text(path))
 
 
-def _spec_shape(f):
-    form = "natural" if analysis.is_natural(f) else "general"
-    return f"{form} m={f.m} n={f.n}"
+def _spec_shape(f, natural):
+    return f"{'natural' if natural else 'general'} m={f.m} n={f.n}"
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +67,15 @@ def cmd_sim(args):
              f"rounds: {args.rounds}",
              f"max states: {args.max_states}"]
     peak = 0
-    for t in range(args.rounds + 1):
-        states = executor.reach(c, iota, t, args.max_states)
+    outs = []
+    walk = executor.frontiers(c, iota, args.max_states)
+    for t, states in zip(range(args.rounds + 1), walk):
         peak = max(peak, len(states))
         lines.append(f"states[{t}]: {_cubes(states)}")
-    for t in range(1, args.rounds + 1):
-        outs = executor.outputs(c, iota, t, args.max_states)
-        lines.append(f"outputs[{t}]: {_cubes(outs)}")
+        if t:
+            outs.append(f"outputs[{t}]: "
+                        f"{_cubes(executor.output_cubes(c, states))}")
+    lines += outs
     lines.append(f"peak state cubes: {peak}")
     if args.trace is not None:
         if args.rounds < 1:
@@ -89,12 +89,10 @@ def cmd_sim(args):
 def cmd_check(args):
     c = _load_circuit(args.netlist)
     f = analysis.parse_spec_table(_read_text(args.spec))
-    v = executor.implements(c, args.rounds, f,
-                            max_states=args.max_states,
-                            max_meta_bits=args.max_meta_bits)
+    v = executor.implements(c, args.rounds, f, max_states=args.max_states)
     lines = ["command: check",
              f"circuit: {c.name}",
-             f"spec: {_spec_shape(f)}",
+             f"spec: {_spec_shape(f, analysis.is_natural(f))}",
              f"rounds: {args.rounds}",
              f"verdict: {'yes' if v.ok else 'no'}"]
     if v.ok:
@@ -112,14 +110,15 @@ def cmd_closure(args):
         return 0, text.rstrip("\n")
     _write_text(args.out, text)
     return 0, "\n".join(["command: closure",
-                         f"spec: {_spec_shape(f)}",
+                         f"spec: {_spec_shape(f, analysis.is_natural(f))}",
                          f"written: {args.out}"])
 
 
 def cmd_synth(args):
     f = analysis.parse_spec_table(_read_text(args.spec))
-    lines = ["command: synth", f"spec: {_spec_shape(f)}"]
-    if analysis.is_natural(f):
+    natural = analysis.is_natural(f)
+    lines = ["command: synth", f"spec: {_spec_shape(f, natural)}"]
+    if natural:
         target = f
     else:
         target = analysis.find_natural_subfunction(f,
@@ -128,8 +127,7 @@ def cmd_synth(args):
             lines.append("verdict: no natural subfunction")
             return 1, "\n".join(lines)
     c = analysis.synthesize(target)
-    v = executor.implements(c, 1, f, max_states=args.max_states,
-                            max_meta_bits=args.max_meta_bits)
+    v = executor.implements(c, 1, f, max_states=args.max_states)
     if not v.ok:
         lines.append("verdict: synthesized circuit failed its own check")
         lines.append(f"witness input: {v.witness_input}")
@@ -276,14 +274,9 @@ def cmd_pipeline(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_budget_flags(p, states=True, meta=False):
-    if states:
-        p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
-                       help="state-enumeration budget")
-    if meta:
-        p.add_argument("--max-meta-bits", type=int,
-                       default=DEFAULT_MAX_META_BITS,
-                       help="cap on metastable input bits per word")
+def _add_budget_flags(p):
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+                   help="state-enumeration budget")
 
 
 def build_parser():
@@ -305,7 +298,7 @@ def build_parser():
     p.add_argument("netlist")
     p.add_argument("spec")
     p.add_argument("rounds", type=int)
-    _add_budget_flags(p, meta=True)
+    _add_budget_flags(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("closure",
@@ -319,7 +312,7 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("-o", "--out", help="write the netlist here "
                                        "(default: stdout)")
-    _add_budget_flags(p, meta=True)
+    _add_budget_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("unroll",

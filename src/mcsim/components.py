@@ -10,7 +10,6 @@ words out.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +22,7 @@ from .ternary_core import (
     CubeSet,
     InputError,
     TernaryWord,
+    all_words,
     brgc,
     encode,
     precision,
@@ -34,16 +34,11 @@ from .ternary_core import (
 # ---------------------------------------------------------------------------
 # Multiplexers
 
-def _ternary_inputs(m):
-    for digits in itertools.product((ZERO, ONE, META), repeat=m):
-        yield TernaryWord.from_digits(digits)
-
-
 def mux_spec() -> FunctionSpec:
     """What a plain MUX promises: follow the selected input, anything at
     all while the select is metastable."""
     values = {}
-    for x in _ternary_inputs(3):
+    for x in all_words(3):
         a, b, s = x.digits()
         pick = a if s is ZERO else b if s is ONE else META
         values[x] = CubeSet.of(1, [TernaryWord.from_digits([pick])])
@@ -54,7 +49,7 @@ def cmux_spec() -> FunctionSpec:
     """The containing MUX: a metastable select must not matter when the
     data inputs agree."""
     values = {}
-    for x in _ternary_inputs(3):
+    for x in all_words(3):
         a, b, s = x.digits()
         if s is ZERO or a is b:
             pick = a

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .netlist import Circuit, RegType, eval_dag
 from .ternary_core import (
-    DEFAULT_MAX_META_BITS,
     DEFAULT_MAX_STATES,
     META,
     ONE,
@@ -25,8 +24,11 @@ from .ternary_core import (
     BudgetError,
     CubeSet,
     InputError,
+    ParseError,
     Ternary,
     TernaryWord,
+    all_words,
+    content_lines,
     cubeset_canonicalize,
     res_contains,
 )
@@ -48,17 +50,19 @@ def register_transitions(rtype: RegType, v: Ternary) -> tuple[tuple[Ternary, Ter
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Units of work left before a search gives up; None means unbounded."""
+    __slots__ = ("left", "what")
 
-    def __init__(self, left: Optional[int]):
+    def __init__(self, left: Optional[int], what: str = "state"):
         self.left = left
+        self.what = what
 
     def spend(self, n: int) -> None:
         if self.left is None:
             return
         self.left -= n
         if self.left < 0:
-            raise BudgetError("state budget exceeded; raise the max-states cap")
+            raise BudgetError(f"{self.what} budget exceeded; raise the max-states cap")
 
 
 def _check_state(c: Circuit, s: TernaryWord) -> None:
@@ -138,37 +142,25 @@ def successors(c: Circuit, s: TernaryWord,
     return canonicalize_state_cubes(c.m, width, cubes)
 
 
-def reach(c: Circuit, iota: TernaryWord, r: int,
-          max_states: Optional[int] = DEFAULT_MAX_STATES) -> CubeSet:
-    """States reachable in exactly r rounds from inputs iota, as cubes.
-
-    Round 0 is the literal initial state. Each later round expands the
-    previous round's cube words only; the budget counts base states
-    visited plus successor cubes produced.
-    """
+def _initial_state(c: Circuit, iota: TernaryWord) -> TernaryWord:
     if len(iota) != c.m:
         raise InputError(f"input width {len(iota)}, circuit has {c.m} inputs")
-    if r < 0:
-        raise InputError("round count must be nonnegative")
+    return iota.concat(c.init_word())
+
+
+def frontiers(c: Circuit, iota: TernaryWord,
+              max_states: Optional[int] = DEFAULT_MAX_STATES) -> Iterator[CubeSet]:
+    """reach(c, iota, t) for t = 0, 1, 2, ..., without end.
+
+    Round 0 is the literal initial state. Each later round expands each
+    distinct cube word of the previous round once; the one budget counts
+    base states visited plus successor cubes produced."""
     width = c.m + c.k + c.n
-    frontier = CubeSet.of(width, [iota.concat(c.init_word())])
+    frontier = CubeSet.of(width, [_initial_state(c, iota)])
     budget = _Budget(max_states)
     memo: dict[TernaryWord, list[TernaryWord]] = {}
-    seen: dict[CubeSet, int] = {}
-    t = 0
-    jumped = False
-    while t < r:
-        if not jumped:
-            prev = seen.get(frontier)
-            if prev is not None:
-                # frontier sets repeat; skip whole periods, walk the rest
-                period = t - prev
-                t += ((r - t) // period) * period
-                jumped = True
-                if t >= r:
-                    break
-            else:
-                seen[frontier] = t
+    while True:
+        yield frontier
         nxt: list[TernaryWord] = []
         for cube in frontier:
             cs = memo.get(cube)
@@ -178,8 +170,31 @@ def reach(c: Circuit, iota: TernaryWord, r: int,
                 memo[cube] = cs
             nxt.extend(cs)
         frontier = canonicalize_state_cubes(c.m, width, nxt)
-        t += 1
+
+
+def reach(c: Circuit, iota: TernaryWord, r: int,
+          max_states: Optional[int] = DEFAULT_MAX_STATES) -> CubeSet:
+    """States reachable in exactly r rounds from inputs iota, as cubes.
+
+    Once a frontier repeats, the walk is periodic from its first
+    occurrence on, so the answer is read off the frontiers already seen.
+    """
+    if r < 0:
+        raise InputError("round count must be nonnegative")
+    # frontier -> first round seen; in insertion order, rounds 0..t-1
+    seen: dict[CubeSet, int] = {}
+    for t, frontier in zip(range(r + 1), frontiers(c, iota, max_states)):
+        prev = seen.setdefault(frontier, t)
+        if prev < t:
+            return list(seen)[prev + (r - prev) % (t - prev)]
     return frontier
+
+
+def output_cubes(c: Circuit, states: CubeSet) -> CubeSet:
+    """The output-register words a set of state cubes shows."""
+    width = c.m + c.k + c.n
+    tails = [cube.subword(width - c.n, width) for cube in states]
+    return cubeset_canonicalize(CubeSet.of(c.n, tails))
 
 
 def outputs(c: Circuit, iota: TernaryWord, r: int,
@@ -187,10 +202,7 @@ def outputs(c: Circuit, iota: TernaryWord, r: int,
     """All output-register words the circuit can show after r >= 1 rounds."""
     if r < 1:
         raise InputError("outputs are defined from round 1 on")
-    width = c.m + c.k + c.n
-    tails = [cube.subword(width - c.n, width)
-             for cube in reach(c, iota, r, max_states)]
-    return cubeset_canonicalize(CubeSet.of(c.n, tails))
+    return output_cubes(c, reach(c, iota, r, max_states))
 
 
 @dataclass(frozen=True)
@@ -205,8 +217,7 @@ class Verdict:
 
 
 def implements(c: Circuit, r: int, f,
-               max_states: Optional[int] = DEFAULT_MAX_STATES,
-               max_meta_bits: int = DEFAULT_MAX_META_BITS) -> Verdict:
+               max_states: Optional[int] = DEFAULT_MAX_STATES) -> Verdict:
     """Does every output after r rounds land inside f, for every input word?
 
     f is a function specification: value_cubeset(iota) gives the allowed
@@ -217,8 +228,7 @@ def implements(c: Circuit, r: int, f,
     if f.m != c.m or f.n != c.n:
         raise InputError(
             f"specification is {f.m}->{f.n} bits, circuit is {c.m}->{c.n}")
-    for digits in itertools.product((ZERO, ONE, META), repeat=c.m):
-        iota = TernaryWord.from_digits(digits)
+    for iota in all_words(c.m):
         allowed = f.value_cubeset(iota)
         for cube in outputs(c, iota, r, max_states):
             if not any(res_contains(a, cube) for a in allowed):
@@ -304,11 +314,9 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
 
 def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
     """One deterministic execution: first read outcome, write = evaluation."""
-    if len(iota) != c.m:
-        raise InputError(f"input width {len(iota)}, circuit has {c.m} inputs")
+    state = _initial_state(c, iota)
     if r < 0:
         raise InputError("round count must be nonnegative")
-    state = iota.concat(c.init_word())
     rows = []
     for _ in range(r):
         per = [register_transitions(reg.rtype, state.digit(i))[0]
@@ -336,26 +344,21 @@ def emit_trace(t: ExecutionTrace) -> str:
 def parse_trace(text: str) -> ExecutionTrace:
     """Inverse of emit_trace; one `r | state | read | eval | write` per line."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = [p.strip() for p in line.split("|")]
         if len(parts) not in (2, 5):
-            raise InputError(
-                f"line {lineno}: expected `r | state` or "
-                "`r | state | read | eval | write`")
+            raise ParseError(lineno, "expected `r | state` or "
+                                     "`r | state | read | eval | write`")
         try:
             idx = int(parts[0])
         except ValueError:
-            raise InputError(f"line {lineno}: bad round number {parts[0]!r}") \
-                from None
+            raise ParseError(lineno, f"bad round number {parts[0]!r}") from None
         if idx != len(rows):
-            raise InputError(f"line {lineno}: rounds must count up from 0")
+            raise ParseError(lineno, "rounds must count up from 0")
         try:
             words = [TernaryWord.parse(p) for p in parts[1:]]
         except InputError as e:
-            raise InputError(f"line {lineno}: {e}") from None
+            raise ParseError(lineno, str(e)) from None
         if len(parts) == 2:
             rows.append(TraceRound(words[0]))
         else:

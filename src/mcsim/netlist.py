@@ -18,12 +18,15 @@ from enum import Enum
 from typing import Iterable
 
 from .ternary_core import (
+    CHAR_TO_DIGIT,
     META,
     ONE,
     ZERO,
     InputError,
+    ParseError,
     Ternary,
     TernaryWord,
+    content_lines,
     kleene_extend,
 )
 
@@ -135,9 +138,6 @@ class Circuit:
         return TernaryWord.from_digits(
             r.init for r in self.local_regs + self.output_regs)
 
-    def state_order(self) -> tuple[RegisterDecl, ...]:
-        return self.input_regs + self.local_regs + self.output_regs
-
 
 def eval_gate(kind: str, table: str | None, vals: list[Ternary]) -> Ternary:
     if kind == "AND":
@@ -191,7 +191,8 @@ def eval_gate(kind: str, table: str | None, vals: list[Ternary]) -> Ternary:
     raise InputError(f"unknown gate kind {kind!r}")
 
 
-@functools.lru_cache(maxsize=1024)
+# Each entry keeps its Dag alive; a small cache bounds that memory.
+@functools.lru_cache(maxsize=128)
 def _compile_dag(dag: Dag):
     """Index-based evaluation plan; rejects undefined or misordered refs."""
     index = {name: i for i, name in enumerate(dag.inputs)}
@@ -328,17 +329,6 @@ def dag_toposort(dag: Dag) -> Dag:
     return Dag(dag.inputs, tuple(order), dag.outputs)
 
 
-class ParseError(InputError):
-    """Netlist/spec file error with a line number."""
-
-    def __init__(self, lineno: int, msg: str):
-        super().__init__(f"line {lineno}: {msg}")
-        self.lineno = lineno
-
-
-_INIT = {"0": ZERO, "1": ONE, "M": META}
-
-
 def parse_netlist(text: str) -> Circuit:
     """Parse the line-oriented netlist format; see emit_netlist for shape."""
     name = None
@@ -347,10 +337,7 @@ def parse_netlist(text: str) -> Circuit:
     drives: dict[str, tuple[int, str]] = {}
     reg_lines: dict[str, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tok = line.split()
         kw = tok[0]
         if kw == "circuit":
@@ -368,10 +355,10 @@ def parse_netlist(text: str) -> Circuit:
             if len(tok) != 5 or tok[3] != "init":
                 raise ParseError(
                     lineno, f"expected: {kw} <reg> <type> init <0|1|M>")
-            if tok[4] not in _INIT:
+            if tok[4] not in CHAR_TO_DIGIT:
                 raise ParseError(lineno, f"bad init value {tok[4]!r}")
             regs.append(RegisterDecl(tok[1], Role(kw), _rtype(lineno, tok[2]),
-                                     _INIT[tok[4]]))
+                                     CHAR_TO_DIGIT[tok[4]]))
             reg_lines[tok[1]] = lineno
         elif kw == "gate":
             if len(tok) < 3:
@@ -399,27 +386,12 @@ def parse_netlist(text: str) -> Circuit:
             raise ParseError(lineno, f"drive names undeclared register {reg!r}")
         if by_name[reg].role is Role.INPUT:
             raise ParseError(lineno, f"input register {reg} cannot be driven")
-    non_inputs = [r for r in regs if r.role is not Role.INPUT]
-    for r in non_inputs:
-        if r.name not in drives:
+    for r in regs:
+        if r.role is not Role.INPUT and r.name not in drives:
             raise ParseError(reg_lines[r.name],
                              f"register {r.name} is never driven")
-
-    circuit = Circuit(
-        name=name,
-        registers=tuple(regs),
-        dag=Dag(
-            inputs=tuple(r.name for r in regs if r.role is not Role.OUTPUT),
-            gates=tuple(gates),
-            outputs=tuple((r.name, drives[r.name][1]) for r in non_inputs),
-        ),
-    )
-    circuit = Circuit(circuit.name, circuit.registers,
-                      dag_toposort(circuit.dag))
-    problems = validate(circuit)
-    if problems:
-        raise InputError("; ".join(problems))
-    return circuit
+    return make_circuit(name, regs, gates,
+                        {reg: src for reg, (_, src) in drives.items()})
 
 
 def _rtype(lineno: int, token: str) -> RegType:

@@ -29,6 +29,22 @@ class BudgetError(Exception):
     """An enumeration or search exceeded its configured budget."""
 
 
+class ParseError(InputError):
+    """Netlist/spec/trace file error with a line number."""
+
+    def __init__(self, lineno: int, msg: str):
+        super().__init__(f"line {lineno}: {msg}")
+        self.lineno = lineno
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line left nonblank once `#` comments go."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 class Ternary(IntEnum):
     """One signal value. ZERO and ONE are stable; META is not."""
 
@@ -48,7 +64,10 @@ ZERO = Ternary.ZERO
 ONE = Ternary.ONE
 META = Ternary.META
 
-_CHAR_TO_DIGIT = {"0": ZERO, "1": ONE, "M": META}
+DIGITS = (ZERO, ONE, META)
+CHAR_TO_DIGIT = {"0": ZERO, "1": ONE, "M": META}
+# Ints 0..2 hash and compare equal to the digits, so both kinds look up.
+_DIGIT_VALUE = {d: int(d) for d in DIGITS}
 
 
 @dataclass(frozen=True, order=True)
@@ -67,21 +86,28 @@ class TernaryWord:
         packed = 0
         width = 0
         for d in digits:
-            packed = (packed << 2) | int(d)
+            try:
+                packed = (packed << 2) | _DIGIT_VALUE[d]
+            except KeyError:
+                raise InputError(f"bad digit {d!r}: must be 0, 1, or 2 (M)") from None
             width += 1
         return TernaryWord(width, packed)
 
     @staticmethod
     def parse(text: str) -> "TernaryWord":
         try:
-            return TernaryWord.from_digits(_CHAR_TO_DIGIT[c] for c in text)
+            return TernaryWord.from_digits(CHAR_TO_DIGIT[c] for c in text)
         except KeyError as e:
             raise InputError(f"bad word {text!r}: digit must be 0, 1, or M") from e
 
     def digit(self, i: int) -> Ternary:
         if not 0 <= i < self.width:
             raise InputError(f"digit index {i} out of range for width {self.width}")
-        return Ternary((self.packed >> (2 * (self.width - 1 - i))) & 3)
+        try:
+            return DIGITS[(self.packed >> (2 * (self.width - 1 - i))) & 3]
+        except IndexError:
+            raise InputError(f"digit {i} of a width-{self.width} word packed as "
+                             f"{self.packed:#x} is 3, not 0, 1, or 2 (M)") from None
 
     def digits(self) -> tuple[Ternary, ...]:
         return tuple(self.digit(i) for i in range(self.width))
@@ -122,8 +148,7 @@ class TernaryWord:
         return self.width
 
     def __str__(self) -> str:
-        return "".join("01M"[(self.packed >> (2 * (self.width - 1 - i))) & 3]
-                       for i in range(self.width))
+        return "".join("01M"[d] for d in self.digits())
 
     def __repr__(self) -> str:
         return f"word({str(self)!r})"
@@ -134,21 +159,27 @@ def word(text: str) -> TernaryWord:
     return TernaryWord.parse(text)
 
 
-def _check_meta_budget(w: TernaryWord, max_meta: int, what: str) -> int:
-    m = w.meta_count()
+def all_words(m: int) -> Iterator[TernaryWord]:
+    """Every m-digit word over {0,1,M}, in lex order."""
+    return map(TernaryWord.from_digits, itertools.product(DIGITS, repeat=m))
+
+
+def stable_words(m: int) -> Iterator[TernaryWord]:
+    """Every m-digit word over {0,1}, in lex order."""
+    return map(TernaryWord.from_digits, itertools.product((ZERO, ONE), repeat=m))
+
+
+def _resolutions(w: TernaryWord, fills: tuple[Ternary, ...],
+                 max_meta: int, what: str) -> list[TernaryWord]:
+    """w with its M digits replaced by every choice from fills; since fills
+    is ascending, the product yields the words in lex order."""
+    positions = w.meta_positions()
+    m = len(positions)
     if m > max_meta:
         raise BudgetError(
             f"{what} of {w} needs 2^{m} expansions; budget is {max_meta} M bits")
-    return m
-
-
-def res_full(w: TernaryWord,
-             max_meta: int = DEFAULT_MAX_META_BITS) -> list[TernaryWord]:
-    """All full resolutions of w: every M fixed to 0 or 1, in lex order."""
-    _check_meta_budget(w, max_meta, "full resolution")
-    positions = w.meta_positions()
     out = []
-    for choice in itertools.product((ZERO, ONE), repeat=len(positions)):
+    for choice in itertools.product(fills, repeat=m):
         y = w
         for i, d in zip(positions, choice):
             y = y.with_digit(i, d)
@@ -156,18 +187,16 @@ def res_full(w: TernaryWord,
     return out
 
 
+def res_full(w: TernaryWord,
+             max_meta: int = DEFAULT_MAX_META_BITS) -> list[TernaryWord]:
+    """All full resolutions of w: every M fixed to 0 or 1, in lex order."""
+    return _resolutions(w, (ZERO, ONE), max_meta, "full resolution")
+
+
 def res_members(w: TernaryWord,
                 max_meta: int = DEFAULT_MAX_META_BITS) -> list[TernaryWord]:
     """All partial resolutions of w (the members of the cube w), in lex order."""
-    _check_meta_budget(w, max_meta, "partial resolution")
-    positions = w.meta_positions()
-    out = []
-    for choice in itertools.product((ZERO, ONE, META), repeat=len(positions)):
-        y = w
-        for i, d in zip(positions, choice):
-            y = y.with_digit(i, d)
-        out.append(y)
-    return sorted(out)
+    return _resolutions(w, DIGITS, max_meta, "partial resolution")
 
 
 def res_contains(cube: TernaryWord, w: TernaryWord) -> bool:

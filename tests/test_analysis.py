@@ -930,3 +930,10 @@ class TestTruthTables:
         with pytest.raises(ParseError) as e:
             parse_truth_table(text)
         assert e.value.lineno == 3
+
+    def test_first_of_two_errors_is_reported(self):
+        # an unstable row on line 3, then a row without an arrow on line 4
+        text = "table m=2 n=1\n00 -> 0\n0M -> 0\n10 0\n11 -> 1\n"
+        with pytest.raises(ParseError, match="stable") as e:
+            parse_truth_table(text)
+        assert e.value.lineno == 3

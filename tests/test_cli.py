@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import FEEDBACK_TEXT
+from conftest import FEEDBACK_TEXT, all_words
 from mcsim.analysis import emit_spec_table, unroll
 from mcsim.cli import main
 from mcsim.components import (
@@ -11,7 +11,13 @@ from mcsim.components import (
     build_cmux_combinational,
     cmux_spec,
 )
-from mcsim.executor import outputs, parse_trace, state_cube_contains, trace_check
+from mcsim.executor import (
+    outputs,
+    parse_trace,
+    reach,
+    state_cube_contains,
+    trace_check,
+)
 from mcsim.netlist import emit_netlist, parse_netlist, validate
 from mcsim.ternary_core import word
 
@@ -140,6 +146,22 @@ class TestSim:
         rc, _, _ = run(capsys, ["sim", fig4_path, "MM", "-1"])
         assert rc == 2
 
+    def test_every_round_line_equals_the_library(self, capsys, workspace,
+                                                 corpus_mixed):
+        rounds = 6
+        for c in [parse_netlist(FEEDBACK_TEXT)] + corpus_mixed[:8]:
+            path = workspace("c.net", emit_netlist(c))
+            for iota in all_words(c.m):
+                rc, out, _ = run(capsys, ["sim", path, str(iota), str(rounds)])
+                assert rc == 0
+                report = dict(line.split(": ", 1) for line in out.splitlines())
+                for t in range(rounds + 1):
+                    want = ", ".join(map(str, reach(c, iota, t)))
+                    assert report[f"states[{t}]"] == want, (c.name, iota, t)
+                for t in range(1, rounds + 1):
+                    want = ", ".join(map(str, outputs(c, iota, t)))
+                    assert report[f"outputs[{t}]"] == want, (c.name, iota, t)
+
 
 class TestCheck:
     def test_containing_mux_passes(self, capsys, workspace):
@@ -157,6 +179,16 @@ class TestCheck:
         assert "verdict: no" in out
         assert "witness input: 11M" in out
         assert "witness output: M" in out
+
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_max_meta_bits_is_not_a_flag(self, capsys, workspace, command):
+        spec = workspace("cmux.spec", emit_spec_table(cmux_spec()))
+        net = workspace("cmux.net", emit_netlist(build_cmux_combinational()))
+        argv = [net, spec, "1"] if command == "check" else [spec]
+        with pytest.raises(SystemExit) as e:
+            main([command, *argv, "--max-meta-bits", "0"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --max-meta-bits" in capsys.readouterr().err
 
     def test_arity_mismatch_is_an_input_error(self, capsys, workspace):
         net = workspace("mux.net", emit_netlist(build_mux()))

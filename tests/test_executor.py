@@ -1,6 +1,7 @@
 """Round semantics: reads, successors, reachable sets, implements, traces."""
 
 import random
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -12,6 +13,7 @@ from mcsim.executor import (
     Verdict,
     canonicalize_state_cubes,
     emit_trace,
+    frontiers,
     implements,
     outputs,
     parse_trace,
@@ -31,6 +33,7 @@ from mcsim.ternary_core import (
     BudgetError,
     CubeSet,
     InputError,
+    ParseError,
     TernaryWord,
     res_contains,
     res_full,
@@ -218,6 +221,28 @@ class TestReach:
                 nxt = [w for cube in frontier for w in successors(c, cube)]
                 frontier = canonicalize_state_cubes(c.m, width, nxt)
 
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_matches_plain_walk_past_the_first_repeat(self, corpus, request):
+        # a plain walk over the public successors, three periods past the
+        # round at which a frontier first repeats
+        rng = random.Random(11)
+        for c in request.getfixturevalue(corpus):
+            width = c.m + c.k + c.n
+            inputs = all_words(c.m)
+            for iota in rng.sample(inputs, min(4, len(inputs))):
+                walk = [CubeSet.of(width, [iota.concat(c.init_word())])]
+                while walk[-1] not in walk[:-1]:
+                    nxt = [w for cube in walk[-1] for w in successors(c, cube)]
+                    walk.append(canonicalize_state_cubes(c.m, width, nxt))
+                period = len(walk) - 1 - walk.index(walk[-1])
+                for _ in range(3 * period):
+                    nxt = [w for cube in walk[-1] for w in successors(c, cube)]
+                    walk.append(canonicalize_state_cubes(c.m, width, nxt))
+                for r, frontier in enumerate(walk):
+                    assert reach(c, iota, r) == frontier, (c.name, iota, r)
+                assert list(itertools.islice(frontiers(c, iota), len(walk))) \
+                    == walk
+
     def test_deterministic(self, feedback_circuit):
         a = reach(feedback_circuit, word("MM"), 3)
         b = reach(feedback_circuit, word("MM"), 3)
@@ -350,6 +375,18 @@ class TestTraces:
         assert parse_trace(emit_trace(t)) == t
         t2 = run_trace(feedback_circuit, word("M0"), 3)
         assert parse_trace(emit_trace(t2)) == t2
+
+    @pytest.mark.parametrize("text, lineno, match", [
+        ("0 | MM11\n\n# note\n2 | MM11\n", 4, "count up"),
+        ("# header\n0 | MM11 | 0M1\n", 2, "expected"),
+        ("0 | MM11 | 0M1 | MM | 1M\nx | MM1M\n", 2, "round number"),
+        ("0 | MM11 | 0M1 | M2 | 1M\n", 1, "bad word"),
+    ])
+    def test_parse_errors_carry_the_line(self, text, lineno, match):
+        with pytest.raises(ParseError, match=match) as e:
+            parse_trace(text)
+        assert e.value.lineno == lineno
+        assert str(e.value).startswith(f"line {lineno}: ")
 
     def test_parse_errors(self):
         with pytest.raises(InputError, match="count up"):

@@ -66,6 +66,18 @@ class TestWordBasics:
         with pytest.raises(InputError):
             word("01X")
 
+    def test_invalid_digits_are_input_errors(self):
+        # a 5 used to spill into the neighbouring digit and read as "11"
+        with pytest.raises(InputError):
+            TernaryWord.from_digits([0, 5])
+        with pytest.raises(InputError):
+            TernaryWord.from_digits([ONE, -1])
+        # packed digit 3 is no ternary value
+        with pytest.raises(InputError):
+            TernaryWord(1, 3).digit(0)
+        with pytest.raises(InputError):
+            str(TernaryWord(1, 3))
+
     def test_lex_order_zero_one_meta(self):
         assert sorted([word("M"), word("1"), word("0")]) == \
             [word("0"), word("1"), word("M")]
