@@ -69,7 +69,7 @@ class FunctionSpec:
 
     def value_cubeset(self, x: TernaryWord) -> CubeSet:
         if self.entries is not None:
-            return CubeSet.of(self.n, [self.entries[x]])
+            return CubeSet(self.n, (self.entries[x],))
         return self.values[x]
 
 
@@ -307,8 +307,10 @@ def find_natural_subfunction(g: FunctionSpec,
 # Prime implicants and circuit synthesis
 
 # Synthesis hits the same single-bit tables over and over; prime
-# implicants are a pure function of the minterm set, so memoize.
+# implicants are a pure function of the minterm set, so memoize. The
+# bound holds all 278 tables of up to 3 inputs; past it the oldest goes.
 _PI_MEMO: dict = {}
+_PI_MEMO_MAX = 1024
 
 
 def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, ...]:
@@ -362,6 +364,8 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
         prime |= current - merged_away
         current = nxt
     result = tuple(sorted(prime))
+    if len(_PI_MEMO) >= _PI_MEMO_MAX:
+        del _PI_MEMO[next(iter(_PI_MEMO))]
     _PI_MEMO[key] = result
     return result
 
@@ -455,7 +459,7 @@ def unroll(c: Circuit, r: int) -> Circuit:
     gates: list[Gate] = []
     for t in range(1, r + 1):
         if t > 1:
-            for name in local_names:
+            for name in (reg.name for reg in c.local_regs):
                 gates.append(Gate(f"{name}__u{t}", "BUF",
                                   (resolve(t - 1, drive[name]),)))
         for g in c.dag.gates:
@@ -586,7 +590,9 @@ def _read_table(text: str, kind: str, what: str):
     try:
         m, n = int(tok[1][2:]), int(tok[2][2:])
     except ValueError:
-        raise ParseError(lineno, "bad arity in header") from None
+        m = n = -1
+    if m < 0 or n < 0:
+        raise ParseError(lineno, "bad arity in header")
 
     def rows():
         for lineno, line in lines:

@@ -53,6 +53,14 @@ def _spec_shape(f, natural):
     return f"{'natural' if natural else 'general'} m={f.m} n={f.n}"
 
 
+def _deliver(args, text, report):
+    """The artifact itself, or, with --out, written there and report()'s lines."""
+    if args.out is None:
+        return 0, text.rstrip("\n")
+    _write_text(args.out, text)
+    return 0, "\n".join(report() + [f"written: {args.out}"])
+
+
 # ---------------------------------------------------------------------------
 # Commands: each returns (exit code, report text)
 
@@ -105,13 +113,8 @@ def cmd_check(args):
 def cmd_closure(args):
     table = analysis.parse_truth_table(_read_text(args.table))
     f = analysis.closure_bool(table)
-    text = analysis.emit_spec_table(f)
-    if args.out is None:
-        return 0, text.rstrip("\n")
-    _write_text(args.out, text)
-    return 0, "\n".join(["command: closure",
-                         f"spec: {_spec_shape(f, analysis.is_natural(f))}",
-                         f"written: {args.out}"])
+    return _deliver(args, analysis.emit_spec_table(f), lambda: [
+        "command: closure", f"spec: {_spec_shape(f, analysis.is_natural(f))}"])
 
 
 def cmd_synth(args):
@@ -133,28 +136,15 @@ def cmd_synth(args):
         lines.append(f"witness input: {v.witness_input}")
         lines.append(f"witness output: {v.witness_output}")
         return 1, "\n".join(lines)
-    text = emit_netlist(c)
-    if args.out is None:
-        return 0, text.rstrip("\n")
-    _write_text(args.out, text)
-    lines.append(f"circuit: {c.name}")
-    lines.append(f"gates: {len(c.dag.gates)}")
-    lines.append("verdict: yes")
-    lines.append(f"written: {args.out}")
-    return 0, "\n".join(lines)
+    return _deliver(args, emit_netlist(c), lambda: lines + [
+        f"circuit: {c.name}", f"gates: {len(c.dag.gates)}", "verdict: yes"])
 
 
 def cmd_unroll(args):
     c = _load_circuit(args.netlist)
     u = analysis.unroll(c, args.rounds)
-    text = emit_netlist(u)
-    if args.out is None:
-        return 0, text.rstrip("\n")
-    _write_text(args.out, text)
-    return 0, "\n".join(["command: unroll",
-                         f"circuit: {u.name}",
-                         f"rounds: {args.rounds}",
-                         f"written: {args.out}"])
+    return _deliver(args, emit_netlist(u), lambda: [
+        "command: unroll", f"circuit: {u.name}", f"rounds: {args.rounds}"])
 
 
 def cmd_witness(args):
@@ -166,17 +156,9 @@ def cmd_witness(args):
         return 1, "\n".join(["command: witness",
                              f"circuit: {c.name}",
                              "verdict: none (output sets overlap)"])
-    text = executor.emit_trace(t)
-    if args.out is None:
-        return 0, text.rstrip("\n")
-    _write_text(args.out, text)
-    return 0, "\n".join(["command: witness",
-                         f"circuit: {c.name}",
-                         f"from: {iota}",
-                         f"to: {iota2}",
-                         f"rounds: {args.rounds}",
-                         "verdict: witness",
-                         f"written: {args.out}"])
+    return _deliver(args, executor.emit_trace(t), lambda: [
+        "command: witness", f"circuit: {c.name}", f"from: {iota}", f"to: {iota2}",
+        f"rounds: {args.rounds}", "verdict: witness"])
 
 
 def _component_entry(name, params):

@@ -15,20 +15,22 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .ternary_core import (
     CHAR_TO_DIGIT,
-    META,
-    ONE,
-    ZERO,
+    DIGITS,
     InputError,
     ParseError,
     Ternary,
     TernaryWord,
+    _norm_table,
     content_lines,
-    kleene_extend,
 )
+
+# rails of the digits 0, 1, M
+_CAN0 = (1, 0, 1)
+_CAN1 = (0, 1, 1)
 
 
 class Role(Enum):
@@ -97,6 +99,34 @@ class Dag:
     gates: tuple[Gate, ...]
     outputs: tuple[tuple[str, str], ...]
 
+    @functools.cached_property
+    def _plan(self):
+        """Index-based evaluation plan, compiled once (not a field, so equality
+        and hash ignore it); rejects undefined or misordered refs."""
+        index = {name: i for i, name in enumerate(self.inputs)}
+        if len(index) != len(self.inputs):
+            raise InputError("duplicate input node name")
+        ops = []
+        for g in self.gates:
+            try:
+                arg_idx = tuple(index[a] for a in g.args)
+            except KeyError as e:
+                raise InputError(f"gate {g.gid} references undefined or later "
+                                 f"node {e.args[0]!r}") from e
+            if g.gid in index:
+                raise InputError(f"duplicate node name {g.gid!r}")
+            index[g.gid] = len(self.inputs) + len(ops)
+            ops.append((g.kind, g.table, arg_idx))
+        try:
+            out_idx = tuple(index[src] for _, src in self.outputs)
+        except KeyError as e:
+            raise InputError(f"output driven by undefined node {e.args[0]!r}") from e
+        return [(_rule(kind, table, len(a)), a) for kind, table, a in ops], out_idx
+
+    def __getstate__(self):
+        # the plan holds closures, which do not pickle; it is rebuilt on use
+        return {k: v for k, v in vars(self).items() if k != "_plan"}
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -139,81 +169,69 @@ class Circuit:
             r.init for r in self.local_regs + self.output_regs)
 
 
+# Each signal is a pair of lane masks (can0, can1): bit L of can_b is set
+# when the signal can resolve to b in lane L. A stable value sets one rail
+# and M sets both, so every gate kind is a rule over these pairs, and the
+# same rules evaluate one word (one lane) or a whole domain (one lane each).
+
+def _and(z, o, args, full):
+    c0, c1 = 0, full
+    for i in args:
+        c0, c1 = c0 | z[i], c1 & o[i]
+    return c0, c1
+
+
+# OR is AND over swapped rails, swapped back (De Morgan)
+_RULES = {
+    "AND": _and,
+    "NAND": lambda z, o, args, full: _and(z, o, args, full)[::-1],
+    "OR": lambda z, o, args, full: _and(o, z, args, full)[::-1],
+    "NOR": lambda z, o, args, full: _and(o, z, args, full),
+    "XOR": lambda z, o, args, full: (z[args[0]] & z[args[1]] | o[args[0]] & o[args[1]],
+                                     o[args[0]] & z[args[1]] | z[args[0]] & o[args[1]]),
+    "NOT": lambda z, o, args, full: (o[args[0]], z[args[0]]),
+    "BUF": lambda z, o, args, full: (z[args[0]], o[args[0]]),
+    "CONST0": lambda z, o, args, full: (full, 0),
+    "CONST1": lambda z, o, args, full: (0, full),
+}
+
+
+def _rule(kind: str, table, arity: int):
+    if kind in _RULES:
+        return _RULES[kind]
+    if kind != "TABLE":
+        raise InputError(f"unknown gate kind {kind!r}")
+    # the output can be b wherever some row with output b can be read:
+    # the Kleene extension of the table
+    rows = [(int(bit), [row >> j & 1 for j in reversed(range(arity))])
+            for row, bit in enumerate(_norm_table(table, arity))]
+
+    def table_rule(z, o, args, full):
+        can = [0, 0]
+        for bit, picks in rows:
+            lanes = full
+            for i, pick in zip(args, picks):
+                lanes &= o[i] if pick else z[i]
+            can[bit] |= lanes
+        return can[0], can[1]
+    return table_rule
+
+
 def eval_gate(kind: str, table: str | None, vals: list[Ternary]) -> Ternary:
-    if kind == "AND":
-        out = ONE
-        for v in vals:
-            if v is ZERO:
-                return ZERO
-            if v is META:
-                out = META
-        return out
-    if kind == "OR":
-        out = ZERO
-        for v in vals:
-            if v is ONE:
-                return ONE
-            if v is META:
-                out = META
-        return out
-    if kind == "NOT":
-        v = vals[0]
-        return META if v is META else (ZERO if v is ONE else ONE)
-    if kind == "BUF":
-        return vals[0]
-    if kind == "XOR":
-        a, b = vals
-        if a is META or b is META:
-            return META
-        return ONE if a is not b else ZERO
-    if kind == "NAND":
-        out = ZERO
-        for v in vals:
-            if v is ZERO:
-                return ONE
-            if v is META:
-                out = META
-        return out
-    if kind == "NOR":
-        out = ONE
-        for v in vals:
-            if v is ONE:
-                return ZERO
-            if v is META:
-                out = META
-        return out
-    if kind == "CONST0":
-        return ZERO
-    if kind == "CONST1":
-        return ONE
-    if kind == "TABLE":
-        return kleene_extend(table, TernaryWord.from_digits(vals))
-    raise InputError(f"unknown gate kind {kind!r}")
+    """One gate on ternary values, by the rule eval_dag uses for it."""
+    c0, c1 = _rule(kind, table, len(vals))(
+        [_CAN0[v] for v in vals], [_CAN1[v] for v in vals], range(len(vals)), 1)
+    return DIGITS[c1 + (c0 & c1)]
 
 
-# Each entry keeps its Dag alive; a small cache bounds that memory.
-@functools.lru_cache(maxsize=128)
-def _compile_dag(dag: Dag):
-    """Index-based evaluation plan; rejects undefined or misordered refs."""
-    index = {name: i for i, name in enumerate(dag.inputs)}
-    if len(index) != len(dag.inputs):
-        raise InputError("duplicate input node name")
-    ops = []
-    for g in dag.gates:
-        try:
-            arg_idx = tuple(index[a] for a in g.args)
-        except KeyError as e:
-            raise InputError(
-                f"gate {g.gid} references undefined or later node {e.args[0]!r}") from e
-        if g.gid in index:
-            raise InputError(f"duplicate node name {g.gid!r}")
-        index[g.gid] = len(dag.inputs) + len(ops)
-        ops.append((g.kind, g.table, arg_idx))
-    try:
-        out_idx = tuple(index[src] for _, src in dag.outputs)
-    except KeyError as e:
-        raise InputError(f"output driven by undefined node {e.args[0]!r}") from e
-    return ops, out_idx
+def _run(dag: Dag, z: list[int], o: list[int], full: int) -> list[tuple[int, int]]:
+    """Rails of every DAG output, given the rails of every input node."""
+    ops, out_idx = dag._plan
+    for rule, args in ops:
+        c0, c1 = rule(z, o, args, full)
+        z.append(c0)
+        o.append(c1)
+    return [(z[i], o[i]) for i in out_idx]
 
 
 def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
@@ -221,11 +239,40 @@ def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     if x.width != len(dag.inputs):
         raise InputError(
             f"input width {x.width} does not match {len(dag.inputs)} input nodes")
-    ops, out_idx = _compile_dag(dag)
-    vals = list(x.digits())
-    for kind, table, arg_idx in ops:
-        vals.append(eval_gate(kind, table, [vals[i] for i in arg_idx]))
-    return TernaryWord.from_digits(vals[i] for i in out_idx)
+    ds = x.digits()
+    packed = 0
+    for c0, c1 in _run(dag, [_CAN0[d] for d in ds], [_CAN1[d] for d in ds], 1):
+        packed = packed << 2 | (c1 + (c0 & c1))
+    return TernaryWord(len(dag.outputs), packed)
+
+
+def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:
+    """Rails of every DAG output over all 3^m words x at once, as by
+    eval_dag(dag, x.concat(rest)): lane L is word L in all_words order."""
+    if m + rest.width != len(dag.inputs):
+        raise InputError(f"input width {m + rest.width} does not match "
+                         f"{len(dag.inputs)} input nodes")
+    z, o, lanes = [], [], 1
+    for _ in range(m):
+        # a new leading digit reads 0, 1, M on three runs of the old lanes,
+        # and every old digit repeats on each run
+        run, tri = (1 << lanes) - 1, lambda x: x | x << lanes | x << 2 * lanes
+        z = [tri(run) ^ run << lanes] + list(map(tri, z))
+        o = [tri(run) ^ run] + list(map(tri, o))
+        lanes *= 3
+    full = (1 << lanes) - 1
+    z += [full * _CAN0[d] for d in rest.digits()]
+    o += [full * _CAN1[d] for d in rest.digits()]
+    return _run(dag, z, o, full)
+
+
+def lane_words(rails: list[tuple[int, int]], lanes: int) -> Iterator[TernaryWord]:
+    """The word each lane carries, in lane order, one digit per rail pair."""
+    # a packed digit has its high bit where both rails are set (M) and its
+    # low bit where can1 alone is; the leading "0" plane makes n=0 words
+    planes = ["0" * lanes] + [format(p, f"0{lanes}b")[::-1]
+                              for c0, c1 in rails for p in (c0 & c1, c1 & ~c0)]
+    return (TernaryWord(len(rails), int("".join(bits), 2)) for bits in zip(*planes))
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")

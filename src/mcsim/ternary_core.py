@@ -159,14 +159,22 @@ def word(text: str) -> TernaryWord:
     return TernaryWord.parse(text)
 
 
+def _domain(m: int, digits: tuple[int, ...]) -> Iterator[TernaryWord]:
+    """Every m-digit word over the ascending digits, in lex order."""
+    if m < 0:
+        raise InputError(f"word width {m} is negative")
+    places = [tuple(d << s for d in digits) for s in range(2 * m - 2, -1, -2)]
+    return (TernaryWord(m, p) for p in map(sum, itertools.product(*places)))
+
+
 def all_words(m: int) -> Iterator[TernaryWord]:
     """Every m-digit word over {0,1,M}, in lex order."""
-    return map(TernaryWord.from_digits, itertools.product(DIGITS, repeat=m))
+    return _domain(m, (0, 1, 2))
 
 
 def stable_words(m: int) -> Iterator[TernaryWord]:
     """Every m-digit word over {0,1}, in lex order."""
-    return map(TernaryWord.from_digits, itertools.product((ZERO, ONE), repeat=m))
+    return _domain(m, (0, 1))
 
 
 def _resolutions(w: TernaryWord, fills: tuple[Ternary, ...],
@@ -295,28 +303,8 @@ def kleene_extend(table: str | Sequence[int], x: TernaryWord) -> Ternary:
     order, MSB first.
     """
     table = _norm_table(table, x.width)
-    base = 0
-    metas = []
-    for i in range(x.width):
-        d = x.digit(i)
-        bitpos = x.width - 1 - i
-        if d is META:
-            metas.append(bitpos)
-        elif d is ONE:
-            base |= 1 << bitpos
-    seen0 = seen1 = False
-    for combo in range(1 << len(metas)):
-        row = base
-        for j, bitpos in enumerate(metas):
-            if combo >> j & 1:
-                row |= 1 << bitpos
-        if table[row] == "1":
-            seen1 = True
-        else:
-            seen0 = True
-        if seen0 and seen1:
-            return META
-    return ONE if seen1 else ZERO
+    seen = {table[int(str(y) or "0", 2)] for y in res_full(x, x.width)}
+    return META if len(seen) > 1 else Ternary(int(seen.pop()))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from mcsim.netlist import (
     make_circuit,
     parse_netlist,
 )
-from mcsim.ternary_core import META, ONE, ZERO, TernaryWord
+from mcsim.ternary_core import META, ONE, ZERO, InputError, TernaryWord, kleene_extend
 
 ALL_DIGITS = (ZERO, ONE, META)
 
@@ -82,6 +82,68 @@ def bool_eval_dag(dag: Dag, bits):
             raise AssertionError(g.kind)
         vals[g.gid] = v
     return [vals[src] for _, src in dag.outputs]
+
+
+# Scalar worst-case semantics, one digit at a time: the reference the
+# dual-rail evaluator is checked against.
+def scalar_eval_gate(kind, table, vals):
+    if kind == "AND":
+        out = ONE
+        for v in vals:
+            if v is ZERO:
+                return ZERO
+            if v is META:
+                out = META
+        return out
+    if kind == "OR":
+        out = ZERO
+        for v in vals:
+            if v is ONE:
+                return ONE
+            if v is META:
+                out = META
+        return out
+    if kind == "NOT":
+        v = vals[0]
+        return META if v is META else (ZERO if v is ONE else ONE)
+    if kind == "BUF":
+        return vals[0]
+    if kind == "XOR":
+        a, b = vals
+        if a is META or b is META:
+            return META
+        return ONE if a is not b else ZERO
+    if kind == "NAND":
+        out = ZERO
+        for v in vals:
+            if v is ZERO:
+                return ONE
+            if v is META:
+                out = META
+        return out
+    if kind == "NOR":
+        out = ONE
+        for v in vals:
+            if v is ONE:
+                return ZERO
+            if v is META:
+                out = META
+        return out
+    if kind == "CONST0":
+        return ZERO
+    if kind == "CONST1":
+        return ONE
+    if kind == "TABLE":
+        return kleene_extend(table, TernaryWord.from_digits(vals))
+    raise InputError(f"unknown gate kind {kind!r}")
+
+
+def scalar_eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
+    """eval_dag by name lookup and scalar_eval_gate, gate after gate."""
+    vals = dict(zip(dag.inputs, x.digits()))
+    for g in dag.gates:
+        vals[g.gid] = scalar_eval_gate(g.kind, g.table, [vals[a] for a in g.args])
+    return TernaryWord.from_digits(vals[src] for _, src in dag.outputs)
 
 
 def random_gates(rng: random.Random, sources: list[str], count: int,

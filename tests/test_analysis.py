@@ -553,6 +553,25 @@ class TestPrimeImplicants:
         with pytest.raises(InputError, match="all"):
             prime_implicants({word("0"): 1})
 
+    def test_memo_stays_bounded_and_holds_every_small_table(self, monkeypatch):
+        import mcsim.analysis as an
+        monkeypatch.setattr(an, "_PI_MEMO", {})
+        small = [dict(zip(stable_words(m), bits))
+                 for m in range(4) for bits in itertools.product((0, 1), repeat=1 << m)]
+        assert len(small) == 278
+        for table in small:
+            prime_implicants(table)
+        assert len(an._PI_MEMO) == 278
+        rng = random.Random(4096)
+        for _ in range(3 * an._PI_MEMO_MAX):
+            table = {y: rng.randint(0, 1) for y in stable_words(5)}
+            prime_implicants(table)
+            assert len(an._PI_MEMO) <= an._PI_MEMO_MAX
+        # evicted tables are recomputed, with the same answer
+        for table in small[-20:]:
+            assert set(prime_implicants(table)) == \
+                self.primes_by_brute_force(table, len(next(iter(table))))
+
 
 class TestSynthesize:
     def test_and_closure_round_trips_exactly(self):

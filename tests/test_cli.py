@@ -10,6 +10,7 @@ from mcsim.components import (
     build_mux,
     build_cmux_combinational,
     cmux_spec,
+    mux_spec,
 )
 from mcsim.executor import (
     outputs,
@@ -190,6 +191,27 @@ class TestCheck:
         assert e.value.code == 2
         assert "unrecognized arguments: --max-meta-bits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget,rc", [("0", 3), ("1", 3), ("2", 0)])
+    def test_one_round_budget_is_two_states_per_input(self, capsys, workspace,
+                                                       budget, rc):
+        net = workspace("mux.net", emit_netlist(build_mux()))
+        spec = workspace("mux.spec", emit_spec_table(mux_spec()))
+        got, out, err = run(capsys, ["check", net, spec, "1", "--max-states", budget])
+        assert got == rc
+        if rc == 3:
+            assert (out, err) == ("", "error: state budget exceeded; "
+                                      "raise the max-states cap\n")
+        else:
+            assert "verdict: yes" in out and err == ""
+
+    @pytest.mark.parametrize("header", ["spec m=-1 n=1", "spec m=2 n=-1",
+                                        "spec m=x n=1"])
+    def test_bad_arity_header_is_an_input_error(self, capsys, workspace, header):
+        spec = workspace("bad.spec", header + "\n")
+        for argv in (["synth", spec], ["check", workspace("buf.net", BUF_NET), spec, "1"]):
+            rc, out, err = run(capsys, argv)
+            assert (rc, out, err) == (2, "", "error: line 1: bad arity in header\n")
+
     def test_arity_mismatch_is_an_input_error(self, capsys, workspace):
         net = workspace("mux.net", emit_netlist(build_mux()))
         one_bit = workspace("one.spec",
@@ -213,6 +235,11 @@ class TestClosure:
         assert rc == 0
         assert f"written: {dest}" in out
         assert dest.read_text() == AND_CLOSURE_SPEC
+
+    def test_negative_arity_is_an_input_error(self, capsys, workspace):
+        table = workspace("neg.tab", "table m=-1 n=1\n")
+        rc, out, err = run(capsys, ["closure", table])
+        assert (rc, out, err) == (2, "", "error: line 1: bad arity in header\n")
 
     def test_malformed_table(self, capsys, workspace):
         table = workspace("bad.tab", "table m=2 n=1\n00 -> 0\n")
@@ -270,6 +297,27 @@ class TestUnroll:
         rc, out, _ = run(capsys, ["unroll", net, "2"])
         assert rc == 0
         assert parse_netlist(out) == unroll(build_mux(), 2)
+
+    def test_same_bytes_under_every_hash_seed(self, workspace):
+        import os
+        import subprocess
+        import sys
+        net = workspace("seams.net", "circuit seams\ninput i simple\n"
+                        + "".join(f"local l{j} simple init 0\n" for j in range(6))
+                        + "output o simple init 0\ndrive l0 i\n"
+                        + "".join(f"drive l{j} l{j - 1}\n" for j in range(1, 6))
+                        + "drive o l5\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            outs.add(subprocess.run([sys.executable, "-m", "mcsim.cli", "unroll", net, "3"],
+                                    env=env, capture_output=True, text=True,
+                                    check=True).stdout)
+        assert len(outs) == 1
+        gates = [ln.split()[1] for ln in outs.pop().splitlines() if ln.startswith("gate ")]
+        seams = [g for g in gates if g.startswith("l") and g.endswith("__u2")]
+        assert seams == [f"l{j}__u2" for j in range(6)]
 
     def test_masked_registers_are_rejected(self, capsys, fig4_path):
         rc, _, err = run(capsys, ["unroll", fig4_path, "2"])

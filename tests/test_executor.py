@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import pytest
 
 from conftest import all_words, flatten_states, simple_copy, stable_words
+from mcsim.analysis import general_spec, natural_spec
+from mcsim.components import build_mux, mux_spec
 from mcsim.executor import (
     ExecutionTrace,
     TraceRound,
@@ -326,6 +328,120 @@ class TestImplements:
         spec = kleene_closure_spec(mux_circuit().dag, 3, 1)
         with pytest.raises(InputError):
             implements(feedback_circuit, 1, spec)
+
+
+def reach_implements(c, r, f, max_states=10**6):
+    """implements as the reach path runs it, from the public outputs."""
+    for iota in all_words(c.m):
+        allowed = f.value_cubeset(iota)
+        for cube in outputs(c, iota, r, max_states):
+            if not any(res_contains(a, cube) for a in allowed):
+                return Verdict(False, iota, cube)
+    return Verdict(True)
+
+
+def lane_copy(c, rng):
+    """c with simple inputs and locals, and masked outputs."""
+    regs = tuple(RegisterDecl(reg.name, reg.role,
+                              rng.choice((RegType.MASK0, RegType.MASK1))
+                              if reg.role is Role.OUTPUT else RegType.SIMPLE,
+                              reg.init)
+                 for reg in c.registers)
+    return make_circuit(c.name, regs, c.dag.gates, dict(c.dag.outputs))
+
+
+def random_specs(c, rng):
+    """Natural and general specs around c's one-round outputs; some hold
+    at every input, some fail somewhere."""
+    truth = {iota: next(iter(outputs(c, iota, 1))) for iota in all_words(c.m)}
+    every = list(all_words(c.n))
+    specs = [natural_spec(c.m, c.n, truth)]
+    for _ in range(3):
+        entries = {}
+        for iota, y in truth.items():
+            pick = rng.random()
+            entries[iota] = (y if pick < 0.6 else
+                             TernaryWord.from_digits([META] * c.n) if pick < 0.8
+                             else rng.choice(every))
+        specs.append(natural_spec(c.m, c.n, entries))
+    for _ in range(3):
+        values = {}
+        for iota, y in truth.items():
+            cubes = rng.sample(every, min(len(every), rng.randint(1, 3)))
+            if rng.random() < 0.85:
+                cubes.append(y)
+            values[iota] = CubeSet.of(c.n, cubes)
+        specs.append(general_spec(c.m, c.n, values))
+    return specs
+
+
+class TestImplementsOneRound:
+    """Simple inputs and locals at r=1 take the all-inputs evaluation; it
+    must agree with the reach path verdict for verdict and witness."""
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_matches_the_reach_path(self, corpus, request):
+        rng = random.Random(corpus)
+        seen = {True: 0, False: 0}
+        for c in request.getfixturevalue(corpus):
+            for circuit in (lane_copy(c, rng), simple_copy(c)):
+                for f in random_specs(circuit, rng):
+                    got = implements(circuit, 1, f)
+                    assert got == reach_implements(circuit, 1, f), circuit.name
+                    seen[got.ok] += 1
+        assert min(seen.values()) > 100
+
+    def test_no_inputs(self):
+        c = make_circuit("const", [RegisterDecl("l", Role.LOCAL, RegType.SIMPLE, META),
+                                   RegisterDecl("o", Role.OUTPUT, RegType.MASK0, ZERO)],
+                         [Gate("g", "XOR", ("l", "l"))], {"l": "l", "o": "g"})
+        for entry in ("0", "1", "M"):
+            f = natural_spec(0, 1, {TernaryWord(0, 0): word(entry)})
+            assert implements(c, 1, f) == reach_implements(c, 1, f)
+        assert not implements(c, 1, natural_spec(0, 1, {TernaryWord(0, 0): word("0")}))
+
+    def test_masked_inputs_locals_and_later_rounds_take_the_reach_path(
+            self, corpus_mixed, monkeypatch):
+        import mcsim.executor as ex
+
+        def no_lanes(*args):
+            raise AssertionError("one-round lane path taken")
+        rng = random.Random(5)
+        monkeypatch.setattr(ex, "eval_lanes", no_lanes)
+        masked = [c for c in corpus_mixed
+                  if any(r.rtype is not RegType.SIMPLE for r in c.input_regs + c.local_regs)]
+        assert len(masked) > 50
+        for c in masked:
+            f = random_specs(simple_copy(c), rng)[1]
+            assert implements(c, 1, f) == reach_implements(c, 1, f)
+        for c in map(simple_copy, corpus_mixed[:30]):
+            for f in random_specs(c, rng)[:2]:
+                for r in (2, 3):
+                    assert implements(c, r, f) == reach_implements(c, r, f)
+
+    def test_lane_path_never_calls_outputs(self, corpus_simple, monkeypatch):
+        import mcsim.executor as ex
+        rng = random.Random(6)
+        specs = [(c, random_specs(c, rng)) for c in corpus_simple[:10]]
+
+        def no_outputs(*args):
+            raise AssertionError("reach path taken")
+        monkeypatch.setattr(ex, "outputs", no_outputs)
+        for c, fs in specs:
+            for f in fs:
+                implements(c, 1, f)
+
+    @pytest.mark.parametrize("budget", [-1, 0, 1])
+    def test_budget_below_two_states_per_input_fails(self, budget):
+        for run in (implements, reach_implements):
+            with pytest.raises(BudgetError) as e:
+                run(build_mux(), 1, mux_spec(), max_states=budget)
+            assert str(e.value) == "state budget exceeded; raise the max-states cap"
+
+    def test_budget_of_two_states_passes(self):
+        for budget in (2, 3, None):
+            assert implements(build_mux(), 1, mux_spec(), max_states=budget)
+            assert reach_implements(build_mux(), 1, mux_spec(), max_states=budget)
 
 
 class TestTraces:

@@ -6,11 +6,14 @@ import random
 import pytest
 
 from conftest import (
+    ALL_DIGITS,
     FEEDBACK_TEXT,
     all_words,
     bool_eval_dag,
     random_circuit,
     random_gates,
+    scalar_eval_dag,
+    scalar_eval_gate,
     stable_words,
 )
 from mcsim.netlist import (
@@ -24,11 +27,23 @@ from mcsim.netlist import (
     dag_toposort,
     emit_netlist,
     eval_dag,
+    eval_gate,
+    eval_lanes,
+    lane_words,
     make_circuit,
     parse_netlist,
     validate,
 )
-from mcsim.ternary_core import META, ONE, ZERO, InputError, Ternary, TernaryWord, word
+from mcsim.ternary_core import (
+    META,
+    ONE,
+    ZERO,
+    InputError,
+    Ternary,
+    TernaryWord,
+    kleene_extend,
+    word,
+)
 
 
 class TestEvalDag:
@@ -83,6 +98,94 @@ class TestEvalDag:
                   (("o", "g1"),))
         with pytest.raises(InputError):
             eval_dag(dag, word("0"))
+
+
+class TestDualRail:
+    """The dual-rail evaluator against the scalar gate chain in conftest."""
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_one_lane_matches_the_scalar_oracle(self, corpus, request):
+        for c in request.getfixturevalue(corpus):
+            for x in all_words(len(c.dag.inputs)):
+                assert eval_dag(c.dag, x) == scalar_eval_dag(c.dag, x), (c.name, x)
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_lanes_match_the_scalar_oracle(self, corpus, request):
+        # every split of the DAG inputs into enumerated lanes and a fixed
+        # rest covers the full domain
+        for c in request.getfixturevalue(corpus):
+            width = len(c.dag.inputs)
+            for m in range(width + 1):
+                for rest in all_words(width - m):
+                    rails = eval_lanes(c.dag, m, rest)
+                    assert len(rails) == len(c.dag.outputs)
+                    got = list(lane_words(rails, 3 ** m))
+                    want = [scalar_eval_dag(c.dag, x.concat(rest))
+                            for x in all_words(m)]
+                    assert got == want, (c.name, m, rest)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_table_rule_is_the_kleene_extension(self, arity):
+        inputs = tuple(f"i{j}" for j in range(arity))
+        for bits in itertools.product("01", repeat=1 << arity):
+            table = "".join(bits)
+            want = [kleene_extend(table, x) for x in all_words(arity)]
+            assert [eval_gate("TABLE", table, list(x.digits()))
+                    for x in all_words(arity)] == want, table
+            dag = Dag(inputs, (Gate("g", "TABLE", inputs, table),), (("o", "g"),))
+            got = lane_words(eval_lanes(dag, arity, TernaryWord(0, 0)), 3 ** arity)
+            assert [w.digit(0) for w in got] == want, table
+
+    @pytest.mark.parametrize("kind,arities", [
+        ("AND", (2, 3, 4)), ("OR", (2, 3, 4)), ("NAND", (2, 3, 4)),
+        ("NOR", (2, 3, 4)), ("XOR", (2,)), ("NOT", (1,)), ("BUF", (1,)),
+        ("CONST0", (0,)), ("CONST1", (0,))])
+    def test_every_gate_rule_matches_the_scalar_chain(self, kind, arities):
+        for arity in arities:
+            for vals in itertools.product(ALL_DIGITS, repeat=arity):
+                got = eval_gate(kind, None, list(vals))
+                assert got is scalar_eval_gate(kind, None, list(vals)), (kind, vals)
+
+    def test_no_inputs_is_one_lane(self):
+        dag = Dag((), (Gate("k", "CONST1", ()),), (("o", "k"),))
+        assert list(lane_words(eval_lanes(dag, 0, TernaryWord(0, 0)), 1)) == [word("1")]
+        assert list(lane_words([], 9)) == [TernaryWord(0, 0)] * 9
+
+    def test_lane_width_mismatch(self, feedback_circuit):
+        with pytest.raises(InputError, match="input width 4 does not match 3"):
+            eval_lanes(feedback_circuit.dag, 2, word("01"))
+
+    def test_plan_is_compiled_once_and_not_compared(self, feedback_circuit):
+        dag = feedback_circuit.dag
+        eval_dag(dag, word("0M1"))
+        plan = dag._plan
+        eval_dag(dag, word("1M1"))
+        assert dag._plan is plan
+        fresh = Dag(dag.inputs, dag.gates, dag.outputs)
+        assert "_plan" not in vars(fresh)
+        assert fresh == dag and hash(fresh) == hash(dag)
+
+    def test_an_evaluated_circuit_still_pickles(self, feedback_circuit):
+        import pickle
+        eval_dag(feedback_circuit.dag, word("0M1"))
+        back = pickle.loads(pickle.dumps(feedback_circuit))
+        assert back == feedback_circuit
+        assert eval_dag(back.dag, word("0M1")) == word("MM")
+
+    @pytest.mark.parametrize("gates,match", [
+        ((Gate("g1", "NOT", ("g2",)), Gate("g2", "NOT", ("a",))), "undefined or later"),
+        ((Gate("g1", "FROB", ("a",)),), "unknown gate kind 'FROB'"),
+        ((Gate("g1", "FROB", ("a",)), Gate("g2", "NOT", ("zz",))), "undefined or later"),
+        ((Gate("g1", "TABLE", ("a",), "011"),), "does not match arity 1"),
+    ])
+    def test_plan_errors_are_raised_on_every_call(self, gates, match):
+        dag = Dag(("a",), gates, (("o", "g1"),))
+        for _ in range(2):
+            with pytest.raises(InputError, match=match):
+                eval_dag(dag, word("0"))
+            with pytest.raises(InputError, match=match):
+                eval_lanes(dag, 1, TernaryWord(0, 0))
+        assert "_plan" not in vars(dag)
 
 
 class TestValidate:

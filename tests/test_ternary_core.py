@@ -105,6 +105,21 @@ class TestWordBasics:
         assert all(v.digit(j) is w.digit(j) for j in range(w.width) if j != i)
 
 
+class TestEnumerators:
+    @pytest.mark.parametrize("m", range(7))
+    def test_lex_order_over_the_whole_domain(self, m):
+        import mcsim.ternary_core as tcore
+        assert list(tcore.all_words(m)) == all_words(m)
+        assert list(tcore.stable_words(m)) == [
+            TernaryWord.from_digits(ds) for ds in itertools.product((ZERO, ONE), repeat=m)]
+
+    def test_negative_width_is_an_input_error(self):
+        import mcsim.ternary_core as tcore
+        for enumerate_words in (tcore.all_words, tcore.stable_words):
+            with pytest.raises(InputError, match="negative"):
+                enumerate_words(-1)
+
+
 class TestResolutions:
     def test_examples(self):
         assert set(res_full(word("M1"))) == {word("01"), word("11")}
