@@ -69,6 +69,11 @@ def cmd_sim(args):
     iota = word(args.input)
     if args.rounds < 0:
         raise InputError("round count must be nonnegative")
+    # each round is at least one report line, and a memo hit spends no
+    # states, so the cap bounds the round count on its own
+    if args.rounds > args.max_states:
+        raise BudgetError(f"{args.rounds} rounds exceed the state budget of "
+                          f"{args.max_states}; raise the max-states cap")
     lines = ["command: sim",
              f"circuit: {c.name}",
              f"input: {iota}",

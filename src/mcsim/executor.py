@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
-from .netlist import Circuit, RegType, eval_dag, eval_lanes, lane_words
+from .netlist import Circuit, RegType, eval_dag, eval_lanes, lane_word
 from .ternary_core import (
     DEFAULT_MAX_STATES,
     META,
@@ -216,6 +217,69 @@ class Verdict:
         return self.ok
 
 
+_PACKED = attrgetter("packed")
+_WIDTH = attrgetter("width")
+
+
+def _lane_values(f, m: int) -> tuple[list, bool]:
+    """f's allowed outputs for every input in all_words order, and whether
+    each is one cube word (natural form) rather than a set of cubes."""
+    entries = getattr(f, "entries", None)
+    table = entries if entries is not None else getattr(f, "values", None)
+    if isinstance(table, dict) and len(table) == 3 ** m:
+        # all_words order is ascending packed word; dict order may differ
+        # (find_natural_subfunction puts the stable inputs first)
+        keys, values = list(map(_PACKED, table)), list(table.values())
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return list(map(values.__getitem__, order)), entries is not None
+    return [f.value_cubeset(x) for x in all_words(m)], False
+
+
+def _outside(cubes: list[TernaryWord], n: int, rails: list[tuple[int, int]]) -> int:
+    """Lanes whose output cube is not inside their own cube of `cubes`."""
+    if set(map(_WIDTH, cubes)) - {n}:
+        raise InputError(f"specification has cubes of width other than {n}")
+    # one chunk of whole bytes per lane, lane 0 rightmost; digit j's high
+    # (M) and low (1) bits sit at the same offsets in every chunk
+    size = (2 * n + 7) // 8
+    step = 8 * size
+    blob = b"".join(map(int.to_bytes, map(_PACKED, cubes),
+                        itertools.repeat(size), itertools.repeat("little")))
+    bits = format(int.from_bytes(blob, "little"), f"0{step * len(cubes)}b")
+    out = 0
+    for j, (z, o) in enumerate(rails):
+        hi = step - 2 * (n - j)
+        meta, one = int(bits[hi::step], 2), int(bits[hi + 1::step], 2)
+        # a pinned 1 rules out can-be-0, a pinned 0 rules out can-be-1
+        out |= z & one | o & ~(meta | one)
+    return out
+
+
+def _inside_lanes(f, m: int, n: int, rails: list[tuple[int, int]]) -> int:
+    """Lanes whose output cube lies inside an allowed cube of f. Layer k
+    holds the k-th allowed cube of every input that has one."""
+    values, natural = _lane_values(f, m)
+    if natural:
+        return ~_outside(values, n, rails)
+    values = [tuple(v) for v in values]
+    filler = TernaryWord(n, 0)
+    inside = 0
+    for k in range(max(map(len, values))):
+        layer = [v[k] if len(v) > k else filler for v in values]
+        has = int("".join("1" if len(v) > k else "0" for v in reversed(values)), 2)
+        inside |= has & ~_outside(layer, n, rails)
+    return inside
+
+
+def _lane_input(lane: int, m: int) -> TernaryWord:
+    """Input word number `lane` in all_words order: its base-3 digits."""
+    packed = 0
+    for s in range(m):
+        lane, d = divmod(lane, 3)
+        packed |= d << 2 * s
+    return TernaryWord(m, packed)
+
+
 def implements(c: Circuit, r: int, f,
                max_states: Optional[int] = DEFAULT_MAX_STATES) -> Verdict:
     """Does every output after r rounds land inside f, for every input word?
@@ -227,7 +291,7 @@ def implements(c: Circuit, r: int, f,
 
     When every input and local register is simple, the outputs after one
     round are the single evaluation cube of each input, so that round is
-    evaluated on all inputs at once.
+    evaluated, and checked against f, on all inputs at once.
     """
     if f.m != c.m or f.n != c.n:
         raise InputError(
@@ -236,12 +300,12 @@ def implements(c: Circuit, r: int, f,
                       for reg in c.input_regs + c.local_regs):
         # what reach spends on each input: its one state and its one read
         _Budget(max_states).spend(2)
-        rails = eval_lanes(c.dag, c.m, c.init_word().subword(0, c.k))
-        cubes = lane_words(rails[c.k:], 3 ** c.m)
-        for iota, cube in zip(all_words(c.m), cubes):
-            if not any(res_contains(a, cube) for a in f.value_cubeset(iota)):
-                return Verdict(False, iota, cube)
-        return Verdict(True)
+        rails = eval_lanes(c.dag, c.m, c.init_word().subword(0, c.k))[c.k:]
+        fail = ((1 << 3 ** c.m) - 1) & ~_inside_lanes(f, c.m, c.n, rails)
+        if not fail:
+            return Verdict(True)
+        lane = (fail & -fail).bit_length() - 1
+        return Verdict(False, _lane_input(lane, c.m), lane_word(rails, lane))
     for iota in all_words(c.m):
         allowed = f.value_cubeset(iota)
         for cube in outputs(c, iota, r, max_states):

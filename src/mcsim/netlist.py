@@ -15,7 +15,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .ternary_core import (
     CHAR_TO_DIGIT,
@@ -240,10 +240,7 @@ def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
         raise InputError(
             f"input width {x.width} does not match {len(dag.inputs)} input nodes")
     ds = x.digits()
-    packed = 0
-    for c0, c1 in _run(dag, [_CAN0[d] for d in ds], [_CAN1[d] for d in ds], 1):
-        packed = packed << 2 | (c1 + (c0 & c1))
-    return TernaryWord(len(dag.outputs), packed)
+    return lane_word(_run(dag, [_CAN0[d] for d in ds], [_CAN1[d] for d in ds], 1), 0)
 
 
 def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:
@@ -266,13 +263,13 @@ def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:
     return _run(dag, z, o, full)
 
 
-def lane_words(rails: list[tuple[int, int]], lanes: int) -> Iterator[TernaryWord]:
-    """The word each lane carries, in lane order, one digit per rail pair."""
-    # a packed digit has its high bit where both rails are set (M) and its
-    # low bit where can1 alone is; the leading "0" plane makes n=0 words
-    planes = ["0" * lanes] + [format(p, f"0{lanes}b")[::-1]
-                              for c0, c1 in rails for p in (c0 & c1, c1 & ~c0)]
-    return (TernaryWord(len(rails), int("".join(bits), 2)) for bits in zip(*planes))
+def lane_word(rails: list[tuple[int, int]], lane: int) -> TernaryWord:
+    """The word one lane carries, one digit per rail pair."""
+    packed = 0
+    for c0, c1 in rails:
+        c0, c1 = c0 >> lane & 1, c1 >> lane & 1
+        packed = packed << 2 | (c1 + (c0 & c1))
+    return TernaryWord(len(rails), packed)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")

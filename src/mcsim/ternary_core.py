@@ -136,13 +136,7 @@ class TernaryWord:
         return tuple(i for i in range(self.width) if self.digit(i) is META)
 
     def meta_count(self) -> int:
-        n = 0
-        p = self.packed
-        while p:
-            if p & 3 == 2:
-                n += 1
-            p >>= 2
-        return n
+        return (self.packed & _meta_mask(self.width)).bit_count()
 
     def __len__(self) -> int:
         return self.width
@@ -207,32 +201,36 @@ def res_members(w: TernaryWord,
     return _resolutions(w, DIGITS, max_meta, "partial resolution")
 
 
+# width -> the packed word whose every digit is M (binary 1010...)
+_META_MASKS: dict[int, int] = {}
+
+
+def _meta_mask(width: int) -> int:
+    hi = _META_MASKS.get(width)
+    if hi is None:
+        hi = _META_MASKS[width] = (4 ** width - 1) // 3 * 2
+    return hi
+
+
+def _cover(w: TernaryWord) -> int:
+    """Both bits of every M digit of w: the digits a cube leaves free."""
+    m = w.packed & _meta_mask(w.width)
+    return m | m >> 1
+
+
 def res_contains(cube: TernaryWord, w: TernaryWord) -> bool:
-    """True iff w is a partial resolution of cube (per digit, no enumeration)."""
+    """True iff w is a partial resolution of cube: equal off cube's M digits."""
     if cube.width != w.width:
         raise InputError(f"width mismatch: {cube} vs {w}")
-    a, b = cube.packed, w.packed
-    while a or b:
-        da, db = a & 3, b & 3
-        if da != 2 and da != db:
-            return False
-        a >>= 2
-        b >>= 2
-    return True
+    return not (cube.packed ^ w.packed) & ~_cover(cube)
 
 
 def words_compatible(a: TernaryWord, b: TernaryWord) -> bool:
-    """True iff the cubes a and b share at least one member."""
+    """True iff the cubes a and b share at least one member: they agree
+    wherever neither has M."""
     if a.width != b.width:
         raise InputError(f"width mismatch: {a} vs {b}")
-    x, y = a.packed, b.packed
-    while x or y:
-        dx, dy = x & 3, y & 3
-        if dx != dy and dx != 2 and dy != 2:
-            return False
-        x >>= 2
-        y >>= 2
-    return True
+    return not (a.packed ^ b.packed) & ~(_cover(a) | _cover(b))
 
 
 @dataclass(frozen=True)

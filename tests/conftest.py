@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mcsim.executor import Verdict
 from mcsim.netlist import (
     Circuit,
     Dag,
@@ -12,6 +13,7 @@ from mcsim.netlist import (
     RegisterDecl,
     RegType,
     Role,
+    eval_lanes,
     make_circuit,
     parse_netlist,
 )
@@ -144,6 +146,43 @@ def scalar_eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     for g in dag.gates:
         vals[g.gid] = scalar_eval_gate(g.kind, g.table, [vals[a] for a in g.args])
     return TernaryWord.from_digits(vals[src] for _, src in dag.outputs)
+
+
+# Per-digit word predicates: the references for the whole-int versions.
+def scalar_res_contains(cube: TernaryWord, w: TernaryWord) -> bool:
+    if cube.width != w.width:
+        raise InputError(f"width mismatch: {cube} vs {w}")
+    return all(a is META or a is b for a, b in zip(cube.digits(), w.digits()))
+
+
+def scalar_words_compatible(a: TernaryWord, b: TernaryWord) -> bool:
+    if a.width != b.width:
+        raise InputError(f"width mismatch: {a} vs {b}")
+    return all(x is y or META in (x, y) for x, y in zip(a.digits(), b.digits()))
+
+
+def scalar_meta_count(w: TernaryWord) -> int:
+    return sum(d is META for d in w.digits())
+
+
+def lane_words(rails, lanes: int):
+    """The word each lane carries, in lane order, one digit per rail pair."""
+    # a packed digit has its high bit where both rails are set (M) and its
+    # low bit where can1 alone is; the leading "0" plane makes n=0 words
+    planes = ["0" * lanes] + [format(p, f"0{lanes}b")[::-1]
+                              for c0, c1 in rails for p in (c0 & c1, c1 & ~c0)]
+    return (TernaryWord(len(rails), int("".join(bits), 2)) for bits in zip(*planes))
+
+
+def lane_implements(c: Circuit, f) -> Verdict:
+    """The one-round check one input at a time: each lane's output word
+    against f.value_cubeset of that input, in lex order (simple inputs
+    and locals only)."""
+    rails = eval_lanes(c.dag, c.m, c.init_word().subword(0, c.k))
+    for iota, cube in zip(all_words(c.m), lane_words(rails[c.k:], 3 ** c.m)):
+        if not any(scalar_res_contains(a, cube) for a in f.value_cubeset(iota)):
+            return Verdict(False, iota, cube)
+    return Verdict(True)
 
 
 def random_gates(rng: random.Random, sources: list[str], count: int,

@@ -1,5 +1,7 @@
 """Command-line front end: reports, artifacts, exit codes."""
 
+import time
+
 import pytest
 
 from conftest import FEEDBACK_TEXT, all_words
@@ -146,6 +148,23 @@ class TestSim:
     def test_negative_rounds_rejected(self, capsys, fig4_path):
         rc, _, _ = run(capsys, ["sim", fig4_path, "MM", "-1"])
         assert rc == 2
+
+    def test_round_count_above_the_state_cap_is_a_budget_error(self, capsys, workspace):
+        path = workspace("buf.net", BUF_NET)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["sim", path, "M", "100000000", "--max-states", "1000"])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (3, "")
+        assert err == ("error: 100000000 rounds exceed the state budget of 1000; "
+                       "raise the max-states cap\n")
+
+    @pytest.mark.parametrize("rounds,cap", [("64", "100000"), ("64", "64"), ("0", "0")])
+    def test_round_counts_up_to_the_state_cap_still_run(self, capsys, workspace,
+                                                       rounds, cap):
+        path = workspace("buf.net", BUF_NET)
+        rc, out, err = run(capsys, ["sim", path, "M", rounds, "--max-states", cap])
+        assert (rc, err) == (0, "")
+        assert f"states[{rounds}]: " in out
 
     def test_every_round_line_equals_the_library(self, capsys, workspace,
                                                  corpus_mixed):

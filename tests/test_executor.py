@@ -2,12 +2,24 @@
 
 import random
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
-from conftest import all_words, flatten_states, simple_copy, stable_words
-from mcsim.analysis import general_spec, natural_spec
+from conftest import (
+    all_words,
+    flatten_states,
+    lane_implements,
+    simple_copy,
+    stable_words,
+)
+from mcsim.analysis import (
+    FunctionSpec,
+    find_natural_subfunction,
+    general_spec,
+    natural_spec,
+)
 from mcsim.components import build_mux, mux_spec
 from mcsim.executor import (
     ExecutionTrace,
@@ -442,6 +454,138 @@ class TestImplementsOneRound:
         for budget in (2, 3, None):
             assert implements(build_mux(), 1, mux_spec(), max_states=budget)
             assert reach_implements(build_mux(), 1, mux_spec(), max_states=budget)
+
+
+def shuffled(f, rng):
+    """The same spec as f, its dict in a random order."""
+    items = list((f.entries or f.values).items())
+    rng.shuffle(items)
+    if f.is_natural_form:
+        return FunctionSpec(f.m, f.n, entries=dict(items))
+    return FunctionSpec(f.m, f.n, values=dict(items))
+
+
+def table_copy(f):
+    """The same spec as f, seen only through value_cubeset."""
+    return TableSpec(f.m, f.n, {x: f.value_cubeset(x) for x in all_words(f.m)})
+
+
+class TestLaneCheck:
+    """The one-round check over lane masks against the per-lane loop in
+    conftest (all_words x value_cubeset x per-digit containment)."""
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_matches_the_per_lane_oracle(self, corpus, request):
+        rng = random.Random(f"lanes/{corpus}")
+        seen = Counter()
+        for c in request.getfixturevalue(corpus):
+            for circuit in (lane_copy(c, rng), simple_copy(c)):
+                for f in random_specs(circuit, rng):
+                    want = lane_implements(circuit, f)
+                    for g in (f, shuffled(f, rng), table_copy(f)):
+                        assert implements(circuit, 1, g) == want, circuit.name
+                    seen[f.is_natural_form, want.ok] += 1
+        assert min(seen.values()) > 40 and len(seen) == 4
+
+    def test_uneven_cube_counts(self, corpus_simple):
+        # 0 to 3 extra cubes per input, so the layers thin out unevenly
+        rng = random.Random(8)
+        seen = Counter()
+        for c in corpus_simple:
+            every = list(all_words(c.n))
+            for _ in range(4):
+                count = min(3, len(every))
+                values = {x: CubeSet.of(c.n, rng.sample(every, rng.randint(1, count)))
+                          for x in all_words(c.m)}
+                f = general_spec(c.m, c.n, values)
+                want = lane_implements(c, f)
+                assert implements(c, 1, f) == want
+                assert implements(c, 1, shuffled(f, rng)) == want
+                seen[want.ok] += 1
+        assert min(seen.values()) > 10
+
+    def test_natural_subfunctions_keep_their_search_order(self, corpus_simple):
+        # find_natural_subfunction lists the stable inputs first
+        rng = random.Random(9)
+        seen = Counter()
+        for c in corpus_simple:
+            for g in random_specs(c, rng)[4:]:
+                h = find_natural_subfunction(g)
+                if h is None:
+                    continue
+                assert implements(c, 1, h) == lane_implements(c, h)
+                seen[list(h.entries) != sorted(h.entries), implements(c, 1, h).ok] += 1
+        assert seen[True, True] > 10 and seen[True, False] > 10
+
+    @pytest.mark.parametrize("lane", [0, -1])
+    def test_first_failure_at_either_end(self, lane):
+        rng = random.Random(lane)
+        c = mux_circuit()
+        words = all_words(c.m)
+        truth = {x: next(iter(outputs(c, x, 1))) for x in words}
+        bad = words[lane]
+        # outside the output cube whatever it is: pin a digit it may not be
+        flip = word("0") if truth[bad] != word("0") else word("1")
+        f = natural_spec(c.m, c.n, {**truth, bad: flip})
+        want = Verdict(False, bad, truth[bad])
+        assert lane_implements(c, f) == want
+        for g in (f, shuffled(f, rng), table_copy(f)):
+            assert implements(c, 1, g) == want
+        both = natural_spec(c.m, c.n, {**truth, words[0]: word("1"), words[-1]: word("0")})
+        assert implements(c, 1, both) == lane_implements(c, both)
+        assert implements(c, 1, both).witness_input == words[0]
+
+    def test_no_inputs_or_no_outputs(self):
+        empty = TernaryWord(0, 0)
+        for m, n in ((0, 1), (2, 0), (0, 0)):
+            regs = [RegisterDecl(f"i{j}", Role.INPUT, RegType.SIMPLE) for j in range(m)]
+            regs += [RegisterDecl(f"o{j}", Role.OUTPUT, RegType.SIMPLE, ZERO)
+                     for j in range(n)]
+            c = make_circuit("edge", regs, [Gate("k", "CONST1", ())],
+                             {f"o{j}": "k" for j in range(n)})
+            specs = [natural_spec(m, n, {x: y for x in all_words(m)})
+                     for y in all_words(n)]
+            specs.append(general_spec(m, n, {x: CubeSet.of(n, all_words(n))
+                                             for x in all_words(m)}))
+            for f in specs:
+                assert implements(c, 1, f) == lane_implements(c, f), (m, n, f)
+            # an input with no allowed output at all fails on any circuit
+            last = all_words(m)[-1]
+            f = TableSpec(m, n, {x: CubeSet(n, ()) if x == last
+                                 else CubeSet.of(n, all_words(n)) for x in all_words(m)})
+            assert implements(c, 1, f) == Verdict(False, last, word("1" * n))
+            assert lane_implements(c, f) == implements(c, 1, f)
+        assert implements(c, 1, natural_spec(0, 0, {empty: empty}))
+
+    def test_passing_check_builds_no_word_per_input(self, corpus_simple, monkeypatch):
+        import mcsim.executor as ex
+        rng = random.Random(10)
+        specs = [(c, f) for c in corpus_simple if c.m >= 3
+                 for f in random_specs(c, rng) if lane_implements(c, f)]
+        assert len(specs) > 20
+        made = Counter()
+        init = TernaryWord.__init__
+
+        def counted(self, *args):
+            made["words"] += 1
+            init(self, *args)
+
+        def no_lookup(*args):
+            raise AssertionError("per-input spec lookup")
+        monkeypatch.setattr(TernaryWord, "__init__", counted)
+        monkeypatch.setattr(ex, "all_words", no_lookup)
+        monkeypatch.setattr(FunctionSpec, "value_cubeset", no_lookup)
+        for c, f in specs:
+            made.clear()
+            assert implements(c, 1, f)
+            assert made["words"] < 10, (c.name, made)
+
+    def test_cubes_of_the_wrong_width_are_input_errors(self):
+        c = mux_circuit()
+        for f in (FunctionSpec(3, 1, entries={x: word("MM") for x in all_words(3)}),
+                  TableSpec(3, 1, {x: CubeSet(2, (word("00"),)) for x in all_words(3)})):
+            with pytest.raises(InputError, match="width"):
+                implements(c, 1, f)
 
 
 class TestTraces:

@@ -10,6 +10,7 @@ from conftest import (
     FEEDBACK_TEXT,
     all_words,
     bool_eval_dag,
+    lane_words,
     random_circuit,
     random_gates,
     scalar_eval_dag,
@@ -29,7 +30,6 @@ from mcsim.netlist import (
     eval_dag,
     eval_gate,
     eval_lanes,
-    lane_words,
     make_circuit,
     parse_netlist,
     validate,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_meta_count, scalar_res_contains, scalar_words_compatible
 from mcsim.ternary_core import (
     META,
     ONE,
@@ -165,6 +166,20 @@ class TestResolutions:
         overlap = set(res_members(a)) & set(res_members(b))
         assert words_compatible(a, b) == bool(overlap)
 
+
+    @pytest.mark.parametrize("width", range(5))
+    def test_whole_word_predicates_match_the_digit_loops(self, width):
+        ws = list(all_words(width))
+        for a in ws:
+            assert a.meta_count() == scalar_meta_count(a), a
+            assert a.is_stable == (scalar_meta_count(a) == 0), a
+            for b in ws:
+                assert res_contains(a, b) == scalar_res_contains(a, b), (a, b)
+                assert words_compatible(a, b) == scalar_words_compatible(a, b), (a, b)
+
+    def test_words_compatible_width_mismatch(self):
+        with pytest.raises(InputError, match="width mismatch"):
+            words_compatible(word("M1"), word("M"))
 
 class TestCubeSet:
     def test_canonicalize_examples(self):
