@@ -12,6 +12,7 @@ between inputs with disjoint output sets, metastability must appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping, Optional
 
 from .executor import ExecutionTrace, TraceRound, _Budget, outputs, read_outcomes
@@ -40,6 +41,7 @@ from .ternary_core import (
     res_full,
     res_members,
     stable_words,
+    superpose,
     words_compatible,
 )
 
@@ -125,20 +127,15 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
 
 
 def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
-    """Tightest natural extension of a Boolean function.
+    """Tightest natural extension of a Boolean function: each input maps to
+    the superposition of the outputs at all its full resolutions.
 
     Output bit i is pinned wherever all full resolutions of the input
     agree on it, and unconstrained otherwise.
     """
     m, n = _check_bool_table(table)
-    entries = {}
-    for x in all_words(m):
-        resolved = [table[y] for y in res_full(x)]
-        digits = []
-        for i in range(n):
-            seen = {w.digit(i) for w in resolved}
-            digits.append(seen.pop() if len(seen) == 1 else META)
-        entries[x] = TernaryWord.from_digits(digits)
+    entries = {x: reduce(superpose, (table[y] for y in res_full(x)))
+               for x in all_words(m)}
     return FunctionSpec(m, n, entries=entries)
 
 
@@ -146,36 +143,20 @@ def closure_general(f: FunctionSpec,
                     max_meta_bits: int = DEFAULT_MAX_META_BITS) -> FunctionSpec:
     """Closure of an arbitrary specification, quantified over all partial
     resolutions: a bit stays pinned to b only if every partial resolution
-    allows exactly b there."""
-    entries = {}
-    for x in all_words(f.m):
-        digits = []
-        for i in range(f.n):
-            seen = set()
-            for x2 in res_members(x, max_meta_bits):
-                for cube in f.value_cubeset(x2):
-                    seen.add(cube.digit(i))
-                    if len(seen) > 1 or META in seen:
-                        break
-                else:
-                    continue
-                break
-            digits.append(seen.pop() if len(seen) == 1 else META)
-        entries[x] = TernaryWord.from_digits(digits)
+    allows exactly b there. Each entry is the superposition of every
+    allowed cube at every partial resolution of the input."""
+    entries = {x: reduce(superpose, (c for x2 in res_members(x, max_meta_bits)
+                                     for c in f.value_cubeset(x2)))
+               for x in all_words(f.m)}
     return FunctionSpec(f.m, f.n, entries=entries)
 
 
 def _cube_form(v: CubeSet) -> Optional[TernaryWord]:
     """The single cube a value set equals, or None if it is not a cube."""
-    digits = []
-    for i in range(v.width):
-        seen = {c.digit(i) for c in v}
-        digits.append(seen.pop() if len(seen) == 1 and META not in seen
-                      else META)
-    e = TernaryWord.from_digits(digits)
+    e = reduce(superpose, v)
     # every member cube sits inside e by construction; equality holds
     # exactly when e itself is an allowed member
-    return e if any(res_contains(c, e) for c in v) else None
+    return e if v.contains_word(e) else None
 
 
 def _entry_view(f: FunctionSpec) -> Optional[dict]:
@@ -215,7 +196,7 @@ def find_natural_subfunction(g: FunctionSpec,
 
     Searches one Boolean output word per stable input (larger entries at
     stable inputs never help); each metastable input is then forced to
-    the bit-wise join of its resolutions' choices, which must still fit
+    the superposition of its resolutions' choices, which must still fit
     inside g. Backtracks over the stable choices, tightest first.
     """
     if g.m > 8:
@@ -225,42 +206,22 @@ def find_natural_subfunction(g: FunctionSpec,
     candidates = {}
     for y in ys:
         val = g.value_cubeset(y)
-        cands = [e for e in stable_words(n)
-                 if any(res_contains(c, e) for c in val)]
+        cands = [e for e in stable_words(n) if val.contains_word(e)]
         if not cands:
             return None
         candidates[y] = cands
 
-    # per metastable input: allowed cubes and join-so-far bit masks
-    class Req:
-        __slots__ = ("cubes", "zeros", "ones")
-
-        def __init__(self, x):
-            self.cubes = [tuple(c.digits()) for c in g.value_cubeset(x)]
-            self.zeros = 0
-            self.ones = 0
-
-        def feasible(self):
-            for cube in self.cubes:
-                for i, d in enumerate(cube):
-                    if d is META:
-                        continue
-                    if (d is ZERO and self.ones >> i & 1) or \
-                       (d is ONE and self.zeros >> i & 1):
-                        break
-                else:
-                    return True
-            return False
-
-    reqs = {}
+    # per metastable input: its allowed cubes, and the join (superposition)
+    # of the choices made so far at its full resolutions
+    allowed = {}
+    joins = {}
     touched = {y: [] for y in ys}
     for x in all_words(m):
-        if x.is_stable:
-            continue
-        req = Req(x)
-        for y in res_full(x):
-            touched[y].append(req)
-        reqs[x] = req
+        if not x.is_stable:
+            allowed[x] = g.value_cubeset(x)
+            joins[x] = None
+            for y in res_full(x):
+                touched[y].append(x)
 
     chosen = {}
     budget = _Budget(max_nodes, "subfunction search")
@@ -271,36 +232,23 @@ def find_natural_subfunction(g: FunctionSpec,
         y = ys[idx]
         for e in candidates[y]:
             budget.spend(1)
-            undo = []
-            ok = True
-            for req in touched[y]:
-                undo.append((req, req.zeros, req.ones))
-                for i, d in enumerate(e.digits()):
-                    if d is ONE:
-                        req.ones |= 1 << i
-                    else:
-                        req.zeros |= 1 << i
-                if not req.feasible():
-                    ok = False
+            undo = [(x, joins[x]) for x in touched[y]]
+            for x, join in undo:
+                joins[x] = join = e if join is None else superpose(join, e)
+                if not allowed[x].contains_word(join):
                     break
-            if ok:
+            else:
                 chosen[y] = e
                 if assign(idx + 1):
                     return True
                 del chosen[y]
-            for req, zeros, ones in undo:
-                req.zeros, req.ones = zeros, ones
+            for x, join in undo:
+                joins[x] = join
         return False
 
     if not assign(0):
         return None
-    entries = dict(chosen)
-    for x, req in reqs.items():
-        digits = [META if (req.zeros >> i & 1) and (req.ones >> i & 1)
-                  else (ONE if req.ones >> i & 1 else ZERO)
-                  for i in range(n)]
-        entries[x] = TernaryWord.from_digits(digits)
-    return FunctionSpec(m, n, entries=entries)
+    return FunctionSpec(m, n, entries={**chosen, **joins})
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +292,15 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
     prime = set()
     current = minterms
     while current:
-        groups: dict[tuple, dict[int, set]] = {}
-        for c in current:
-            ones = sum(1 for d in c.digits() if d is ONE)
-            groups.setdefault(c.meta_positions(), {}).setdefault(ones, set()).add(c)
         merged_away = set()
         nxt = set()
-        for by_ones in groups.values():
-            for ones, cubes in by_ones.items():
-                uppers = by_ones.get(ones + 1, ())
-                for c in cubes:
-                    for i in range(m):
-                        if c.digit(i) is ZERO:
-                            up = c.with_digit(i, ONE)
-                            if up in uppers:
-                                nxt.add(c.with_digit(i, META))
-                                merged_away.add(c)
-                                merged_away.add(up)
+        for c in current:
+            for i in range(m):
+                if c.digit(i) is ZERO:
+                    up = c.with_digit(i, ONE)
+                    if up in current:
+                        nxt.add(superpose(c, up))
+                        merged_away |= {c, up}
         prime |= current - merged_away
         current = nxt
     result = tuple(sorted(prime))

@@ -53,6 +53,12 @@ def _spec_shape(f, natural):
     return f"{'natural' if natural else 'general'} m={f.m} n={f.n}"
 
 
+def _failed(lines, v):
+    """Exit 1 with the report lines and the verdict's witness."""
+    return 1, "\n".join(lines + [f"witness input: {v.witness_input}",
+                                 f"witness output: {v.witness_output}"])
+
+
 def _deliver(args, text, report):
     """The artifact itself, or, with --out, written there and report()'s lines."""
     if args.out is None:
@@ -108,11 +114,7 @@ def cmd_check(args):
              f"spec: {_spec_shape(f, analysis.is_natural(f))}",
              f"rounds: {args.rounds}",
              f"verdict: {'yes' if v.ok else 'no'}"]
-    if v.ok:
-        return 0, "\n".join(lines)
-    lines.append(f"witness input: {v.witness_input}")
-    lines.append(f"witness output: {v.witness_output}")
-    return 1, "\n".join(lines)
+    return (0, "\n".join(lines)) if v.ok else _failed(lines, v)
 
 
 def cmd_closure(args):
@@ -137,10 +139,7 @@ def cmd_synth(args):
     c = analysis.synthesize(target)
     v = executor.implements(c, 1, f, max_states=args.max_states)
     if not v.ok:
-        lines.append("verdict: synthesized circuit failed its own check")
-        lines.append(f"witness input: {v.witness_input}")
-        lines.append(f"witness output: {v.witness_output}")
-        return 1, "\n".join(lines)
+        return _failed(lines + ["verdict: synthesized circuit failed its own check"], v)
     return _deliver(args, emit_netlist(c), lambda: lines + [
         f"circuit: {c.name}", f"gates: {len(c.dag.gates)}", "verdict: yes"])
 

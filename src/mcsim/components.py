@@ -113,11 +113,18 @@ def build_cmux_clocked() -> Circuit:
 # ---------------------------------------------------------------------------
 # Fan-out buffer, counter, selector
 
+def _check_rounds(r: int, what: str) -> None:
+    # these grow with r, and the fan-out check is cubic in it
+    if r < 1:
+        raise InputError(f"{what} needs at least one round")
+    if r > 128:
+        raise InputError(f"{what} is capped at 128 rounds")
+
+
 def masking_fanout_spec(r: int) -> FunctionSpec:
     """r copies of a mask-0 input: stable values copy exactly; M may come
     out as any word that is zeros, then at most one M, then ones."""
-    if r < 1:
-        raise InputError("fan-out needs at least one round")
+    _check_rounds(r, "fan-out")
     values = {
         word("0"): CubeSet.of(r, [word("0" * r)]),
         word("1"): CubeSet.of(r, [word("1" * r)]),
@@ -135,8 +142,7 @@ def build_fanout_buffer(r: int) -> Circuit:
     directly for the last round, through a delay chain of simple
     registers for the earlier ones. No gates at all.
     """
-    if r < 1:
-        raise InputError("fan-out needs at least one round")
+    _check_rounds(r, "fan-out")
     regs = [RegisterDecl("I", Role.INPUT, RegType.MASK0)]
     regs += [RegisterDecl(f"D{i}", Role.LOCAL, RegType.SIMPLE, ZERO)
              for i in range(1, r)]
@@ -157,8 +163,7 @@ def build_counter(r: int) -> Circuit:
     A chain of simple registers fills with ones one per round; XOR of
     neighbors marks the filling front. Meant to run for r rounds.
     """
-    if r < 1:
-        raise InputError("counter needs at least one round")
+    _check_rounds(r, "counter")
     regs = [RegisterDecl("R0", Role.LOCAL, RegType.SIMPLE, ONE)]
     regs += [RegisterDecl(f"R{i}", Role.LOCAL, RegType.SIMPLE, ZERO)
              for i in range(1, r)]
@@ -181,8 +186,7 @@ def build_selector(r: int) -> Circuit:
     The counter's front-marking XOR wires gate each input with its round,
     so even a metastable input passes through only in its own round.
     """
-    if r < 1:
-        raise InputError("selector needs at least one round")
+    _check_rounds(r, "selector")
     regs = [RegisterDecl(f"x{i}", Role.INPUT, RegType.SIMPLE)
             for i in range(r)]
     regs += [RegisterDecl("R0", Role.LOCAL, RegType.SIMPLE, ONE)]

@@ -70,6 +70,13 @@ CHAR_TO_DIGIT = {"0": ZERO, "1": ONE, "M": META}
 _DIGIT_VALUE = {d: int(d) for d in DIGITS}
 
 
+def _digit_value(d: Ternary | int) -> int:
+    try:
+        return _DIGIT_VALUE[d]
+    except KeyError:
+        raise InputError(f"bad digit {d!r}: must be 0, 1, or 2 (M)") from None
+
+
 @dataclass(frozen=True, order=True)
 class TernaryWord:
     """Fixed-width vector over {0,1,M}, MSB first.
@@ -86,10 +93,7 @@ class TernaryWord:
         packed = 0
         width = 0
         for d in digits:
-            try:
-                packed = (packed << 2) | _DIGIT_VALUE[d]
-            except KeyError:
-                raise InputError(f"bad digit {d!r}: must be 0, 1, or 2 (M)") from None
+            packed = (packed << 2) | _digit_value(d)
             width += 1
         return TernaryWord(width, packed)
 
@@ -113,9 +117,11 @@ class TernaryWord:
         return tuple(self.digit(i) for i in range(self.width))
 
     def with_digit(self, i: int, d: Ternary) -> "TernaryWord":
+        if not 0 <= i < self.width:
+            raise InputError(f"digit index {i} out of range for width {self.width}")
         shift = 2 * (self.width - 1 - i)
         cleared = self.packed & ~(3 << shift)
-        return TernaryWord(self.width, cleared | (int(d) << shift))
+        return TernaryWord(self.width, cleared | (_digit_value(d) << shift))
 
     def concat(self, other: "TernaryWord") -> "TernaryWord":
         return TernaryWord(self.width + other.width,
@@ -131,9 +137,6 @@ class TernaryWord:
     @property
     def is_stable(self) -> bool:
         return self.meta_count() == 0
-
-    def meta_positions(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if self.digit(i) is META)
 
     def meta_count(self) -> int:
         return (self.packed & _meta_mask(self.width)).bit_count()
@@ -153,12 +156,22 @@ def word(text: str) -> TernaryWord:
     return TernaryWord.parse(text)
 
 
+def _fills(w: TernaryWord, digits: tuple[int, ...]) -> Iterator[TernaryWord]:
+    """w with each M digit replaced by every one of the ascending digits, in
+    lex order. The M places are read off the packed word once."""
+    meta = w.packed & _meta_mask(w.width)
+    places = [tuple(d << s for d in digits)
+              for s in range(2 * w.width - 2, -1, -2) if meta >> s & 2]
+    base = w.packed ^ meta
+    return (TernaryWord(w.width, base + p)
+            for p in map(sum, itertools.product(*places)))
+
+
 def _domain(m: int, digits: tuple[int, ...]) -> Iterator[TernaryWord]:
-    """Every m-digit word over the ascending digits, in lex order."""
+    """Every m-digit word over the ascending digits: the fills of M^m."""
     if m < 0:
         raise InputError(f"word width {m} is negative")
-    places = [tuple(d << s for d in digits) for s in range(2 * m - 2, -1, -2)]
-    return (TernaryWord(m, p) for p in map(sum, itertools.product(*places)))
+    return _fills(TernaryWord(m, _meta_mask(m)), digits)
 
 
 def all_words(m: int) -> Iterator[TernaryWord]:
@@ -171,34 +184,27 @@ def stable_words(m: int) -> Iterator[TernaryWord]:
     return _domain(m, (0, 1))
 
 
-def _resolutions(w: TernaryWord, fills: tuple[Ternary, ...],
+def _resolutions(w: TernaryWord, digits: tuple[int, ...],
                  max_meta: int, what: str) -> list[TernaryWord]:
-    """w with its M digits replaced by every choice from fills; since fills
-    is ascending, the product yields the words in lex order."""
-    positions = w.meta_positions()
-    m = len(positions)
-    if m > max_meta:
+    if w.packed & w.packed >> 1 & _meta_mask(w.width) >> 1:
+        w.digits()  # raises the InputError that names the packed digit 3
+    k = w.meta_count()
+    if k > max_meta:
         raise BudgetError(
-            f"{what} of {w} needs 2^{m} expansions; budget is {max_meta} M bits")
-    out = []
-    for choice in itertools.product(fills, repeat=m):
-        y = w
-        for i, d in zip(positions, choice):
-            y = y.with_digit(i, d)
-        out.append(y)
-    return out
+            f"{what} of {w} needs 2^{k} expansions; budget is {max_meta} M bits")
+    return list(_fills(w, digits)) if k else [w]
 
 
 def res_full(w: TernaryWord,
              max_meta: int = DEFAULT_MAX_META_BITS) -> list[TernaryWord]:
     """All full resolutions of w: every M fixed to 0 or 1, in lex order."""
-    return _resolutions(w, (ZERO, ONE), max_meta, "full resolution")
+    return _resolutions(w, (0, 1), max_meta, "full resolution")
 
 
 def res_members(w: TernaryWord,
                 max_meta: int = DEFAULT_MAX_META_BITS) -> list[TernaryWord]:
     """All partial resolutions of w (the members of the cube w), in lex order."""
-    return _resolutions(w, DIGITS, max_meta, "partial resolution")
+    return _resolutions(w, (0, 1, 2), max_meta, "partial resolution")
 
 
 # width -> the packed word whose every digit is M (binary 1010...)
@@ -231,6 +237,16 @@ def words_compatible(a: TernaryWord, b: TernaryWord) -> bool:
     if a.width != b.width:
         raise InputError(f"width mismatch: {a} vs {b}")
     return not (a.packed ^ b.packed) & ~(_cover(a) | _cover(b))
+
+
+def superpose(a: TernaryWord, b: TernaryWord) -> TernaryWord:
+    """The superposition a * b: a's digit where a and b agree, M where they
+    differ. It is the smallest cube that contains both a and b."""
+    if a.width != b.width:
+        raise InputError(f"width mismatch: {a} vs {b}")
+    d = a.packed ^ b.packed
+    diff = (d | d >> 1) & _meta_mask(a.width) >> 1
+    return TernaryWord(a.width, a.packed & ~(3 * diff) | diff << 1)
 
 
 @dataclass(frozen=True)

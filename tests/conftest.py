@@ -165,6 +165,13 @@ def scalar_meta_count(w: TernaryWord) -> int:
     return sum(d is META for d in w.digits())
 
 
+def scalar_superpose(a: TernaryWord, b: TernaryWord) -> TernaryWord:
+    if a.width != b.width:
+        raise InputError(f"width mismatch: {a} vs {b}")
+    return TernaryWord.from_digits(x if x is y else META
+                                   for x, y in zip(a.digits(), b.digits()))
+
+
 def lane_words(rails, lanes: int):
     """The word each lane carries, in lane order, one digit per rail pair."""
     # a packed digit has its high bit where both rails are set (M) and its

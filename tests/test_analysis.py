@@ -435,6 +435,14 @@ class TestFindNaturalSubfunction:
             assert any(res_contains(c, h.entry(x))
                        for c in g.value_cubeset(x))
 
+    def test_entries_list_the_stable_inputs_first(self):
+        # stable inputs in search order, then the metastable ones in lex order
+        for g in (cmux_general_spec(),
+                  closure_bool(random_bool_table(random.Random(3), 3, 2))):
+            ws = all_words(g.m)
+            assert list(find_natural_subfunction(g).entries) == \
+                [x for x in ws if x.is_stable] + [x for x in ws if not x.is_stable]
+
     @staticmethod
     def exists_by_enumeration(g):
         """Try every stable-entry combination over {0,1,M}; metastable
@@ -486,6 +494,27 @@ class TestFindNaturalSubfunction:
     def test_budget(self):
         with pytest.raises(BudgetError):
             find_natural_subfunction(resolver_spec(), max_nodes=1)
+
+    # The search spends one node per candidate it tries. These are the
+    # smallest budgets each search finishes within, so the candidates it
+    # tries, and their order, stay fixed; one node less must fail.
+    @pytest.mark.parametrize("make,nodes,found", [
+        (resolver_spec, 2, False),
+        (cmux_general_spec, 8, True),
+        (lambda: random_general(random.Random(2), 2, 2), 7, False),
+        (lambda: random_general(random.Random(6), 2, 2), 11, True),
+        (lambda: random_general(random.Random(24), 2, 2), 17, True),
+        (lambda: random_general(random.Random(12), 2, 1), 8, True),
+        (lambda: random_general(random.Random(9), 1, 2), 5, True),
+        (lambda: random_general(random.Random(5), 3, 1), 7, False),
+        (lambda: closure_bool(random_bool_table(random.Random(0), 3, 2)), 8, True),
+    ], ids=["resolver", "cmux", "2x2-seed2", "2x2-seed6", "2x2-seed24",
+            "2x1-seed12", "1x2-seed9", "3x1-seed5", "closure-3x2"])
+    def test_smallest_budget_is_pinned(self, make, nodes, found):
+        g = make()
+        assert (find_natural_subfunction(g, max_nodes=nodes) is not None) == found
+        with pytest.raises(BudgetError):
+            find_natural_subfunction(g, max_nodes=nodes - 1)
 
     def test_arity_cap(self):
         with pytest.raises(InputError, match="capped"):

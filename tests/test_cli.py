@@ -432,6 +432,19 @@ class TestComponent:
         assert run(capsys, ["component", "counter", "three"])[0] == 2
         assert run(capsys, ["component", "two-sort", "9"])[0] == 2
 
+    @pytest.mark.parametrize("name,what", [("fanout-buffer", "fan-out"),
+                                           ("counter", "counter"),
+                                           ("selector", "selector")])
+    def test_round_counts_above_the_cap_are_input_errors(self, capsys, name, what):
+        # 129 first: without a cap it builds fast and fails here, before
+        # the huge count would run for minutes
+        assert run(capsys, ["component", name, "129"])[0] == 2
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["component", name, "100000000"])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert err == f"error: {what} is capped at 128 rounds\n"
+
 
 class TestPipeline:
     READINGS = ["1110000", "111M000", "1100000", "1111100"]

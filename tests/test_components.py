@@ -185,6 +185,13 @@ class TestCounterAndSelector:
         with pytest.raises(InputError):
             build_selector(0)
 
+    def test_round_counts_are_capped_at_128(self):
+        for build in (build_counter, build_selector, build_fanout_buffer,
+                      masking_fanout_spec):
+            assert build(128)
+            with pytest.raises(InputError, match="capped at 128 rounds"):
+                build(129)
+
     def test_netlist_round_trip(self):
         for c in (build_counter(3), build_fanout_buffer(3),
                   build_selector(2)):

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_meta_count, scalar_res_contains, scalar_words_compatible
+from conftest import (
+    scalar_meta_count,
+    scalar_res_contains,
+    scalar_superpose,
+    scalar_words_compatible,
+)
 from mcsim.ternary_core import (
     META,
     ONE,
@@ -25,6 +30,7 @@ from mcsim.ternary_core import (
     res_contains,
     res_full,
     res_members,
+    superpose,
     tc,
     word,
     words_compatible,
@@ -78,6 +84,10 @@ class TestWordBasics:
             TernaryWord(1, 3).digit(0)
         with pytest.raises(InputError):
             str(TernaryWord(1, 3))
+        # with_digit: an index off the word, and a digit that would spill
+        for i, d in ((3, ONE), (-1, ONE), (1, 5), (0, -1), (1, META + 1)):
+            with pytest.raises(InputError):
+                word("010").with_digit(i, d)
 
     def test_lex_order_zero_one_meta(self):
         assert sorted([word("M"), word("1"), word("0")]) == \
@@ -176,10 +186,47 @@ class TestResolutions:
             for b in ws:
                 assert res_contains(a, b) == scalar_res_contains(a, b), (a, b)
                 assert words_compatible(a, b) == scalar_words_compatible(a, b), (a, b)
+                assert superpose(a, b) == scalar_superpose(a, b), (a, b)
 
     def test_words_compatible_width_mismatch(self):
         with pytest.raises(InputError, match="width mismatch"):
             words_compatible(word("M1"), word("M"))
+
+    def test_superpose_width_mismatch(self):
+        with pytest.raises(InputError, match="width mismatch"):
+            superpose(word("M1"), word("M"))
+
+    @pytest.mark.parametrize("width", range(4))
+    def test_superpose_is_a_semilattice_join(self, width):
+        ws = all_words(width)
+        for a in ws:
+            assert superpose(a, a) == a
+            for b in ws:
+                ab = superpose(a, b)
+                assert ab == superpose(b, a)
+                # the least cube that contains both
+                assert res_contains(ab, a) and res_contains(ab, b)
+                for c in ws:
+                    if res_contains(c, a) and res_contains(c, b):
+                        assert res_contains(c, ab), (a, b, c)
+                    assert superpose(ab, c) == superpose(a, superpose(b, c))
+
+    @pytest.mark.parametrize("width", range(6))
+    def test_resolutions_match_a_digit_expansion(self, width):
+        def expand(w, fills):
+            choices = [fills if d is META else (d,) for d in w.digits()]
+            return [TernaryWord.from_digits(ds) for ds in itertools.product(*choices)]
+        for w in all_words(width):
+            assert res_full(w) == expand(w, (ZERO, ONE)), w
+            assert res_members(w) == expand(w, ALL_DIGITS), w
+        stable = word("1" * width)
+        assert res_full(stable)[0] is stable and res_members(stable)[0] is stable
+
+    def test_resolutions_of_a_packed_digit_3_are_input_errors(self):
+        for expand in (res_full, res_members):
+            for w in (TernaryWord(1, 3), TernaryWord(3, 0b001101)):
+                with pytest.raises(InputError, match="is 3"):
+                    expand(w)
 
 class TestCubeSet:
     def test_canonicalize_examples(self):
