@@ -13,20 +13,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import and_
 from typing import Callable, Mapping, Optional
 
-from .executor import ExecutionTrace, TraceRound, _Budget, outputs, read_outcomes
+from .executor import (ExecutionTrace, TraceRound, _Budget, _rails, check_round_budget,
+                       covered, outputs, read_outcomes, spec_layers)
 from .netlist import (
     Circuit,
     Gate,
     RegisterDecl,
     RegType,
     Role,
+    digit_lanes,
     eval_dag,
+    lane_word,
     make_circuit,
 )
 from .ternary_core import (
-    DEFAULT_MAX_META_BITS,
     DEFAULT_MAX_STATES,
     META,
     ONE,
@@ -37,11 +40,7 @@ from .ternary_core import (
     TernaryWord,
     all_words,
     content_lines,
-    res_contains,
-    res_full,
-    res_members,
     stable_words,
-    superpose,
     words_compatible,
 )
 
@@ -126,64 +125,92 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
     return m, n
 
 
+def _zeta(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
+    """Each lane's rails joined with those of every partial resolution of
+    its word (digits are the digit_lanes): digit by digit, an M lane
+    takes the union of its 0 and 1 neighbours."""
+    for i, (z, o) in enumerate(digits):
+        s = 3 ** (len(digits) - 1 - i)
+        rails = [tuple(p | (p & z & ~o) << 2 * s | (p & o & ~z) << s for p in pair)
+                 for pair in rails]
+    return rails
+
+
+def _stable_part(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
+    """The rails on the stable lanes, where no digit reads both 0 and 1."""
+    stable = reduce(and_, (z ^ o for z, o in digits), (1 << 3 ** len(digits)) - 1)
+    return [(z & stable, o & stable) for z, o in rails]
+
+
+def _spec(m: int, n: int, rails: list[tuple[int, int]]) -> FunctionSpec:
+    """The natural spec whose entry at word L of all_words(m) is the word
+    lane L of the rails carries."""
+    lanes, size = 3 ** m, 2 * n + 1
+    # lane L is chars[L * size:][:size]: a 0 (for n = 0), then each digit's M and 1 bit
+    chars = bytearray(b"0" * lanes * size)
+    for j, (c0, c1) in enumerate(rails):
+        chars[2 * j + 1::size] = format(c0 & c1, f"0{lanes}b")[::-1].encode()
+        chars[2 * j + 2::size] = format(c1 & ~c0, f"0{lanes}b")[::-1].encode()
+    return FunctionSpec(m, n, entries={
+        x: TernaryWord(n, int(chars[i:i + size], 2))
+        for x, i in zip(all_words(m), range(0, lanes * size, size))})
+
+
 def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
     """Tightest natural extension of a Boolean function: each input maps to
     the superposition of the outputs at all its full resolutions.
 
     Output bit i is pinned wherever all full resolutions of the input
-    agree on it, and unconstrained otherwise.
+    agree on it, and unconstrained otherwise. With the outputs on the
+    stable lanes, each M digit takes the union of its 0 and 1 neighbours.
     """
     m, n = _check_bool_table(table)
-    entries = {x: reduce(superpose, (table[y] for y in res_full(x)))
-               for x in all_words(m)}
-    return FunctionSpec(m, n, entries=entries)
+    rows = [TernaryWord(n, 0)] * 3 ** m
+    for k, y in enumerate(stable_words(m)):
+        # stable word k sits on the lane its binary digits name in base 3
+        rows[int(format(k, "b"), 3)] = table[y]
+    digits = digit_lanes(m)
+    return _spec(m, n, _zeta(digits, _stable_part(digits, _rails(rows, n))))
 
 
-def closure_general(f: FunctionSpec,
-                    max_meta_bits: int = DEFAULT_MAX_META_BITS) -> FunctionSpec:
+def _hull(layers: list, n: int) -> list[tuple[int, int]]:
+    """Per lane, the smallest cube holding every allowed cube: the union
+    of the layers' rails."""
+    hull = [(0, 0)] * n
+    for has, rails in layers:
+        hull = [(hz | z & has, ho | o & has) for (hz, ho), (z, o) in zip(hull, rails)]
+    return hull
+
+
+def closure_general(f: FunctionSpec) -> FunctionSpec:
     """Closure of an arbitrary specification, quantified over all partial
     resolutions: a bit stays pinned to b only if every partial resolution
     allows exactly b there. Each entry is the superposition of every
     allowed cube at every partial resolution of the input."""
-    entries = {x: reduce(superpose, (c for x2 in res_members(x, max_meta_bits)
-                                     for c in f.value_cubeset(x2)))
-               for x in all_words(f.m)}
-    return FunctionSpec(f.m, f.n, entries=entries)
+    layers, digits = spec_layers(f), digit_lanes(f.m)
+    # the lanes with no layer: an empty word lies inside every cube
+    empty = ((1 << 3 ** f.m) - 1) & ~covered(layers, [])
+    if empty:
+        x = lane_word(digits, (empty & -empty).bit_length() - 1)
+        raise InputError(f"specification allows no output at input {x}")
+    return _spec(f.m, f.n, _zeta(digits, _hull(layers, f.n)))
 
 
-def _cube_form(v: CubeSet) -> Optional[TernaryWord]:
-    """The single cube a value set equals, or None if it is not a cube."""
-    e = reduce(superpose, v)
-    # every member cube sits inside e by construction; equality holds
-    # exactly when e itself is an allowed member
-    return e if v.contains_word(e) else None
-
-
-def _entry_view(f: FunctionSpec) -> Optional[dict]:
-    """Entry words for f if every value set is a cube, else None."""
-    if f.entries is not None:
-        return f.entries
-    view = {}
-    for x, v in f.values.items():
-        e = _cube_form(v)
-        if e is None:
-            return None
-        view[x] = e
-    return view
+def _natural_hull(f: FunctionSpec) -> Optional[list[tuple[int, int]]]:
+    """The rails of f's entries if f is natural, else None."""
+    layers, digits = spec_layers(f), digit_lanes(f.m)
+    hull = _hull(layers, f.n)
+    joins = _zeta(digits, _stable_part(digits, hull))
+    # natural: at every input the hull lies inside (so equals) an allowed
+    # cube, and so does the join of the entries at its full resolutions
+    natural = covered(layers, hull) == covered(layers, joins) == (1 << 3 ** f.m) - 1
+    return hull if natural else None
 
 
 def is_natural(f: FunctionSpec) -> bool:
     """Bit-wise, closed, and specific: every value set is a single cube,
     and stabilizing any input only shrinks the value set."""
-    view = _entry_view(f)
-    if view is None:
-        return False
-    for x, e in view.items():
-        if x.is_stable:
-            continue
-        if any(not res_contains(e, view[y]) for y in res_full(x)):
-            return False
-    return True
+    return _natural_hull(f) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -202,112 +229,71 @@ def find_natural_subfunction(g: FunctionSpec,
     if g.m > 8:
         raise InputError("natural-subfunction search is capped at 8 inputs")
     m, n = g.m, g.n
-    ys = list(stable_words(m))
-    candidates = {}
-    for y in ys:
-        val = g.value_cubeset(y)
-        cands = [e for e in stable_words(n) if val.contains_word(e)]
-        if not cands:
-            return None
-        candidates[y] = cands
-
-    # per metastable input: its allowed cubes, and the join (superposition)
-    # of the choices made so far at its full resolutions
-    allowed = {}
-    joins = {}
-    touched = {y: [] for y in ys}
-    for x in all_words(m):
-        if not x.is_stable:
-            allowed[x] = g.value_cubeset(x)
-            joins[x] = None
-            for y in res_full(x):
-                touched[y].append(x)
-
-    chosen = {}
+    candidates = [[e.digits() for e in stable_words(n) if v.contains_word(e)]
+                  for v in map(g.value_cubeset, stable_words(m))]
+    if not all(candidates):
+        return None
+    layers, digits = spec_layers(g), digit_lanes(m)
+    full = (1 << 3 ** m) - 1
     budget = _Budget(max_nodes, "subfunction search")
 
-    def assign(idx: int) -> bool:
-        if idx == len(ys):
-            return True
-        y = ys[idx]
-        for e in candidates[y]:
+    def assign(idx: int, rails: list) -> Optional[list]:
+        """rails holds the choices for the first idx stable inputs."""
+        if idx == len(candidates):
+            return rails
+        bit = 1 << int(format(idx, "b"), 3)
+        for e in candidates[idx]:
             budget.spend(1)
-            undo = [(x, joins[x]) for x in touched[y]]
-            for x, join in undo:
-                joins[x] = join = e if join is None else superpose(join, e)
-                if not allowed[x].contains_word(join):
-                    break
-            else:
-                chosen[y] = e
-                if assign(idx + 1):
-                    return True
-                del chosen[y]
-            for x, join in undo:
-                joins[x] = join
-        return False
-
-    if not assign(0):
+            tried = [(z, o | bit) if d is ONE else (z | bit, o)
+                     for (z, o), d in zip(rails, e)]
+            if covered(layers, _zeta(digits, tried)) == full \
+                    and (found := assign(idx + 1, tried)) is not None:
+                return found
         return None
-    return FunctionSpec(m, n, entries={**chosen, **joins})
+
+    rails = assign(0, [(0, 0)] * n)
+    return None if rails is None else _spec(m, n, _zeta(digits, rails))
 
 
 # ---------------------------------------------------------------------------
 # Prime implicants and circuit synthesis
 
-# Synthesis hits the same single-bit tables over and over; prime
-# implicants are a pure function of the minterm set, so memoize. The
-# bound holds all 278 tables of up to 3 inputs; past it the oldest goes.
-_PI_MEMO: dict = {}
-_PI_MEMO_MAX = 1024
+def _primes(digits: list[tuple[int, int]], ones: int) -> tuple[TernaryWord, ...]:
+    """The prime implicants, in lex order, of the Boolean function that is
+    1 on the stable lanes in ones and 0 on the other stable lanes."""
+    [(z, o)] = _zeta(digits, _stable_part(digits, [(~ones, ones)]))
+    # an implicant is 1 at every full resolution; it is prime when no
+    # widening of one stable digit to M is an implicant too
+    imp = prime = o & ~z
+    for i, (dz, do) in enumerate(digits):
+        s = 3 ** (len(digits) - 1 - i)
+        prime &= ~(imp >> 2 * s & dz & ~do | imp >> s & do & ~dz)
+    return tuple(lane_word(digits, lane) for lane, bit
+                 in enumerate(format(prime, "b")[::-1]) if bit == "1")
 
 
 def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, ...]:
-    """All prime implicants of a single-output Boolean table.
+    """All prime implicants of a single-output Boolean table, sorted.
 
-    Implicants are cube words: M digits are unconstrained. Iteratively
-    merges cubes differing in one pinned digit; whatever never merges is
-    prime.
+    Implicants are cube words: M digits are unconstrained. A cube is an
+    implicant when the table is 1 at all its full resolutions, and prime
+    when widening any of its stable digits to M gives no implicant.
     """
     if not table:
         raise InputError("empty truth table")
     m = len(next(iter(table)))
     if m > 10:
         raise InputError("prime implicants are capped at 10 inputs")
-    minterms = set()
     for x, bit in table.items():
         if not x.is_stable or len(x) != m:
             raise InputError(f"truth-table input {x} must be stable, width {m}")
         if bit not in (0, 1, ZERO, ONE):
             raise InputError(f"truth-table value for {x} must be 0 or 1")
-        if bit in (1, ONE):
-            minterms.add(x)
     if len(table) != 1 << m:
         raise InputError(f"truth table needs all {1 << m} input rows")
-
-    key = (m, frozenset(minterms))
-    hit = _PI_MEMO.get(key)
-    if hit is not None:
-        return hit
-
-    prime = set()
-    current = minterms
-    while current:
-        merged_away = set()
-        nxt = set()
-        for c in current:
-            for i in range(m):
-                if c.digit(i) is ZERO:
-                    up = c.with_digit(i, ONE)
-                    if up in current:
-                        nxt.add(superpose(c, up))
-                        merged_away |= {c, up}
-        prime |= current - merged_away
-        current = nxt
-    result = tuple(sorted(prime))
-    if len(_PI_MEMO) >= _PI_MEMO_MAX:
-        del _PI_MEMO[next(iter(_PI_MEMO))]
-    _PI_MEMO[key] = result
-    return result
+    ones = sum(1 << int(format(k, "b"), 3)
+               for k, y in enumerate(stable_words(m)) if table[y] in (1, ONE))
+    return _primes(digit_lanes(m), ones)
 
 
 def synthesize(h: FunctionSpec) -> Circuit:
@@ -319,10 +305,11 @@ def synthesize(h: FunctionSpec) -> Circuit:
     contains metastability: any input whose stable resolutions agree is
     covered by some all-stable implicant term.
     """
-    if not is_natural(h):
+    hull = _natural_hull(h)
+    if hull is None:
         raise InputError("specification is not natural")
-    entries = _entry_view(h)
     m, n = h.m, h.n
+    digits = digit_lanes(m)
     regs = [RegisterDecl(f"x{j}", Role.INPUT, RegType.SIMPLE)
             for j in range(m)]
     regs += [RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO)
@@ -339,10 +326,9 @@ def synthesize(h: FunctionSpec) -> Circuit:
             gates.append(Gate(gid, "NOT", (f"x{j}",)))
         return gid
 
-    for i in range(n):
-        table = {y: 1 if entries[y].digit(i) is ONE else 0
-                 for y in stable_words(m)}
-        pis = prime_implicants(table)
+    for i, (z, o) in enumerate(hull):
+        # the Boolean restriction: 1 where the stable entry is 1
+        pis = _primes(digits, o & ~z)
         if not pis:
             gates.append(Gate(f"y{i}_zero", "CONST0", ()))
             drives[f"y{i}"] = f"y{i}_zero"
@@ -385,6 +371,10 @@ def unroll(c: Circuit, r: int) -> Circuit:
         raise InputError("unroll needs at least one round")
     if any(reg.rtype is not RegType.SIMPLE for reg in c.registers):
         raise InputError("unrolling requires simple registers only")
+    # the largest unrolled netlist that builds and prints in a few seconds
+    if r * (len(c.dag.gates) + c.k + c.n) > 200_000:
+        raise InputError("unroll is capped at 200000 gates, "
+                         "rounds x (gates + locals + outputs)")
     drive = dict(c.dag.outputs)
     input_names = {reg.name for reg in c.input_regs}
     local_names = {reg.name for reg in c.local_regs}
@@ -473,6 +463,7 @@ def metastable_witness(c: Circuit, r: int,
     unchanged dominates every other write choice, so the trace search
     branches over read outcomes only.
     """
+    check_round_budget(r, max_states)
     a = outputs(c, iota, r, max_states)
     b = outputs(c, iota2, r, max_states)
     if any(words_compatible(u, v) for u in a for v in b):
@@ -483,28 +474,36 @@ def metastable_witness(c: Circuit, r: int,
     budget = _Budget(max_states, "witness search")
     failed: set[tuple[TernaryWord, int]] = set()
 
-    def dfs(state: TernaryWord, remaining: int):
-        if remaining == 0:
-            if any(state.digit(i) is META for i in range(out_lo, width)):
-                return [TraceRound(state)]
-            return None
-        if (state, remaining) in failed:
-            return None
-        outcomes = read_outcomes(c, state)
-        budget.spend(len(outcomes))
-        for read, nxt in outcomes:
+    def search(start: TernaryWord) -> Optional[list[TraceRound]]:
+        """An r-round execution from start that ends with a metastable
+        output, depth first over the read outcomes in their order."""
+        # per round on the path: its state, its untried outcomes, the one taken
+        path, state = [], start
+        while True:
+            remaining = r - len(path)
+            if remaining == 0 and any(state.digit(i) is META for i in range(out_lo, width)):
+                return [TraceRound(s, *taken) for s, _, taken in path] + [TraceRound(state)]
+            if remaining and (state, remaining) not in failed:
+                outcomes = read_outcomes(c, state)
+                budget.spend(len(outcomes))
+                path.append([state, iter(outcomes), None])
+            # back up to the deepest round with an untried outcome; each
+            # round left behind fails from its state
+            while path and (step := next(path[-1][1], None)) is None:
+                dead = path.pop()[0]
+                failed.add((dead, r - len(path)))
+            if not path:
+                return None
+            read, nxt = step
             ev = eval_dag(c.dag, read)
-            tail = dfs(nxt.concat(ev), remaining - 1)
-            if tail is not None:
-                return [TraceRound(state, read, ev, ev)] + tail
-        failed.add((state, remaining))
-        return None
+            path[-1][2] = (read, ev, ev)
+            state = nxt.concat(ev)
 
     for p in pivotal_sequence(iota, iota2):
         outs = outputs(c, p, r, max_states)
         if not any(cube.meta_count() for cube in outs):
             continue
-        rows = dfs(p.concat(c.init_word()), r)
+        rows = search(p.concat(c.init_word()))
         if rows is None:
             raise RuntimeError("reach set shows a metastable output but no "
                                "execution realizes it; this cannot happen")

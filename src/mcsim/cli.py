@@ -77,9 +77,7 @@ def cmd_sim(args):
         raise InputError("round count must be nonnegative")
     # each round is at least one report line, and a memo hit spends no
     # states, so the cap bounds the round count on its own
-    if args.rounds > args.max_states:
-        raise BudgetError(f"{args.rounds} rounds exceed the state budget of "
-                          f"{args.max_states}; raise the max-states cap")
+    executor.check_round_budget(args.rounds, args.max_states)
     lines = ["command: sim",
              f"circuit: {c.name}",
              f"input: {iota}",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
-from .netlist import Circuit, RegType, eval_dag, eval_lanes, lane_word
+from .netlist import Circuit, RegType, digit_lanes, eval_dag, eval_lanes, lane_word
 from .ternary_core import (
     DEFAULT_MAX_STATES,
     META,
@@ -64,6 +64,13 @@ class _Budget:
         self.left -= n
         if self.left < 0:
             raise BudgetError(f"{self.what} budget exceeded; raise the max-states cap")
+
+
+def check_round_budget(r: int, max_states: Optional[int]) -> None:
+    """Refuse more rounds than the state budget: r rounds spend at least r."""
+    if max_states is not None and r > max_states:
+        raise BudgetError(f"{r} rounds exceed the state budget of "
+                          f"{max_states}; raise the max-states cap")
 
 
 def _check_state(c: Circuit, s: TernaryWord) -> None:
@@ -218,26 +225,11 @@ class Verdict:
 
 
 _PACKED = attrgetter("packed")
-_WIDTH = attrgetter("width")
 
 
-def _lane_values(f, m: int) -> tuple[list, bool]:
-    """f's allowed outputs for every input in all_words order, and whether
-    each is one cube word (natural form) rather than a set of cubes."""
-    entries = getattr(f, "entries", None)
-    table = entries if entries is not None else getattr(f, "values", None)
-    if isinstance(table, dict) and len(table) == 3 ** m:
-        # all_words order is ascending packed word; dict order may differ
-        # (find_natural_subfunction puts the stable inputs first)
-        keys, values = list(map(_PACKED, table)), list(table.values())
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        return list(map(values.__getitem__, order)), entries is not None
-    return [f.value_cubeset(x) for x in all_words(m)], False
-
-
-def _outside(cubes: list[TernaryWord], n: int, rails: list[tuple[int, int]]) -> int:
-    """Lanes whose output cube is not inside their own cube of `cubes`."""
-    if set(map(_WIDTH, cubes)) - {n}:
+def _rails(cubes: list[TernaryWord], n: int) -> list[tuple[int, int]]:
+    """The (can-be-0, can-be-1) rails of n-digit cube words in lane order."""
+    if {c.width for c in cubes} - {n}:
         raise InputError(f"specification has cubes of width other than {n}")
     # one chunk of whole bytes per lane, lane 0 rightmost; digit j's high
     # (M) and low (1) bits sit at the same offsets in every chunk
@@ -246,38 +238,43 @@ def _outside(cubes: list[TernaryWord], n: int, rails: list[tuple[int, int]]) -> 
     blob = b"".join(map(int.to_bytes, map(_PACKED, cubes),
                         itertools.repeat(size), itertools.repeat("little")))
     bits = format(int.from_bytes(blob, "little"), f"0{step * len(cubes)}b")
-    out = 0
-    for j, (z, o) in enumerate(rails):
-        hi = step - 2 * (n - j)
-        meta, one = int(bits[hi::step], 2), int(bits[hi + 1::step], 2)
-        # a pinned 1 rules out can-be-0, a pinned 0 rules out can-be-1
-        out |= z & one | o & ~(meta | one)
-    return out
+    planes = [(int(bits[hi::step], 2), int(bits[hi + 1::step], 2))
+              for hi in range(step - 2 * n, step, 2)]
+    # 0 can be read unless the digit is 1, and 1 unless it is 0
+    return [(((1 << len(cubes)) - 1) & ~one, meta | one) for meta, one in planes]
 
 
-def _inside_lanes(f, m: int, n: int, rails: list[tuple[int, int]]) -> int:
-    """Lanes whose output cube lies inside an allowed cube of f. Layer k
-    holds the k-th allowed cube of every input that has one."""
-    values, natural = _lane_values(f, m)
-    if natural:
-        return ~_outside(values, n, rails)
-    values = [tuple(v) for v in values]
+def spec_layers(f) -> list[tuple[int, list[tuple[int, int]]]]:
+    """f's allowed cubes on all inputs at once, lane L being input L in
+    all_words order, as layers (has, rails): layer k's rails hold the k-th
+    allowed cube of each input in has. A natural spec is one layer."""
+    m, n = f.m, f.n
+    entries = getattr(f, "entries", None)
+    table = entries if entries is not None else getattr(f, "values", None)
+    if isinstance(table, dict) and len(table) == 3 ** m:
+        # all_words order is ascending packed word; dict order may differ
+        keys, values = list(map(_PACKED, table)), list(table.values())
+        values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        if entries is not None:
+            return [((1 << len(values)) - 1, _rails(values, n))]
+    else:
+        values = [f.value_cubeset(x) for x in all_words(m)]
     filler = TernaryWord(n, 0)
+    return [(int("".join("0" if c is None else "1" for c in reversed(row)), 2),
+             _rails([filler if c is None else c for c in row], n))
+            for row in itertools.zip_longest(*values)]
+
+
+def covered(layers: list[tuple[int, list[tuple[int, int]]]],
+            rails: list[tuple[int, int]]) -> int:
+    """Lanes whose rails lie inside the cube some layer holds there."""
     inside = 0
-    for k in range(max(map(len, values))):
-        layer = [v[k] if len(v) > k else filler for v in values]
-        has = int("".join("1" if len(v) > k else "0" for v in reversed(values)), 2)
-        inside |= has & ~_outside(layer, n, rails)
+    for has, allowed in layers:
+        out = 0
+        for (z, o), (az, ao) in zip(rails, allowed):
+            out |= z & ~az | o & ~ao
+        inside |= has & ~out
     return inside
-
-
-def _lane_input(lane: int, m: int) -> TernaryWord:
-    """Input word number `lane` in all_words order: its base-3 digits."""
-    packed = 0
-    for s in range(m):
-        lane, d = divmod(lane, 3)
-        packed |= d << 2 * s
-    return TernaryWord(m, packed)
 
 
 def implements(c: Circuit, r: int, f,
@@ -301,11 +298,11 @@ def implements(c: Circuit, r: int, f,
         # what reach spends on each input: its one state and its one read
         _Budget(max_states).spend(2)
         rails = eval_lanes(c.dag, c.m, c.init_word().subword(0, c.k))[c.k:]
-        fail = ((1 << 3 ** c.m) - 1) & ~_inside_lanes(f, c.m, c.n, rails)
+        fail = ((1 << 3 ** c.m) - 1) & ~covered(spec_layers(f), rails)
         if not fail:
             return Verdict(True)
         lane = (fail & -fail).bit_length() - 1
-        return Verdict(False, _lane_input(lane, c.m), lane_word(rails, lane))
+        return Verdict(False, lane_word(digit_lanes(c.m), lane), lane_word(rails, lane))
     for iota in all_words(c.m):
         allowed = f.value_cubeset(iota)
         for cube in outputs(c, iota, r, max_states):

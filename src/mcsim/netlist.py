@@ -243,24 +243,29 @@ def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     return lane_word(_run(dag, [_CAN0[d] for d in ds], [_CAN1[d] for d in ds], 1), 0)
 
 
+def digit_lanes(m: int) -> list[tuple[int, int]]:
+    """Rails of every digit of the m-digit words over all of them at once:
+    lane L is word L in all_words order."""
+    rails, lanes = [], 1
+    for _ in range(m):
+        # a new leading digit reads 0, 1, M on three runs of the old lanes,
+        # and every old digit repeats on each run
+        run, tri = (1 << lanes) - 1, lambda x: x | x << lanes | x << 2 * lanes
+        rails = [(tri(run) ^ run << lanes, tri(run) ^ run)] + \
+            [(tri(z), tri(o)) for z, o in rails]
+        lanes *= 3
+    return rails
+
+
 def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:
     """Rails of every DAG output over all 3^m words x at once, as by
     eval_dag(dag, x.concat(rest)): lane L is word L in all_words order."""
     if m + rest.width != len(dag.inputs):
         raise InputError(f"input width {m + rest.width} does not match "
                          f"{len(dag.inputs)} input nodes")
-    z, o, lanes = [], [], 1
-    for _ in range(m):
-        # a new leading digit reads 0, 1, M on three runs of the old lanes,
-        # and every old digit repeats on each run
-        run, tri = (1 << lanes) - 1, lambda x: x | x << lanes | x << 2 * lanes
-        z = [tri(run) ^ run << lanes] + list(map(tri, z))
-        o = [tri(run) ^ run] + list(map(tri, o))
-        lanes *= 3
-    full = (1 << lanes) - 1
-    z += [full * _CAN0[d] for d in rest.digits()]
-    o += [full * _CAN1[d] for d in rest.digits()]
-    return _run(dag, z, o, full)
+    full = (1 << 3 ** m) - 1
+    rails = digit_lanes(m) + [(full * _CAN0[d], full * _CAN1[d]) for d in rest.digits()]
+    return _run(dag, [z for z, _ in rails], [o for _, o in rails], full)
 
 
 def lane_word(rails: list[tuple[int, int]], lane: int) -> TernaryWord:

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked-example circuit, random corpora, oracles."""
 
+import functools
 import itertools
 import random
 
@@ -313,3 +314,135 @@ def corpus_mixed():
 def corpus_simple():
     """At least 50 random all-simple circuits, <= 5 registers."""
     return circuit_corpus(seed=9157, count=55, max_regs=5, all_simple=True)
+
+
+# The per-word analysis algorithms that the lane form replaced, kept as
+# references: every input is handled on its own, through its resolutions.
+def scalar_closure_bool(table):
+    """closure_bool's entries: the superposition of the outputs at every
+    full resolution of each input."""
+    from mcsim.ternary_core import res_full, superpose
+    m = len(next(iter(table)))
+    return {x: functools.reduce(superpose, (table[y] for y in res_full(x)))
+            for x in all_words(m)}
+
+
+def scalar_cube_form(v):
+    """The single cube a value set equals, or None if it is not a cube."""
+    from mcsim.ternary_core import superpose
+    e = functools.reduce(superpose, v)
+    return e if v.contains_word(e) else None
+
+
+def scalar_is_natural(f) -> bool:
+    """Every value set is one cube, and each entry contains the entries of
+    its input's full resolutions."""
+    from mcsim.ternary_core import res_contains, res_full
+    view = f.entries
+    if view is None:
+        view = {x: scalar_cube_form(v) for x, v in f.values.items()}
+        if None in view.values():
+            return False
+    return all(res_contains(e, view[y]) for x, e in view.items()
+               if not x.is_stable for y in res_full(x))
+
+
+def scalar_find_natural_subfunction(g):
+    """(entries or None, nodes spent): one stable output word per stable
+    input, tightest first, each metastable input keeping the join of its
+    resolutions' choices, which must stay inside g; undo restores it."""
+    from mcsim.ternary_core import res_full, superpose
+    ys = stable_words(g.m)
+    candidates = {}
+    for y in ys:
+        val = g.value_cubeset(y)
+        candidates[y] = [e for e in stable_words(g.n) if val.contains_word(e)]
+        if not candidates[y]:
+            return None, 0
+    allowed, joins, touched = {}, {}, {y: [] for y in ys}
+    for x in all_words(g.m):
+        if not x.is_stable:
+            allowed[x], joins[x] = g.value_cubeset(x), None
+            for y in res_full(x):
+                touched[y].append(x)
+    chosen, spent = {}, [0]
+
+    def assign(idx):
+        if idx == len(ys):
+            return True
+        y = ys[idx]
+        for e in candidates[y]:
+            spent[0] += 1
+            undo = [(x, joins[x]) for x in touched[y]]
+            for x, join in undo:
+                joins[x] = join = e if join is None else superpose(join, e)
+                if not allowed[x].contains_word(join):
+                    break
+            else:
+                chosen[y] = e
+                if assign(idx + 1):
+                    return True
+                del chosen[y]
+            for x, join in undo:
+                joins[x] = join
+        return False
+
+    return ({**chosen, **joins} if assign(0) else None), spent[0]
+
+
+def scalar_prime_implicants(table):
+    """Merge cubes that differ in one pinned digit until none merge; what
+    never merged is prime. Sorted."""
+    from mcsim.ternary_core import superpose
+    m = len(next(iter(table)))
+    current = {x for x, bit in table.items() if bit}
+    prime = set()
+    while current:
+        merged_away, nxt = set(), set()
+        for c in current:
+            for i in range(m):
+                if c.digit(i) is ZERO:
+                    up = c.with_digit(i, ONE)
+                    if up in current:
+                        nxt.add(superpose(c, up))
+                        merged_away |= {c, up}
+        prime |= current - merged_away
+        current = nxt
+    return tuple(sorted(prime))
+
+
+def recursive_metastable_witness(c, r, iota, iota2, max_states):
+    """metastable_witness with its search recursing once per round."""
+    from mcsim.analysis import pivotal_sequence
+    from mcsim.executor import (
+        ExecutionTrace, TraceRound, _Budget, outputs, read_outcomes)
+    from mcsim.netlist import eval_dag
+    from mcsim.ternary_core import words_compatible
+    a, b = outputs(c, iota, r, max_states), outputs(c, iota2, r, max_states)
+    if any(words_compatible(u, v) for u in a for v in b):
+        return None
+    width = c.m + c.k + c.n
+    budget = _Budget(max_states, "witness search")
+    failed = set()
+
+    def dfs(state, remaining):
+        if remaining == 0:
+            if any(state.digit(i) is META for i in range(width - c.n, width)):
+                return [TraceRound(state)]
+            return None
+        if (state, remaining) in failed:
+            return None
+        outcomes = read_outcomes(c, state)
+        budget.spend(len(outcomes))
+        for read, nxt in outcomes:
+            ev = eval_dag(c.dag, read)
+            tail = dfs(nxt.concat(ev), remaining - 1)
+            if tail is not None:
+                return [TraceRound(state, read, ev, ev)] + tail
+        failed.add((state, remaining))
+        return None
+
+    for p in pivotal_sequence(iota, iota2):
+        if any(cube.meta_count() for cube in outputs(c, p, r, max_states)):
+            return ExecutionTrace(tuple(dfs(p.concat(c.init_word()), r)))
+    raise AssertionError("no pivotal metastability")

@@ -2,14 +2,22 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import (
     all_words,
+    circuit_corpus,
     detector_spec,
     mm_example_spec,
+    recursive_metastable_witness,
     resolver_spec,
+    scalar_closure_bool,
+    scalar_find_natural_subfunction,
+    scalar_is_natural,
+    scalar_prime_implicants,
+    simple_copy,
     stable_words,
 )
 from mcsim.analysis import (
@@ -31,7 +39,7 @@ from mcsim.analysis import (
     synthesize,
     unroll,
 )
-from mcsim.executor import emit_trace, implements, outputs, trace_check
+from mcsim.executor import Verdict, emit_trace, implements, outputs, trace_check
 from mcsim.netlist import (
     Gate,
     ParseError,
@@ -435,13 +443,10 @@ class TestFindNaturalSubfunction:
             assert any(res_contains(c, h.entry(x))
                        for c in g.value_cubeset(x))
 
-    def test_entries_list_the_stable_inputs_first(self):
-        # stable inputs in search order, then the metastable ones in lex order
+    def test_entries_come_back_in_all_words_order(self):
         for g in (cmux_general_spec(),
                   closure_bool(random_bool_table(random.Random(3), 3, 2))):
-            ws = all_words(g.m)
-            assert list(find_natural_subfunction(g).entries) == \
-                [x for x in ws if x.is_stable] + [x for x in ws if not x.is_stable]
+            assert list(find_natural_subfunction(g).entries) == all_words(g.m)
 
     @staticmethod
     def exists_by_enumeration(g):
@@ -571,35 +576,101 @@ class TestPrimeImplicants:
         return out
 
     def test_matches_brute_force(self):
+        small = [dict(zip(stable_words(m), bits))
+                 for m in range(4) for bits in itertools.product((0, 1), repeat=1 << m)]
+        assert len(small) == 278
         rng = random.Random(6174)
-        for m in (2, 3, 4):
-            for _ in range(10):
-                table = {y: rng.randint(0, 1) for y in stable_words(m)}
-                assert set(prime_implicants(table)) == \
-                    self.primes_by_brute_force(table, m)
+        tables = small + [{y: rng.randint(0, 1) for y in stable_words(4)}
+                          for _ in range(10)]
+        for table in tables:
+            m = len(next(iter(table)))
+            assert set(prime_implicants(table)) == \
+                self.primes_by_brute_force(table, m)
 
     def test_partial_table_rejected(self):
         with pytest.raises(InputError, match="all"):
             prime_implicants({word("0"): 1})
 
-    def test_memo_stays_bounded_and_holds_every_small_table(self, monkeypatch):
-        import mcsim.analysis as an
-        monkeypatch.setattr(an, "_PI_MEMO", {})
-        small = [dict(zip(stable_words(m), bits))
-                 for m in range(4) for bits in itertools.product((0, 1), repeat=1 << m)]
-        assert len(small) == 278
-        for table in small:
-            prime_implicants(table)
-        assert len(an._PI_MEMO) == 278
-        rng = random.Random(4096)
-        for _ in range(3 * an._PI_MEMO_MAX):
-            table = {y: rng.randint(0, 1) for y in stable_words(5)}
-            prime_implicants(table)
-            assert len(an._PI_MEMO) <= an._PI_MEMO_MAX
-        # evicted tables are recomputed, with the same answer
-        for table in small[-20:]:
-            assert set(prime_implicants(table)) == \
-                self.primes_by_brute_force(table, len(next(iter(table))))
+
+class TestPerWordReferences:
+    """The lane-form analysis against the per-word algorithms it replaced
+    (conftest's scalar_* references)."""
+
+    def test_closure_bool(self):
+        small = [dict(zip(stable_words(m), map(TernaryWord.parse, bits)))
+                 for m in range(4) for bits in itertools.product("01", repeat=1 << m)]
+        rng = random.Random(2027)
+        tables = small + [random_bool_table(rng, rng.randint(0, 5), rng.randint(1, 3))
+                          for _ in range(200)]
+        for table in tables:
+            h = closure_bool(table)
+            assert list(h.entries.items()) == list(scalar_closure_bool(table).items())
+
+    def test_is_natural(self):
+        rng = random.Random(4)
+        seen = Counter()
+        for _ in range(60):
+            m, n = rng.randint(0, 3), rng.randint(1, 3)
+            h = random_natural(rng, m, n)
+            loose = natural_spec(m, n, {x: TernaryWord.from_digits(
+                rng.choice(ALL_DIGITS) for _ in range(n)) for x in all_words(m)})
+            # each value a cube, given as itself or with cubes inside it
+            cubes = general_spec(m, n, {x: CubeSet.of(n, [e] + [
+                e.with_digit(i, rng.choice((ZERO, ONE))) for i in range(n)
+                if e.digit(i) is META and rng.random() < 0.5])
+                for x, e in h.entries.items()})
+            # one metastable input also allows a random cube beside them
+            beside = dict(cubes.values)
+            if m:
+                x = rng.choice([x for x in all_words(m) if not x.is_stable])
+                beside[x] = CubeSet.of(n, list(beside[x]) + [rng.choice(all_words(n))])
+            beside = general_spec(m, n, beside)
+            for f in (h, loose, cubes, beside, random_general(rng, m, n)):
+                want = scalar_is_natural(f)
+                assert is_natural(f) == want
+                seen[want] += 1
+        assert min(seen.values()) > 50 and len(seen) == 2
+
+    def test_find_natural_subfunction_and_its_budget(self):
+        rng = random.Random(77)
+        seen = Counter()
+        for _ in range(320):
+            g = random_general(rng, rng.randint(0, 3), rng.randint(1, 3))
+            want, spent = scalar_find_natural_subfunction(g)
+            h = find_natural_subfunction(g, max_nodes=spent)
+            assert (h and h.entries) == want
+            if spent:
+                with pytest.raises(BudgetError):
+                    find_natural_subfunction(g, max_nodes=spent - 1)
+            seen[want is None] += 1
+        assert min(seen.values()) > 100
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_prime_implicants(self, m):
+        rng = random.Random(m)
+        for density in (0.2, 0.5, 0.8) * 5:
+            table = {y: int(rng.random() < density) for y in stable_words(m)}
+            assert prime_implicants(table) == scalar_prime_implicants(table)
+
+
+class TestEmptyValueSets:
+    """A hand-built spec may give an input no allowed output at all."""
+
+    def spec(self):
+        values = {x: CubeSet.of(1, [word("M")]) for x in all_words(2)}
+        values[word("1M")] = CubeSet(1, ())
+        return FunctionSpec(2, 1, values=values)
+
+    def test_closure_general_is_an_input_error(self):
+        with pytest.raises(InputError, match="no output at input 1M"):
+            closure_general(self.spec())
+
+    def test_not_natural(self):
+        assert not is_natural(self.spec())
+
+    def test_no_circuit_implements_it(self):
+        c = synthesize(closure_bool({y: word("0") for y in stable_words(2)}))
+        assert implements(c, 1, self.spec()) == Verdict(False, word("1M"), word("0"))
 
 
 class TestSynthesize:
@@ -741,6 +812,13 @@ class TestUnroll:
         with pytest.raises(InputError, match="at least one"):
             unroll(simple_copy(feedback_circuit), 0)
 
+    def test_size_is_capped(self, feedback_circuit):
+        # 2 gates, 1 local and 1 output a round
+        c = simple_copy(feedback_circuit)
+        for r in (50_001, 10 ** 8):
+            with pytest.raises(InputError, match="^unroll is capped at 200000 gates"):
+                unroll(c, r)
+
 
 class TestPivotalSequence:
     def test_frozen_examples(self):
@@ -788,6 +866,22 @@ def buf_circuit(kind="BUF"):
         [RegisterDecl("x", Role.INPUT, RegType.SIMPLE),
          RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO)],
         [Gate("g", kind, ("x",))], {"o": "g"})
+
+
+@pytest.fixture
+def witness_spend(monkeypatch):
+    """The units each witness search spends, one entry per expanded state."""
+    import mcsim.executor as ex
+    spent = []
+
+    class Counted(ex._Budget):
+        def spend(self, n):
+            if self.what == "witness search":
+                spent.append(n)
+            super().spend(n)
+    monkeypatch.setattr(ex, "_Budget", Counted)
+    monkeypatch.setattr("mcsim.analysis._Budget", Counted)
+    return spent
 
 
 class TestMetastableWitness:
@@ -844,6 +938,77 @@ class TestMetastableWitness:
     def test_width_mismatch(self):
         with pytest.raises(InputError):
             metastable_witness(buf_circuit(), 1, word("00"), word("11"))
+
+    def test_matches_the_recursive_search(self):
+        # masked registers branch the reads, so the trace shows the order
+        # of the outcomes, and the small caps where the budget runs out
+        rng = random.Random(31)
+        seen = Counter()
+        for c in circuit_corpus(seed=4242, count=60, max_regs=5):
+            a, b = rng.choice(all_words(c.m)), rng.choice(all_words(c.m))
+            for r, cap in ((1, None), (2, None), (3, None), (3, 6), (2, 3)):
+                try:
+                    want = recursive_metastable_witness(c, r, a, b, cap)
+                except BudgetError:
+                    with pytest.raises(BudgetError):
+                        metastable_witness(c, r, a, b, cap)
+                    seen["budget"] += 1
+                    continue
+                assert metastable_witness(c, r, a, b, cap) == want
+                seen[want is None] += 1
+        assert min(seen.values()) > 20 and len(seen) == 3
+
+    def test_spends_what_the_recursive_search_spends(self, witness_spend):
+        rng = random.Random(57)
+        backed_up = 0
+        for c in circuit_corpus(seed=1913, count=100, max_regs=6):
+            for _ in range(3):
+                a, b = rng.sample(stable_words(c.m), 2) if c.m > 1 else stable_words(1)
+                r = rng.randint(2, 5)
+                witness_spend.clear()
+                want, units = recursive_metastable_witness(c, r, a, b, None), list(witness_spend)
+                witness_spend.clear()
+                assert metastable_witness(c, r, a, b, None) == want and witness_spend == units
+                backed_up += len(units) > r
+        assert backed_up >= 3
+
+    # Here two paths of the search meet in a state whose search has
+    # already failed; the failed cache skips it the second time.
+    REVISIT_NET = """\
+circuit revisit
+input i0 mask0
+local l0 mask1 init M
+local l1 mask1 init M
+output o0 simple init 1
+output o1 mask1 init 0
+output o2 mask1 init 1
+drive l0 l0
+drive l1 i0
+drive o0 l0
+drive o1 l1
+drive o2 l0
+"""
+
+    @pytest.mark.parametrize("r,units", [(2, [4, 1, 1, 2]), (3, [4, 1, 1, 1, 2, 2]),
+                                         (5, [4, 1, 1, 1, 1, 1, 2, 2, 2, 2])])
+    def test_failed_states_are_not_searched_again(self, witness_spend, r, units):
+        c = parse_netlist(self.REVISIT_NET)
+        t = metastable_witness(c, r, word("0"), word("1"))
+        assert witness_spend == units and trace_check(c, t)
+        witness_spend.clear()
+        assert recursive_metastable_witness(c, r, word("0"), word("1"), None) == t
+        assert witness_spend == units
+
+    def test_deep_rounds_run_without_recursion(self):
+        c = buf_circuit()
+        t = metastable_witness(c, 3000, word("0"), word("1"))
+        assert len(t) == 3001 and trace_check(c, t)
+
+    def test_more_rounds_than_the_state_budget(self):
+        with pytest.raises(BudgetError, match="^11 rounds exceed the state "
+                           "budget of 10; raise the max-states cap$"):
+            metastable_witness(buf_circuit(), 11, word("0"), word("1"), 10)
+        assert metastable_witness(buf_circuit(), 10, word("0"), word("1"), 10)
 
 
 class TestTheoremFourBothWays:

@@ -338,6 +338,15 @@ class TestUnroll:
         seams = [g for g in gates if g.startswith("l") and g.endswith("__u2")]
         assert seams == [f"l{j}__u2" for j in range(6)]
 
+    def test_size_is_capped(self, capsys, workspace):
+        net = workspace("buf.net", BUF_NET)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["unroll", net, "100000000"])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert err == ("error: unroll is capped at 200000 gates, "
+                       "rounds x (gates + locals + outputs)\n")
+
     def test_masked_registers_are_rejected(self, capsys, fig4_path):
         rc, _, err = run(capsys, ["unroll", fig4_path, "2"])
         assert rc == 2
@@ -369,6 +378,22 @@ class TestWitness:
         rc, out, _ = run(capsys, ["witness", net, "0", "1", "1"])
         assert rc == 1
         assert "verdict: none" in out
+
+    def test_deep_rounds(self, capsys, workspace):
+        net = workspace("buf.net", BUF_NET)
+        rc, out, err = run(capsys, ["witness", net, "0", "1", "3000"])
+        assert (rc, err) == (0, "")
+        t = parse_trace(out)
+        assert len(t) == 3001 and trace_check(parse_netlist(BUF_NET), t)
+
+    def test_more_rounds_than_the_state_cap_is_a_budget_error(self, capsys, workspace):
+        net = workspace("buf.net", BUF_NET)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["witness", net, "0", "1", "100000000"])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (3, "")
+        assert err == ("error: 100000000 rounds exceed the state budget of 1000000; "
+                       "raise the max-states cap\n")
 
 
 ALL_COMPONENTS = [
