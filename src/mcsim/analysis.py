@@ -41,7 +41,7 @@ from .ternary_core import (
     all_words,
     content_lines,
     stable_words,
-    words_compatible,
+    word,
 )
 
 
@@ -464,13 +464,12 @@ def metastable_witness(c: Circuit, r: int,
     branches over read outcomes only.
     """
     check_round_budget(r, max_states)
-    a = outputs(c, iota, r, max_states)
-    b = outputs(c, iota2, r, max_states)
-    if any(words_compatible(u, v) for u in a for v in b):
+    # the endpoints' output sets, reused when the pivotal walk reaches them
+    known = {x: outputs(c, x, r, max_states) for x in dict.fromkeys((iota, iota2))}
+    if not known[iota].is_disjoint(known[iota2]):
         return None
 
-    width = c.m + c.k + c.n
-    out_lo = width - c.n
+    out_meta = word("M" * c.n).packed   # the M bits of the output digits
     budget = _Budget(max_states, "witness search")
     failed: set[tuple[TernaryWord, int]] = set()
 
@@ -481,7 +480,7 @@ def metastable_witness(c: Circuit, r: int,
         path, state = [], start
         while True:
             remaining = r - len(path)
-            if remaining == 0 and any(state.digit(i) is META for i in range(out_lo, width)):
+            if remaining == 0 and state.packed & out_meta:
                 return [TraceRound(s, *taken) for s, _, taken in path] + [TraceRound(state)]
             if remaining and (state, remaining) not in failed:
                 outcomes = read_outcomes(c, state)
@@ -500,7 +499,7 @@ def metastable_witness(c: Circuit, r: int,
             state = nxt.concat(ev)
 
     for p in pivotal_sequence(iota, iota2):
-        outs = outputs(c, p, r, max_states)
+        outs = known[p] if p in known else outputs(c, p, r, max_states)
         if not any(cube.meta_count() for cube in outs):
             continue
         rows = search(p.concat(c.init_word()))

@@ -10,6 +10,7 @@ exceeded. Configuration is flags only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -263,6 +264,7 @@ def _add_budget_flags(p):
                    help="state-enumeration budget")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mc",

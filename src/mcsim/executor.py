@@ -12,8 +12,8 @@ so reachable-state sets never get expanded flat.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .netlist import Circuit, RegType, digit_lanes, eval_dag, eval_lanes, lane_word
@@ -28,6 +28,8 @@ from .ternary_core import (
     ParseError,
     Ternary,
     TernaryWord,
+    _canonical,
+    _PACKED,
     all_words,
     content_lines,
     cubeset_canonicalize,
@@ -79,34 +81,34 @@ def _check_state(c: Circuit, s: TernaryWord) -> None:
         raise InputError(f"state width {len(s)} does not match {width} registers")
 
 
+def _arcs(c: Circuit, s: TernaryWord) -> list[tuple[tuple[Ternary, Ternary], ...]]:
+    """Every non-output register's register_transitions in state s, in state
+    order; the one place registers are read. Arcs ascend by the value read."""
+    return [register_transitions(r.rtype, s.digit(i))
+            for i, r in enumerate(c.input_regs + c.local_regs)]
+
+
 def read_outcomes(c: Circuit, s: TernaryWord,
                   max_outcomes: Optional[int] = None,
                   ) -> list[tuple[TernaryWord, TernaryWord]]:
-    """All (read word, next input-register contents) pairs for state s.
+    """All (read word, next input contents) pairs for state s, in lex order.
 
     The read word covers the non-output registers in state order; the
     second component records where the input registers end up, since
     every other register is overwritten before it is read again.
     """
     _check_state(c, s)
-    budget = _Budget(max_outcomes)
-    return sorted(_read_outcomes(c, s, budget))
+    return _read_outcomes(c, s, _Budget(max_outcomes))
 
 
 def _read_outcomes(c: Circuit, s: TernaryWord, budget: _Budget):
-    m = c.m
-    per = [register_transitions(r.rtype, s.digit(i))
-           for i, r in enumerate(c.input_regs + c.local_regs)]
-    total = 1
-    for p in per:
-        total *= len(p)
-    budget.spend(total)
-    out = []
-    for combo in itertools.product(*per):
-        read = TernaryWord.from_digits(t[0] for t in combo)
-        nxt = TernaryWord.from_digits(combo[j][1] for j in range(m))
-        out.append((read, nxt))
-    return out
+    # the product of arcs that each ascend by the value read is already
+    # in lex order of the read word, which fixes the whole pair
+    arcs = _arcs(c, s)
+    budget.spend(math.prod(map(len, arcs)))
+    return [(TernaryWord.from_digits(rv for rv, _ in combo),
+             TernaryWord.from_digits(nv for _, nv in combo[:c.m]))
+            for combo in itertools.product(*arcs)]
 
 
 def canonicalize_state_cubes(m: int, width: int,
@@ -114,26 +116,20 @@ def canonicalize_state_cubes(m: int, width: int,
     """Canonical form for state-cube sets.
 
     Cubes agree as sets only when their exact input digits agree, so
-    subsumption runs within groups of equal input parts.
+    the first m digits are literal values in the subsumption rule.
     """
-    groups: dict[TernaryWord, list[TernaryWord]] = {}
+    cubes = list(cubes)
     for w in cubes:
         if len(w) != width:
             raise InputError(f"state cube width {len(w)}, expected {width}")
-        groups.setdefault(w.subword(0, m), []).append(w.subword(m, width))
-    kept = []
-    for head in sorted(groups):
-        for tail in cubeset_canonicalize(CubeSet.of(width - m, groups[head])):
-            kept.append(head.concat(tail))
-    return CubeSet.of(width, kept)
+    return _canonical(width, cubes, m)
 
 
 def state_cube_contains(m: int, cube: TernaryWord, s: TernaryWord) -> bool:
-    """Membership of a concrete state in one state cube."""
+    """Membership of a concrete state in one state cube: the cube absorbs it."""
     if len(cube) != len(s):
         raise InputError("state width mismatch")
-    return (cube.subword(0, m) == s.subword(0, m)
-            and res_contains(cube.subword(m, len(cube)), s.subword(m, len(s))))
+    return _canonical(len(s), (cube, s), m).cubes == (cube,)
 
 
 def _successor_cubes(c: Circuit, s: TernaryWord, budget: _Budget) -> list[TernaryWord]:
@@ -141,13 +137,10 @@ def _successor_cubes(c: Circuit, s: TernaryWord, budget: _Budget) -> list[Ternar
             for read, nxt in _read_outcomes(c, s, budget)]
 
 
-def successors(c: Circuit, s: TernaryWord,
-               max_outcomes: Optional[int] = None) -> CubeSet:
+def successors(c: Circuit, s: TernaryWord) -> CubeSet:
     """Canonical cube set of all states one round after state s."""
     _check_state(c, s)
-    width = c.m + c.k + c.n
-    cubes = _successor_cubes(c, s, _Budget(max_outcomes))
-    return canonicalize_state_cubes(c.m, width, cubes)
+    return _canonical(len(s), _successor_cubes(c, s, _Budget(None)), c.m)
 
 
 def _initial_state(c: Circuit, iota: TernaryWord) -> TernaryWord:
@@ -174,10 +167,9 @@ def frontiers(c: Circuit, iota: TernaryWord,
             cs = memo.get(cube)
             if cs is None:
                 budget.spend(1)
-                cs = _successor_cubes(c, cube, budget)
-                memo[cube] = cs
+                cs = memo[cube] = _successor_cubes(c, cube, budget)
             nxt.extend(cs)
-        frontier = canonicalize_state_cubes(c.m, width, nxt)
+        frontier = _canonical(width, nxt, c.m)
 
 
 def reach(c: Circuit, iota: TernaryWord, r: int,
@@ -200,9 +192,9 @@ def reach(c: Circuit, iota: TernaryWord, r: int,
 
 def output_cubes(c: Circuit, states: CubeSet) -> CubeSet:
     """The output-register words a set of state cubes shows."""
-    width = c.m + c.k + c.n
-    tails = [cube.subword(width - c.n, width) for cube in states]
-    return cubeset_canonicalize(CubeSet.of(c.n, tails))
+    tail = (1 << 2 * c.n) - 1
+    return cubeset_canonicalize(
+        CubeSet(c.n, tuple(TernaryWord(c.n, cube.packed & tail) for cube in states)))
 
 
 def outputs(c: Circuit, iota: TernaryWord, r: int,
@@ -222,9 +214,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-_PACKED = attrgetter("packed")
 
 
 def _rails(cubes: list[TernaryWord], n: int) -> list[tuple[int, int]]:
@@ -306,7 +295,7 @@ def implements(c: Circuit, r: int, f,
     for iota in all_words(c.m):
         allowed = f.value_cubeset(iota)
         for cube in outputs(c, iota, r, max_states):
-            if not any(res_contains(a, cube) for a in allowed):
+            if not allowed.contains_word(cube):
                 return Verdict(False, iota, cube)
     return Verdict(True)
 
@@ -348,7 +337,6 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
     if not t.rounds:
         raise InputError("empty trace")
     m, width = c.m, c.m + c.k + c.n
-    non_out = c.input_regs + c.local_regs
     for i, row in enumerate(t.rounds):
         if len(row.state) != width:
             raise InputError(f"round {i}: state width {len(row.state)}")
@@ -364,24 +352,13 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
         if len(row.evaluation) != c.k + c.n or len(row.written) != c.k + c.n:
             raise InputError(f"round {i}: evaluation/write width")
 
-        nxt_inputs = []
-        ok = True
-        for j, reg in enumerate(non_out):
-            arcs = register_transitions(reg.rtype, row.state.digit(j))
-            step = [nv for rv, nv in arcs if rv is row.read.digit(j)]
-            if not step:
-                ok = False
-                break
-            if j < m:
-                nxt_inputs.append(step[0])
-        if not ok:
-            return False
-        if eval_dag(c.dag, row.read) != row.evaluation:
-            return False
-        if not res_contains(row.evaluation, row.written):
+        # each register's next content after the recorded read, if any
+        nxt = [dict(a).get(d) for a, d in zip(_arcs(c, row.state), row.read.digits())]
+        if None in nxt or eval_dag(c.dag, row.read) != row.evaluation \
+                or not res_contains(row.evaluation, row.written):
             return False
         if i + 1 < len(t.rounds):
-            want = TernaryWord.from_digits(nxt_inputs).concat(row.written)
+            want = TernaryWord.from_digits(nxt[:m]).concat(row.written)
             if t.rounds[i + 1].state != want:
                 return False
     return True
@@ -394,13 +371,11 @@ def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
         raise InputError("round count must be nonnegative")
     rows = []
     for _ in range(r):
-        per = [register_transitions(reg.rtype, state.digit(i))[0]
-               for i, reg in enumerate(c.input_regs + c.local_regs)]
-        read = TernaryWord.from_digits(rv for rv, _ in per)
+        first = [a[0] for a in _arcs(c, state)]
+        read = TernaryWord.from_digits(rv for rv, _ in first)
         evaluation = eval_dag(c.dag, read)
         rows.append(TraceRound(state, read, evaluation, evaluation))
-        nxt = TernaryWord.from_digits(per[j][1] for j in range(c.m))
-        state = nxt.concat(evaluation)
+        state = TernaryWord.from_digits(nv for _, nv in first[:c.m]).concat(evaluation)
     rows.append(TraceRound(state))
     return ExecutionTrace(tuple(rows))
 

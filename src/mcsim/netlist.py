@@ -139,27 +139,27 @@ class Circuit:
     def regs(self, role: Role) -> tuple[RegisterDecl, ...]:
         return tuple(r for r in self.registers if r.role is role)
 
-    @property
+    @functools.cached_property
     def input_regs(self) -> tuple[RegisterDecl, ...]:
         return self.regs(Role.INPUT)
 
-    @property
+    @functools.cached_property
     def local_regs(self) -> tuple[RegisterDecl, ...]:
         return self.regs(Role.LOCAL)
 
-    @property
+    @functools.cached_property
     def output_regs(self) -> tuple[RegisterDecl, ...]:
         return self.regs(Role.OUTPUT)
 
-    @property
+    @functools.cached_property
     def m(self) -> int:
         return len(self.input_regs)
 
-    @property
+    @functools.cached_property
     def k(self) -> int:
         return len(self.local_regs)
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return len(self.output_regs)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 # Expanding the resolutions of more than this many M bits fails loudly
@@ -75,6 +76,10 @@ def _digit_value(d: Ternary | int) -> int:
         return _DIGIT_VALUE[d]
     except KeyError:
         raise InputError(f"bad digit {d!r}: must be 0, 1, or 2 (M)") from None
+
+
+# each hex digit of a packed word holds two ternary digits; 3 is no digit
+_HEX_PAIRS = str.maketrans({f"{h:x}": "01M?"[h >> 2] + "01M?"[h & 3] for h in range(16)})
 
 
 @dataclass(frozen=True, order=True)
@@ -145,7 +150,11 @@ class TernaryWord:
         return self.width
 
     def __str__(self) -> str:
-        return "".join("01M"[d] for d in self.digits())
+        text = f"{self.packed:0{(self.width + 1) // 2}x}".translate(_HEX_PAIRS)
+        text = text[len(text) - self.width:]
+        if "?" in text:
+            self.digit(text.index("?"))  # raises the InputError for packed digit 3
+        return text
 
     def __repr__(self) -> str:
         return f"word({str(self)!r})"
@@ -206,6 +215,8 @@ def res_members(w: TernaryWord,
     """All partial resolutions of w (the members of the cube w), in lex order."""
     return _resolutions(w, (0, 1, 2), max_meta, "partial resolution")
 
+
+_PACKED = attrgetter("packed")
 
 # width -> the packed word whose every digit is M (binary 1010...)
 _META_MASKS: dict[int, int] = {}
@@ -286,18 +297,28 @@ class CubeSet:
         return ", ".join(str(c) for c in self.cubes) if self.cubes else "(empty)"
 
 
+def _canonical(width: int, cubes: Iterable[TernaryWord], exact: int) -> CubeSet:
+    """The cubes no other one contains, sorted. Cubes compare only when
+    their first `exact` digits are equal, so those digits are literal
+    values, not wildcards: an M there matches only an M."""
+    if not 0 <= exact <= width:
+        raise InputError(f"bad subword range [0:{exact}] for width {width}")
+    shift = 2 * (width - exact)
+    kept: dict[int, list[TernaryWord]] = {}
+    # more M digits first, so every container is kept before what it absorbs
+    for c in sorted(set(cubes), key=lambda c: (-c.meta_count(), c.packed)):
+        group = kept.setdefault(c.packed >> shift, [])
+        if all((k.packed ^ c.packed) & ~_cover(k) for k in group):
+            group.append(c)
+    return CubeSet(width, tuple(sorted(itertools.chain(*kept.values()), key=_PACKED)))
+
+
 def cubeset_canonicalize(cs: CubeSet) -> CubeSet:
     """Drop every cube contained in another; denotation is unchanged.
 
     Idempotent and independent of the input order (the result is sorted).
     """
-    kept: list[TernaryWord] = []
-    # Fewer M digits first, so potential containers are processed before
-    # the cubes they absorb; ties broken lexicographically for determinism.
-    for c in sorted(set(cs.cubes), key=lambda c: (-c.meta_count(), c)):
-        if not any(res_contains(k, c) for k in kept):
-            kept.append(c)
-    return CubeSet(cs.width, tuple(sorted(kept)))
+    return _canonical(cs.width, cs.cubes, 0)
 
 
 def _norm_table(table: str | Sequence[int], arity: int) -> str:
@@ -387,15 +408,14 @@ def _tc_mirror(c: Code, v: int) -> TernaryWord:
     return word("1" * v + "0" * (c.width - v))
 
 
-def precision(c: Code, w: TernaryWord,
-              max_meta: int = DEFAULT_MAX_META_BITS) -> int:
+def precision(c: Code, w: TernaryWord) -> int:
     """Largest spread between decoded full resolutions of w.
 
     Every full resolution must be a codeword; otherwise the notion is
     undefined and an error is raised.
     """
     values = []
-    for y in res_full(w, max_meta):
+    for y in res_full(w):
         try:
             values.append(decode(c, y))
         except InputError as e:

@@ -446,3 +446,103 @@ def recursive_metastable_witness(c, r, iota, iota2, max_states):
         if any(cube.meta_count() for cube in outputs(c, p, r, max_states)):
             return ExecutionTrace(tuple(dfs(p.concat(c.init_word()), r)))
     raise AssertionError("no pivotal metastability")
+
+
+# The executor's digit-by-digit state-cube rules and register loops that
+# the packed-word rule and the shared register step replaced, kept as
+# references.
+
+def scalar_cubeset_canonicalize(cs):
+    """Keep each cube no kept one contains, more M digits first."""
+    from mcsim.ternary_core import CubeSet
+    kept = []
+    for c in sorted(set(cs.cubes), key=lambda c: (-scalar_meta_count(c), c)):
+        if not any(scalar_res_contains(k, c) for k in kept):
+            kept.append(c)
+    return CubeSet(cs.width, tuple(sorted(kept)))
+
+
+def scalar_canonicalize_state_cubes(m, width, cubes):
+    """Group the cubes by input part, canonicalise each group's tails on
+    their own, and join every kept tail back to its input part."""
+    from mcsim.ternary_core import CubeSet
+    groups = {}
+    for w in cubes:
+        if len(w) != width:
+            raise InputError(f"state cube width {len(w)}, expected {width}")
+        groups.setdefault(w.subword(0, m), []).append(w.subword(m, width))
+    kept = []
+    for head in sorted(groups):
+        for tail in scalar_cubeset_canonicalize(CubeSet.of(width - m, groups[head])):
+            kept.append(head.concat(tail))
+    return CubeSet.of(width, kept)
+
+
+def scalar_state_cube_contains(m, cube, s):
+    """Equal input parts, and s's tail a partial resolution of cube's."""
+    if len(cube) != len(s):
+        raise InputError("state width mismatch")
+    return (cube.subword(0, m) == s.subword(0, m)
+            and scalar_res_contains(cube.subword(m, len(cube)), s.subword(m, len(s))))
+
+
+def scalar_run_trace(c, iota, r):
+    """run_trace with every register's first arc looked up on its own."""
+    from mcsim.executor import ExecutionTrace, TraceRound, register_transitions
+    from mcsim.netlist import eval_dag
+    if len(iota) != c.m:
+        raise InputError(f"input width {len(iota)}, circuit has {c.m} inputs")
+    state = iota.concat(c.init_word())
+    if r < 0:
+        raise InputError("round count must be nonnegative")
+    rows = []
+    for _ in range(r):
+        per = [register_transitions(reg.rtype, state.digit(i))[0]
+               for i, reg in enumerate(c.input_regs + c.local_regs)]
+        read = TernaryWord.from_digits(rv for rv, _ in per)
+        evaluation = eval_dag(c.dag, read)
+        rows.append(TraceRound(state, read, evaluation, evaluation))
+        nxt = TernaryWord.from_digits(per[j][1] for j in range(c.m))
+        state = nxt.concat(evaluation)
+    rows.append(TraceRound(state))
+    return ExecutionTrace(tuple(rows))
+
+
+def scalar_trace_check(c, t):
+    """trace_check with one register_transitions lookup per register,
+    stopping at the first register whose recorded read is impossible."""
+    from mcsim.executor import register_transitions
+    from mcsim.netlist import eval_dag
+    if not t.rounds:
+        raise InputError("empty trace")
+    m, width = c.m, c.m + c.k + c.n
+    for i, row in enumerate(t.rounds):
+        if len(row.state) != width:
+            raise InputError(f"round {i}: state width {len(row.state)}")
+        if not row.is_full:
+            if i != len(t.rounds) - 1:
+                raise InputError(f"round {i}: only the last round may omit "
+                                 "the read/evaluation/write columns")
+            continue
+        if row.evaluation is None or row.written is None:
+            raise InputError(f"round {i}: partial round record")
+        if len(row.read) != c.m + c.k:
+            raise InputError(f"round {i}: read width {len(row.read)}")
+        if len(row.evaluation) != c.k + c.n or len(row.written) != c.k + c.n:
+            raise InputError(f"round {i}: evaluation/write width")
+        nxt_inputs = []
+        for j, reg in enumerate(c.input_regs + c.local_regs):
+            step = [nv for rv, nv in register_transitions(reg.rtype, row.state.digit(j))
+                    if rv is row.read.digit(j)]
+            if not step:
+                return False
+            if j < m:
+                nxt_inputs.append(step[0])
+        if eval_dag(c.dag, row.read) != row.evaluation:
+            return False
+        if not scalar_res_contains(row.evaluation, row.written):
+            return False
+        if i + 1 < len(t.rounds):
+            if t.rounds[i + 1].state != TernaryWord.from_digits(nxt_inputs).concat(row.written):
+                return False
+    return True

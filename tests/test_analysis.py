@@ -999,6 +999,36 @@ drive o2 l0
         assert recursive_metastable_witness(c, r, word("0"), word("1"), None) == t
         assert witness_spend == units
 
+    def test_outputs_once_per_pivotal_word(self, monkeypatch):
+        # the endpoints' output sets are reused when the walk reaches them
+        import mcsim.analysis as an
+        calls = []
+
+        def spy(c, p, r, max_states):
+            calls.append(p)
+            return outputs(c, p, r, max_states)
+        monkeypatch.setattr(an, "outputs", spy)
+        rng = random.Random(58)
+        ends = Counter()
+        pair = parse_netlist("circuit pair\ninput i0 simple\ninput i1 simple\n"
+                             "output o0 simple init 0\noutput o1 simple init 0\n"
+                             "drive o0 i0\ndrive o1 i1\n")
+        # the pair's output is its input, so its witness starts at "0M"
+        runs = [(pair, word(a), word(b)) for a, b in (("0M", "10"), ("10", "0M"))]
+        for c in circuit_corpus(seed=2718, count=80, max_regs=5):
+            runs.append((c, rng.choice(all_words(c.m)), rng.choice(all_words(c.m))))
+        for c, a, b in runs:
+            calls.clear()
+            t = metastable_witness(c, rng.randint(1, 3), a, b)
+            words, walked = pivotal_sequence(a, b).words, ()
+            if t is not None:
+                start = t.rounds[0].state.subword(0, c.m)
+                walked = words[:words.index(start) + 1]
+                ends[start == a, start == b] += 1
+            # the endpoints first, then each newly walked word, none twice
+            assert calls == list(dict.fromkeys((a, b) + walked)), (c.name, a, b)
+        assert ends[True, False] and ends[False, False] > 5
+
     def test_deep_rounds_run_without_recursion(self):
         c = buf_circuit()
         t = metastable_witness(c, 3000, word("0"), word("1"))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FEEDBACK_TEXT, all_words
 from mcsim.analysis import emit_spec_table, unroll
-from mcsim.cli import main
+from mcsim.cli import build_parser, main
 from mcsim.components import (
     build_counter,
     build_mux,
@@ -181,6 +181,25 @@ class TestSim:
                 for t in range(1, rounds + 1):
                     want = ", ".join(map(str, outputs(c, iota, t)))
                     assert report[f"outputs[{t}]"] == want, (c.name, iota, t)
+
+
+class TestParserReuse:
+    def test_a_second_call_keeps_nothing_of_the_first(self, capsys, fig4_path, tmp_path):
+        import os
+        import subprocess
+        import sys
+        tp = tmp_path / "p.trace"
+        rc, out, _ = run(capsys, ["sim", fig4_path, "MM", "3", "--trace", str(tp)])
+        assert rc == 0 and f"trace written: {tp}" in out
+        tp.unlink()
+        second = run(capsys, ["sim", fig4_path, "MM", "3"])
+        assert not tp.exists() and "trace" not in second[1]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        fresh = subprocess.run([sys.executable, "-m", "mcsim.cli", "sim", fig4_path, "MM", "3"],
+                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                               text=True)
+        assert second == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert build_parser() is build_parser()
 
 
 class TestCheck:

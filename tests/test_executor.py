@@ -1,9 +1,10 @@
 """Round semantics: reads, successors, reachable sets, implements, traces."""
 
-import random
 import itertools
+import random
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -11,6 +12,11 @@ from conftest import (
     all_words,
     flatten_states,
     lane_implements,
+    scalar_canonicalize_state_cubes,
+    scalar_cubeset_canonicalize,
+    scalar_run_trace,
+    scalar_state_cube_contains,
+    scalar_trace_check,
     simple_copy,
     stable_words,
 )
@@ -39,7 +45,7 @@ from mcsim.executor import (
     successors,
     trace_check,
 )
-from mcsim.netlist import Gate, RegisterDecl, RegType, Role, make_circuit
+from mcsim.netlist import Gate, RegisterDecl, RegType, Role, eval_dag, make_circuit
 from mcsim.ternary_core import (
     META,
     ONE,
@@ -49,6 +55,7 @@ from mcsim.ternary_core import (
     InputError,
     ParseError,
     TernaryWord,
+    cubeset_canonicalize,
     res_contains,
     res_full,
     res_members,
@@ -667,3 +674,135 @@ class TestTraces:
         with pytest.raises(InputError):
             trace_check(feedback_circuit,
                         ExecutionTrace((TraceRound(word("000")),)))
+
+
+def random_word(rng, width, digits="01M"):
+    return word("".join(rng.choice(digits) for _ in range(width)))
+
+
+def raw_successors(c, cube):
+    """The successor cubes of one state cube, before canonicalisation."""
+    return [nxt.concat(eval_dag(c.dag, read)) for read, nxt in read_outcomes(c, cube)]
+
+
+def mutated(rng, c, t):
+    """t with one digit of one recorded word flipped to another digit."""
+    rows = list(t.rounds)
+    i = rng.randrange(len(rows))
+    fields = ["state"] + (["read", "evaluation", "written"] if rows[i].is_full else [])
+    name = rng.choice(fields)
+    w = getattr(rows[i], name)
+    if not len(w):
+        return t
+    j = rng.randrange(len(w))
+    d = rng.choice([x for x in (ZERO, ONE, META) if x is not w.digit(j)])
+    rows[i] = replace(rows[i], **{name: w.with_digit(j, d)})
+    return ExecutionTrace(tuple(rows))
+
+
+class TestScalarReferences:
+    """The packed-word subsumption rule and the shared register step
+    against the digit-by-digit versions they replaced (in conftest)."""
+
+    def test_canonicalize_state_cubes_on_random_sets(self):
+        rng = random.Random(71)
+        dropped = 0
+        for _ in range(600):
+            width = rng.randint(1, 6)
+            m = rng.randint(0, width)
+            # a few input parts (M allowed), so cubes meet inside groups
+            heads = [random_word(rng, m) for _ in range(rng.randint(1, 3))]
+            cubes = [rng.choice(heads).concat(random_word(rng, width - m))
+                     for _ in range(rng.randint(0, 12))]
+            got = canonicalize_state_cubes(m, width, cubes)
+            assert got == scalar_canonicalize_state_cubes(m, width, cubes), (m, cubes)
+            dropped += len(set(cubes)) - len(got)
+        assert dropped > 500
+
+    def test_cubeset_canonicalize_on_random_sets(self):
+        rng = random.Random(72)
+        for _ in range(300):
+            width = rng.randint(0, 5)
+            cs = CubeSet.of(width, [random_word(rng, width)
+                                    for _ in range(rng.randint(0, 12))])
+            assert cubeset_canonicalize(cs) == scalar_cubeset_canonicalize(cs)
+
+    def test_state_cube_width_errors(self):
+        with pytest.raises(InputError, match="state cube width 2, expected 3"):
+            canonicalize_state_cubes(1, 3, [word("000"), word("00")])
+        for m in (-1, 4):
+            for fn in (canonicalize_state_cubes, scalar_canonicalize_state_cubes):
+                with pytest.raises(InputError, match="range"):
+                    fn(m, 3, [word("000")])
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_every_frontier_for_six_rounds(self, corpus, request):
+        for c in request.getfixturevalue(corpus):
+            width = c.m + c.k + c.n
+            for iota in all_words(c.m):
+                walk = list(itertools.islice(frontiers(c, iota), 7))
+                for t in range(6):
+                    raw = [w for cube in walk[t] for w in raw_successors(c, cube)]
+                    want = scalar_canonicalize_state_cubes(c.m, width, raw)
+                    assert walk[t + 1] == want, (c.name, iota, t)
+                    assert canonicalize_state_cubes(c.m, width, raw) == want
+
+    def test_state_cube_contains_on_all_pairs(self):
+        for width in range(5):
+            words = all_words(width)
+            for m in range(width + 1):
+                for cube in words:
+                    for s in words:
+                        assert state_cube_contains(m, cube, s) \
+                            == scalar_state_cube_contains(m, cube, s), (m, cube, s)
+        for fn in (state_cube_contains, scalar_state_cube_contains):
+            with pytest.raises(InputError, match="state width mismatch"):
+                fn(1, word("00"), word("000"))
+            with pytest.raises(InputError, match="range"):
+                fn(3, word("00"), word("00"))
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_read_outcomes_come_in_lex_order(self, corpus, request):
+        # each register's arcs ascend by the value read, so their product
+        # is sorted without a sort
+        rng = random.Random(74)
+        for c in request.getfixturevalue(corpus):
+            states = all_words(c.m + c.k + c.n)
+            for s in rng.sample(states, min(40, len(states))):
+                per = [register_transitions(r.rtype, s.digit(i))
+                       for i, r in enumerate(c.input_regs + c.local_regs)]
+                for arcs in per:
+                    assert list(arcs) == sorted(arcs)
+                want = sorted((TernaryWord.from_digits(rv for rv, _ in combo),
+                               TernaryWord.from_digits(nv for _, nv in combo[:c.m]))
+                              for combo in itertools.product(*per))
+                assert read_outcomes(c, s) == want, (c.name, s)
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_traces_match_the_register_loops(self, corpus, request):
+        rng = random.Random(75)
+        verdicts = Counter()
+        for c in request.getfixturevalue(corpus):
+            for iota in rng.sample(all_words(c.m), min(4, 3 ** c.m)):
+                r = rng.randint(0, 6)
+                t = run_trace(c, iota, r)
+                assert t == scalar_run_trace(c, iota, r)
+                assert trace_check(c, t) and scalar_trace_check(c, t)
+                for _ in range(4):
+                    bad = mutated(rng, c, t)
+                    got = trace_check(c, bad)
+                    assert got == scalar_trace_check(c, bad), (c.name, emit_trace(bad))
+                    verdicts[got] += 1
+        assert min(verdicts.values()) > 20
+
+    def test_register_step_stays_linear_in_the_registers(self):
+        # 24 metastable mask-0 inputs have 2^24 read outcomes together;
+        # the trace takes and checks one arc per register
+        regs = [RegisterDecl(f"i{j}", Role.INPUT, RegType.MASK0) for j in range(24)]
+        regs.append(RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO))
+        c = make_circuit("wide", regs, [Gate("g", "OR", ("i0", "i23"))], {"o": "g"})
+        start = time.perf_counter()
+        t = run_trace(c, word("M" * 24), 3)
+        assert trace_check(c, t)
+        assert time.perf_counter() - start < 1
+        assert t.rounds[1].state == word("M" * 24 + "0")

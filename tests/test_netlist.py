@@ -167,10 +167,18 @@ class TestDualRail:
 
     def test_an_evaluated_circuit_still_pickles(self, feedback_circuit):
         import pickle
-        eval_dag(feedback_circuit.dag, word("0M1"))
-        back = pickle.loads(pickle.dumps(feedback_circuit))
-        assert back == feedback_circuit
+        c = feedback_circuit
+        eval_dag(c.dag, word("0M1"))
+        # the shape is computed once and kept on the circuit
+        shape = (c.input_regs, c.local_regs, c.output_regs, c.m, c.k, c.n)
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and hash(back) == hash(c)
+        assert (back.m, back.k, back.n) == (c.m, c.k, c.n) == (2, 1, 1)
+        assert (back.input_regs, back.local_regs, back.output_regs) == shape[:3]
         assert eval_dag(back.dag, word("0M1")) == word("MM")
+        # a fresh copy, its shape not yet read, still equals and hashes alike
+        fresh = parse_netlist(FEEDBACK_TEXT)
+        assert fresh == c and hash(fresh) == hash(c)
 
     @pytest.mark.parametrize("gates,match", [
         ((Gate("g1", "NOT", ("g2",)), Gate("g2", "NOT", ("a",))), "undefined or later"),

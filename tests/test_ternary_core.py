@@ -101,6 +101,20 @@ class TestWordBasics:
         assert w.subword(0, 3) == word("0M1")
         assert w.subword(3, 5) == word("1M")
 
+    def test_str_matches_the_per_digit_join(self):
+        for width in range(8):
+            for w in all_words(width):
+                assert str(w) == "".join("01M"[d] for d in w.digits()), w
+
+    def test_str_of_a_packed_digit_3_names_the_digit(self):
+        # the first digit 3 from the left is the one the error names
+        for width in range(1, 6):
+            for i in range(width):
+                w = TernaryWord(width, 3 << 2 * (width - 1 - i) | 3)
+                with pytest.raises(InputError, match=f"^digit {i} of a width-{width} "
+                                   f"word packed as {w.packed:#x} is 3"):
+                    str(w)
+
     @given(ternary_words())
     def test_digits_roundtrip(self, w):
         assert TernaryWord.from_digits(w.digits()) == w
