@@ -28,6 +28,7 @@ from .netlist import (
     eval_dag,
     lane_word,
     make_circuit,
+    splice_dag,
 )
 from .ternary_core import (
     DEFAULT_MAX_STATES,
@@ -279,18 +280,14 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
     implicant when the table is 1 at all its full resolutions, and prime
     when widening any of its stable digits to M gives no implicant.
     """
-    if not table:
-        raise InputError("empty truth table")
-    m = len(next(iter(table)))
-    if m > 10:
-        raise InputError("prime implicants are capped at 10 inputs")
+    rows = {}
     for x, bit in table.items():
-        if not x.is_stable or len(x) != m:
-            raise InputError(f"truth-table input {x} must be stable, width {m}")
         if bit not in (0, 1, ZERO, ONE):
             raise InputError(f"truth-table value for {x} must be 0 or 1")
-    if len(table) != 1 << m:
-        raise InputError(f"truth table needs all {1 << m} input rows")
+        rows[x] = TernaryWord.from_digits([bit])
+    m, _ = _check_bool_table(rows)
+    if m > 10:
+        raise InputError("prime implicants are capped at 10 inputs")
     ones = sum(1 << int(format(k, "b"), 3)
                for k, y in enumerate(stable_words(m)) if table[y] in (1, ONE))
     return _primes(digit_lanes(m), ones)
@@ -375,33 +372,19 @@ def unroll(c: Circuit, r: int) -> Circuit:
     if r * (len(c.dag.gates) + c.k + c.n) > 200_000:
         raise InputError("unroll is capped at 200000 gates, "
                          "rounds x (gates + locals + outputs)")
-    drive = dict(c.dag.outputs)
-    input_names = {reg.name for reg in c.input_regs}
-    local_names = {reg.name for reg in c.local_regs}
-
-    def resolve(t: int, src: str) -> str:
-        if src in input_names:
-            return src
-        if src in local_names:
-            return src if t == 1 else f"{src}__u{t}"
-        return f"{src}__u{t}"
-
     gates: list[Gate] = []
+    feeds = {name: name for name in c.dag.inputs}
     for t in range(1, r + 1):
         if t > 1:
-            for name in (reg.name for reg in c.local_regs):
-                gates.append(Gate(f"{name}__u{t}", "BUF",
-                                  (resolve(t - 1, drive[name]),)))
-        for g in c.dag.gates:
-            gates.append(Gate(f"{g.gid}__u{t}", g.kind,
-                              tuple(resolve(t, a) for a in g.args), g.table))
+            for reg in c.local_regs:
+                feeds[reg.name] = f"{reg.name}__u{t}"
+                gates.append(Gate(feeds[reg.name], "BUF", (drive[reg.name],)))
+        drive = splice_dag(c.dag, feeds, lambda gid: f"{gid}__u{t}", gates)
         if t < r:
             for reg in c.output_regs:
                 gates.append(Gate(f"{reg.name}__sink__u{t}", "BUF",
-                                  (resolve(t, drive[reg.name]),)))
-    drives = {reg.name: resolve(r, drive[reg.name])
-              for reg in c.local_regs + c.output_regs}
-    return make_circuit(f"{c.name}__x{r}", c.registers, gates, drives)
+                                  (drive[reg.name],)))
+    return make_circuit(f"{c.name}__x{r}", c.registers, gates, drive)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ words out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .analysis import FunctionSpec, closure_bool, general_spec, synthesize
-from .netlist import Circuit, Gate, RegisterDecl, RegType, Role, eval_dag, make_circuit
+from .netlist import (Circuit, Gate, RegisterDecl, RegType, Role, eval_dag, make_circuit,
+                      splice_dag)
 from .ternary_core import (
     META,
     ONE,
@@ -22,10 +23,9 @@ from .ternary_core import (
     CubeSet,
     InputError,
     TernaryWord,
-    all_words,
     brgc,
     encode,
-    precision,
+    stable_words,
     tc,
     word,
 )
@@ -34,31 +34,25 @@ from .ternary_core import (
 # ---------------------------------------------------------------------------
 # Multiplexers
 
+def _mux_closure() -> dict:
+    """Entries of the metastable closure of o = s ? b : a, inputs a b s."""
+    return closure_bool({x: x.subword(1, 2) if x.digit(2) is ONE else x.subword(0, 1)
+                         for x in stable_words(3)}).entries
+
+
 def mux_spec() -> FunctionSpec:
     """What a plain MUX promises: follow the selected input, anything at
     all while the select is metastable."""
-    values = {}
-    for x in all_words(3):
-        a, b, s = x.digits()
-        pick = a if s is ZERO else b if s is ONE else META
-        values[x] = CubeSet.of(1, [TernaryWord.from_digits([pick])])
-    return general_spec(3, 1, values)
+    return general_spec(3, 1, {
+        x: CubeSet.of(1, [word("M") if x.digit(2) is META else e])
+        for x, e in _mux_closure().items()})
 
 
 def cmux_spec() -> FunctionSpec:
-    """The containing MUX: a metastable select must not matter when the
-    data inputs agree."""
-    values = {}
-    for x in all_words(3):
-        a, b, s = x.digits()
-        if s is ZERO or a is b:
-            pick = a
-        elif s is ONE:
-            pick = b
-        else:
-            pick = META
-        values[x] = CubeSet.of(1, [TernaryWord.from_digits([pick])])
-    return general_spec(3, 1, values)
+    """The containing MUX, the metastable closure of the MUX: a metastable
+    select must not matter when the data inputs agree."""
+    return general_spec(3, 1, {x: CubeSet.of(1, [e])
+                               for x, e in _mux_closure().items()})
 
 
 def _mux_registers():
@@ -187,27 +181,22 @@ def build_selector(r: int) -> Circuit:
     so even a metastable input passes through only in its own round.
     """
     _check_rounds(r, "selector")
+    counter = build_counter(r)
     regs = [RegisterDecl(f"x{i}", Role.INPUT, RegType.SIMPLE)
             for i in range(r)]
-    regs += [RegisterDecl("R0", Role.LOCAL, RegType.SIMPLE, ONE)]
-    regs += [RegisterDecl(f"R{i}", Role.LOCAL, RegType.SIMPLE, ZERO)
-             for i in range(1, r)]
-    regs += [RegisterDecl("O", Role.OUTPUT, RegType.SIMPLE, ZERO)]
-    gates = [Gate(f"c{j}", "XOR", (f"R{j - 1}", f"R{j}"))
-             for j in range(1, r)]
+    regs += [*counter.local_regs, RegisterDecl("O", Role.OUTPUT, RegType.SIMPLE, ZERO)]
+    drive = dict(counter.dag.outputs)
+    gates = list(counter.dag.gates)
     terms = []
     for j in range(1, r + 1):
-        cj = f"c{j}" if j < r else f"R{r - 1}"
-        gates.append(Gate(f"t{j}", "AND", (f"x{j - 1}", cj)))
+        gates.append(Gate(f"t{j}", "AND", (f"x{j - 1}", drive[f"O{j}"])))
         terms.append(f"t{j}")
     if len(terms) == 1:
         out = terms[0]
     else:
         gates.append(Gate("pick", "OR", tuple(terms)))
         out = "pick"
-    drives = {"R0": "R0"}
-    for i in range(1, r):
-        drives[f"R{i}"] = f"R{i - 1}"
+    drives = {reg.name: drive[reg.name] for reg in counter.local_regs}
     drives["O"] = out
     return make_circuit(f"selector_{r}", regs, gates, drives)
 
@@ -294,7 +283,7 @@ def build_two_sort(k: int) -> Circuit:
             x = encode(code, u).concat(encode(code, v))
             table[x] = encode(code, min(u, v)).concat(encode(code, max(u, v)))
     c = synthesize(closure_bool(table))
-    return Circuit(f"two_sort_{k}", c.registers, c.dag)
+    return replace(c, name=f"two_sort_{k}")
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +295,7 @@ def build_brgc_to_tc(k: int) -> Circuit:
     out = tc((1 << k) - 1)
     table = {encode(code, v): encode(out, v) for v in range(code.range)}
     c = synthesize(closure_bool(table))
-    return Circuit(f"brgc_to_tc_{k}", c.registers, c.dag)
+    return replace(c, name=f"brgc_to_tc_{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +359,6 @@ def _layered(pairs):
     return tuple(tuple(layer) for layer in layers)
 
 
-def _splice(template: Circuit, feeds: dict, prefix: str, gates: list) -> dict:
-    """Copy a combinational circuit's gates with renamed ids, reading from
-    the given nodes; returns output-register name -> driving node."""
-    node = dict(feeds)
-    for g in template.dag.gates:
-        gid = prefix + g.gid
-        gates.append(Gate(gid, g.kind, tuple(node[a] for a in g.args),
-                          g.table))
-        node[g.gid] = gid
-    return {name: node[src] for name, src in template.dag.outputs}
-
-
 def build_sorting_network(channels: int, word_width: int):
     """Batcher network over Gray-coded words; returns the comparator
     schedule and the flat one-round circuit. Channel 0 of the output
@@ -402,7 +379,7 @@ def build_sorting_network(channels: int, word_width: int):
         for lo, hi in layer:
             feeds = {f"x{b}": node[(lo, b)] for b in range(k)}
             feeds.update({f"x{k + b}": node[(hi, b)] for b in range(k)})
-            outs = _splice(comp, feeds, f"s{idx}_", gates)
+            outs = splice_dag(comp.dag, feeds, lambda gid: f"s{idx}_{gid}", gates)
             for b in range(k):
                 node[(lo, b)] = outs[f"y{b}"]
                 node[(hi, b)] = outs[f"y{k + b}"]
@@ -463,15 +440,15 @@ def build_pipeline(n: int, k: int, f: int) -> Circuit:
     gates = []
     sort_feeds = {}
     for c in range(n):
-        outs = _splice(conv, {f"i{t}": f"r{c}_{t}" for t in range(width)},
-                       f"conv{c}_", gates)
+        outs = splice_dag(conv.dag, {f"i{t}": f"r{c}_{t}" for t in range(width)},
+                          lambda gid: f"conv{c}_{gid}", gates)
         for b in range(k):
             sort_feeds[f"ch{c}_{b}"] = outs[f"g{b}"]
-    sorted_nodes = _splice(sorter, sort_feeds, "sort_", gates)
+    sorted_nodes = splice_dag(sorter.dag, sort_feeds, lambda gid: f"sort_{gid}", gates)
     drives = {}
     for label, chan in (("low", f), ("high", n - 1 - f)):
         feeds = {f"x{b}": sorted_nodes[f"out{chan}_{b}"] for b in range(k)}
-        outs = _splice(back, feeds, f"{label}tc_", gates)
+        outs = splice_dag(back.dag, feeds, lambda gid: f"{label}tc_{gid}", gates)
         for t in range(width):
             drives[f"{label}_{t}"] = outs[f"y{t}"]
     return make_circuit(f"clock_sync_{n}x{k}_f{f}", regs, gates, drives)
@@ -482,7 +459,8 @@ def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWor
 
     Returns (low, high) as canonical TC words; with at most f faulty
     nodes, every correct node's value lies in [low, high]. Readings must
-    have precision at most 1 for the guarantee to mean anything.
+    be TDC readings (ones, at most one M, zeros), which have precision at
+    most 1, for the guarantee to mean anything.
     """
     words = [r.word if isinstance(r, TdcReading) else r for r in readings]
     if len(words) != n:
@@ -495,10 +473,8 @@ def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWor
     k = max(width + 1, 2).bit_length() - 1
     if (1 << k) - 1 != width:
         raise InputError("reading width must be one less than a power of two")
-    code = tc(width)
     for w in words:
-        if precision(code, w) > 1:
-            raise InputError(f"reading {w} has precision above 1")
+        TdcReading(w)
     pipe = build_pipeline(n, k, f)
     iw = words[0]
     for w in words[1:]:

@@ -15,7 +15,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from .ternary_core import (
     CHAR_TO_DIGIT,
@@ -488,3 +488,16 @@ def make_circuit(name: str,
     if problems:
         raise InputError("; ".join(problems))
     return c
+
+
+def splice_dag(dag: Dag, feeds: Mapping[str, str], rename: Callable[[str], str],
+               gates: list[Gate]) -> dict[str, str]:
+    """Append a copy of the DAG's gates to gates: input node a reads
+    feeds[a], gate g becomes rename(g). Returns output node name -> the
+    node that drives it in the copy."""
+    node = dict(feeds)
+    for g in dag.gates:
+        gid = rename(g.gid)
+        gates.append(Gate(gid, g.kind, tuple(node[a] for a in g.args), g.table))
+        node[g.gid] = gid
+    return {name: node[src] for name, src in dag.outputs}

@@ -546,3 +546,104 @@ def scalar_trace_check(c, t):
             if t.rounds[i + 1].state != TernaryWord.from_digits(nxt_inputs).concat(row.written):
                 return False
     return True
+
+
+# The construction code that the shared DAG splice, the counter and the
+# MUX closure replaced, kept as references: unroll with its own copy loop,
+# the selector with its own register chain, and the MUX contracts
+# enumerated input by input.
+
+def scalar_unroll(c: Circuit, r: int) -> Circuit:
+    """unroll by resolving each source of each round by hand."""
+    if r < 1:
+        raise InputError("unroll needs at least one round")
+    if any(reg.rtype is not RegType.SIMPLE for reg in c.registers):
+        raise InputError("unrolling requires simple registers only")
+    if r * (len(c.dag.gates) + c.k + c.n) > 200_000:
+        raise InputError("unroll is capped at 200000 gates, "
+                         "rounds x (gates + locals + outputs)")
+    drive = dict(c.dag.outputs)
+    input_names = {reg.name for reg in c.input_regs}
+    local_names = {reg.name for reg in c.local_regs}
+
+    def resolve(t: int, src: str) -> str:
+        if src in input_names:
+            return src
+        if src in local_names:
+            return src if t == 1 else f"{src}__u{t}"
+        return f"{src}__u{t}"
+
+    gates = []
+    for t in range(1, r + 1):
+        if t > 1:
+            for name in (reg.name for reg in c.local_regs):
+                gates.append(Gate(f"{name}__u{t}", "BUF",
+                                  (resolve(t - 1, drive[name]),)))
+        for g in c.dag.gates:
+            gates.append(Gate(f"{g.gid}__u{t}", g.kind,
+                              tuple(resolve(t, a) for a in g.args), g.table))
+        if t < r:
+            for reg in c.output_regs:
+                gates.append(Gate(f"{reg.name}__sink__u{t}", "BUF",
+                                  (resolve(t, drive[reg.name]),)))
+    drives = {reg.name: resolve(r, drive[reg.name])
+              for reg in c.local_regs + c.output_regs}
+    return make_circuit(f"{c.name}__x{r}", c.registers, gates, drives)
+
+
+def scalar_build_selector(r: int) -> Circuit:
+    """build_selector with the counter's register chain written out."""
+    if not 1 <= r <= 128:
+        raise InputError("selector round count out of range")
+    regs = [RegisterDecl(f"x{i}", Role.INPUT, RegType.SIMPLE)
+            for i in range(r)]
+    regs += [RegisterDecl("R0", Role.LOCAL, RegType.SIMPLE, ONE)]
+    regs += [RegisterDecl(f"R{i}", Role.LOCAL, RegType.SIMPLE, ZERO)
+             for i in range(1, r)]
+    regs += [RegisterDecl("O", Role.OUTPUT, RegType.SIMPLE, ZERO)]
+    gates = [Gate(f"c{j}", "XOR", (f"R{j - 1}", f"R{j}"))
+             for j in range(1, r)]
+    terms = []
+    for j in range(1, r + 1):
+        cj = f"c{j}" if j < r else f"R{r - 1}"
+        gates.append(Gate(f"t{j}", "AND", (f"x{j - 1}", cj)))
+        terms.append(f"t{j}")
+    if len(terms) == 1:
+        out = terms[0]
+    else:
+        gates.append(Gate("pick", "OR", tuple(terms)))
+        out = "pick"
+    drives = {"R0": "R0"}
+    for i in range(1, r):
+        drives[f"R{i}"] = f"R{i - 1}"
+    drives["O"] = out
+    return make_circuit(f"selector_{r}", regs, gates, drives)
+
+
+def scalar_mux_spec():
+    """Follow the selected input; anything while the select is M."""
+    from mcsim.analysis import general_spec
+    from mcsim.ternary_core import CubeSet
+    values = {}
+    for x in all_words(3):
+        a, b, s = x.digits()
+        pick = a if s is ZERO else b if s is ONE else META
+        values[x] = CubeSet.of(1, [TernaryWord.from_digits([pick])])
+    return general_spec(3, 1, values)
+
+
+def scalar_cmux_spec():
+    """As scalar_mux_spec, but agreeing data inputs win over an M select."""
+    from mcsim.analysis import general_spec
+    from mcsim.ternary_core import CubeSet
+    values = {}
+    for x in all_words(3):
+        a, b, s = x.digits()
+        if s is ZERO or a is b:
+            pick = a
+        elif s is ONE:
+            pick = b
+        else:
+            pick = META
+        values[x] = CubeSet.of(1, [TernaryWord.from_digits([pick])])
+    return general_spec(3, 1, values)

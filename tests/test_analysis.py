@@ -17,6 +17,7 @@ from conftest import (
     scalar_find_natural_subfunction,
     scalar_is_natural,
     scalar_prime_implicants,
+    scalar_unroll,
     simple_copy,
     stable_words,
 )
@@ -46,6 +47,7 @@ from mcsim.netlist import (
     RegisterDecl,
     RegType,
     Role,
+    emit_netlist,
     eval_dag,
     make_circuit,
     parse_netlist,
@@ -591,6 +593,14 @@ class TestPrimeImplicants:
         with pytest.raises(InputError, match="all"):
             prime_implicants({word("0"): 1})
 
+    def test_rows_are_checked_before_the_input_cap(self):
+        with pytest.raises(InputError, match="^truth-table value for 1 must be 0 or 1$"):
+            prime_implicants({word("0"): 1, word("1"): 2})
+        with pytest.raises(InputError, match="^truth-table input M must be stable, width 1$"):
+            prime_implicants({word("0"): 1, word("M"): 0})
+        with pytest.raises(InputError, match="^prime implicants are capped at 10 inputs$"):
+            prime_implicants(dict.fromkeys(stable_words(11), 1))
+
 
 class TestPerWordReferences:
     """The lane-form analysis against the per-word algorithms it replaced
@@ -818,6 +828,18 @@ class TestUnroll:
         for r in (50_001, 10 ** 8):
             with pytest.raises(InputError, match="^unroll is capped at 200000 gates"):
                 unroll(c, r)
+
+    def test_same_bytes_as_the_copy_loop_reference(self, corpus_mixed, corpus_simple):
+        def outcome(build, c, r):
+            try:
+                return emit_netlist(build(c, r))
+            except InputError as e:
+                return f"error: {e}"
+        more = circuit_corpus(seed=6007, count=300, max_regs=7, all_simple=True)
+        circuits = corpus_mixed + [simple_copy(c) for c in corpus_mixed] + corpus_simple + more
+        for c in circuits:
+            for r in range(1, 6):
+                assert outcome(unroll, c, r) == outcome(scalar_unroll, c, r), (c.name, r)
 
 
 class TestPivotalSequence:

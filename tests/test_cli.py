@@ -529,4 +529,10 @@ class TestPipeline:
         rc, _, err = run(capsys, ["pipeline", "MMM", "110", "000", "100",
                                   "--faults", "1"])
         assert rc == 2
-        assert "error:" in err
+        assert err == "error: not a TDC reading: MMM\n"
+
+    @pytest.mark.parametrize("reading", ["011", "0M1"])
+    def test_zeros_first_readings_rejected(self, capsys, reading):
+        rc, out, err = run(capsys, ["pipeline", *[reading] * 4, "--faults", "1"])
+        assert (rc, out) == (2, "")
+        assert err == f"error: not a TDC reading: {reading}\n"

@@ -1,7 +1,10 @@
-"""A property sweep of the sequential commands (sim, witness, check at
-r >= 2, unroll) over random netlists, some with a damaged line, and over
-random words, round counts and budgets. Every run ends in an exit code,
-with a message for every failure, never a traceback or a hang."""
+"""A property sweep of the command line. The sequential commands (sim,
+witness, check at r >= 2, unroll) run over random netlists, some with a
+damaged line, and over random words, round counts and budgets. The
+one-round commands (closure, synth, check at r = 1, component, pipeline)
+run over damaged truth and spec tables, component names with good and bad
+parameters, and TDC readings. Every run ends in an exit code, with a
+message for every failure, never a traceback or a hang."""
 
 import contextlib
 import io
@@ -20,7 +23,32 @@ KINDS = ("AND", "OR", "NAND", "NOR", "XOR", "NOT", "BUF", "TABLE")
 # tokens a damaged line may take in place of one of its own
 JUNK = ("", "x", "M", "2", "-1", "init", "mask0", "AND", "TABLE:0110", "gate",
         "drive", "input", "i0", "l0", "o0", "g0")
+# tokens a damaged table row or header may take in place of one of its own
+TABLE_JUNK = ("", "x", "M", "2", "*", "->", ",", "0M", "1*", "01,", "spec", "table",
+              "m=1", "n=1", "m=-1", "n=x", "m=", "m=40")
+COMPONENTS = ("mux", "cmux1", "cmux-clocked", "fanout-buffer", "counter", "selector",
+              "tc-to-brgc", "two-sort", "brgc-to-tc", "sorting-network", "sorter", "")
 WALL_S = 2.0
+
+
+def damaged(draw, lines, junk, times):
+    """lines with a drawn number of them hit: a token swapped for junk, the
+    line dropped, or the line doubled."""
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from(times))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(("token", "drop", "double")))
+        if how == "token":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(junk))
+            lines[i] = " ".join(tokens)
+        elif how == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return lines
 
 
 @st.composite
@@ -46,17 +74,7 @@ def netlists(draw, types=TYPES):
         avail.append(f"g{g}")
     lines += [f"drive l{j} {draw(st.sampled_from(avail))}" for j in range(k)]
     lines += [f"drive o{j} {draw(st.sampled_from(avail))}" for j in range(n)]
-    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 0, 0, 1, 2)))):
-        i = draw(st.integers(0, len(lines) - 1))
-        how = draw(st.sampled_from(("token", "drop", "double")))
-        if how == "token":
-            tokens = lines[i].split()
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(JUNK))
-            lines[i] = " ".join(tokens)
-        elif how == "drop":
-            del lines[i]
-        else:
-            lines.insert(i, lines[i])
+    lines = damaged(draw, lines, JUNK, (0, 0, 0, 0, 0, 0, 1, 2))
     return "\n".join(lines) + "\n", m, n
 
 
@@ -115,10 +133,7 @@ def run_in(directory, files, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, deadline=None)
-@given(invocations())
-def test_sequential_commands_end_in_an_exit_code(case):
-    files, argv = case
+def ends_in_an_exit_code(files, argv):
     with tempfile.TemporaryDirectory() as directory:
         start = time.perf_counter()
         code, out, err = run_in(directory, files, argv)
@@ -129,3 +144,91 @@ def test_sequential_commands_end_in_an_exit_code(case):
     if code in (2, 3):
         assert err.startswith(("error: ", "usage: ")), err
     assert spent < WALL_S, (argv, spent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(invocations())
+def test_sequential_commands_end_in_an_exit_code(case):
+    ends_in_an_exit_code(*case)
+
+
+@st.composite
+def truth_tables(draw):
+    """A Boolean truth table over m <= 3 inputs, damaged one time in two."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    rows = [f"{''.join(x)} -> {draw(st.text('01', min_size=n, max_size=n))}"
+            for x in itertools.product("01", repeat=m)]
+    return "\n".join(damaged(draw, [f"table m={m} n={n}"] + rows, TABLE_JUNK,
+                             (0, 0, 1, 2, 3))) + "\n"
+
+
+@st.composite
+def spec_tables(draw, m, n):
+    """A natural (*) or general (cube list) spec table, now and then with a
+    row in the other style, damaged one time in two."""
+    def rhs(natural):
+        if natural:
+            return draw(st.text("01*", min_size=n, max_size=n))
+        cube = st.text("01M", min_size=n, max_size=n)
+        return ", ".join(draw(st.lists(cube, min_size=1, max_size=3)))
+    natural = draw(st.booleans())
+    inputs = ["".join(x) for x in itertools.product("01M", repeat=m)]
+    flipped = draw(st.sampled_from([None] * 3 + inputs))
+    rows = [f"{x} -> {rhs(natural is (x != flipped))}" for x in inputs]
+    return "\n".join(damaged(draw, [f"spec m={m} n={n}"] + rows, TABLE_JUNK,
+                             (0, 0, 1, 2, 3))) + "\n"
+
+
+def tdc_reading(width):
+    """Ones, at most one M, zeros; now and then any word or a bad digit."""
+    good = st.integers(0, width).flatmap(lambda ones: st.integers(0, int(ones < width)).map(
+        lambda meta: "1" * ones + "M" * meta + "0" * (width - ones - meta)))
+    return st.one_of(*[good] * 24, st.text("01M", min_size=width, max_size=width),
+                     st.text("01M2x", max_size=width + 1))
+
+
+@st.composite
+def one_round_invocations(draw):
+    """Files to write, and a one-round command line that names them."""
+    command = draw(st.sampled_from(("closure", "synth", "check", "component", "pipeline")))
+    files = {}
+    if command == "closure":
+        files["t.table"] = draw(truth_tables())
+        argv = ["closure", "@t.table"]
+    elif command == "synth":
+        files["f.spec"] = draw(spec_tables(draw(st.integers(0, 3)), draw(st.integers(0, 2))))
+        argv = ["synth", "@f.spec"]
+        budget = draw(st.none() | st.integers(0, 40))
+        if budget is not None:
+            argv += ["--max-states", str(budget)]
+    elif command == "check":
+        files["c.net"], m, n = draw(netlists())
+        files["f.spec"] = draw(spec_tables(m, n))
+        argv = ["check", "@c.net", "@f.spec", "1"]
+    elif command == "component":
+        name = draw(st.sampled_from(COMPONENTS))
+        arity = 0 if "mux" in name else 2 if name == "sorting-network" else 1
+        number = st.integers(1, 8) | st.integers(-2, 130)
+        param = number.map(str) | st.sampled_from(("x", "1.5", "", "-", "0x3", "2e1"))
+        params = st.lists(number.map(str), min_size=arity, max_size=arity)
+        argv = ["component", name, *draw(params | st.lists(param, max_size=3))]
+    else:
+        width = draw(st.sampled_from((1, 3, 7, 1, 3, 7, 2)))
+        n = draw(st.integers(1, 8))
+        faults = st.integers(0, (n - 1) // 3) | st.integers(-1, 3)
+        argv = ["pipeline", *draw(st.lists(tdc_reading(width), min_size=n, max_size=n)),
+                "--faults", str(draw(faults))]
+        nodes = draw(st.none() | st.integers(-1, 9))
+        if nodes is not None:
+            argv += ["--nodes", str(nodes)]
+    if command in ("closure", "synth") and draw(st.booleans()):
+        argv += ["-o", "@out.txt"]
+    if command in ("component", "pipeline") and draw(st.booleans()):
+        argv += ["--emit", draw(st.sampled_from(("netlist", "report")))]
+    return files, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_round_invocations())
+def test_one_round_commands_end_in_an_exit_code(case):
+    ends_in_an_exit_code(*case)

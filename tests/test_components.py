@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import scalar_build_selector, scalar_cmux_spec, scalar_mux_spec
 from mcsim.components import (
     SortingNetwork,
     TdcReading,
@@ -116,6 +117,10 @@ class TestMuxFamily:
             if x.digit(2) is not META:
                 assert ms.value_cubeset(x) == cs.value_cubeset(x)
 
+    def test_contracts_match_the_enumerated_references(self):
+        assert mux_spec() == scalar_mux_spec()
+        assert cmux_spec() == scalar_cmux_spec()
+
 
 class TestFanoutBuffer:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -196,6 +201,10 @@ class TestCounterAndSelector:
         for c in (build_counter(3), build_fanout_buffer(3),
                   build_selector(2)):
             assert parse_netlist(emit_netlist(c)) == c
+
+    def test_selector_same_bytes_as_the_register_chain_reference(self):
+        for r in range(1, 129):
+            assert emit_netlist(build_selector(r)) == emit_netlist(scalar_build_selector(r))
 
 
 def dag_depth(dag):
@@ -544,6 +553,12 @@ class TestClockSyncSelect:
         readings = [word("MMM")] + [tdc_readings(3, 1).word] * 3
         with pytest.raises(InputError):
             clock_sync_select(4, 1, readings)
+
+    def test_rejects_zeros_first_readings(self):
+        # decode reads both TC spellings, but the converter reads ones first
+        for text in ("011", "0M1"):
+            with pytest.raises(InputError, match=f"^not a TDC reading: {text}$"):
+                clock_sync_select(4, 1, [word(text)] * 4)
 
 
 class TestPipelineCircuit:

@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in it, so a helper
-whose last caller is gone does not linger as a dead import."""
+"""Every name a module of the package imports is used in it, and every
+private module-level name is used somewhere in the package, so a helper
+whose last caller is gone does not linger as a dead import or definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,51 @@ def test_a_leftover_import_is_caught():
             "from .ternary_core import res_full as rf, superpose\n"
             "x = itertools.count()\ny = reduce(max, [rf])\n")
     assert unused_imports(text) == ["partial", "superpose"]
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is read, looked up as an attribute, or imported."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name] += 1
+    return refs
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants that nothing
+    refers to outside their own definition, as module.name."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            for name in defined_names(node):
+                private = name.startswith("_") and not name.startswith("__")
+                if private and used[name] == references(node)[name]:
+                    out.append(f"{mod}.{name}")
+    return sorted(out)
+
+
+def test_every_private_helper_is_used():
+    assert orphaned_privates({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_a_leftover_helper_is_caught():
+    sources = {"a": "def _walk(n):\n    return _walk(n - 1)\n"
+                    "_K = 1\n_GONE: int = 2\nclass _Box:\n    pass\n"
+                    "def f():\n    return _K\n",
+               "b": "from .a import _Box\nx = _Box()\n"}
+    assert orphaned_privates(sources) == ["a._GONE", "a._walk"]

@@ -32,6 +32,7 @@ from mcsim.netlist import (
     eval_lanes,
     make_circuit,
     parse_netlist,
+    splice_dag,
     validate,
 )
 from mcsim.ternary_core import (
@@ -358,3 +359,18 @@ class TestMakeCircuit:
                 RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO)]
         with pytest.raises(InputError):
             make_circuit("c", regs, [], {"o": "ghost"})
+
+
+class TestSpliceDag:
+    def test_renamed_copy_reads_the_fed_nodes(self):
+        dag = Dag(inputs=("p", "q"),
+                  gates=(Gate("t", "TABLE", ("p", "q"), "0110"),
+                         Gate("u", "AND", ("t", "p", "t"))),
+                  outputs=(("y", "u"), ("z", "q")))
+        gates = [Gate("a", "CONST1", ())]
+        outs = splice_dag(dag, {"p": "a", "q": "b"}, lambda gid: f"k_{gid}", gates)
+        assert gates == [Gate("a", "CONST1", ()),
+                         Gate("k_t", "TABLE", ("a", "b"), "0110"),
+                         Gate("k_u", "AND", ("k_t", "a", "k_t"))]
+        # an output wired straight to an input node reads that node's feed
+        assert outs == {"y": "k_u", "z": "b"}
