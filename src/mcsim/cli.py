@@ -84,17 +84,13 @@ def cmd_sim(args):
              f"input: {iota}",
              f"rounds: {args.rounds}",
              f"max states: {args.max_states}"]
-    peak = 0
-    outs = []
-    walk = executor.frontiers(c, iota, args.max_states)
-    for t, states in zip(range(args.rounds + 1), walk):
-        peak = max(peak, len(states))
-        lines.append(f"states[{t}]: {_cubes(states)}")
-        if t:
-            outs.append(f"outputs[{t}]: "
-                        f"{_cubes(executor.output_cubes(c, states))}")
-    lines += outs
-    lines.append(f"peak state cubes: {peak}")
+    distinct, loop = executor.frontiers(c, iota, args.rounds, args.max_states)
+    states = [_cubes(s) for s in distinct]
+    outs = [_cubes(executor.output_cubes(c, s)) for s in distinct]
+    rounds = range(args.rounds + 1)
+    lines += [f"states[{t}]: {executor.replayed(states, loop, t)}" for t in rounds]
+    lines += [f"outputs[{t}]: {executor.replayed(outs, loop, t)}" for t in rounds[1:]]
+    lines.append(f"peak state cubes: {max(map(len, distinct))}")
     if args.trace is not None:
         if args.rounds < 1:
             raise InputError("a trace needs at least one round")

@@ -364,7 +364,7 @@ def build_sorting_network(channels: int, word_width: int):
     schedule and the flat one-round circuit. Channel 0 of the output
     carries the minimum."""
     if not 2 <= channels <= 8:
-        raise InputError("sorting network is capped at 8 channels")
+        raise InputError(f"sorting network takes 2 to 8 channels, got {channels}")
     k = word_width
     net = SortingNetwork(channels, k, _layered(_batcher_pairs(channels)))
     comp = build_two_sort(k)

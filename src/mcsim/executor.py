@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .netlist import Circuit, RegType, digit_lanes, eval_dag, eval_lanes, lane_word
 from .ternary_core import (
@@ -149,19 +149,39 @@ def _initial_state(c: Circuit, iota: TernaryWord) -> TernaryWord:
     return iota.concat(c.init_word())
 
 
-def frontiers(c: Circuit, iota: TernaryWord,
-              max_states: Optional[int] = DEFAULT_MAX_STATES) -> Iterator[CubeSet]:
-    """reach(c, iota, t) for t = 0, 1, 2, ..., without end.
+def _orbit(x, step, r: int) -> tuple[list, Optional[int]]:
+    """x, step(x), ... for rounds 0..r until a value repeats: the distinct
+    values in order and the round the orbit loops back to (None if none
+    repeats by round r). The rest is a replay; step sees no value twice."""
+    first = {x: 0}
+    for t in range(1, r + 1):
+        x = step(x)
+        loop = first.setdefault(x, t)
+        if loop < t:
+            return list(first), loop
+    return list(first), None
+
+
+def replayed(seq: list, loop: Optional[int], t: int):
+    """Round t of an orbit, from a list aligned with its distinct values."""
+    return seq[t] if t < len(seq) else seq[loop + (t - loop) % (len(seq) - loop)]
+
+
+def frontiers(c: Circuit, iota: TernaryWord, r: int,
+              max_states: Optional[int] = DEFAULT_MAX_STATES,
+              ) -> tuple[list[CubeSet], Optional[int]]:
+    """The orbit (see _orbit) of reach(c, iota, t) over t = 0..r, as a pair
+    (distinct, loop): round t's frontier is replayed(distinct, loop, t).
 
     Round 0 is the literal initial state. Each later round expands each
     distinct cube word of the previous round once; the one budget counts
-    base states visited plus successor cubes produced."""
+    base states visited plus successor cubes produced. A repeated frontier
+    expands no cube, so the replay spends nothing."""
     width = c.m + c.k + c.n
-    frontier = CubeSet.of(width, [_initial_state(c, iota)])
     budget = _Budget(max_states)
     memo: dict[TernaryWord, list[TernaryWord]] = {}
-    while True:
-        yield frontier
+
+    def step(frontier: CubeSet) -> CubeSet:
         nxt: list[TernaryWord] = []
         for cube in frontier:
             cs = memo.get(cube)
@@ -169,25 +189,18 @@ def frontiers(c: Circuit, iota: TernaryWord,
                 budget.spend(1)
                 cs = memo[cube] = _successor_cubes(c, cube, budget)
             nxt.extend(cs)
-        frontier = _canonical(width, nxt, c.m)
+        return _canonical(width, nxt, c.m)
+
+    return _orbit(CubeSet.of(width, [_initial_state(c, iota)]), step, r)
 
 
 def reach(c: Circuit, iota: TernaryWord, r: int,
           max_states: Optional[int] = DEFAULT_MAX_STATES) -> CubeSet:
-    """States reachable in exactly r rounds from inputs iota, as cubes.
-
-    Once a frontier repeats, the walk is periodic from its first
-    occurrence on, so the answer is read off the frontiers already seen.
-    """
+    """States reachable in exactly r rounds from inputs iota, as cubes,
+    read off the frontier orbit: O(prefix + period) rounds for any r."""
     if r < 0:
         raise InputError("round count must be nonnegative")
-    # frontier -> first round seen; in insertion order, rounds 0..t-1
-    seen: dict[CubeSet, int] = {}
-    for t, frontier in zip(range(r + 1), frontiers(c, iota, max_states)):
-        prev = seen.setdefault(frontier, t)
-        if prev < t:
-            return list(seen)[prev + (r - prev) % (t - prev)]
-    return frontier
+    return replayed(*frontiers(c, iota, r, max_states), r)
 
 
 def output_cubes(c: Circuit, states: CubeSet) -> CubeSet:
@@ -365,30 +378,35 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
 
 
 def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
-    """One deterministic execution: first read outcome, write = evaluation."""
+    """One deterministic execution: first read outcome, write = evaluation.
+
+    The next state depends on the state alone, so once a state repeats
+    the rounds of its cycle are replayed, not evaluated again."""
     state = _initial_state(c, iota)
     if r < 0:
         raise InputError("round count must be nonnegative")
-    rows = []
-    for _ in range(r):
+    rows = []       # the row of each distinct state stepped from
+
+    def step(state: TernaryWord) -> TernaryWord:
         first = [a[0] for a in _arcs(c, state)]
         read = TernaryWord.from_digits(rv for rv, _ in first)
         evaluation = eval_dag(c.dag, read)
         rows.append(TraceRound(state, read, evaluation, evaluation))
-        state = TernaryWord.from_digits(nv for _, nv in first[:c.m]).concat(evaluation)
-    rows.append(TraceRound(state))
-    return ExecutionTrace(tuple(rows))
+        return TernaryWord.from_digits(nv for _, nv in first[:c.m]).concat(evaluation)
+
+    states, loop = _orbit(state, step, r)
+    return ExecutionTrace(tuple(replayed(rows, loop, t) for t in range(r))
+                          + (TraceRound(replayed(states, loop, r)),))
 
 
 def emit_trace(t: ExecutionTrace) -> str:
-    lines = []
-    for i, row in enumerate(t.rounds):
-        if row.is_full:
-            lines.append(f"{i} | {row.state} | {row.read} | "
-                         f"{row.evaluation} | {row.written}")
-        else:
-            lines.append(f"{i} | {row.state}")
-    return "\n".join(lines) + "\n"
+    # replayed rounds share one row object (run_trace): format each object once
+    text: dict[int, str] = {}
+    for row in t.rounds:
+        if id(row) not in text:
+            words = (row.state, row.read, row.evaluation, row.written)
+            text[id(row)] = " | ".join(map(str, words if row.is_full else words[:1]))
+    return "\n".join(f"{i} | {text[id(row)]}" for i, row in enumerate(t.rounds)) + "\n"
 
 
 def parse_trace(text: str) -> ExecutionTrace:

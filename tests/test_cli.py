@@ -1,11 +1,13 @@
 """Command-line front end: reports, artifacts, exit codes."""
 
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import FEEDBACK_TEXT, all_words
 from mcsim.analysis import emit_spec_table, unroll
+from mcsim import executor
 from mcsim.cli import build_parser, main
 from mcsim.components import (
     build_counter,
@@ -15,14 +17,17 @@ from mcsim.components import (
     mux_spec,
 )
 from mcsim.executor import (
+    frontiers,
+    output_cubes,
     outputs,
     parse_trace,
     reach,
+    run_trace,
     state_cube_contains,
     trace_check,
 )
 from mcsim.netlist import emit_netlist, parse_netlist, validate
-from mcsim.ternary_core import word
+from mcsim.ternary_core import DEFAULT_MAX_STATES, word
 
 AND_TABLE = "table m=2 n=1\n00 -> 0\n01 -> 0\n10 -> 0\n11 -> 1\n"
 
@@ -168,19 +173,52 @@ class TestSim:
 
     def test_every_round_line_equals_the_library(self, capsys, workspace,
                                                  corpus_mixed):
-        rounds = 6
+        # rounds run three times past the frontier walk's first repeat,
+        # from where the report replays the lines of earlier rounds
         for c in [parse_netlist(FEEDBACK_TEXT)] + corpus_mixed[:8]:
             path = workspace("c.net", emit_netlist(c))
             for iota in all_words(c.m):
+                rounds = 3 * len(frontiers(c, iota, 10 ** 6)[0]) + 5
+                walk = [reach(c, iota, t) for t in range(rounds + 1)]
+                want = ["command: sim", f"circuit: {c.name}", f"input: {iota}",
+                        f"rounds: {rounds}", f"max states: {DEFAULT_MAX_STATES}"]
+                want += [f"states[{t}]: {', '.join(map(str, s))}"
+                         for t, s in enumerate(walk)]
+                want += [f"outputs[{t}]: {', '.join(map(str, output_cubes(c, s)))}"
+                         for t, s in enumerate(walk) if t]
+                want.append(f"peak state cubes: {max(map(len, walk))}")
                 rc, out, _ = run(capsys, ["sim", path, str(iota), str(rounds)])
-                assert rc == 0
-                report = dict(line.split(": ", 1) for line in out.splitlines())
-                for t in range(rounds + 1):
-                    want = ", ".join(map(str, reach(c, iota, t)))
-                    assert report[f"states[{t}]"] == want, (c.name, iota, t)
-                for t in range(1, rounds + 1):
-                    want = ", ".join(map(str, outputs(c, iota, t)))
-                    assert report[f"outputs[{t}]"] == want, (c.name, iota, t)
+                assert (rc, out) == (0, "\n".join(want) + "\n"), (c.name, iota)
+
+    def test_work_stops_growing_once_the_walk_is_periodic(self, capsys, fig4_path,
+                                                           tmp_path, monkeypatch):
+        # past the round at which both the frontier walk and the trace have
+        # repeated, further rounds are replays and evaluate nothing
+        c, iota = parse_netlist(FEEDBACK_TEXT), word("MM")
+        states = [row.state for row in run_trace(c, iota, 1000).rounds]
+        trace_repeat = next(t for t, s in enumerate(states) if s in states[:t])
+        short = max(len(frontiers(c, iota, 1000)[0]), trace_repeat) + 1
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(executor, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(executor, name, wrapper)
+        # the sim walk and the trace reach eval_dag through executor's name
+        counted("eval_dag")
+        counted("_successor_cubes")
+        work = {}
+        for rounds in (short, 1000):
+            calls.clear()
+            rc, _, _ = run(capsys, ["sim", fig4_path, "MM", str(rounds),
+                                    "--trace", str(tmp_path / "t.trace")])
+            assert rc == 0
+            work[rounds] = dict(calls)
+        assert work[short] == work[1000]
+        assert work[short]["eval_dag"] > work[short]["_successor_cubes"] > 0
 
 
 class TestParserReuse:
@@ -465,6 +503,11 @@ class TestComponent:
         assert "layers: 3" in out
         assert "layer[0]: (0,1) (2,3)" in out
 
+    @pytest.mark.parametrize("channels", ["0", "1", "9"])
+    def test_sorting_network_channel_bounds(self, capsys, channels):
+        assert run(capsys, ["component", "sorting-network", channels, "2"]) == (
+            2, "", f"error: sorting network takes 2 to 8 channels, got {channels}\n")
+
     def test_unknown_name(self, capsys):
         rc, _, err = run(capsys, ["component", "frobnicator"])
         assert rc == 2
@@ -518,6 +561,10 @@ class TestPipeline:
         _, again, _ = run(capsys, ["pipeline", *self.READINGS,
                                    "--faults", "1"])
         assert first == again
+
+    def test_one_node_is_below_the_sorters_channel_range(self, capsys):
+        assert run(capsys, ["pipeline", "111", "--faults", "0"]) == (
+            2, "", "error: sorting network takes 2 to 8 channels, got 1\n")
 
     def test_too_many_faults(self, capsys):
         rc, _, err = run(capsys, ["pipeline", "100", "110", "000",

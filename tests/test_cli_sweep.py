@@ -1,18 +1,22 @@
 """A property sweep of the command line. The sequential commands (sim,
 witness, check at r >= 2, unroll) run over random netlists, some with a
-damaged line, and over random words, round counts and budgets. The
-one-round commands (closure, synth, check at r = 1, component, pipeline)
-run over damaged truth and spec tables, component names with good and bad
+damaged line, and over random words, round counts (up to 10,000, far past
+the rounds at which sim starts to replay) and budgets. The one-round
+commands (closure, synth, check at r = 1, component, pipeline) run over
+damaged truth and spec tables, component names with good and bad
 parameters, and TDC readings. Every run ends in an exit code, with a
-message for every failure, never a traceback or a hang."""
+message for every failure, never a traceback, a hang or unbounded memory:
+each runs under a wall-clock alarm and an address-space limit."""
 
 import contextlib
 import io
 import itertools
 import os
+import resource
+import signal
 import tempfile
-import time
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +33,8 @@ TABLE_JUNK = ("", "x", "M", "2", "*", "->", ",", "0M", "1*", "01,", "spec", "tab
 COMPONENTS = ("mux", "cmux1", "cmux-clocked", "fanout-buffer", "counter", "selector",
               "tc-to-brgc", "two-sort", "brgc-to-tc", "sorting-network", "sorter", "")
 WALL_S = 2.0
+# address space a command may map beyond what the test process already has
+MARGIN_BYTES = 256 << 20
 
 
 def damaged(draw, lines, junk, times):
@@ -99,7 +105,8 @@ def invocations(draw):
     budget = draw(st.none() | st.integers(0, 40) | st.integers(0, 3000))
     files = {"c.net": text}
     if command.startswith("sim"):
-        argv = ["sim", "@c.net", draw(words(m)), str(draw(st.integers(-1, 8)))]
+        rounds = st.integers(-1, 8) | st.integers(-1, 10_000)
+        argv = ["sim", "@c.net", draw(words(m)), str(draw(rounds))]
         if command == "sim-trace":
             argv += ["--trace", "@run.trace"]
     elif command == "witness":
@@ -133,17 +140,38 @@ def run_in(directory, files, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@contextlib.contextmanager
+def limited(argv):
+    """Fail once argv has run WALL_S seconds, and let it map at most
+    MARGIN_BYTES more address space (a MemoryError past that); both limits
+    act on this process alone and are lifted on exit."""
+    def expire(signum, frame):
+        pytest.fail(f"{argv} still running after {WALL_S} s")
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + MARGIN_BYTES
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    handler = signal.signal(signal.SIGALRM, expire)
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        signal.setitimer(signal.ITIMER_REAL, WALL_S)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        signal.signal(signal.SIGALRM, handler)
+
+
 def ends_in_an_exit_code(files, argv):
-    with tempfile.TemporaryDirectory() as directory:
-        start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as directory, limited(argv):
         code, out, err = run_in(directory, files, argv)
-        spent = time.perf_counter() - start
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     if code in (2, 3):
         assert err.startswith(("error: ", "usage: ")), err
-    assert spent < WALL_S, (argv, spent)
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,7 +26,7 @@ from mcsim.analysis import (
     general_spec,
     natural_spec,
 )
-from mcsim.components import build_mux, mux_spec
+from mcsim.components import build_counter, build_mux, build_selector, mux_spec
 from mcsim.executor import (
     ExecutionTrace,
     TraceRound,
@@ -40,6 +40,7 @@ from mcsim.executor import (
     reach,
     read_outcomes,
     register_transitions,
+    replayed,
     run_trace,
     state_cube_contains,
     successors,
@@ -69,6 +70,12 @@ FIG4_TRACE = """\
 3 | 1M10 | 1M1 | 11 | 11
 4 | 1M11
 """
+
+
+def frontier_rounds(c, iota, r):
+    """The frontier of every round 0..r, replayed from the orbit."""
+    distinct, loop = frontiers(c, iota, r)
+    return [replayed(distinct, loop, t) for t in range(r + 1)]
 
 
 def mux_circuit(extra_clause=False):
@@ -261,8 +268,11 @@ class TestReach:
                     walk.append(canonicalize_state_cubes(c.m, width, nxt))
                 for r, frontier in enumerate(walk):
                     assert reach(c, iota, r) == frontier, (c.name, iota, r)
-                assert list(itertools.islice(frontiers(c, iota), len(walk))) \
-                    == walk
+                assert frontier_rounds(c, iota, len(walk) - 1) == walk
+                # the orbit stops at the first repeat and loops back to it
+                repeat = len(walk) - 1 - 3 * period
+                assert frontiers(c, iota, len(walk) - 1) \
+                    == (walk[:repeat], walk.index(walk[repeat]))
 
     def test_deterministic(self, feedback_circuit):
         a = reach(feedback_circuit, word("MM"), 3)
@@ -643,6 +653,10 @@ class TestTraces:
         assert parse_trace(emit_trace(t)) == t
         t2 = run_trace(feedback_circuit, word("M0"), 3)
         assert parse_trace(emit_trace(t2)) == t2
+        # replayed rounds share their row objects, each formatted once
+        t3 = run_trace(feedback_circuit, word("MM"), 40)
+        assert len(set(map(id, t3.rounds))) < 10
+        assert parse_trace(emit_trace(t3)) == t3
 
     @pytest.mark.parametrize("text, lineno, match", [
         ("0 | MM11\n\n# note\n2 | MM11\n", 4, "count up"),
@@ -683,6 +697,25 @@ def random_word(rng, width, digits="01M"):
 def raw_successors(c, cube):
     """The successor cubes of one state cube, before canonicalisation."""
     return [nxt.concat(eval_dag(c.dag, read)) for read, nxt in read_outcomes(c, cube)]
+
+
+@pytest.fixture(scope="module")
+def late_cycles():
+    """Counters and selectors: their states settle only after r rounds."""
+    return [build_counter(r) for r in range(3, 9)] + [build_selector(r) for r in range(3, 7)]
+
+
+def scalar_cycle(c, iota):
+    """The round at which c's deterministic execution from iota first
+    repeats a state, and the period, from the scalar reference."""
+    r = 8
+    while True:
+        first = {}
+        for t, row in enumerate(scalar_run_trace(c, iota, r).rounds):
+            p = first.setdefault(row.state, t)
+            if p < t:
+                return t, t - p
+        r *= 2
 
 
 def mutated(rng, c, t):
@@ -740,7 +773,7 @@ class TestScalarReferences:
         for c in request.getfixturevalue(corpus):
             width = c.m + c.k + c.n
             for iota in all_words(c.m):
-                walk = list(itertools.islice(frontiers(c, iota), 7))
+                walk = frontier_rounds(c, iota, 6)
                 for t in range(6):
                     raw = [w for cube in walk[t] for w in raw_successors(c, cube)]
                     want = scalar_canonicalize_state_cubes(c.m, width, raw)
@@ -778,16 +811,20 @@ class TestScalarReferences:
                               for combo in itertools.product(*per))
                 assert read_outcomes(c, s) == want, (c.name, s)
 
-    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple", "late_cycles"])
     def test_traces_match_the_register_loops(self, corpus, request):
+        # a trace three periods or more past the round at which a state
+        # first repeats (run_trace replays rows from there), then a short
+        # one, whose mutations are checked by both trace checks
         rng = random.Random(75)
         verdicts = Counter()
         for c in request.getfixturevalue(corpus):
             for iota in rng.sample(all_words(c.m), min(4, 3 ** c.m)):
-                r = rng.randint(0, 6)
-                t = run_trace(c, iota, r)
-                assert t == scalar_run_trace(c, iota, r)
-                assert trace_check(c, t) and scalar_trace_check(c, t)
+                repeat, period = scalar_cycle(c, iota)
+                for r in (repeat + 3 * period + rng.randint(0, 3), rng.randint(0, 6)):
+                    t = run_trace(c, iota, r)
+                    assert t == scalar_run_trace(c, iota, r), (c.name, iota, r)
+                    assert trace_check(c, t) and scalar_trace_check(c, t)
                 for _ in range(4):
                     bad = mutated(rng, c, t)
                     got = trace_check(c, bad)
