@@ -39,10 +39,10 @@ from .ternary_core import (
     InputError,
     ParseError,
     TernaryWord,
+    _meta_mask,
     all_words,
     content_lines,
     stable_words,
-    word,
 )
 
 
@@ -326,13 +326,11 @@ def synthesize(h: FunctionSpec) -> Circuit:
     for i, (z, o) in enumerate(hull):
         # the Boolean restriction: 1 where the stable entry is 1
         pis = _primes(digits, o & ~z)
-        if not pis:
-            gates.append(Gate(f"y{i}_zero", "CONST0", ()))
-            drives[f"y{i}"] = f"y{i}_zero"
-            continue
-        if len(pis) == 1 and pis[0].meta_count() == m:
-            gates.append(Gate(f"y{i}_one", "CONST1", ()))
-            drives[f"y{i}"] = f"y{i}_one"
+        # constant 0, or 1 (the all-M cube is then the only prime)
+        if not pis or pis[0].meta_count() == m:
+            gid, kind = (f"y{i}_one", "CONST1") if pis else (f"y{i}_zero", "CONST0")
+            gates.append(Gate(gid, kind, ()))
+            drives[f"y{i}"] = gid
             continue
         terms = []
         for p, pi in enumerate(pis):
@@ -452,7 +450,7 @@ def metastable_witness(c: Circuit, r: int,
     if not known[iota].is_disjoint(known[iota2]):
         return None
 
-    out_meta = word("M" * c.n).packed   # the M bits of the output digits
+    out_meta = _meta_mask(c.n)   # the M bits of the output digits
     budget = _Budget(max_states, "witness search")
     failed: set[tuple[TernaryWord, int]] = set()
 

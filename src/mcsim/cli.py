@@ -344,8 +344,14 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if text:
-        print(text)
+    try:
+        if text:
+            print(text, flush=True)
+    except OSError as e:
+        # a closed pipe, say; the interpreter's last flush then goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {e.strerror or e}", file=sys.stderr)
+        return 2
     return code
 
 

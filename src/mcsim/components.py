@@ -11,7 +11,7 @@ words out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .analysis import FunctionSpec, closure_bool, general_spec, synthesize
 from .netlist import (Circuit, Gate, RegisterDecl, RegType, Role, eval_dag, make_circuit,
@@ -187,17 +187,12 @@ def build_selector(r: int) -> Circuit:
     regs += [*counter.local_regs, RegisterDecl("O", Role.OUTPUT, RegType.SIMPLE, ZERO)]
     drive = dict(counter.dag.outputs)
     gates = list(counter.dag.gates)
-    terms = []
-    for j in range(1, r + 1):
-        gates.append(Gate(f"t{j}", "AND", (f"x{j - 1}", drive[f"O{j}"])))
-        terms.append(f"t{j}")
-    if len(terms) == 1:
-        out = terms[0]
-    else:
-        gates.append(Gate("pick", "OR", tuple(terms)))
-        out = "pick"
+    terms = tuple(f"t{j}" for j in range(1, r + 1))
+    gates += [Gate(t, "AND", (f"x{j}", drive[f"O{j + 1}"])) for j, t in enumerate(terms)]
+    if r > 1:
+        gates.append(Gate("pick", "OR", terms))
     drives = {reg.name: drive[reg.name] for reg in counter.local_regs}
-    drives["O"] = out
+    drives["O"] = "pick" if r > 1 else "t1"
     return make_circuit(f"selector_{r}", regs, gates, drives)
 
 
@@ -205,19 +200,9 @@ def build_selector(r: int) -> Circuit:
 # Code converters
 
 def _one_runs(bit: int, k: int):
-    """Maximal intervals [a, b) of v where Gray-code bit `bit` is 1."""
-    runs = []
-    start = None
-    for v in range(1 << k):
-        on = (v ^ (v >> 1)) >> bit & 1
-        if on and start is None:
-            start = v
-        if not on and start is not None:
-            runs.append((start, v))
-            start = None
-    if start is not None:
-        runs.append((start, 1 << k))
-    return runs
+    """Maximal intervals [a, b) of v < 2^k where Gray-code bit `bit` is 1:
+    those where v mod 2^(bit+2) lies in [2^bit, 3 * 2^bit)."""
+    return [(a, min(a + (2 << bit), 1 << k)) for a in range(1 << bit, 1 << k, 4 << bit)]
 
 
 def _or_tree(terms, prefix, gates):
@@ -401,10 +386,7 @@ class TdcReading:
 
     def __post_init__(self):
         text = str(self.word)
-        stripped = text.lstrip("1")
-        if stripped.startswith("M"):
-            stripped = stripped[1:]
-        if stripped.strip("0"):
+        if text.lstrip("1").removeprefix("M").strip("0"):
             raise InputError(f"not a TDC reading: {text}")
 
 
@@ -420,13 +402,19 @@ def tdc_readings(n: int, v: int, meta: bool = False) -> TdcReading:
     return TdcReading(word("1" * v + "0" * (n - v)))
 
 
+def _check_faults(n: int, f: int) -> None:
+    if f < 0:
+        raise InputError(f"fault count must be nonnegative, got {f}")
+    if n <= 3 * f:
+        raise InputError(f"need more than 3f = {3 * f} nodes, got {n}")
+
+
 @lru_cache(maxsize=None)
 def build_pipeline(n: int, k: int, f: int) -> Circuit:
     """One combinational pass from n TC readings to the two selected TC
     control words: convert to Gray code, sort, tap the (f+1)-th largest
     and (n-f)-th largest channels, convert back."""
-    if n <= 3 * f or f < 0:
-        raise InputError("need more than 3f nodes")
+    _check_faults(n, f)
     width = (1 << k) - 1
     conv = build_tc_to_brgc(k)
     net, sorter = build_sorting_network(n, k)
@@ -465,8 +453,7 @@ def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWor
     words = [r.word if isinstance(r, TdcReading) else r for r in readings]
     if len(words) != n:
         raise InputError(f"expected {n} readings, got {len(words)}")
-    if n <= 3 * f or f < 0:
-        raise InputError("need more than 3f nodes")
+    _check_faults(n, f)
     width = len(words[0])
     if any(len(w) != width for w in words):
         raise InputError("readings must share one width")
@@ -475,9 +462,5 @@ def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWor
         raise InputError("reading width must be one less than a power of two")
     for w in words:
         TdcReading(w)
-    pipe = build_pipeline(n, k, f)
-    iw = words[0]
-    for w in words[1:]:
-        iw = iw.concat(w)
-    out = eval_dag(pipe.dag, iw)
+    out = eval_dag(build_pipeline(n, k, f).dag, reduce(TernaryWord.concat, words))
     return out.subword(0, width), out.subword(width, 2 * width)

@@ -12,21 +12,16 @@ so reachable-state sets never get expanded flat.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .netlist import Circuit, RegType, digit_lanes, eval_dag, eval_lanes, lane_word
 from .ternary_core import (
     DEFAULT_MAX_STATES,
-    META,
-    ONE,
-    ZERO,
     BudgetError,
     CubeSet,
     InputError,
     ParseError,
-    Ternary,
     TernaryWord,
     _canonical,
     _PACKED,
@@ -35,21 +30,6 @@ from .ternary_core import (
     cubeset_canonicalize,
     res_contains,
 )
-
-
-def register_transitions(rtype: RegType, v: Ternary) -> tuple[tuple[Ternary, Ternary], ...]:
-    """Solid arcs of the register automaton: (value read, next content).
-
-    A stable register always reads and keeps its value. A metastable
-    mask-0 register may read 0 and stay metastable, or read M and
-    thereby resolve to 1; mask-1 mirrors this. The order is fixed so
-    that every caller sees the same first outcome.
-    """
-    if v is not META or rtype is RegType.SIMPLE:
-        return ((v, v),)
-    if rtype is RegType.MASK0:
-        return ((ZERO, META), (META, ONE))
-    return ((ONE, META), (META, ZERO))
 
 
 class _Budget:
@@ -81,11 +61,16 @@ def _check_state(c: Circuit, s: TernaryWord) -> None:
         raise InputError(f"state width {len(s)} does not match {width} registers")
 
 
-def _arcs(c: Circuit, s: TernaryWord) -> list[tuple[tuple[Ternary, Ternary], ...]]:
-    """Every non-output register's register_transitions in state s, in state
-    order; the one place registers are read. Arcs ascend by the value read."""
-    return [register_transitions(r.rtype, s.digit(i))
-            for i, r in enumerate(c.input_regs + c.local_regs)]
+def _reads(c: Circuit, s: TernaryWord) -> tuple[int, list]:
+    """The one place registers are read, by c.read_plan: state s's
+    non-output word with the digit of every metastable masked register
+    cleared, and each such register's (M bit, arcs), in digit order."""
+    read = s.packed >> 2 * c.n
+    low, masked, arcs = c.read_plan
+    if read & read >> 1 & low:
+        str(s)  # printing raises the InputError that names the packed digit 3
+    held = read & masked
+    return read ^ held, [a for a in arcs if held & a[0]] if held else []
 
 
 def read_outcomes(c: Circuit, s: TernaryWord,
@@ -101,14 +86,21 @@ def read_outcomes(c: Circuit, s: TernaryWord,
     return _read_outcomes(c, s, _Budget(max_outcomes))
 
 
+def _outcome(c: Circuit, base: int, picked) -> tuple[TernaryWord, TernaryWord]:
+    """The (read word, next input contents) of one arc per branch of _reads."""
+    read = nxt = base
+    for rv, nv in picked:
+        read, nxt = read | rv, nxt | nv
+    return TernaryWord(c.m + c.k, read), TernaryWord(c.m, nxt >> 2 * c.k)
+
+
 def _read_outcomes(c: Circuit, s: TernaryWord, budget: _Budget):
-    # the product of arcs that each ascend by the value read is already
-    # in lex order of the read word, which fixes the whole pair
-    arcs = _arcs(c, s)
-    budget.spend(math.prod(map(len, arcs)))
-    return [(TernaryWord.from_digits(rv for rv, _ in combo),
-             TernaryWord.from_digits(nv for _, nv in combo[:c.m]))
-            for combo in itertools.product(*arcs)]
+    # each register's arcs ascend by the value read, so their product in
+    # digit order is in lex order of the read word, which fixes the pair
+    base, branches = _reads(c, s)
+    budget.spend(1 << len(branches))
+    return [_outcome(c, base, picked)
+            for picked in itertools.product(*(arcs for _, arcs in branches))]
 
 
 def canonicalize_state_cubes(m: int, width: int,
@@ -349,7 +341,7 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
     """
     if not t.rounds:
         raise InputError("empty trace")
-    m, width = c.m, c.m + c.k + c.n
+    width = c.m + c.k + c.n
     for i, row in enumerate(t.rounds):
         if len(row.state) != width:
             raise InputError(f"round {i}: state width {len(row.state)}")
@@ -365,15 +357,16 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
         if len(row.evaluation) != c.k + c.n or len(row.written) != c.k + c.n:
             raise InputError(f"round {i}: evaluation/write width")
 
-        # each register's next content after the recorded read, if any
-        nxt = [dict(a).get(d) for a, d in zip(_arcs(c, row.state), row.read.digits())]
-        if None in nxt or eval_dag(c.dag, row.read) != row.evaluation \
-                or not res_contains(row.evaluation, row.written):
+        # the outcome that reads each branching digit as recorded (its
+        # first arc where none does, so that the read words then differ)
+        base, branches = _reads(c, row.state)
+        read, nxt = _outcome(c, base, [
+            next((a for a in arcs if row.read.packed & (bit | bit >> 1) == a[0]), arcs[0])
+            for bit, arcs in branches])
+        if eval_dag(c.dag, row.read) != row.evaluation or read != row.read \
+                or not res_contains(row.evaluation, row.written) \
+                or i + 1 < len(t.rounds) and t.rounds[i + 1].state != nxt.concat(row.written):
             return False
-        if i + 1 < len(t.rounds):
-            want = TernaryWord.from_digits(nxt[:m]).concat(row.written)
-            if t.rounds[i + 1].state != want:
-                return False
     return True
 
 
@@ -388,11 +381,11 @@ def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
     rows = []       # the row of each distinct state stepped from
 
     def step(state: TernaryWord) -> TernaryWord:
-        first = [a[0] for a in _arcs(c, state)]
-        read = TernaryWord.from_digits(rv for rv, _ in first)
+        base, branches = _reads(c, state)
+        read, nxt = _outcome(c, base, [arcs[0] for _, arcs in branches])
         evaluation = eval_dag(c.dag, read)
         rows.append(TraceRound(state, read, evaluation, evaluation))
-        return TernaryWord.from_digits(nv for _, nv in first[:c.m]).concat(evaluation)
+        return nxt.concat(evaluation)
 
     states, loop = _orbit(state, step, r)
     return ExecutionTrace(tuple(replayed(rows, loop, t) for t in range(r))

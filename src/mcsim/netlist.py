@@ -20,17 +20,17 @@ from typing import Callable, Iterable, Mapping
 from .ternary_core import (
     CHAR_TO_DIGIT,
     DIGITS,
+    META,
+    ONE,
+    ZERO,
     InputError,
     ParseError,
     Ternary,
     TernaryWord,
+    _meta_mask,
     _norm_table,
     content_lines,
 )
-
-# rails of the digits 0, 1, M
-_CAN0 = (1, 0, 1)
-_CAN1 = (0, 1, 1)
 
 
 class Role(Enum):
@@ -56,6 +56,21 @@ class RegisterDecl:
     role: Role
     rtype: RegType
     init: Ternary | None = None
+
+
+def register_transitions(rtype: RegType, v: Ternary) -> tuple[tuple[Ternary, Ternary], ...]:
+    """Solid arcs of the register automaton: (value read, next content).
+
+    A stable register always reads and keeps its value. A metastable
+    mask-0 register may read 0 and stay metastable, or read M and
+    thereby resolve to 1; mask-1 mirrors this. The order is fixed so
+    that every caller sees the same first outcome.
+    """
+    if v is not META or rtype is RegType.SIMPLE:
+        return ((v, v),)
+    if rtype is RegType.MASK0:
+        return ((ZERO, META), (META, ONE))
+    return ((ONE, META), (META, ZERO))
 
 
 # fan-in bounds per kind: (min, max); None = unbounded
@@ -163,10 +178,30 @@ class Circuit:
     def n(self) -> int:
         return len(self.output_regs)
 
+    @functools.cached_property
+    def _init(self) -> TernaryWord:
+        regs = self.local_regs + self.output_regs
+        # the digits 0, 1, 2 (M) read in base 4 are the packed word
+        return TernaryWord(len(regs), int("0" + "".join(str(int(r.init)) for r in regs), 4))
+
     def init_word(self) -> TernaryWord:
         """Initial values of the non-input registers, locals then outputs."""
-        return TernaryWord.from_digits(
-            r.init for r in self.local_regs + self.output_regs)
+        return self._init
+
+    @functools.cached_property
+    def read_plan(self) -> tuple[int, int, tuple]:
+        """Bit patterns on the word of the non-output registers: (the low
+        bit of every digit, the M bit of every masked register, and per
+        masked register in digit order its M bit and register_transitions
+        out of M as (read, next) patterns, next landing in the input word
+        once shifted right by 2k)."""
+        w, arcs = self.m + self.k, []
+        for i, r in enumerate(self.input_regs + self.local_regs):
+            if r.rtype is not RegType.SIMPLE:
+                at = 2 * (w - 1 - i)
+                arcs.append((2 << at, tuple((rv << at, nv << at) for rv, nv
+                                            in register_transitions(r.rtype, META))))
+        return _meta_mask(w) >> 1, sum(bit for bit, _ in arcs), tuple(arcs)
 
 
 # Each signal is a pair of lane masks (can0, can1): bit L of can_b is set
@@ -220,7 +255,7 @@ def _rule(kind: str, table, arity: int):
 def eval_gate(kind: str, table: str | None, vals: list[Ternary]) -> Ternary:
     """One gate on ternary values, by the rule eval_dag uses for it."""
     c0, c1 = _rule(kind, table, len(vals))(
-        [_CAN0[v] for v in vals], [_CAN1[v] for v in vals], range(len(vals)), 1)
+        *_word_rails(TernaryWord.from_digits(vals), 1), range(len(vals)), 1)
     return DIGITS[c1 + (c0 & c1)]
 
 
@@ -234,13 +269,24 @@ def _run(dag: Dag, z: list[int], o: list[int], full: int) -> list[tuple[int, int
     return [(z[i], o[i]) for i in out_idx]
 
 
+def _word_rails(x: TernaryWord, full: int) -> tuple[list[int], list[int]]:
+    """The can0 and can1 rails of each digit of x, full or 0, read off x.packed."""
+    p = x.packed
+    if p & p >> 1 & _meta_mask(x.width) >> 1:
+        str(x)  # printing raises the InputError that names the packed digit 3
+    at = range(2 * x.width - 2, -1, -2)
+    return [full * (p >> s & 3 != 1) for s in at], [full * (p >> s & 3 != 0) for s in at]
+
+
 def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     """Evaluate the DAG on one ternary input word, one digit per input node."""
     if x.width != len(dag.inputs):
         raise InputError(
             f"input width {x.width} does not match {len(dag.inputs)} input nodes")
-    ds = x.digits()
-    return lane_word(_run(dag, [_CAN0[d] for d in ds], [_CAN1[d] for d in ds], 1), 0)
+    packed = 0
+    for c0, c1 in _run(dag, *_word_rails(x, 1), 1):
+        packed = packed << 2 | c1 + (c0 & c1)
+    return TernaryWord(len(dag.outputs), packed)
 
 
 def digit_lanes(m: int) -> list[tuple[int, int]]:
@@ -264,8 +310,8 @@ def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:
         raise InputError(f"input width {m + rest.width} does not match "
                          f"{len(dag.inputs)} input nodes")
     full = (1 << 3 ** m) - 1
-    rails = digit_lanes(m) + [(full * _CAN0[d], full * _CAN1[d]) for d in rest.digits()]
-    return _run(dag, [z for z, _ in rails], [o for _, o in rails], full)
+    lanes, (z, o) = digit_lanes(m), _word_rails(rest, full)
+    return _run(dag, [a for a, _ in lanes] + z, [b for _, b in lanes] + o, full)
 
 
 def lane_word(rails: list[tuple[int, int]], lane: int) -> TernaryWord:

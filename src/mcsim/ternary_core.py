@@ -380,9 +380,8 @@ def encode(c: Code, v: int) -> TernaryWord:
         raise InputError(f"value {v} out of range for {c.kind} width {c.width}")
     if c.kind == "TC":
         return word("0" * (c.width - v) + "1" * v)
-    g = v ^ (v >> 1)
-    return TernaryWord.from_digits(
-        Ternary(g >> (c.width - 1 - i) & 1) for i in range(c.width))
+    # binary digits read in base 4 are the packed word (2 bits a digit)
+    return TernaryWord(c.width, int(format(v ^ v >> 1, "b"), 4))
 
 
 def decode(c: Code, w: TernaryWord) -> int:
@@ -393,19 +392,14 @@ def decode(c: Code, w: TernaryWord) -> int:
         raise InputError(f"not a codeword: {w} is not stable")
     if c.kind == "TC":
         ones = sum(1 for d in w.digits() if d is ONE)
-        if w not in (encode(c, ones), _tc_mirror(c, ones)):
+        if w not in (encode(c, ones), word("1" * ones + "0" * (c.width - ones))):
             raise InputError(f"not a codeword: {w}")
         return ones
-    v = 0
-    acc = 0
-    for i in range(c.width):
-        acc ^= int(w.digit(i))
-        v = (v << 1) | acc
+    # binary digit i is the XOR of the Gray digits from the first to i
+    g = v = int(str(w), 2)
+    while g := g >> 1:
+        v ^= g
     return v
-
-
-def _tc_mirror(c: Code, v: int) -> TernaryWord:
-    return word("1" * v + "0" * (c.width - v))
 
 
 def precision(c: Code, w: TernaryWord) -> int:

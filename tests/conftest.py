@@ -486,10 +486,23 @@ def scalar_state_cube_contains(m, cube, s):
             and scalar_res_contains(cube.subword(m, len(cube)), s.subword(m, len(s))))
 
 
+def scalar_read_outcomes(c, s):
+    """read_outcomes as the product of every non-output register's
+    register_transitions in state order, each word built digit by digit."""
+    from mcsim.netlist import register_transitions
+    if len(s) != c.m + c.k + c.n:
+        raise InputError(f"state width {len(s)} does not match {c.m + c.k + c.n} registers")
+    per = [register_transitions(reg.rtype, s.digit(i))
+           for i, reg in enumerate(c.input_regs + c.local_regs)]
+    return [(TernaryWord.from_digits(rv for rv, _ in combo),
+             TernaryWord.from_digits(nv for _, nv in combo[:c.m]))
+            for combo in itertools.product(*per)]
+
+
 def scalar_run_trace(c, iota, r):
     """run_trace with every register's first arc looked up on its own."""
-    from mcsim.executor import ExecutionTrace, TraceRound, register_transitions
-    from mcsim.netlist import eval_dag
+    from mcsim.executor import ExecutionTrace, TraceRound
+    from mcsim.netlist import eval_dag, register_transitions
     if len(iota) != c.m:
         raise InputError(f"input width {len(iota)}, circuit has {c.m} inputs")
     state = iota.concat(c.init_word())
@@ -511,8 +524,7 @@ def scalar_run_trace(c, iota, r):
 def scalar_trace_check(c, t):
     """trace_check with one register_transitions lookup per register,
     stopping at the first register whose recorded read is impossible."""
-    from mcsim.executor import register_transitions
-    from mcsim.netlist import eval_dag
+    from mcsim.netlist import eval_dag, register_transitions
     if not t.rounds:
         raise InputError("empty trace")
     m, width = c.m, c.m + c.k + c.n

@@ -1,5 +1,8 @@
 """Command-line front end: reports, artifacts, exit codes."""
 
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -11,6 +14,7 @@ from mcsim import executor
 from mcsim.cli import build_parser, main
 from mcsim.components import (
     build_counter,
+    build_fanout_buffer,
     build_mux,
     build_cmux_combinational,
     cmux_spec,
@@ -219,6 +223,31 @@ class TestSim:
             work[rounds] = dict(calls)
         assert work[short] == work[1000]
         assert work[short]["eval_dag"] > work[short]["_successor_cubes"] > 0
+
+
+class TestClosedStdout:
+    SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def test_a_closed_pipe_exits_2_with_one_error_line(self, workspace):
+        # like `mc sim fb.net M 100000 | head -1`
+        fb = workspace("fb.net", emit_netlist(build_fanout_buffer(2)))
+        proc = subprocess.Popen([sys.executable, "-m", "mcsim.cli", "sim", fb, "M", "100000"],
+                                env=dict(os.environ, PYTHONPATH=self.SRC), text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), first) == (2, "command: sim\n")
+        assert err == "error: cannot write the report: Broken pipe\n"
+
+    def test_no_stdout_at_all_is_still_a_pass(self, workspace):
+        # like `mc sim fb.net M 3 >&-`: Python sets sys.stdout to None
+        fb = workspace("fb.net", emit_netlist(build_fanout_buffer(2)))
+        done = subprocess.run([sys.executable, "-m", "mcsim.cli", "sim", fb, "M", "3"],
+                              env=dict(os.environ, PYTHONPATH=self.SRC), text=True,
+                              stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                              timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestParserReuse:
@@ -570,7 +599,13 @@ class TestPipeline:
         rc, _, err = run(capsys, ["pipeline", "100", "110", "000",
                                   "--faults", "1"])
         assert rc == 2
-        assert "error:" in err
+        assert err == "error: need more than 3f = 3 nodes, got 3\n"
+
+    @pytest.mark.parametrize("emit", ["report", "netlist"])
+    def test_negative_faults(self, capsys, emit):
+        assert run(capsys, ["pipeline", "10", "10", "10", "--faults", "-1",
+                            "--emit", emit]) == (
+            2, "", "error: fault count must be nonnegative, got -1\n")
 
     def test_imprecise_reading_rejected(self, capsys):
         rc, _, err = run(capsys, ["pipeline", "MMM", "110", "000", "100",

@@ -14,6 +14,7 @@ from conftest import (
     lane_implements,
     scalar_canonicalize_state_cubes,
     scalar_cubeset_canonicalize,
+    scalar_read_outcomes,
     scalar_run_trace,
     scalar_state_cube_contains,
     scalar_trace_check,
@@ -39,14 +40,21 @@ from mcsim.executor import (
     parse_trace,
     reach,
     read_outcomes,
-    register_transitions,
     replayed,
     run_trace,
     state_cube_contains,
     successors,
     trace_check,
 )
-from mcsim.netlist import Gate, RegisterDecl, RegType, Role, eval_dag, make_circuit
+from mcsim.netlist import (
+    Gate,
+    RegisterDecl,
+    RegType,
+    Role,
+    eval_dag,
+    make_circuit,
+    register_transitions,
+)
 from mcsim.ternary_core import (
     META,
     ONE,
@@ -173,6 +181,46 @@ class TestReadOutcomes:
             got = read_outcomes(c, s)
             assert any(rd == actual for rd, _ in got)
             assert all(res_contains(actual, rd) for rd, _ in got)
+
+    def test_every_small_circuit_matches_the_register_product(self):
+        # every simple/mask0/mask1 assignment of m + k <= 4 read registers,
+        # on every state; the output's type, never read, cycles
+        count = 0
+        for m in range(5):
+            for k in range(5 - m):
+                for types in itertools.product(RegType, repeat=m + k):
+                    regs = [RegisterDecl(f"i{j}", Role.INPUT, t) for j, t in enumerate(types[:m])]
+                    regs += [RegisterDecl(f"l{j}", Role.LOCAL, t, ZERO)
+                             for j, t in enumerate(types[m:])]
+                    regs.append(RegisterDecl("o", Role.OUTPUT, list(RegType)[count % 3], ONE))
+                    c = make_circuit("small", regs, [Gate("g", "CONST0", ())],
+                                     {r.name: "g" for r in regs if r.role is not Role.INPUT})
+                    for s in all_words(m + k + 1):
+                        assert read_outcomes(c, s) == scalar_read_outcomes(c, s), (types, s)
+                    count += 1
+        assert count == sum((j + 1) * 3 ** j for j in range(5))
+
+    def test_every_state_of_the_mixed_corpus(self, corpus_mixed):
+        for c in corpus_mixed:
+            for s in all_words(c.m + c.k + c.n):
+                assert read_outcomes(c, s) == scalar_read_outcomes(c, s), (c.name, s)
+
+    def test_packed_digit_3_in_a_read_register(self, corpus_mixed):
+        # the same InputError as reading the register digit by digit; a 3
+        # among the output digits is never read
+        for c in corpus_mixed[:40]:
+            width = c.m + c.k + c.n
+            for i in range(width):
+                s = TernaryWord(width, 3 << 2 * (width - 1 - i))
+                if i >= c.m + c.k:
+                    assert read_outcomes(c, s) == scalar_read_outcomes(c, s)
+                    continue
+                with pytest.raises(InputError) as want:
+                    scalar_read_outcomes(c, s)
+                for fn in (read_outcomes, successors):
+                    with pytest.raises(InputError) as got:
+                        fn(c, s)
+                    assert str(got.value) == str(want.value)
 
     def test_budget(self):
         regs = [RegisterDecl(f"a{i}", Role.INPUT, RegType.MASK0)
@@ -806,9 +854,8 @@ class TestScalarReferences:
                        for i, r in enumerate(c.input_regs + c.local_regs)]
                 for arcs in per:
                     assert list(arcs) == sorted(arcs)
-                want = sorted((TernaryWord.from_digits(rv for rv, _ in combo),
-                               TernaryWord.from_digits(nv for _, nv in combo[:c.m]))
-                              for combo in itertools.product(*per))
+                want = scalar_read_outcomes(c, s)
+                assert want == sorted(want)
                 assert read_outcomes(c, s) == want, (c.name, s)
 
     @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple", "late_cycles"])

@@ -125,6 +125,42 @@ class TestDualRail:
                             for x in all_words(m)]
                     assert got == want, (c.name, m, rest)
 
+    def test_random_dags_match_the_scalar_oracle_on_every_word(self):
+        rng = random.Random(76)
+        for width in range(7):
+            for _ in range(12):
+                inputs = tuple(f"i{j}" for j in range(width))
+                gates, avail = random_gates(rng, list(inputs), rng.randint(1, 10))
+                outs = tuple((f"o{j}", rng.choice(avail)) for j in range(rng.randint(0, 4)))
+                dag = dag_toposort(Dag(inputs, tuple(gates), outs))
+                for x in all_words(width):
+                    assert eval_dag(dag, x) == scalar_eval_dag(dag, x), (dag, x)
+
+    def test_packed_digit_3_raises_as_reading_it_digit_by_digit(self):
+        # at every position, with valid digits or more 3s after it; the
+        # first 3 is named, with the word's width and packed value
+        rng = random.Random(77)
+        for width in range(1, 7):
+            inputs = tuple(f"i{j}" for j in range(width))
+            gates, avail = random_gates(rng, list(inputs), 4)
+            dag = dag_toposort(Dag(inputs, tuple(gates), (("o", avail[-1]),)))
+            for i in range(width):
+                for after in (0, 3):
+                    low = rng.choice(all_words(width - 1 - i)).packed if after == 0 \
+                        else rng.randrange(4 ** (width - 1 - i))
+                    head = rng.choice(all_words(i)).packed
+                    x = TernaryWord(width, (head << 2 | 3) << 2 * (width - 1 - i) | low)
+                    with pytest.raises(InputError) as want:
+                        scalar_eval_dag(dag, x)
+                    assert f"digit {i} of a width-{width} word" in str(want.value)
+                    with pytest.raises(InputError) as got:
+                        eval_dag(dag, x)
+                    assert str(got.value) == str(want.value)
+                    # the same word as the fixed rest of a lane evaluation
+                    with pytest.raises(InputError) as got:
+                        eval_lanes(dag, 0, x)
+                    assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_table_rule_is_the_kleene_extension(self, arity):
         inputs = tuple(f"i{j}" for j in range(arity))
