@@ -11,7 +11,7 @@ between inputs with disjoint output sets, metastability must appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 from typing import Callable, Mapping, Optional
@@ -46,6 +46,16 @@ from .ternary_core import (
 )
 
 
+class _Entries:
+    """FunctionSpec.entries of a lane-built spec: its rails, decoded on first read."""
+
+    def __get__(self, f, owner=None):
+        if f is None:
+            return None  # the field's default
+        entries = vars(f)["entries"] = _decode(f.m, f.n, f.rails)
+        return entries
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """A specification: every m-digit input word gets a set of allowed outputs.
@@ -53,16 +63,22 @@ class FunctionSpec:
     Natural form keeps one entry word per input; digit 0 or 1 pins that
     output bit, digit M leaves it completely unconstrained (printed as *
     in table files). General form keeps an arbitrary nonempty cube set
-    per input. Build instances with natural_spec/general_spec.
+    per input. Build instances with natural_spec/general_spec. A natural
+    spec computed on lanes keeps its entries as the rails of spec_layers.
     """
     m: int
     n: int
-    entries: Optional[dict] = None
+    entries: Optional[dict] = _Entries()
     values: Optional[dict] = None
+    rails: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.rails is not None and self.entries is None:
+            del vars(self)["entries"]  # read through _Entries
 
     @property
     def is_natural_form(self) -> bool:
-        return self.entries is not None
+        return self.rails is not None or self.entries is not None
 
     def entry(self, x: TernaryWord) -> TernaryWord:
         if self.entries is None:
@@ -134,7 +150,7 @@ def _zeta(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
         s = 3 ** (len(digits) - 1 - i)
         rails = [tuple(p | (p & z & ~o) << 2 * s | (p & o & ~z) << s for p in pair)
                  for pair in rails]
-    return rails
+    return tuple(rails)
 
 
 def _stable_part(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
@@ -143,18 +159,16 @@ def _stable_part(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
     return [(z & stable, o & stable) for z, o in rails]
 
 
-def _spec(m: int, n: int, rails: list[tuple[int, int]]) -> FunctionSpec:
-    """The natural spec whose entry at word L of all_words(m) is the word
-    lane L of the rails carries."""
+def _decode(m: int, n: int, rails) -> dict:
+    """The entries the rails carry: word L of all_words(m) maps to lane L's word."""
     lanes, size = 3 ** m, 2 * n + 1
     # lane L is chars[L * size:][:size]: a 0 (for n = 0), then each digit's M and 1 bit
     chars = bytearray(b"0" * lanes * size)
     for j, (c0, c1) in enumerate(rails):
         chars[2 * j + 1::size] = format(c0 & c1, f"0{lanes}b")[::-1].encode()
         chars[2 * j + 2::size] = format(c1 & ~c0, f"0{lanes}b")[::-1].encode()
-    return FunctionSpec(m, n, entries={
-        x: TernaryWord(n, int(chars[i:i + size], 2))
-        for x, i in zip(all_words(m), range(0, lanes * size, size))})
+    return {x: TernaryWord(n, int(chars[i:i + size], 2))
+            for x, i in zip(all_words(m), range(0, lanes * size, size))}
 
 
 def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
@@ -171,7 +185,7 @@ def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
         # stable word k sits on the lane its binary digits name in base 3
         rows[int(format(k, "b"), 3)] = table[y]
     digits = digit_lanes(m)
-    return _spec(m, n, _zeta(digits, _stable_part(digits, _rails(rows, n))))
+    return FunctionSpec(m, n, rails=_zeta(digits, _stable_part(digits, _rails(rows, n))))
 
 
 def _hull(layers: list, n: int) -> list[tuple[int, int]]:
@@ -194,12 +208,12 @@ def closure_general(f: FunctionSpec) -> FunctionSpec:
     if empty:
         x = lane_word(digits, (empty & -empty).bit_length() - 1)
         raise InputError(f"specification allows no output at input {x}")
-    return _spec(f.m, f.n, _zeta(digits, _hull(layers, f.n)))
+    return FunctionSpec(f.m, f.n, rails=_zeta(digits, _hull(layers, f.n)))
 
 
-def _natural_hull(f: FunctionSpec) -> Optional[list[tuple[int, int]]]:
-    """The rails of f's entries if f is natural, else None."""
-    layers, digits = spec_layers(f), digit_lanes(f.m)
+def _natural_hull(f: FunctionSpec, digits: list) -> Optional[list[tuple[int, int]]]:
+    """The rails of f's entries if f is natural, else None (digits: f.m's digit_lanes)."""
+    layers = spec_layers(f)
     hull = _hull(layers, f.n)
     joins = _zeta(digits, _stable_part(digits, hull))
     # natural: at every input the hull lies inside (so equals) an allowed
@@ -211,7 +225,7 @@ def _natural_hull(f: FunctionSpec) -> Optional[list[tuple[int, int]]]:
 def is_natural(f: FunctionSpec) -> bool:
     """Bit-wise, closed, and specific: every value set is a single cube,
     and stabilizing any input only shrinks the value set."""
-    return _natural_hull(f) is not None
+    return _natural_hull(f, digit_lanes(f.m)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +267,7 @@ def find_natural_subfunction(g: FunctionSpec,
         return None
 
     rails = assign(0, [(0, 0)] * n)
-    return None if rails is None else _spec(m, n, _zeta(digits, rails))
+    return None if rails is None else FunctionSpec(m, n, rails=_zeta(digits, rails))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +316,11 @@ def synthesize(h: FunctionSpec) -> Circuit:
     contains metastability: any input whose stable resolutions agree is
     covered by some all-stable implicant term.
     """
-    hull = _natural_hull(h)
-    if hull is None:
-        raise InputError("specification is not natural")
     m, n = h.m, h.n
     digits = digit_lanes(m)
+    hull = _natural_hull(h, digits)
+    if hull is None:
+        raise InputError("specification is not natural")
     regs = [RegisterDecl(f"x{j}", Role.INPUT, RegType.SIMPLE)
             for j in range(m)]
     regs += [RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO)
@@ -316,12 +330,10 @@ def synthesize(h: FunctionSpec) -> Circuit:
     nots: dict[int, str] = {}
 
     def negated(j: int) -> str:
-        gid = nots.get(j)
-        if gid is None:
-            gid = f"not_x{j}"
-            nots[j] = gid
-            gates.append(Gate(gid, "NOT", (f"x{j}",)))
-        return gid
+        if j not in nots:
+            nots[j] = f"not_x{j}"
+            gates.append(Gate(nots[j], "NOT", (f"x{j}",)))
+        return nots[j]
 
     for i, (z, o) in enumerate(hull):
         # the Boolean restriction: 1 where the stable entry is 1
@@ -563,10 +575,8 @@ def parse_spec_table(text: str) -> FunctionSpec:
 def emit_spec_table(f: FunctionSpec) -> str:
     lines = [f"spec m={f.m} n={f.n}"]
     for x in all_words(f.m):
-        if f.is_natural_form:
-            rhs = str(f.entries[x]).replace("M", "*")
-        else:
-            rhs = ", ".join(str(c) for c in f.values[x])
+        rhs = (str(f.entries[x]).replace("M", "*") if f.is_natural_form
+               else ", ".join(str(c) for c in f.values[x]))
         lines.append(f"{x} -> {rhs}")
     return "\n".join(lines) + "\n"
 

@@ -241,8 +241,11 @@ def _rails(cubes: list[TernaryWord], n: int) -> list[tuple[int, int]]:
 def spec_layers(f) -> list[tuple[int, list[tuple[int, int]]]]:
     """f's allowed cubes on all inputs at once, lane L being input L in
     all_words order, as layers (has, rails): layer k's rails hold the k-th
-    allowed cube of each input in has. A natural spec is one layer."""
+    allowed cube of each input in has. A natural spec is one layer; one
+    built on lanes hands over its own rails."""
     m, n = f.m, f.n
+    if getattr(f, "rails", None) is not None:
+        return [((1 << 3 ** m) - 1, list(f.rails))]
     entries = getattr(f, "entries", None)
     table = entries if entries is not None else getattr(f, "values", None)
     if isinstance(table, dict) and len(table) == 3 ** m:

@@ -392,6 +392,13 @@ def validate(c: Circuit) -> list[str]:
 def dag_toposort(dag: Dag) -> Dag:
     """Reorder gates into the fixed topological order used everywhere:
     among ready gates, earliest declaration first. Raises on cycles."""
+    seen = set(dag.inputs).difference(g.gid for g in dag.gates)
+    for g in dag.gates:
+        if not seen.issuperset(g.args):
+            break
+        seen.add(g.gid)
+    else:
+        return dag  # each gate follows every gate it names: the heap keeps that order
     by_id = {g.gid: i for i, g in enumerate(dag.gates)}
     known = set(dag.inputs)
     waits: dict[int, int] = {}

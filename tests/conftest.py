@@ -316,6 +316,90 @@ def corpus_simple():
     return circuit_corpus(seed=9157, count=55, max_regs=5, all_simple=True)
 
 
+def bool_tables(m, n=1):
+    """Every Boolean function {0,1}^m -> {0,1}^n as a truth table."""
+    rows = stable_words(m)
+    outs = stable_words(n)
+    for pick in itertools.product(outs, repeat=len(rows)):
+        yield dict(zip(rows, pick))
+
+
+def eager_spec(m, n, rails):
+    """The dict-built natural spec whose entry at word L of all_words(m) is
+    the word lane L of the rails carries: the decode the analysis chain ran
+    on every closure before lane-built specs kept their rails."""
+    from mcsim.analysis import FunctionSpec
+    lanes, size = 3 ** m, 2 * n + 1
+    # lane L is chars[L * size:][:size]: a 0 (for n = 0), then each digit's M and 1 bit
+    chars = bytearray(b"0" * lanes * size)
+    for j, (c0, c1) in enumerate(rails):
+        chars[2 * j + 1::size] = format(c0 & c1, f"0{lanes}b")[::-1].encode()
+        chars[2 * j + 2::size] = format(c1 & ~c0, f"0{lanes}b")[::-1].encode()
+    return FunctionSpec(m, n, entries={
+        x: TernaryWord(n, int(chars[i:i + size], 2))
+        for x, i in zip(all_words(m), range(0, lanes * size, size))})
+
+
+def assert_lane_spec_agrees(f, circuits=()):
+    """A lane-built spec against its eager decode and its dict-built copy:
+    the same entries in all_words order, bit-identical layers, equality
+    both ways, the same table text, and the same is_natural and one-round
+    verdicts (witnesses included) on every circuit given, which it
+    returns."""
+    from mcsim.analysis import emit_spec_table, is_natural, natural_spec
+    from mcsim.executor import implements, spec_layers
+    assert f.rails is not None and f.is_natural_form
+    # the rails-backed answers first, before reading entries decodes them
+    natural = is_natural(f)
+    verdicts = [implements(c, 1, f) for c in circuits]
+    want = eager_spec(f.m, f.n, f.rails)
+    assert list(f.entries.items()) == list(want.entries.items())
+    copy = natural_spec(f.m, f.n, f.entries)
+    assert copy.rails is None
+    assert spec_layers(f) == spec_layers(copy)
+    assert f == copy and copy == f and f == want and want == f
+    assert emit_spec_table(f) == emit_spec_table(want)
+    assert natural == is_natural(copy)
+    assert verdicts == [implements(c, 1, copy) for c in circuits]
+    return verdicts
+
+
+def scalar_dag_toposort(dag: Dag) -> Dag:
+    """dag_toposort by the heap alone: among ready gates, earliest
+    declaration first, for gates in any order."""
+    import heapq
+    by_id = {g.gid: i for i, g in enumerate(dag.gates)}
+    known = set(dag.inputs)
+    waits: dict[int, int] = {}
+    users: dict[str, list[int]] = {}
+    ready: list[int] = []
+    for i, g in enumerate(dag.gates):
+        pending = 0
+        for a in g.args:
+            if a in by_id:
+                pending += 1
+                users.setdefault(a, []).append(i)
+            elif a not in known:
+                raise InputError(f"gate {g.gid} references undefined node {a!r}")
+        waits[i] = pending
+        if pending == 0:
+            heapq.heappush(ready, i)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        g = dag.gates[i]
+        order.append(g)
+        for j in users.get(g.gid, ()):
+            waits[j] -= 1
+            if waits[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) != len(dag.gates):
+        stuck = sorted(set(range(len(dag.gates))) - {by_id[g.gid] for g in order})
+        raise InputError(
+            f"cycle through gate {dag.gates[stuck[0]].gid}")
+    return Dag(dag.inputs, tuple(order), dag.outputs)
+
+
 # The per-word analysis algorithms that the lane form replaced, kept as
 # references: every input is handled on its own, through its resolutions.
 def scalar_closure_bool(table):

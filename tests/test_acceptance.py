@@ -11,6 +11,7 @@ import random
 from conftest import (
     FEEDBACK_TEXT,
     all_words,
+    bool_tables,
     detector_spec,
     flatten_states,
     mm_example_spec,
@@ -108,14 +109,6 @@ OR_TABLE = {word("00"): word("0"), word("01"): word("1"),
 def cubeset_subset(a, b):
     """Cube-set containment; one covering cube always exists when true."""
     return all(any(res_contains(big, small) for big in b) for small in a)
-
-
-def bool_tables(m, n=1):
-    """Every Boolean function {0,1}^m -> {0,1}^n as a truth table."""
-    rows = stable_words(m)
-    outs = stable_words(n)
-    for pick in itertools.product(outs, repeat=len(rows)):
-        yield dict(zip(rows, pick))
 
 
 def test_criterion_01_kleene_tables():

@@ -8,6 +8,8 @@ import pytest
 
 from conftest import (
     all_words,
+    assert_lane_spec_agrees,
+    bool_tables,
     circuit_corpus,
     detector_spec,
     mm_example_spec,
@@ -661,6 +663,73 @@ class TestPerWordReferences:
         for density in (0.2, 0.5, 0.8) * 5:
             table = {y: int(rng.random() < density) for y in stable_words(m)}
             assert prime_implicants(table) == scalar_prime_implicants(table)
+
+
+class TestLaneBuiltSpecs:
+    """closure_bool, closure_general and find_natural_subfunction return
+    specs that keep their rails; every public view matches the eager
+    decode and the dict-built copy (conftest.assert_lane_spec_agrees)."""
+
+    def test_closure_bool(self):
+        rng = random.Random(31)
+        tables = [t for m in range(4) for t in bool_tables(m)]
+        tables += [random_bool_table(rng, rng.randint(0, 4), rng.randint(0, 3))
+                   for _ in range(60)]
+        prev = {}
+        seen = Counter()
+        for table in tables:
+            f = closure_bool(table)
+            # the previous closure's circuit of the same shape mostly fails here
+            other = prev.get((f.m, f.n))
+            c = prev[f.m, f.n] = synthesize(f)
+            seen.update(v.ok for v in assert_lane_spec_agrees(f, [c] + [other] * bool(other)))
+        assert seen[False] > 200 and seen[True] >= len(tables)
+
+    def test_closure_general_and_natural_subfunctions(self):
+        rng = random.Random(32)
+        seen = Counter()
+        prev = {}
+        for _ in range(150):
+            g = random_general(rng, rng.randint(0, 3), rng.randint(1, 3))
+            f = closure_general(g)
+            h = find_natural_subfunction(g)
+            circuits = [synthesize(f)] + ([synthesize(h)] if h else [])
+            other = prev.get((g.m, g.n))
+            prev[g.m, g.n] = circuits[-1]
+            for spec in (f, h) if h else (f,):
+                verdicts = assert_lane_spec_agrees(spec, circuits + [other] * bool(other))
+                seen.update((spec is h, v.ok) for v in verdicts)
+        assert len(seen) == 4 and min(seen.values()) > 20, seen
+
+    def test_specs_still_build_from_dicts(self):
+        h = closure_bool(AND_TABLE)
+        for f in (FunctionSpec(2, 1, entries=dict(h.entries)),
+                  natural_spec(2, 1, h.entries)):
+            assert f.rails is None and f.is_natural_form and f == h
+        g = FunctionSpec(2, 1, values={x: CubeSet.of(1, [e]) for x, e in h.entries.items()})
+        assert g.rails is None and not g.is_natural_form and g != h
+
+    def test_stays_immutable(self):
+        h = closure_bool(AND_TABLE)
+        for name in ("entries", "values", "rails"):
+            with pytest.raises(AttributeError):
+                setattr(h, name, None)
+        assert h.entries[word("11")] == word("1")
+
+    def test_closure_synthesis_and_check_never_decode(self, monkeypatch):
+        import mcsim.analysis as an
+        rng = random.Random(33)
+        tables = [random_bool_table(rng, m, n) for m in (3, 4) for n in (1, 2, 3)]
+
+        def no_decode(*args):
+            raise AssertionError("lane-built spec decoded")
+        monkeypatch.setattr(an, "_decode", no_decode)
+        for table in tables:
+            h = closure_bool(table)
+            assert is_natural(h)
+            assert implements(synthesize(h), 1, h)
+        with pytest.raises(AssertionError, match="decoded"):
+            h.entries
 
 
 class TestEmptyValueSets:

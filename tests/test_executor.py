@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     all_words,
+    assert_lane_spec_agrees,
     flatten_states,
     lane_implements,
     scalar_canonicalize_state_cubes,
@@ -23,6 +24,7 @@ from conftest import (
 )
 from mcsim.analysis import (
     FunctionSpec,
+    closure_general,
     find_natural_subfunction,
     general_spec,
     natural_spec,
@@ -582,6 +584,17 @@ class TestLaneCheck:
                 assert implements(c, 1, h) == want
                 seen[list(h.entries) != sorted(h.entries), want.ok] += 1
         assert seen[True, True] > 10 and seen[True, False] > 10
+
+    def test_lane_built_specs_match_their_dict_copies(self, corpus_simple):
+        rng = random.Random(12)
+        seen = Counter()
+        for c in corpus_simple:
+            for g in random_specs(c, rng):
+                h = find_natural_subfunction(g)
+                for f in (closure_general(g), h) if h else (closure_general(g),):
+                    [v] = assert_lane_spec_agrees(f, [c])
+                    seen[f is h, v.ok] += 1
+        assert len(seen) == 4 and min(seen.values()) > 10, seen
 
     @pytest.mark.parametrize("lane", [0, -1])
     def test_first_failure_at_either_end(self, lane):

@@ -13,6 +13,7 @@ from conftest import (
     lane_words,
     random_circuit,
     random_gates,
+    scalar_dag_toposort,
     scalar_eval_dag,
     scalar_eval_gate,
     stable_words,
@@ -302,6 +303,58 @@ class TestToposort:
                   (("o", "g1"),))
         with pytest.raises(InputError, match="cycle"):
             dag_toposort(dag)
+
+    @staticmethod
+    def variants(dag, rng):
+        """The corpus DAG in order and shuffled, and broken copies: a
+        cycle, an undefined reference, a duplicate id, and a gate whose id
+        is also an input name."""
+        gates = list(dag.gates)
+        yield dag
+        yield Dag(dag.inputs, tuple(rng.sample(gates, len(gates))), dag.outputs)
+        i = rng.randrange(len(gates))
+        g = gates[i]
+        broken = [(i, Gate(g.gid, "BUF", (gates[-1].gid,))),
+                  (i, Gate(g.gid, "BUF", ("nosuch",))),
+                  (len(gates) - 1, Gate(g.gid, "NOT", g.args))]
+        if dag.inputs:
+            broken.append((i, Gate(rng.choice(dag.inputs), g.kind, g.args, g.table)))
+        for j, bad in broken:
+            changed = gates[:j] + [bad] + gates[j + 1:]
+            yield Dag(dag.inputs, tuple(changed), dag.outputs)
+            yield Dag(dag.inputs, tuple(rng.sample(changed, len(changed))), dag.outputs)
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
+    def test_matches_the_heap_order(self, corpus, request):
+        rng = random.Random(corpus)
+        seen = {"same": 0, "sorted": 0, "error": 0}
+        for c in request.getfixturevalue(corpus):
+            if not c.dag.gates:
+                continue
+            for dag in self.variants(c.dag, rng):
+                try:
+                    want = scalar_dag_toposort(dag)
+                except InputError as e:
+                    with pytest.raises(InputError) as got:
+                        dag_toposort(dag)
+                    assert str(got.value) == str(e)
+                    seen["error"] += 1
+                    continue
+                got = dag_toposort(dag)
+                assert got == want
+                seen["same" if got is dag else "sorted"] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_gates_in_order_come_back_unchanged(self, corpus_mixed):
+        for c in corpus_mixed:
+            assert dag_toposort(c.dag) is c.dag
+
+    def test_a_gate_named_like_an_input_is_waited_for(self):
+        # the heap treats any gate id as a gate, even where an input has it
+        dag = Dag(("a",), (Gate("g", "NOT", ("a",)), Gate("a", "CONST1", ())),
+                  (("o", "g"),))
+        assert dag_toposort(dag) == scalar_dag_toposort(dag)
+        assert [g.gid for g in dag_toposort(dag).gates] == ["a", "g"]
 
 
 class TestNetlistFiles:
