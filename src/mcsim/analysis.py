@@ -20,6 +20,7 @@ from .executor import (ExecutionTrace, TraceRound, _Budget, _rails, check_round_
                        covered, outputs, read_outcomes, spec_layers)
 from .netlist import (
     Circuit,
+    Dag,
     Gate,
     RegisterDecl,
     RegType,
@@ -148,8 +149,9 @@ def _zeta(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
     takes the union of its 0 and 1 neighbours."""
     for i, (z, o) in enumerate(digits):
         s = 3 ** (len(digits) - 1 - i)
-        rails = [tuple(p | (p & z & ~o) << 2 * s | (p & o & ~z) << s for p in pair)
-                 for pair in rails]
+        zero, one = z & ~o, o & ~z
+        rails = [(a | (a & zero) << 2 * s | (a & one) << s,
+                  b | (b & zero) << 2 * s | (b & one) << s) for a, b in rails]
     return tuple(rails)
 
 
@@ -231,6 +233,15 @@ def is_natural(f: FunctionSpec) -> bool:
 # ---------------------------------------------------------------------------
 # Natural subfunctions (the implementability test)
 
+def _candidates(layers: list, m: int, n: int) -> list[list[tuple]]:
+    """Per stable input, the digits of every stable output word inside an
+    allowed cube there (both in stable_words order)."""
+    words, full = [e.digits() for e in stable_words(n)], (1 << 3 ** m) - 1
+    fits = [covered(layers, [(0, full) if d is ONE else (full, 0) for d in e]) for e in words]
+    return [[e for e, lanes in zip(words, fits) if lanes >> lane & 1]
+            for lane in (int(format(k, "b"), 3) for k in range(1 << m))]
+
+
 def find_natural_subfunction(g: FunctionSpec,
                              max_nodes: int = DEFAULT_MAX_STATES,
                              ) -> Optional[FunctionSpec]:
@@ -244,11 +255,10 @@ def find_natural_subfunction(g: FunctionSpec,
     if g.m > 8:
         raise InputError("natural-subfunction search is capped at 8 inputs")
     m, n = g.m, g.n
-    candidates = [[e.digits() for e in stable_words(n) if v.contains_word(e)]
-                  for v in map(g.value_cubeset, stable_words(m))]
+    layers, digits = spec_layers(g), digit_lanes(m)
+    candidates = _candidates(layers, m, n)
     if not all(candidates):
         return None
-    layers, digits = spec_layers(g), digit_lanes(m)
     full = (1 << 3 ** m) - 1
     budget = _Budget(max_nodes, "subfunction search")
 
@@ -273,9 +283,9 @@ def find_natural_subfunction(g: FunctionSpec,
 # ---------------------------------------------------------------------------
 # Prime implicants and circuit synthesis
 
-def _primes(digits: list[tuple[int, int]], ones: int) -> tuple[TernaryWord, ...]:
-    """The prime implicants, in lex order, of the Boolean function that is
-    1 on the stable lanes in ones and 0 on the other stable lanes."""
+def _primes(digits: list[tuple[int, int]], ones: int) -> list[int]:
+    """The lanes of the prime implicants, in lex order, of the Boolean function
+    that is 1 on the stable lanes in ones and 0 on the other stable lanes."""
     [(z, o)] = _zeta(digits, _stable_part(digits, [(~ones, ones)]))
     # an implicant is 1 at every full resolution; it is prime when no
     # widening of one stable digit to M is an implicant too
@@ -283,8 +293,7 @@ def _primes(digits: list[tuple[int, int]], ones: int) -> tuple[TernaryWord, ...]
     for i, (dz, do) in enumerate(digits):
         s = 3 ** (len(digits) - 1 - i)
         prime &= ~(imp >> 2 * s & dz & ~do | imp >> s & do & ~dz)
-    return tuple(lane_word(digits, lane) for lane, bit
-                 in enumerate(format(prime, "b")[::-1]) if bit == "1")
+    return [lane for lane, bit in enumerate(format(prime, "b")[::-1]) if bit == "1"]
 
 
 def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, ...]:
@@ -304,7 +313,8 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
         raise InputError("prime implicants are capped at 10 inputs")
     ones = sum(1 << int(format(k, "b"), 3)
                for k, y in enumerate(stable_words(m)) if table[y] in (1, ONE))
-    return _primes(digit_lanes(m), ones)
+    digits = digit_lanes(m)
+    return tuple(lane_word(digits, lane) for lane in _primes(digits, ones))
 
 
 def synthesize(h: FunctionSpec) -> Circuit:
@@ -326,7 +336,7 @@ def synthesize(h: FunctionSpec) -> Circuit:
     regs += [RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO)
              for i in range(n)]
     gates: list[Gate] = []
-    drives: dict[str, str] = {}
+    drives: list[tuple[str, str]] = []
     nots: dict[int, str] = {}
 
     def negated(j: int) -> str:
@@ -338,29 +348,27 @@ def synthesize(h: FunctionSpec) -> Circuit:
     for i, (z, o) in enumerate(hull):
         # the Boolean restriction: 1 where the stable entry is 1
         pis = _primes(digits, o & ~z)
-        # constant 0, or 1 (the all-M cube is then the only prime)
-        if not pis or pis[0].meta_count() == m:
+        # constant 0, or 1 (the all-M cube, the last lane, is then the only prime)
+        if not pis or pis[0] == 3 ** m - 1:
             gid, kind = (f"y{i}_one", "CONST1") if pis else (f"y{i}_zero", "CONST0")
             gates.append(Gate(gid, kind, ()))
-            drives[f"y{i}"] = gid
+            drives.append((f"y{i}", gid))
             continue
         terms = []
-        for p, pi in enumerate(pis):
-            lits = [f"x{j}" if pi.digit(j) is ONE else negated(j)
-                    for j in range(m) if pi.digit(j) is not META]
-            if len(lits) == 1:
-                terms.append(lits[0])
-            else:
-                gid = f"y{i}_t{p}"
-                gates.append(Gate(gid, "AND", tuple(lits)))
-                terms.append(gid)
-        if len(terms) == 1:
-            drives[f"y{i}"] = terms[0]
-        else:
-            gid = f"y{i}_or"
-            gates.append(Gate(gid, "OR", tuple(terms)))
-            drives[f"y{i}"] = gid
-    return make_circuit(f"synth_{m}x{n}", regs, gates, drives)
+        for p, lane in enumerate(pis):
+            # digit j of the prime reads 1, or 0, or M (no literal)
+            lits = [f"x{j}" if do >> lane & 1 else negated(j)
+                    for j, (dz, do) in enumerate(digits) if not (dz & do) >> lane & 1]
+            if len(lits) > 1:
+                gates.append(Gate(f"y{i}_t{p}", "AND", tuple(lits)))
+            terms.append(lits[0] if len(lits) == 1 else f"y{i}_t{p}")
+        if len(terms) > 1:
+            gates.append(Gate(f"y{i}_or", "OR", tuple(terms)))
+        drives.append((f"y{i}", terms[0] if len(terms) == 1 else f"y{i}_or"))
+    # each NOT precedes its first reader and every name is fresh, so
+    # make_circuit's sorting and checks would find nothing to do
+    return Circuit(f"synth_{m}x{n}", tuple(regs),
+                   Dag(tuple(f"x{j}" for j in range(m)), tuple(gates), tuple(drives)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +581,19 @@ def parse_spec_table(text: str) -> FunctionSpec:
 
 
 def emit_spec_table(f: FunctionSpec) -> str:
-    lines = [f"spec m={f.m} n={f.n}"]
+    head = f"spec m={f.m} n={f.n}"
+    if f.rails is not None:
+        # column by column: byte L of plane(b) is "0" or "1" by bit L of b; none carries
+        lanes, size = 3 ** f.m, f.m + f.n + 5
+        rows = bytearray((b"0" * f.m + b" -> " + b"0" * f.n + b"\n") * lanes)
+        plane = lambda bits: int.from_bytes(format(bits, f"0{lanes}b").encode(), "big")
+        for at, (z, o) in zip([*range(f.m), *range(f.m + 4, size - 1)],
+                              [*digit_lanes(f.m), *f.rails]):
+            meta = ord("M" if at < f.m else "*") - ord("0")
+            rows[at::size] = (plane(o & ~z) + (plane(z & o) - plane(0)) * meta
+                              ).to_bytes(lanes, "little")
+        return f"{head}\n{rows.decode()}"
+    lines = [head]
     for x in all_words(f.m):
         rhs = (str(f.entries[x]).replace("M", "*") if f.is_natural_form
                else ", ".join(str(c) for c in f.values[x]))

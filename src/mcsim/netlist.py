@@ -289,18 +289,23 @@ def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     return TernaryWord(len(dag.outputs), packed)
 
 
-def digit_lanes(m: int) -> list[tuple[int, int]]:
+_DIGIT_LANES: dict[int, tuple] = {}  # m <= 10, the widths the analysis takes
+
+
+def digit_lanes(m: int) -> tuple[tuple[int, int], ...]:
     """Rails of every digit of the m-digit words over all of them at once:
-    lane L is word L in all_words order."""
-    rails, lanes = [], 1
+    lane L is word L in all_words order. Built once for m <= 10."""
+    if m in _DIGIT_LANES:
+        return _DIGIT_LANES[m]
+    rails, lanes = (), 1
     for _ in range(m):
         # a new leading digit reads 0, 1, M on three runs of the old lanes,
         # and every old digit repeats on each run
         run, tri = (1 << lanes) - 1, lambda x: x | x << lanes | x << 2 * lanes
-        rails = [(tri(run) ^ run << lanes, tri(run) ^ run)] + \
-            [(tri(z), tri(o)) for z, o in rails]
+        rails = ((tri(run) ^ run << lanes, tri(run) ^ run),) + \
+            tuple((tri(z), tri(o)) for z, o in rails)
         lanes *= 3
-    return rails
+    return _DIGIT_LANES.setdefault(m, rails) if m <= 10 else rails
 
 
 def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:

@@ -743,3 +743,72 @@ def scalar_cmux_spec():
             pick = META
         values[x] = CubeSet.of(1, [TernaryWord.from_digits([pick])])
     return general_spec(3, 1, values)
+
+
+# The analysis chain as it was before it computed each lane quantity once,
+# kept as references: the zeta pass with one generator per rail pair, the
+# subfunction candidates read word by word, and synthesize through
+# make_circuit.
+
+def scalar_zeta(digits, rails):
+    """_zeta rebuilding each rail pair through a generator."""
+    for i, (z, o) in enumerate(digits):
+        s = 3 ** (len(digits) - 1 - i)
+        rails = [tuple(p | (p & z & ~o) << 2 * s | (p & o & ~z) << s for p in pair)
+                 for pair in rails]
+    return tuple(rails)
+
+
+def scalar_candidates(g):
+    """find_natural_subfunction's candidates read word by word: per stable
+    input, the digits of each stable output word its value set holds."""
+    return [[e.digits() for e in stable_words(g.n) if v.contains_word(e)]
+            for v in map(g.value_cubeset, stable_words(g.m))]
+
+
+def checked_synthesize(h):
+    """synthesize with its circuit built by make_circuit, which sorts the
+    gates and validates every name and reference."""
+    from mcsim.analysis import _natural_hull, _primes
+    from mcsim.netlist import digit_lanes, lane_word
+    m, n = h.m, h.n
+    digits = digit_lanes(m)
+    hull = _natural_hull(h, digits)
+    if hull is None:
+        raise InputError("specification is not natural")
+    regs = [RegisterDecl(f"x{j}", Role.INPUT, RegType.SIMPLE)
+            for j in range(m)]
+    regs += [RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO)
+             for i in range(n)]
+    gates, drives, nots = [], {}, {}
+
+    def negated(j):
+        if j not in nots:
+            nots[j] = f"not_x{j}"
+            gates.append(Gate(nots[j], "NOT", (f"x{j}",)))
+        return nots[j]
+
+    for i, (z, o) in enumerate(hull):
+        pis = [lane_word(digits, lane) for lane in _primes(digits, o & ~z)]
+        if not pis or pis[0].meta_count() == m:
+            gid, kind = (f"y{i}_one", "CONST1") if pis else (f"y{i}_zero", "CONST0")
+            gates.append(Gate(gid, kind, ()))
+            drives[f"y{i}"] = gid
+            continue
+        terms = []
+        for p, pi in enumerate(pis):
+            lits = [f"x{j}" if pi.digit(j) is ONE else negated(j)
+                    for j in range(m) if pi.digit(j) is not META]
+            if len(lits) == 1:
+                terms.append(lits[0])
+            else:
+                gid = f"y{i}_t{p}"
+                gates.append(Gate(gid, "AND", tuple(lits)))
+                terms.append(gid)
+        if len(terms) == 1:
+            drives[f"y{i}"] = terms[0]
+        else:
+            gid = f"y{i}_or"
+            gates.append(Gate(gid, "OR", tuple(terms)))
+            drives[f"y{i}"] = gid
+    return make_circuit(f"synth_{m}x{n}", regs, gates, drives)

@@ -10,16 +10,20 @@ from conftest import (
     all_words,
     assert_lane_spec_agrees,
     bool_tables,
+    checked_synthesize,
     circuit_corpus,
     detector_spec,
+    eager_spec,
     mm_example_spec,
     recursive_metastable_witness,
     resolver_spec,
+    scalar_candidates,
     scalar_closure_bool,
     scalar_find_natural_subfunction,
     scalar_is_natural,
     scalar_prime_implicants,
     scalar_unroll,
+    scalar_zeta,
     simple_copy,
     stable_words,
 )
@@ -42,13 +46,16 @@ from mcsim.analysis import (
     synthesize,
     unroll,
 )
-from mcsim.executor import Verdict, emit_trace, implements, outputs, trace_check
+from mcsim.executor import (
+    Verdict, emit_trace, implements, outputs, spec_layers, trace_check)
 from mcsim.netlist import (
     Gate,
     ParseError,
     RegisterDecl,
     RegType,
     Role,
+    dag_toposort,
+    digit_lanes,
     emit_netlist,
     eval_dag,
     make_circuit,
@@ -143,6 +150,33 @@ def random_natural(rng, m, n):
         if not x.is_stable and rng.random() < 0.4:
             entries[x] = entries[x].with_digit(rng.randrange(n), META)
     return natural_spec(m, n, entries)
+
+
+def loosened_closure(rng, m, n):
+    """A closure in which some stable inputs also allow their output with
+    one bit flipped, as the closure-synth benchmark loosens its tables."""
+    h = closure_bool(random_bool_table(rng, m, n))
+    values = {}
+    for x, e in h.entries.items():
+        cubes = [e]
+        if x.is_stable and rng.random() < 0.5:
+            i = rng.randrange(n)
+            cubes.append(e.with_digit(i, ONE if e.digit(i) is ZERO else ZERO))
+        values[x] = CubeSet.of(n, cubes)
+    return general_spec(m, n, values)
+
+
+def subfunction_corpus():
+    """Specs the subfunction search runs on: the worked examples, random
+    general specs, loosened closures, and lane-built closures."""
+    rng = random.Random(45)
+    dims = lambda top: (rng.randint(0, top), rng.randint(1, 3))
+    specs = [detector_spec(), resolver_spec(), mm_example_spec(), cmux_general_spec()]
+    specs += [random_general(rng, *dims(3)) for _ in range(120)]
+    specs += [loosened_closure(rng, rng.randint(1, 4), rng.randint(1, 3)) for _ in range(60)]
+    specs += [closure_bool(random_bool_table(rng, *dims(4))) for _ in range(30)]
+    specs += [closure_general(random_general(rng, *dims(3))) for _ in range(30)]
+    return specs
 
 
 def cmux_general_spec():
@@ -529,6 +563,80 @@ class TestFindNaturalSubfunction:
         with pytest.raises(InputError, match="capped"):
             find_natural_subfunction(FunctionSpec(9, 1, entries={}))
 
+    def test_candidates_are_read_off_the_lanes(self, monkeypatch):
+        import mcsim.analysis as an
+        seen = Counter()
+        for g in subfunction_corpus():
+            want = scalar_candidates(g)
+            assert an._candidates(spec_layers(g), g.m, g.n) == want
+            h = find_natural_subfunction(g)
+            with monkeypatch.context() as mp:
+                mp.setattr(an, "_candidates", lambda layers, m, n: want)
+                assert find_natural_subfunction(g) == h
+            seen[g.rails is not None, h is None] += 1
+        assert len(seen) == 3 and min(seen.values()) > 15, seen
+
+    def test_lane_built_specs_are_not_decoded(self, monkeypatch):
+        import mcsim.analysis as an
+        specs = [g for g in subfunction_corpus() if g.rails is not None]
+        want = [find_natural_subfunction(g) for g in specs]
+
+        def no_decode(*args):
+            raise AssertionError("lane-built spec decoded")
+        monkeypatch.setattr(an, "_decode", no_decode)
+        for g, h in zip(specs, want):
+            got = find_natural_subfunction(g)
+            assert (got and got.rails) == (h and h.rails)
+        assert sum(h is not None for h in want) > 30
+
+
+class TestSynthesizedCircuitsNeedNoChecks:
+    """synthesize builds its Circuit and Dag directly; make_circuit's sort
+    and validation (conftest.checked_synthesize) would change nothing."""
+
+    @staticmethod
+    def assert_as_checked(h):
+        c = synthesize(h)
+        assert c == checked_synthesize(h)
+        assert validate(c) == []
+        assert dag_toposort(c.dag) is c.dag
+
+    def test_every_small_closure(self):
+        for m in range(4):
+            for table in bool_tables(m):
+                self.assert_as_checked(closure_bool(table))
+
+    def test_a_slice_of_the_output_pairs(self):
+        rng = random.Random(47)
+        count = 0
+        for m in (1, 2, 3):
+            singles = list(bool_tables(m))
+            for f1, f2 in itertools.product(singles, repeat=2):
+                if m < 3 or rng.random() < 0.03:
+                    self.assert_as_checked(closure_bool({x: f1[x].concat(f2[x]) for x in f1}))
+                    count += 1
+        assert count > 2000
+
+    def test_random_wider_tables(self):
+        rng = random.Random(48)
+        for _ in range(30):
+            m, n = rng.randint(4, 6), rng.randint(1, 3)
+            self.assert_as_checked(closure_bool(random_bool_table(rng, m, n)))
+
+    def test_every_natural_subfunction(self):
+        found = [h for h in map(find_natural_subfunction, subfunction_corpus()) if h]
+        for h in found:
+            self.assert_as_checked(h)
+        assert len(found) > 100
+
+    def test_dict_built_natural_specs(self):
+        rng = random.Random(49)
+        for _ in range(30):
+            h = random_natural(rng, rng.randint(0, 3), rng.randint(1, 3))
+            self.assert_as_checked(h)
+            self.assert_as_checked(general_spec(h.m, h.n, {
+                x: CubeSet.of(h.n, [e]) for x, e in h.entries.items()}))
+
 
 class TestPrimeImplicants:
     def test_two_input_and(self):
@@ -656,6 +764,17 @@ class TestPerWordReferences:
                     find_natural_subfunction(g, max_nodes=spent - 1)
             seen[want is None] += 1
         assert min(seen.values()) > 100
+
+    def test_zeta(self):
+        import mcsim.analysis as an
+        rng = random.Random(51)
+        for m in range(6):
+            digits = digit_lanes(m)
+            for n in range(4):
+                for _ in range(8):
+                    rails = [(rng.getrandbits(3 ** m), rng.getrandbits(3 ** m))
+                             for _ in range(n)]
+                    assert an._zeta(digits, rails) == scalar_zeta(digits, rails)
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_prime_implicants(self, m):
@@ -1203,6 +1322,23 @@ class TestSpecTables:
     def test_emit_parse_round_trip_general(self):
         f = mm_example_spec()
         assert parse_spec_table(emit_spec_table(f)).values == f.values
+
+    def test_lane_built_tables_are_written_from_the_rails(self, monkeypatch):
+        import mcsim.analysis as an
+        rng = random.Random(52)
+        specs = [closure_bool(t) for m in range(3) for t in bool_tables(m)]
+        specs += [closure_bool(random_bool_table(rng, rng.randint(0, 8), rng.randint(0, 3)))
+                  for _ in range(40)]
+        specs += [h for h in map(find_natural_subfunction, subfunction_corpus())
+                  if h is not None]
+
+        def no_decode(*args):
+            raise AssertionError("lane-built spec decoded")
+        with monkeypatch.context() as mp:
+            mp.setattr(an, "_decode", no_decode)
+            texts = [emit_spec_table(f) for f in specs]
+        for f, text in zip(specs, texts):
+            assert text == emit_spec_table(eager_spec(f.m, f.n, f.rails))
 
     def test_star_never_leaks_into_inputs(self):
         text = emit_spec_table(closure_bool(AND_TABLE))

@@ -27,10 +27,12 @@ from mcsim.netlist import (
     RegType,
     Role,
     dag_toposort,
+    digit_lanes,
     emit_netlist,
     eval_dag,
     eval_gate,
     eval_lanes,
+    lane_word,
     make_circuit,
     parse_netlist,
     splice_dag,
@@ -188,6 +190,25 @@ class TestDualRail:
         dag = Dag((), (Gate("k", "CONST1", ()),), (("o", "k"),))
         assert list(lane_words(eval_lanes(dag, 0, TernaryWord(0, 0)), 1)) == [word("1")]
         assert list(lane_words([], 9)) == [TernaryWord(0, 0)] * 9
+
+    def test_digit_lanes_carry_every_word_in_order(self):
+        for m in range(6):
+            lanes = digit_lanes(m)
+            assert [lane_word(lanes, L) for L in range(3 ** m)] == all_words(m)
+
+    def test_digit_lanes_are_built_once_for_small_widths(self):
+        for m in range(11):
+            lanes = digit_lanes(m)
+            assert isinstance(lanes, tuple) and len(lanes) == m
+            assert digit_lanes(m) is lanes
+
+    def test_wider_digit_lanes_are_not_kept(self):
+        import mcsim.netlist as nl
+        lanes = digit_lanes(11)
+        assert digit_lanes(11) == lanes and digit_lanes(11) is not lanes
+        assert 11 not in nl._DIGIT_LANES and max(nl._DIGIT_LANES) <= 10
+        # the low digits of a wider width are those of the narrower one, repeated
+        assert [z & (1 << 3 ** 10) - 1 for z, _ in lanes[1:]] == [z for z, _ in digit_lanes(10)]
 
     def test_lane_width_mismatch(self, feedback_circuit):
         with pytest.raises(InputError, match="input width 4 does not match 3"):
