@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Mapping, Optional
 
 from .executor import (ExecutionTrace, TraceRound, _Budget, _rails, check_round_budget,
@@ -40,6 +40,8 @@ from .ternary_core import (
     InputError,
     ParseError,
     TernaryWord,
+    _PACKED,
+    _WIDTH,
     _meta_mask,
     all_words,
     content_lines,
@@ -131,13 +133,18 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
     if not table:
         raise InputError("empty truth table")
     m = len(next(iter(table)))
-    n = None
-    for x, y in table.items():
-        if not x.is_stable or len(x) != m:
-            raise InputError(f"truth-table input {x} must be stable, width {m}")
-        if not y.is_stable or (n is not None and len(y) != n):
-            raise InputError(f"truth-table output {y} must be stable")
-        n = len(y)
+    n, *more = set(map(_WIDTH, table.values()))
+    if more or set(map(_WIDTH, table)) != {m} \
+            or reduce(or_, map(_PACKED, table)) & _meta_mask(m) \
+            or reduce(or_, map(_PACKED, table.values())) & _meta_mask(n):
+        # some row is bad: name the first one
+        n = None
+        for x, y in table.items():
+            if not x.is_stable or len(x) != m:
+                raise InputError(f"truth-table input {x} must be stable, width {m}")
+            if not y.is_stable or (n is not None and len(y) != n):
+                raise InputError(f"truth-table output {y} must be stable")
+            n = len(y)
     if len(table) != 1 << m:
         raise InputError(f"truth table needs all {1 << m} input rows")
     return m, n

@@ -12,6 +12,7 @@ so reachable-state sets never get expanded flat.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -25,6 +26,7 @@ from .ternary_core import (
     TernaryWord,
     _canonical,
     _PACKED,
+    _WIDTH,
     all_words,
     content_lines,
     cubeset_canonicalize,
@@ -223,19 +225,31 @@ class Verdict:
 
 def _rails(cubes: list[TernaryWord], n: int) -> list[tuple[int, int]]:
     """The (can-be-0, can-be-1) rails of n-digit cube words in lane order."""
-    if {c.width for c in cubes} - {n}:
+    if set(map(_WIDTH, cubes)) - {n}:
         raise InputError(f"specification has cubes of width other than {n}")
+    packed = list(map(_PACKED, cubes))
+    if not packed:
+        return [(0, 0)] * n
     # one chunk of whole bytes per lane, lane 0 rightmost; digit j's high
     # (M) and low (1) bits sit at the same offsets in every chunk
-    size = (2 * n + 7) // 8
+    if n <= 32:
+        code = "BHIIQQQQ"[max(n - 1, 0) // 4]   # the smallest that holds 2n bits
+        size = struct.calcsize("<" + code)
+        blob = struct.pack(f"<{len(packed)}{code}", *packed)
+    else:
+        size = (2 * n + 7) // 8
+        blob = b"".join(map(int.to_bytes, packed, itertools.repeat(size),
+                            itertools.repeat("little")))
+    # a word packed past its chunk fails to pack; past its digits alone,
+    # the planes below would not read it
+    if 8 * size > 2 * n and max(packed) >> 2 * n:
+        raise InputError(f"specification has cubes packed wider than {n} digits")
     step = 8 * size
-    blob = b"".join(map(int.to_bytes, map(_PACKED, cubes),
-                        itertools.repeat(size), itertools.repeat("little")))
-    bits = format(int.from_bytes(blob, "little"), f"0{step * len(cubes)}b")
+    bits = format(int.from_bytes(blob, "little"), f"0{step * len(packed)}b")
     planes = [(int(bits[hi::step], 2), int(bits[hi + 1::step], 2))
               for hi in range(step - 2 * n, step, 2)]
     # 0 can be read unless the digit is 1, and 1 unless it is 0
-    return [(((1 << len(cubes)) - 1) & ~one, meta | one) for meta, one in planes]
+    return [(((1 << len(packed)) - 1) & ~one, meta | one) for meta, one in planes]
 
 
 def spec_layers(f) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -249,9 +263,11 @@ def spec_layers(f) -> list[tuple[int, list[tuple[int, int]]]]:
     entries = getattr(f, "entries", None)
     table = entries if entries is not None else getattr(f, "values", None)
     if isinstance(table, dict) and len(table) == 3 ** m:
-        # all_words order is ascending packed word; dict order may differ
+        # all_words order is ascending packed word, as in every dict
+        # _full_domain builds; a hand-built dict may differ
         keys, values = list(map(_PACKED, table)), list(table.values())
-        values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        if keys != sorted(keys):
+            values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
         if entries is not None:
             return [((1 << len(values)) - 1, _rails(values, n))]
     else:

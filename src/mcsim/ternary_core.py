@@ -82,7 +82,7 @@ def _digit_value(d: Ternary | int) -> int:
 _HEX_PAIRS = str.maketrans({f"{h:x}": "01M?"[h >> 2] + "01M?"[h & 3] for h in range(16)})
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TernaryWord:
     """Fixed-width vector over {0,1,M}, MSB first.
 
@@ -217,6 +217,7 @@ def res_members(w: TernaryWord,
 
 
 _PACKED = attrgetter("packed")
+_WIDTH = attrgetter("width")
 
 # width -> the packed word whose every digit is M (binary 1010...)
 _META_MASKS: dict[int, int] = {}

@@ -411,6 +411,24 @@ def scalar_closure_bool(table):
             for x in all_words(m)}
 
 
+def scalar_check_bool_table(table):
+    """_check_bool_table row by row: the first bad row in dict order is the
+    one named, then the row count is checked."""
+    if not table:
+        raise InputError("empty truth table")
+    m = len(next(iter(table)))
+    n = None
+    for x, y in table.items():
+        if not x.is_stable or len(x) != m:
+            raise InputError(f"truth-table input {x} must be stable, width {m}")
+        if not y.is_stable or (n is not None and len(y) != n):
+            raise InputError(f"truth-table output {y} must be stable")
+        n = len(y)
+    if len(table) != 1 << m:
+        raise InputError(f"truth table needs all {1 << m} input rows")
+    return m, n
+
+
 def scalar_cube_form(v):
     """The single cube a value set equals, or None if it is not a cube."""
     from mcsim.ternary_core import superpose
@@ -812,3 +830,33 @@ def checked_synthesize(h):
             gates.append(Gate(gid, "OR", tuple(terms)))
             drives[f"y{i}"] = gid
     return make_circuit(f"synth_{m}x{n}", regs, gates, drives)
+
+
+def scalar_rails(cubes, n):
+    """executor._rails as one int.to_bytes call per word: the rails of
+    n-digit cube words in lane order. Zero lanes give empty rails (the
+    bit string of none would be "0", not "")."""
+    if {c.width for c in cubes} - {n}:
+        raise InputError(f"specification has cubes of width other than {n}")
+    if not cubes:
+        return [(0, 0)] * n
+    # one chunk of whole bytes per lane, lane 0 rightmost; digit j's high
+    # (M) and low (1) bits sit at the same offsets in every chunk
+    size = (2 * n + 7) // 8
+    step = 8 * size
+    blob = b"".join(c.packed.to_bytes(size, "little") for c in cubes)
+    bits = format(int.from_bytes(blob, "little"), f"0{step * len(cubes)}b")
+    planes = [(int(bits[hi::step], 2), int(bits[hi + 1::step], 2))
+              for hi in range(step - 2 * n, step, 2)]
+    # 0 can be read unless the digit is 1, and 1 unless it is 0
+    return [(((1 << len(cubes)) - 1) & ~one, meta | one) for meta, one in planes]
+
+
+def scalar_spec_layers(f):
+    """spec_layers read word by word: value_cubeset at each word of
+    all_words, the k-th cubes of every input encoded by scalar_rails."""
+    values = [f.value_cubeset(x).cubes for x in all_words(f.m)]
+    filler = TernaryWord(f.n, 0)
+    return [(sum(1 << lane for lane, v in enumerate(values) if k < len(v)),
+             scalar_rails([v[k] if k < len(v) else filler for v in values], f.n))
+            for k in range(max(map(len, values)))]

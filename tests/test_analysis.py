@@ -18,6 +18,7 @@ from conftest import (
     recursive_metastable_witness,
     resolver_spec,
     scalar_candidates,
+    scalar_check_bool_table,
     scalar_closure_bool,
     scalar_find_natural_subfunction,
     scalar_is_natural,
@@ -715,6 +716,42 @@ class TestPrimeImplicants:
 class TestPerWordReferences:
     """The lane-form analysis against the per-word algorithms it replaced
     (conftest's scalar_* references)."""
+
+    def test_bool_table_checks_name_the_same_first_bad_row(self):
+        # one or two rows spoilt anywhere (unstable, wrong width, packed
+        # digit 3 or bits past the width), in any order, or rows missing
+        from mcsim.analysis import _check_bool_table
+        rng = random.Random(77)
+        spoil = [lambda w: w.with_digit(rng.randrange(w.width), META) if w.width else w,
+                 lambda w: w.concat(word(rng.choice("01"))),
+                 lambda w: w.subword(1, w.width) if w.width else w,
+                 lambda w: TernaryWord(w.width, w.packed | 3),
+                 lambda w: TernaryWord(w.width, w.packed | 1 << 2 * w.width)]
+        seen = Counter()
+        for _ in range(600):
+            m, n = rng.randint(0, 4), rng.randint(0, 3)
+            rows = [[x, TernaryWord(n, int(format(rng.getrandbits(n), "b"), 4) if n else 0)]
+                    for x in stable_words(m)]
+            rng.shuffle(rows)
+            for _ in range(rng.randint(0, 2)):
+                row = rng.choice(rows)
+                side = rng.randrange(2)
+                row[side] = rng.choice(spoil)(row[side])
+            if rng.random() < 0.2:
+                del rows[rng.randrange(len(rows)):]
+            table = dict(map(tuple, rows))
+            try:
+                want = scalar_check_bool_table(table)
+            except InputError as e:
+                with pytest.raises(InputError) as got:
+                    _check_bool_table(table)
+                assert str(got.value) == str(e)
+                seen[next(k for k in ("needs", "empty", "is 3", "output", "input")
+                          if k in str(e))] += 1
+            else:
+                assert _check_bool_table(table) == want
+                seen["ok"] += 1
+        assert len(seen) == 6 and min(seen.values()) > 10, seen
 
     def test_closure_bool(self):
         small = [dict(zip(stable_words(m), map(TernaryWord.parse, bits)))

@@ -1,8 +1,10 @@
 """Component library: multiplexers, fan-out, counters, code converters,
 sorting networks, and the clock-sync datapath."""
 
+import functools
 import itertools
 import random
+from operator import and_
 
 import pytest
 
@@ -27,8 +29,9 @@ from mcsim.components import (
     mux_spec,
     tdc_readings,
 )
+from mcsim.analysis import FunctionSpec, closure_bool
 from mcsim.executor import implements, outputs, reach
-from mcsim.netlist import eval_dag, parse_netlist, emit_netlist, validate
+from mcsim.netlist import digit_lanes, eval_dag, parse_netlist, emit_netlist, validate
 from mcsim.ternary_core import (
     META,
     CubeSet,
@@ -39,6 +42,7 @@ from mcsim.ternary_core import (
     encode,
     precision,
     res_full,
+    stable_words,
     tc,
     word,
 )
@@ -444,6 +448,37 @@ class TestSortingNetwork:
                 from mcsim.ternary_core import res_contains
                 assert res_contains(chan, encode(code, lo_sorted[i]))
                 assert res_contains(chan, encode(code, hi_sorted[i]))
+
+    def test_gray_guarantee_holds_exhaustively_at_4x3(self):
+        # Bund, Lenzen and Medina, "Optimal Metastability-Containing Sorting
+        # Networks" (DATE 2018): where every channel word is a Gray word of
+        # precision <= 1, the outputs are the closure of the Boolean sort;
+        # everywhere else they are unconstrained. All 3^12 inputs at once.
+        channels, k = 4, 3
+        _, c = build_sorting_network(channels, k)
+        code = brgc(k)
+        table = {}
+        for x in stable_words(c.m):
+            vals = sorted(decode(code, x.subword(k * i, k * i + k)) for i in range(channels))
+            table[x] = functools.reduce(TernaryWord.concat, (encode(code, v) for v in vals))
+        closure = closure_bool(table)
+        # the lanes whose every channel word is valid, from each digit's rails
+        digits, full = digit_lanes(c.m), (1 << 3 ** c.m) - 1
+        valid = [w for w in all_ternary(k) if precision(code, w) <= 1]
+        inside = full
+        for i in range(channels):
+            lanes = 0
+            for w in valid:
+                lanes |= functools.reduce(and_, (
+                    (z & ~o, o & ~z, z & o)[d]
+                    for (z, o), d in zip(digits[k * i:k * i + k], w.digits())))
+            inside &= lanes
+        free = full & ~inside
+        assert (inside.bit_count(), free.bit_count()) == ((8 + 7) ** channels, 3 ** 12 - 15 ** 4)
+        spec = FunctionSpec(c.m, c.n, rails=tuple((z | free, o | free)
+                                                  for z, o in closure.rails))
+        assert implements(c, 1, spec)
+        assert not implements(c, 1, closure)
 
     def test_caps(self):
         with pytest.raises(InputError):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -15,8 +16,10 @@ from conftest import (
     lane_implements,
     scalar_canonicalize_state_cubes,
     scalar_cubeset_canonicalize,
+    scalar_rails,
     scalar_read_outcomes,
     scalar_run_trace,
+    scalar_spec_layers,
     scalar_state_cube_contains,
     scalar_trace_check,
     simple_copy,
@@ -40,10 +43,12 @@ from mcsim.executor import (
     implements,
     outputs,
     parse_trace,
+    _rails,
     reach,
     read_outcomes,
     replayed,
     run_trace,
+    spec_layers,
     state_cube_contains,
     successors,
     trace_check,
@@ -66,6 +71,7 @@ from mcsim.ternary_core import (
     InputError,
     ParseError,
     TernaryWord,
+    _PACKED,
     cubeset_canonicalize,
     res_contains,
     res_full,
@@ -665,6 +671,53 @@ class TestLaneCheck:
                   TableSpec(3, 1, {x: CubeSet(2, (word("00"),)) for x in all_words(3)})):
             with pytest.raises(InputError, match="width"):
                 implements(c, 1, f)
+
+
+class TestRailsEncoder:
+    """The struct-packed encoder of dict-built specs against scalar_rails,
+    which packs one word at a time."""
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_matches_the_scalar_encoder_bit_for_bit(self, n):
+        # every struct size (1, 2, 4, 8 bytes) and the to_bytes path past 32
+        rng = random.Random(f"rails/{n}")
+        for lanes in (0, 1, 2, 3, 27, 243, 729, rng.randrange(730)):
+            # any bits within the width, so packed digit 3 is read alike too
+            cubes = [TernaryWord(n, rng.getrandbits(2 * n)) for _ in range(lanes)]
+            assert _rails(cubes, n) == scalar_rails(cubes, n), (n, lanes)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5, 8, 9, 16, 17, 32, 33, 36])
+    def test_cubes_of_another_width_raise_the_same_error(self, n):
+        rng = random.Random(n)
+        cubes = [TernaryWord(n, rng.getrandbits(2 * n)) for _ in range(10)]
+        cubes.insert(rng.randrange(11), TernaryWord(n + 1, 0))
+        with pytest.raises(InputError) as want:
+            scalar_rails(cubes, n)
+        with pytest.raises(InputError) as got:
+            _rails(cubes, n)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 9, 16, 31, 32, 33, 36])
+    @pytest.mark.parametrize("extra", [1, 2 ** 8, 2 ** 70, -2 ** 70])
+    def test_words_packed_past_their_width_are_never_encoded(self, n, extra):
+        # only a hand-built word holds one; bits past its digits would go
+        # unread, whether or not they fit the lane's chunk of bytes
+        high = extra << 2 * n if extra > 0 else extra
+        cubes = [TernaryWord(n, 0)] * 5 + [TernaryWord(n, high)]
+        with pytest.raises((InputError, struct.error, OverflowError)):
+            _rails(cubes, n)
+
+    def test_shuffled_dict_specs_match_the_scalar_layers(self, corpus_simple):
+        rng = random.Random(13)
+        seen = Counter()
+        for c in corpus_simple:
+            for f in random_specs(c, rng):
+                want = scalar_spec_layers(f)
+                for g in (f, shuffled(f, rng)):
+                    assert spec_layers(g) == want, c.name
+                    order = list(map(_PACKED, g.entries or g.values))
+                    seen[f.is_natural_form, order == sorted(order)] += 1
+        assert len(seen) == 4 and min(seen.values()) > 20, seen
 
 
 class TestTraces:

@@ -1,6 +1,8 @@
 """Value-layer tests: frozen gate tables, resolution sets, cubes, codes."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,45 @@ class TestWordBasics:
         v = w.with_digit(i, d)
         assert v.digit(i) is d
         assert all(v.digit(j) is w.digit(j) for j in range(w.width) if j != i)
+
+
+class TestSlottedWord:
+    """TernaryWord keeps two slots and no instance dict, yet equality, hash,
+    order, pickling and copying stay those of its (width, packed) pair."""
+
+    WORDS = all_words(3) + all_words(0) + [word("M10M1"), TernaryWord(2, 3), TernaryWord(1, 9)]
+
+    def test_no_instance_dict(self):
+        w = word("0M1")
+        assert TernaryWord.__slots__ == ("width", "packed")
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(AttributeError):
+            w.packed = 0
+        # a name outside the fields: no slot to hold it (Python 3.11's frozen
+        # slotted __setattr__ raises TypeError here, later ones AttributeError)
+        with pytest.raises((AttributeError, TypeError)):
+            w.extra = 1
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        back = pickle.loads(pickle.dumps(self.WORDS, protocol))
+        assert back == self.WORDS
+        assert [(w.width, w.packed) for w in back] == [(w.width, w.packed) for w in self.WORDS]
+
+    def test_copy_round_trip(self):
+        for w in self.WORDS:
+            for twin in (copy.copy(w), copy.deepcopy(w)):
+                assert (twin.width, twin.packed) == (w.width, w.packed)
+                assert twin == w and hash(twin) == hash(w)
+
+    def test_eq_hash_and_order_are_those_of_the_pair(self):
+        for a, b in itertools.product(self.WORDS, repeat=2):
+            pa, pb = (a.width, a.packed), (b.width, b.packed)
+            assert (a == b) == (pa == pb) and (a != b) == (pa != pb)
+            assert (a < b) == (pa < pb) and (a <= b) == (pa <= pb)
+            assert (a > b) == (pa > pb) and (a >= b) == (pa >= pb)
+        assert all(hash(w) == hash((w.width, w.packed)) for w in self.WORDS)
+        assert word("01") != (2, 1) and len({word("01"), word("01")}) == 1
 
 
 class TestEnumerators:
