@@ -46,6 +46,7 @@ from .ternary_core import (
     all_words,
     content_lines,
     stable_words,
+    word_at,
 )
 
 
@@ -150,6 +151,12 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
     return m, n
 
 
+def _stable_lanes(m: int) -> list[int]:
+    """The lane of each m-digit stable word, in stable_words order: stable
+    word k sits on the lane its binary digits name in base 3."""
+    return [int(format(k, "b"), 3) for k in range(1 << m)]
+
+
 def _zeta(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
     """Each lane's rails joined with those of every partial resolution of
     its word (digits are the digit_lanes): digit by digit, an M lane
@@ -190,9 +197,8 @@ def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
     """
     m, n = _check_bool_table(table)
     rows = [TernaryWord(n, 0)] * 3 ** m
-    for k, y in enumerate(stable_words(m)):
-        # stable word k sits on the lane its binary digits name in base 3
-        rows[int(format(k, "b"), 3)] = table[y]
+    for lane, y in zip(_stable_lanes(m), stable_words(m)):
+        rows[lane] = table[y]
     digits = digit_lanes(m)
     return FunctionSpec(m, n, rails=_zeta(digits, _stable_part(digits, _rails(rows, n))))
 
@@ -246,7 +252,7 @@ def _candidates(layers: list, m: int, n: int) -> list[list[tuple]]:
     words, full = [e.digits() for e in stable_words(n)], (1 << 3 ** m) - 1
     fits = [covered(layers, [(0, full) if d is ONE else (full, 0) for d in e]) for e in words]
     return [[e for e, lanes in zip(words, fits) if lanes >> lane & 1]
-            for lane in (int(format(k, "b"), 3) for k in range(1 << m))]
+            for lane in _stable_lanes(m)]
 
 
 def find_natural_subfunction(g: FunctionSpec,
@@ -262,7 +268,7 @@ def find_natural_subfunction(g: FunctionSpec,
     if g.m > 8:
         raise InputError("natural-subfunction search is capped at 8 inputs")
     m, n = g.m, g.n
-    layers, digits = spec_layers(g), digit_lanes(m)
+    layers, digits, stable = spec_layers(g), digit_lanes(m), _stable_lanes(m)
     candidates = _candidates(layers, m, n)
     if not all(candidates):
         return None
@@ -273,7 +279,7 @@ def find_natural_subfunction(g: FunctionSpec,
         """rails holds the choices for the first idx stable inputs."""
         if idx == len(candidates):
             return rails
-        bit = 1 << int(format(idx, "b"), 3)
+        bit = 1 << stable[idx]
         for e in candidates[idx]:
             budget.spend(1)
             tried = [(z, o | bit) if d is ONE else (z | bit, o)
@@ -318,8 +324,8 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
     m, _ = _check_bool_table(rows)
     if m > 10:
         raise InputError("prime implicants are capped at 10 inputs")
-    ones = sum(1 << int(format(k, "b"), 3)
-               for k, y in enumerate(stable_words(m)) if table[y] in (1, ONE))
+    ones = sum(1 << lane for lane, y in zip(_stable_lanes(m), stable_words(m))
+               if table[y] in (1, ONE))
     digits = digit_lanes(m)
     return tuple(lane_word(digits, lane) for lane in _primes(digits, ones))
 
@@ -537,7 +543,8 @@ def _read_table(text: str, kind: str, what: str):
         m, n = int(tok[1][2:]), int(tok[2][2:])
     except ValueError:
         m = n = -1
-    if m < 0 or n < 0:
+    # no table file can list the 2^m or 3^m rows of more inputs
+    if not 0 <= m <= 64 or n < 0:
         raise ParseError(lineno, "bad arity in header")
 
     def rows():
@@ -567,21 +574,17 @@ def parse_spec_table(text: str) -> FunctionSpec:
     entries: dict = {}
     values: dict = {}
     for lineno, lhs, rhs in rows:
-        try:
-            x = TernaryWord.parse(lhs)
-        except InputError as e:
-            raise ParseError(lineno, str(e)) from None
+        x = word_at(lineno, lhs)
         if x in entries or x in values:
             raise ParseError(lineno, f"input {x} listed twice")
-        try:
-            if general:
-                cubes = [TernaryWord.parse(tok.strip())
-                         for tok in rhs.split(",")]
+        if general:
+            cubes = [word_at(lineno, tok.strip()) for tok in rhs.split(",")]
+            try:
                 values[x] = CubeSet.of(n, cubes)
-            else:
-                entries[x] = TernaryWord.parse(rhs.replace("*", "M"))
-        except InputError as e:
-            raise ParseError(lineno, str(e)) from None
+            except InputError as e:
+                raise ParseError(lineno, str(e)) from None
+        else:
+            entries[x] = word_at(lineno, rhs.replace("*", "M"))
     if general:
         return general_spec(m, n, values)
     return natural_spec(m, n, entries)
@@ -589,22 +592,21 @@ def parse_spec_table(text: str) -> FunctionSpec:
 
 def emit_spec_table(f: FunctionSpec) -> str:
     head = f"spec m={f.m} n={f.n}"
-    if f.rails is not None:
+    if f.is_natural_form:
+        [(_, rails)] = spec_layers(f)
         # column by column: byte L of plane(b) is "0" or "1" by bit L of b; none carries
         lanes, size = 3 ** f.m, f.m + f.n + 5
         rows = bytearray((b"0" * f.m + b" -> " + b"0" * f.n + b"\n") * lanes)
         plane = lambda bits: int.from_bytes(format(bits, f"0{lanes}b").encode(), "big")
         for at, (z, o) in zip([*range(f.m), *range(f.m + 4, size - 1)],
-                              [*digit_lanes(f.m), *f.rails]):
+                              [*digit_lanes(f.m), *rails]):
             meta = ord("M" if at < f.m else "*") - ord("0")
             rows[at::size] = (plane(o & ~z) + (plane(z & o) - plane(0)) * meta
                               ).to_bytes(lanes, "little")
         return f"{head}\n{rows.decode()}"
     lines = [head]
     for x in all_words(f.m):
-        rhs = (str(f.entries[x]).replace("M", "*") if f.is_natural_form
-               else ", ".join(str(c) for c in f.values[x]))
-        lines.append(f"{x} -> {rhs}")
+        lines.append(f"{x} -> {', '.join(str(c) for c in f.values[x])}")
     return "\n".join(lines) + "\n"
 
 
@@ -614,10 +616,7 @@ def parse_truth_table(text: str) -> dict[TernaryWord, TernaryWord]:
     m, n, rows = _read_table(text, "table", "output")
     table: dict[TernaryWord, TernaryWord] = {}
     for lineno, lhs, rhs in rows:
-        try:
-            x, y = TernaryWord.parse(lhs), TernaryWord.parse(rhs)
-        except InputError as e:
-            raise ParseError(lineno, str(e)) from None
+        x, y = word_at(lineno, lhs), word_at(lineno, rhs)
         if not x.is_stable or not y.is_stable:
             raise ParseError(lineno, "truth tables are stable words only")
         if len(x) != m or len(y) != n:

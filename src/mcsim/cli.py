@@ -26,18 +26,23 @@ from .ternary_core import (
 
 def _read_text(path):
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e.strerror or e}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}")
 
 
 def _write_text(path, text):
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except OSError:
+            os.remove(tmp)  # this call made it, so a failed write leaves none behind
+            raise
     except OSError as e:
         raise InputError(f"cannot write {path}: {e.strerror or e}")
 
@@ -115,8 +120,9 @@ def cmd_check(args):
 def cmd_closure(args):
     table = analysis.parse_truth_table(_read_text(args.table))
     f = analysis.closure_bool(table)
+    # a closure is natural by construction
     return _deliver(args, analysis.emit_spec_table(f), lambda: [
-        "command: closure", f"spec: {_spec_shape(f, analysis.is_natural(f))}"])
+        "command: closure", f"spec: {_spec_shape(f, True)}"])
 
 
 def cmd_synth(args):

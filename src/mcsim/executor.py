@@ -31,6 +31,7 @@ from .ternary_core import (
     content_lines,
     cubeset_canonicalize,
     res_contains,
+    word_at,
 )
 
 
@@ -435,14 +436,7 @@ def parse_trace(text: str) -> ExecutionTrace:
             raise ParseError(lineno, f"bad round number {parts[0]!r}") from None
         if idx != len(rows):
             raise ParseError(lineno, "rounds must count up from 0")
-        try:
-            words = [TernaryWord.parse(p) for p in parts[1:]]
-        except InputError as e:
-            raise ParseError(lineno, str(e)) from None
-        if len(parts) == 2:
-            rows.append(TraceRound(words[0]))
-        else:
-            rows.append(TraceRound(words[0], words[1], words[2], words[3]))
+        rows.append(TraceRound(*(word_at(lineno, p) for p in parts[1:])))
     if not rows:
         raise InputError("empty trace")
     return ExecutionTrace(tuple(rows))

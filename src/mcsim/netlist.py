@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Mapping
 
 from .ternary_core import (
     CHAR_TO_DIGIT,
-    DIGITS,
     META,
     ONE,
     ZERO,
@@ -28,7 +27,6 @@ from .ternary_core import (
     Ternary,
     TernaryWord,
     _meta_mask,
-    _norm_table,
     content_lines,
 )
 
@@ -73,20 +71,6 @@ def register_transitions(rtype: RegType, v: Ternary) -> tuple[tuple[Ternary, Ter
     return ((ONE, META), (META, ZERO))
 
 
-# fan-in bounds per kind: (min, max); None = unbounded
-GATE_KINDS = {
-    "AND": (2, None),
-    "OR": (2, None),
-    "NAND": (2, None),
-    "NOR": (2, None),
-    "XOR": (2, 2),
-    "NOT": (1, 1),
-    "BUF": (1, 1),
-    "CONST0": (0, 0),
-    "CONST1": (0, 0),
-}
-
-
 @dataclass(frozen=True)
 class Gate:
     """Single-output gate; args name input nodes or earlier gates."""
@@ -117,7 +101,7 @@ class Dag:
     @functools.cached_property
     def _plan(self):
         """Index-based evaluation plan, compiled once (not a field, so equality
-        and hash ignore it); rejects undefined or misordered refs."""
+        and hash ignore it); rejects bad refs first, then gates validate rejects."""
         index = {name: i for i, name in enumerate(self.inputs)}
         if len(index) != len(self.inputs):
             raise InputError("duplicate input node name")
@@ -131,12 +115,15 @@ class Dag:
             if g.gid in index:
                 raise InputError(f"duplicate node name {g.gid!r}")
             index[g.gid] = len(self.inputs) + len(ops)
-            ops.append((g.kind, g.table, arg_idx))
+            ops.append((g, arg_idx))
         try:
             out_idx = tuple(index[src] for _, src in self.outputs)
         except KeyError as e:
             raise InputError(f"output driven by undefined node {e.args[0]!r}") from e
-        return [(_rule(kind, table, len(a)), a) for kind, table, a in ops], out_idx
+        for g, _ in ops:
+            if problem := _misfit(g):
+                raise InputError(problem)
+        return [(GATE_KINDS[g.kind][2] or _table(g.table), a) for g, a in ops], out_idx
 
     def __getstate__(self):
         # the plan holds closures, which do not pickle; it is rebuilt on use
@@ -216,30 +203,12 @@ def _and(z, o, args, full):
     return c0, c1
 
 
-# OR is AND over swapped rails, swapped back (De Morgan)
-_RULES = {
-    "AND": _and,
-    "NAND": lambda z, o, args, full: _and(z, o, args, full)[::-1],
-    "OR": lambda z, o, args, full: _and(o, z, args, full)[::-1],
-    "NOR": lambda z, o, args, full: _and(o, z, args, full),
-    "XOR": lambda z, o, args, full: (z[args[0]] & z[args[1]] | o[args[0]] & o[args[1]],
-                                     o[args[0]] & z[args[1]] | z[args[0]] & o[args[1]]),
-    "NOT": lambda z, o, args, full: (o[args[0]], z[args[0]]),
-    "BUF": lambda z, o, args, full: (z[args[0]], o[args[0]]),
-    "CONST0": lambda z, o, args, full: (full, 0),
-    "CONST1": lambda z, o, args, full: (0, full),
-}
-
-
-def _rule(kind: str, table, arity: int):
-    if kind in _RULES:
-        return _RULES[kind]
-    if kind != "TABLE":
-        raise InputError(f"unknown gate kind {kind!r}")
-    # the output can be b wherever some row with output b can be read:
-    # the Kleene extension of the table
+def _table(bits: str):
+    """The rule of a TABLE gate with these (checked) bits: the output can be
+    b wherever some row with output b can be read, the Kleene extension."""
+    arity = len(bits).bit_length() - 1
     rows = [(int(bit), [row >> j & 1 for j in reversed(range(arity))])
-            for row, bit in enumerate(_norm_table(table, arity))]
+            for row, bit in enumerate(bits)]
 
     def table_rule(z, o, args, full):
         can = [0, 0]
@@ -252,11 +221,45 @@ def _rule(kind: str, table, arity: int):
     return table_rule
 
 
+# kind -> (fewest inputs, most inputs or None, rail rule); OR is AND over
+# swapped rails, swapped back (De Morgan), and TABLE's rule is _table of its bits
+GATE_KINDS = {
+    "AND": (2, None, _and),
+    "OR": (2, None, lambda z, o, a, full: _and(o, z, a, full)[::-1]),
+    "NAND": (2, None, lambda z, o, a, full: _and(z, o, a, full)[::-1]),
+    "NOR": (2, None, lambda z, o, a, full: _and(o, z, a, full)),
+    "XOR": (2, 2, lambda z, o, a, full: (z[a[0]] & z[a[1]] | o[a[0]] & o[a[1]],
+                                         o[a[0]] & z[a[1]] | z[a[0]] & o[a[1]])),
+    "NOT": (1, 1, lambda z, o, a, full: (o[a[0]], z[a[0]])),
+    "BUF": (1, 1, lambda z, o, a, full: (z[a[0]], o[a[0]])),
+    "CONST0": (0, 0, lambda z, o, a, full: (full, 0)),
+    "CONST1": (0, 0, lambda z, o, a, full: (0, full)),
+    "TABLE": (0, None, None),
+}
+
+
+def _misfit(g: Gate) -> str | None:
+    """validate's text for an unknown kind, a fan-in out of the kind's bounds
+    or TABLE bits that are not 2^fan-in zeros and ones; None if g can run."""
+    if g.kind not in GATE_KINDS:
+        return f"gate {g.gid}: unknown kind {g.kind!r}"
+    lo, hi, _ = GATE_KINDS[g.kind]
+    arity = len(g.args)
+    if g.kind == "TABLE":
+        if not g.table or len(g.table) != 1 << arity or set(g.table) - {"0", "1"}:
+            return f"gate {g.gid}: TABLE bits must be 2^{arity} characters over 0/1"
+    elif arity < lo or hi is not None and arity > hi:
+        return (f"gate {g.gid}: {g.kind} takes {'at least' if hi is None else 'exactly'} "
+                f"{lo} inputs, got {arity}")
+    return None
+
+
 def eval_gate(kind: str, table: str | None, vals: list[Ternary]) -> Ternary:
-    """One gate on ternary values, by the rule eval_dag uses for it."""
-    c0, c1 = _rule(kind, table, len(vals))(
-        *_word_rails(TernaryWord.from_digits(vals), 1), range(len(vals)), 1)
-    return DIGITS[c1 + (c0 & c1)]
+    """One gate on ternary values, as eval_dag evaluates it: the DAG of that
+    gate alone, named g, reading one input node per value."""
+    names = tuple(map(str, range(len(vals))))
+    dag = Dag(names, (Gate("g", kind, names, table),), (("y", "g"),))
+    return eval_dag(dag, TernaryWord.from_digits(vals)).digit(0)
 
 
 def _run(dag: Dag, z: list[int], o: list[int], full: int) -> list[tuple[int, int]]:
@@ -368,20 +371,8 @@ def validate(c: Circuit) -> list[str]:
             out.append(f"bad gate id {g.gid!r}")
         if g.gid in seen or g.gid in defined:
             out.append(f"gate id {g.gid} collides with an earlier name")
-        if g.kind == "TABLE":
-            if g.table is None or len(g.table) != 1 << len(g.args) \
-                    or any(ch not in "01" for ch in g.table):
-                out.append(f"gate {g.gid}: TABLE bits must be 2^{len(g.args)} "
-                           f"characters over 0/1")
-        elif g.kind in GATE_KINDS:
-            lo, hi = GATE_KINDS[g.kind]
-            if len(g.args) < lo or (hi is not None and len(g.args) > hi):
-                out.append(f"gate {g.gid}: {g.kind} takes "
-                           + (f"at least {lo}" if hi is None else
-                              f"exactly {lo}" if lo == hi else f"{lo}..{hi}")
-                           + f" inputs, got {len(g.args)}")
-        else:
-            out.append(f"gate {g.gid}: unknown kind {g.kind!r}")
+        if problem := _misfit(g):
+            out.append(problem)
         for a in g.args:
             if a not in defined:
                 out.append(f"gate {g.gid} uses {a!r} before it is defined "

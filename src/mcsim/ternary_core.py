@@ -8,6 +8,7 @@ also stay M). Everything downstream is built on these sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
@@ -36,6 +37,14 @@ class ParseError(InputError):
     def __init__(self, lineno: int, msg: str):
         super().__init__(f"line {lineno}: {msg}")
         self.lineno = lineno
+
+
+def word_at(lineno: int, text: str) -> TernaryWord:
+    """The word a file row spells; a bad digit is a ParseError on lineno."""
+    try:
+        return TernaryWord.parse(text)
+    except InputError as e:
+        raise ParseError(lineno, str(e)) from None
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -219,15 +228,11 @@ def res_members(w: TernaryWord,
 _PACKED = attrgetter("packed")
 _WIDTH = attrgetter("width")
 
-# width -> the packed word whose every digit is M (binary 1010...)
-_META_MASKS: dict[int, int] = {}
 
-
+@functools.cache
 def _meta_mask(width: int) -> int:
-    hi = _META_MASKS.get(width)
-    if hi is None:
-        hi = _META_MASKS[width] = (4 ** width - 1) // 3 * 2
-    return hi
+    """The packed word whose every digit is M (binary 1010...)."""
+    return (4 ** width - 1) // 3 * 2
 
 
 def _cover(w: TernaryWord) -> int:

@@ -1,8 +1,11 @@
 """Shared fixtures: the worked-example circuit, random corpora, oracles."""
 
+import contextlib
 import functools
 import itertools
 import random
+import resource
+import signal
 
 import pytest
 
@@ -21,6 +24,10 @@ from mcsim.netlist import (
 from mcsim.ternary_core import META, ONE, ZERO, InputError, TernaryWord, kleene_extend
 
 ALL_DIGITS = (ZERO, ONE, META)
+
+WALL_S = 2.0
+# address space a command may map beyond what the test process already has
+MARGIN_BYTES = 256 << 20
 
 # One mask-0 input and one simple input feed an OR; a simple local latches
 # the OR, and the output takes AND(local, OR). Small enough to replay a
@@ -41,6 +48,30 @@ drive O1 g_and
 @pytest.fixture(scope="session")
 def feedback_circuit() -> Circuit:
     return parse_netlist(FEEDBACK_TEXT)
+
+
+@contextlib.contextmanager
+def limited(argv):
+    """Fail once argv has run WALL_S seconds, and let it map at most
+    MARGIN_BYTES more address space (a MemoryError past that); both limits
+    act on this process alone and are lifted on exit."""
+    def expire(signum, frame):
+        pytest.fail(f"{argv} still running after {WALL_S} s")
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + MARGIN_BYTES
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    handler = signal.signal(signal.SIGALRM, expire)
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        signal.setitimer(signal.ITIMER_REAL, WALL_S)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        signal.signal(signal.SIGALRM, handler)
 
 
 def all_words(width):
@@ -338,6 +369,17 @@ def eager_spec(m, n, rails):
     return FunctionSpec(m, n, entries={
         x: TernaryWord(n, int(chars[i:i + size], 2))
         for x, i in zip(all_words(m), range(0, lanes * size, size))})
+
+
+def scalar_emit_spec_table(f):
+    """emit_spec_table row by row, one str() per word: the reference for
+    its column-wise writer."""
+    lines = [f"spec m={f.m} n={f.n}"]
+    for x in all_words(f.m):
+        rhs = (str(f.entries[x]).replace("M", "*") if f.is_natural_form
+               else ", ".join(str(c) for c in f.values[x]))
+        lines.append(f"{x} -> {rhs}")
+    return "\n".join(lines) + "\n"
 
 
 def assert_lane_spec_agrees(f, circuits=()):

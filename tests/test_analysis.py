@@ -20,6 +20,7 @@ from conftest import (
     scalar_candidates,
     scalar_check_bool_table,
     scalar_closure_bool,
+    scalar_emit_spec_table,
     scalar_find_natural_subfunction,
     scalar_is_natural,
     scalar_prime_implicants,
@@ -289,9 +290,11 @@ class TestClosureBool:
             assert all(f.entry(y) == table[y] for y in stable_words(3))
 
     def test_always_natural(self):
+        # mc closure reports its spec as natural without asking is_natural
         rng = random.Random(77)
-        for _ in range(15):
-            assert is_natural(closure_bool(random_bool_table(rng, 3, 2)))
+        tables = [t for m in range(4) for t in bool_tables(m)]
+        tables += [random_bool_table(rng, 3, 2) for _ in range(15)]
+        assert all(is_natural(closure_bool(t)) for t in tables)
 
     def test_partial_table_rejected(self):
         table = dict(AND_TABLE)
@@ -1375,7 +1378,18 @@ class TestSpecTables:
             mp.setattr(an, "_decode", no_decode)
             texts = [emit_spec_table(f) for f in specs]
         for f, text in zip(specs, texts):
-            assert text == emit_spec_table(eager_spec(f.m, f.n, f.rails))
+            assert text == scalar_emit_spec_table(eager_spec(f.m, f.n, f.rails))
+
+    def test_dict_built_tables_match_the_row_writer(self):
+        rng = random.Random(53)
+        specs = [random_natural(rng, rng.randint(0, 4), rng.randint(1, 3)) for _ in range(40)]
+        specs += [natural_spec(m, 0, {x: TernaryWord(0, 0) for x in all_words(m)})
+                  for m in range(3)]
+        specs += [parse_spec_table(emit_spec_table(f)) for f in specs]
+        specs += [detector_spec(), resolver_spec()]
+        for f in specs:
+            assert f.rails is None
+            assert emit_spec_table(f) == scalar_emit_spec_table(f)
 
     def test_star_never_leaks_into_inputs(self):
         text = emit_spec_table(closure_bool(AND_TABLE))

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import FEEDBACK_TEXT, all_words
+from conftest import FEEDBACK_TEXT, all_words, limited
 from mcsim.analysis import emit_spec_table, unroll
 from mcsim import executor
 from mcsim.cli import build_parser, main
@@ -248,6 +248,47 @@ class TestClosedStdout:
                               stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
                               timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
+
+
+class TestFilesThatCannotBeReadOrWritten:
+    """Each ends in one error line and exit 2 under the CLI sweep's time and
+    memory limits, and leaves no .tmp file behind."""
+
+    @staticmethod
+    def run_limited(capsys, tmp_path, argv):
+        with limited(argv):
+            rc = main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
+        captured = capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+        return rc, captured.out, captured.err
+
+    def test_a_file_that_is_not_utf8(self, capsys, tmp_path):
+        (tmp_path / "bad.net").write_bytes(b"\xff\xfe")
+        got = self.run_limited(capsys, tmp_path, ["sim", "@bad.net", "0", "1"])
+        assert got == (2, "", f"error: cannot read {tmp_path / 'bad.net'}: 'utf-8' codec "
+                              "can't decode byte 0xff in position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("argv,header", [
+        (["closure", "@t.tab"], "table m=3000000 n=1"),
+        (["check", "@buf.net", "@t.tab", "1"], "spec m=100000 n=1"),
+        (["synth", "@t.tab"], "spec m=1000000000 n=1")])
+    def test_a_header_arity_no_table_can_list(self, capsys, tmp_path, argv, header):
+        (tmp_path / "t.tab").write_text(header + "\n")
+        (tmp_path / "buf.net").write_text(BUF_NET)
+        got = self.run_limited(capsys, tmp_path, argv)
+        assert got == (2, "", "error: line 1: bad arity in header\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["closure", "@and.tab", "-o"], ["synth", "@and.spec", "-o"],
+        ["unroll", "@buf.net", "1", "-o"], ["witness", "@buf.net", "0", "1", "1", "-o"],
+        ["sim", "@buf.net", "0", "1", "--trace"]])
+    def test_a_directory_as_the_output(self, capsys, tmp_path, argv):
+        for name, text in (("and.tab", AND_TABLE), ("and.spec", AND_CLOSURE_SPEC),
+                           ("buf.net", BUF_NET)):
+            (tmp_path / name).write_text(text)
+        (tmp_path / "out").mkdir()
+        got = self.run_limited(capsys, tmp_path, argv + ["@out"])
+        assert got == (2, "", f"error: cannot write {tmp_path / 'out'}: Is a directory\n")
 
 
 class TestParserReuse:

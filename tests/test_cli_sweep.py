@@ -4,22 +4,22 @@ damaged line, and over random words, round counts (up to 10,000, far past
 the rounds at which sim starts to replay) and budgets. The one-round
 commands (closure, synth, check at r = 1, component, pipeline) run over
 damaged truth and spec tables, component names with good and bad
-parameters, and TDC readings. Every run ends in an exit code, with a
-message for every failure, never a traceback, a hang or unbounded memory:
-each runs under a wall-clock alarm and an address-space limit."""
+parameters, and TDC readings. Table headers now and then carry an arity
+up to 10^9, and now and then a file holds bytes that are not UTF-8. Every
+run ends in an exit code, with a message for every failure, never a
+traceback, a hang or unbounded memory: each runs under a wall-clock alarm
+and an address-space limit."""
 
 import contextlib
 import io
 import itertools
 import os
-import resource
-import signal
 import tempfile
 
-import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import limited
 from mcsim.cli import main
 
 TYPES = ("simple", "mask0", "mask1")
@@ -30,11 +30,13 @@ JUNK = ("", "x", "M", "2", "-1", "init", "mask0", "AND", "TABLE:0110", "gate",
 # tokens a damaged table row or header may take in place of one of its own
 TABLE_JUNK = ("", "x", "M", "2", "*", "->", ",", "0M", "1*", "01,", "spec", "table",
               "m=1", "n=1", "m=-1", "n=x", "m=", "m=40")
+# byte runs that are not UTF-8: a lone continuation byte, a cut-off sequence,
+# an overlong encoding, a surrogate, and bytes UTF-8 never uses
+NOT_UTF8 = (b"\x80", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80", b"\xff\xfe")
+# where a command writes: a file, or now and then the directory it runs in
+OUT = st.sampled_from(("@out.txt",) * 5 + ("@",))
 COMPONENTS = ("mux", "cmux1", "cmux-clocked", "fanout-buffer", "counter", "selector",
               "tc-to-brgc", "two-sort", "brgc-to-tc", "sorting-network", "sorter", "")
-WALL_S = 2.0
-# address space a command may map beyond what the test process already has
-MARGIN_BYTES = 256 << 20
 
 
 def damaged(draw, lines, junk, times):
@@ -84,16 +86,39 @@ def netlists(draw, types=TYPES):
     return "\n".join(lines) + "\n", m, n
 
 
+def header(draw, kind, m, n):
+    """A table header; one time in ten, m or n is drawn up to 10^9."""
+    if draw(st.integers(0, 9)) == 0:
+        big = draw(st.integers(0, 10**9))
+        m, n = draw(st.sampled_from(((big, n), (m, big))))
+    return f"{kind} m={m} n={n}"
+
+
+@st.composite
+def encoded(draw, invocation):
+    """An invocation with its files as bytes, one file in twelve with a run
+    of bytes that are not UTF-8 spliced in."""
+    files, argv = draw(invocation)
+    out = {}
+    for name, text in files.items():
+        data = text.encode()
+        if draw(st.integers(0, 11)) == 0:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+        out[name] = data
+    return out, argv
+
+
 def words(m):
     """A word for m inputs, now and then of the wrong width or with a bad digit."""
     good = st.text("01M", min_size=m, max_size=m)
     return st.one_of(*[good] * 9, st.text("01M2x", max_size=m + 1).filter(bool))
 
 
-def spec_table(m, n, rows):
+def spec_table(head, m, rows):
     """A general spec table over every m-digit input, one row per input."""
     inputs = ("".join(d) for d in itertools.product("01M", repeat=m))
-    return f"spec m={m} n={n}\n" + "".join(f"{x} -> {rhs}\n" for x, rhs in zip(inputs, rows))
+    return f"{head}\n" + "".join(f"{x} -> {rhs}\n" for x, rhs in zip(inputs, rows))
 
 
 @st.composite
@@ -108,15 +133,15 @@ def invocations(draw):
         rounds = st.integers(-1, 8) | st.integers(-1, 10_000)
         argv = ["sim", "@c.net", draw(words(m)), str(draw(rounds))]
         if command == "sim-trace":
-            argv += ["--trace", "@run.trace"]
+            argv += ["--trace", draw(OUT)]
     elif command == "witness":
         argv = ["witness", "@c.net", draw(words(m)), draw(words(m)),
-                str(draw(st.integers(0, 6) | st.integers(1, 6))), "-o", "@w.trace"]
+                str(draw(st.integers(0, 6) | st.integers(1, 6))), "-o", draw(OUT)]
     elif command == "check":
         cube = st.text("01M", min_size=n, max_size=n)
         rows = draw(st.lists(st.lists(cube, min_size=1, max_size=3).map(", ".join),
                              min_size=3 ** m, max_size=3 ** m))
-        files["f.spec"] = spec_table(m, n, rows)
+        files["f.spec"] = spec_table(header(draw, "spec", m, n), m, rows)
         argv = ["check", "@c.net", "@f.spec", str(draw(st.integers(2, 4)))]
     else:
         argv = ["unroll", "@c.net", str(draw(st.integers(-1, 5)))]
@@ -127,9 +152,9 @@ def invocations(draw):
 
 
 def run_in(directory, files, argv):
-    for name, text in files.items():
-        with open(os.path.join(directory, name), "w") as fh:
-            fh.write(text)
+    for name, data in files.items():
+        with open(os.path.join(directory, name), "wb") as fh:
+            fh.write(data)
     argv = [os.path.join(directory, a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -140,42 +165,21 @@ def run_in(directory, files, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@contextlib.contextmanager
-def limited(argv):
-    """Fail once argv has run WALL_S seconds, and let it map at most
-    MARGIN_BYTES more address space (a MemoryError past that); both limits
-    act on this process alone and are lifted on exit."""
-    def expire(signum, frame):
-        pytest.fail(f"{argv} still running after {WALL_S} s")
-    with open("/proc/self/statm") as fh:
-        mapped = int(fh.read().split()[0]) * resource.getpagesize()
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = mapped + MARGIN_BYTES
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    handler = signal.signal(signal.SIGALRM, expire)
-    try:
-        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-        signal.setitimer(signal.ITIMER_REAL, WALL_S)
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-        signal.signal(signal.SIGALRM, handler)
-
-
 def ends_in_an_exit_code(files, argv):
-    with tempfile.TemporaryDirectory() as directory, limited(argv):
-        code, out, err = run_in(directory, files, argv)
+    with tempfile.TemporaryDirectory() as directory:
+        with limited(argv):
+            code, out, err = run_in(directory, files, argv)
+        left = [name for name in os.listdir(directory) if name.endswith(".tmp")]
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3), (argv, code, err)
+    assert left == [], (argv, left)
     assert "Traceback" not in err
     if code in (2, 3):
         assert err.startswith(("error: ", "usage: ")), err
 
 
 @settings(max_examples=200, deadline=None)
-@given(invocations())
+@given(encoded(invocations()))
 def test_sequential_commands_end_in_an_exit_code(case):
     ends_in_an_exit_code(*case)
 
@@ -186,7 +190,7 @@ def truth_tables(draw):
     m, n = draw(st.integers(0, 3)), draw(st.integers(0, 2))
     rows = [f"{''.join(x)} -> {draw(st.text('01', min_size=n, max_size=n))}"
             for x in itertools.product("01", repeat=m)]
-    return "\n".join(damaged(draw, [f"table m={m} n={n}"] + rows, TABLE_JUNK,
+    return "\n".join(damaged(draw, [header(draw, "table", m, n)] + rows, TABLE_JUNK,
                              (0, 0, 1, 2, 3))) + "\n"
 
 
@@ -203,7 +207,7 @@ def spec_tables(draw, m, n):
     inputs = ["".join(x) for x in itertools.product("01M", repeat=m)]
     flipped = draw(st.sampled_from([None] * 3 + inputs))
     rows = [f"{x} -> {rhs(natural is (x != flipped))}" for x in inputs]
-    return "\n".join(damaged(draw, [f"spec m={m} n={n}"] + rows, TABLE_JUNK,
+    return "\n".join(damaged(draw, [header(draw, "spec", m, n)] + rows, TABLE_JUNK,
                              (0, 0, 1, 2, 3))) + "\n"
 
 
@@ -250,13 +254,13 @@ def one_round_invocations(draw):
         if nodes is not None:
             argv += ["--nodes", str(nodes)]
     if command in ("closure", "synth") and draw(st.booleans()):
-        argv += ["-o", "@out.txt"]
+        argv += ["-o", draw(OUT)]
     if command in ("component", "pipeline") and draw(st.booleans()):
         argv += ["--emit", draw(st.sampled_from(("netlist", "report")))]
     return files, argv
 
 
 @settings(max_examples=200, deadline=None)
-@given(one_round_invocations())
+@given(encoded(one_round_invocations()))
 def test_one_round_commands_end_in_an_exit_code(case):
     ends_in_an_exit_code(*case)

@@ -19,6 +19,7 @@ from conftest import (
     stable_words,
 )
 from mcsim.netlist import (
+    GATE_KINDS,
     Circuit,
     Dag,
     Gate,
@@ -241,9 +242,9 @@ class TestDualRail:
 
     @pytest.mark.parametrize("gates,match", [
         ((Gate("g1", "NOT", ("g2",)), Gate("g2", "NOT", ("a",))), "undefined or later"),
-        ((Gate("g1", "FROB", ("a",)),), "unknown gate kind 'FROB'"),
+        ((Gate("g1", "FROB", ("a",)),), "unknown kind 'FROB'"),
         ((Gate("g1", "FROB", ("a",)), Gate("g2", "NOT", ("zz",))), "undefined or later"),
-        ((Gate("g1", "TABLE", ("a",), "011"),), "does not match arity 1"),
+        ((Gate("g1", "TABLE", ("a",), "011"),), r"TABLE bits must be 2\^1"),
     ])
     def test_plan_errors_are_raised_on_every_call(self, gates, match):
         dag = Dag(("a",), gates, (("o", "g1"),))
@@ -253,6 +254,34 @@ class TestDualRail:
             with pytest.raises(InputError, match=match):
                 eval_lanes(dag, 1, TernaryWord(0, 0))
         assert "_plan" not in vars(dag)
+
+    def test_evaluation_refuses_exactly_what_validate_refuses(self):
+        regs = (RegisterDecl("a", Role.INPUT, RegType.SIMPLE),
+                RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO))
+        one_gate = lambda g: Dag(("a",), (g,), (("o", "g"),))
+        bad = [Gate("g", "XOR", ("a",) * 3), Gate("g", "NOT", ("a",) * 2),
+               Gate("g", "BUF", ("a",) * 2), Gate("g", "CONST0", ("a",))]
+        bad += [Gate("g", kind, ("a",) * arity) for kind in ("AND", "OR") for arity in (0, 1)]
+        for g in bad:
+            dag = one_gate(g)
+            [want] = validate(Circuit("c", regs, dag))
+            for _ in range(2):
+                for run in (lambda: eval_dag(dag, word("0")),
+                            lambda: eval_lanes(dag, 1, TernaryWord(0, 0)),
+                            lambda: eval_gate(g.kind, g.table, [ZERO] * len(g.args))):
+                    with pytest.raises(InputError) as got:
+                        run()
+                    assert str(got.value) == want, g
+            assert "_plan" not in vars(dag)
+        # every shape the table allows passes validate and evaluates as the scalar chain
+        for kind, (lo, hi, _) in GATE_KINDS.items():
+            for arity in range(lo, (lo + 3 if hi is None else hi + 1)):
+                table = "0110100110010110"[:1 << arity] if kind == "TABLE" else None
+                g = Gate("g", kind, ("a",) * arity, table)
+                assert validate(Circuit("c", regs, one_gate(g))) == []
+                for vals in itertools.product(ALL_DIGITS, repeat=arity):
+                    want = scalar_eval_gate(kind, table, list(vals))
+                    assert eval_gate(kind, table, list(vals)) is want, (kind, vals)
 
 
 class TestValidate:
