@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import secrets
 import sys
 
 from . import analysis, components, executor
@@ -33,11 +34,15 @@ def _read_text(path):
 
 
 def _write_text(path, text):
-    tmp = f"{path}.tmp"
+    """Write through a fresh .<random>.tmp beside path that only this call
+    creates, then rename it over path; the mode is what open(path, "w")
+    gives. The name does not grow with path's, so any name open() takes
+    will do."""
+    tmp = os.path.join(os.path.dirname(path), f".{secrets.token_hex(8)}.tmp")
     try:
-        fh = open(tmp, "w", encoding="utf-8")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with fh:
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except OSError:
@@ -166,64 +171,43 @@ def cmd_witness(args):
         f"rounds: {args.rounds}", "verdict: witness"])
 
 
-def _component_entry(name, params):
-    simple = {"mux": components.build_mux,
-              "cmux1": components.build_cmux_combinational,
-              "cmux-clocked": components.build_cmux_clocked}
-    unary = {"fanout-buffer": components.build_fanout_buffer,
-             "counter": components.build_counter,
-             "selector": components.build_selector,
-             "tc-to-brgc": components.build_tc_to_brgc,
-             "two-sort": components.build_two_sort,
-             "brgc-to-tc": components.build_brgc_to_tc}
-    try:
-        nums = [int(p) for p in params]
-    except ValueError:
-        raise InputError(f"component parameters must be integers: {params}")
-    if name in simple:
-        if nums:
-            raise InputError(f"{name} takes no parameters")
-        return simple[name](), None
-    if name in unary:
-        if len(nums) != 1:
-            raise InputError(f"{name} takes one parameter")
-        return unary[name](nums[0]), None
-    if name == "sorting-network":
-        if len(nums) != 2:
-            raise InputError("sorting-network takes channels and word width")
-        net, c = components.build_sorting_network(nums[0], nums[1])
-        return c, net
-    known = sorted(list(simple) + list(unary) + ["sorting-network"])
-    raise InputError(f"unknown component {name!r}; known: {', '.join(known)}")
-
-
-def _component_checks(name, params, c):
-    """Verification lines for components with an executable contract."""
-    if name == "mux":
-        a = executor.implements(c, 1, components.mux_spec())
-        b = executor.implements(c, 1, components.cmux_spec())
-        return [f"check: plain mux spec at round 1: {'yes' if a.ok else 'no'}",
-                f"check: containing mux spec at round 1: "
-                f"{'yes' if b.ok else 'no'}",
-                f"witness input: {b.witness_input}"]
-    if name == "cmux1":
-        v = executor.implements(c, 1, components.cmux_spec())
-        return [f"check: containing mux spec at round 1: "
-                f"{'yes' if v.ok else 'no'}"]
-    if name == "cmux-clocked":
-        v = executor.implements(c, 2, components.cmux_spec())
-        return [f"check: containing mux spec at round 2: "
-                f"{'yes' if v.ok else 'no'}"]
-    if name == "fanout-buffer":
-        r = int(params[0])
-        v = executor.implements(c, r, components.masking_fanout_spec(r))
-        return [f"check: masking fan-out spec at round {r}: "
-                f"{'yes' if v.ok else 'no'}"]
-    return []
+def component_table():
+    """Every component `mc component` builds: name -> (parameter count,
+    builder, contract checks). A check is (label, spec builder, round); both
+    builders take the component's parameters, and a round of None is its
+    first parameter. Built per call, so a rebound `components` function
+    (a tracer's wrapper, say) is the one called."""
+    cmux = ("containing mux", components.cmux_spec)
+    return {
+        "mux": (0, components.build_mux, [("plain mux", components.mux_spec, 1), (*cmux, 1)]),
+        "cmux1": (0, components.build_cmux_combinational, [(*cmux, 1)]),
+        "cmux-clocked": (0, components.build_cmux_clocked, [(*cmux, 2)]),
+        "fanout-buffer": (1, components.build_fanout_buffer,
+                          [("masking fan-out", components.masking_fanout_spec, None)]),
+        "counter": (1, components.build_counter, []),
+        "selector": (1, components.build_selector, []),
+        "tc-to-brgc": (1, components.build_tc_to_brgc, []),
+        "two-sort": (1, components.build_two_sort, []),
+        "brgc-to-tc": (1, components.build_brgc_to_tc, []),
+        # builds the comparator schedule too, for the layers lines
+        "sorting-network": (2, components.build_sorting_network, []),
+    }
 
 
 def cmd_component(args):
-    c, net = _component_entry(args.name, args.params)
+    try:
+        nums = [int(p) for p in args.params]
+    except ValueError:
+        raise InputError(f"component parameters must be integers: {args.params}")
+    table = component_table()
+    if args.name not in table:
+        raise InputError(f"unknown component {args.name!r}; known: {', '.join(sorted(table))}")
+    count, build, checks = table[args.name]
+    if len(nums) != count:
+        takes = ("no parameters", "one parameter", "channels and word width")[count]
+        raise InputError(f"{args.name} takes {takes}")
+    built = build(*nums)
+    net, c = built if isinstance(built, tuple) else (None, built)
     if args.emit == "netlist":
         return 0, emit_netlist(c).rstrip("\n")
     lines = ["command: component",
@@ -238,13 +222,18 @@ def cmd_component(args):
         for i, layer in enumerate(net.layers):
             pairs = " ".join(f"({lo},{hi})" for lo, hi in layer)
             lines.append(f"layer[{i}]: {pairs}")
-    lines.extend(_component_checks(args.name, args.params, c))
+    for label, spec, r in checks:
+        r = nums[0] if r is None else r
+        v = executor.implements(c, r, spec(*nums))
+        lines.append(f"check: {label} spec at round {r}: {'yes' if v.ok else 'no'}")
+        if not v.ok:
+            lines.append(f"witness input: {v.witness_input}")
     return 0, "\n".join(lines)
 
 
 def cmd_pipeline(args):
     readings = [word(t) for t in args.readings]
-    n = args.nodes if args.nodes is not None else len(readings)
+    n = len(readings)
     low, high = components.clock_sync_select(n, args.faults, readings)
     if args.emit == "netlist":
         width = len(readings[0])
@@ -331,7 +320,6 @@ def build_parser():
                        help="select fault-tolerant clock bounds from "
                             "TDC readings")
     p.add_argument("readings", nargs="+", help="ones-first TC words")
-    p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--faults", type=int, required=True)
     p.add_argument("--emit", choices=("netlist", "report"),
                    default="report")

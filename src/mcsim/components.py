@@ -55,35 +55,25 @@ def cmux_spec() -> FunctionSpec:
                                for x, e in _mux_closure().items()})
 
 
-def _mux_registers():
-    return [RegisterDecl("a", Role.INPUT, RegType.SIMPLE),
-            RegisterDecl("b", Role.INPUT, RegType.SIMPLE),
-            RegisterDecl("s", Role.INPUT, RegType.SIMPLE),
-            RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO)]
+def _mux(name: str, *consensus: Gate) -> Circuit:
+    """o = (not s and a) or (s and b), ORed with any further terms."""
+    regs = [RegisterDecl(r, Role.INPUT, RegType.SIMPLE) for r in "abs"]
+    terms = [Gate("t_a", "AND", ("ns", "a")), Gate("t_b", "AND", ("s", "b")), *consensus]
+    return make_circuit(
+        name, regs + [RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO)],
+        [Gate("ns", "NOT", ("s",)), *terms, Gate("sel", "OR", tuple(t.gid for t in terms))],
+        {"o": "sel"})
 
 
 def build_mux() -> Circuit:
     """o = (not s and a) or (s and b); lets a metastable select through."""
-    return make_circuit(
-        "mux", _mux_registers(),
-        [Gate("ns", "NOT", ("s",)),
-         Gate("t_a", "AND", ("ns", "a")),
-         Gate("t_b", "AND", ("s", "b")),
-         Gate("sel", "OR", ("t_a", "t_b"))],
-        {"o": "sel"})
+    return _mux("mux")
 
 
 def build_cmux_combinational() -> Circuit:
     """The MUX plus the consensus term a-and-b, which holds the output
     stable whenever the data inputs agree."""
-    return make_circuit(
-        "cmux1", _mux_registers(),
-        [Gate("ns", "NOT", ("s",)),
-         Gate("t_a", "AND", ("ns", "a")),
-         Gate("t_b", "AND", ("s", "b")),
-         Gate("t_ab", "AND", ("a", "b")),
-         Gate("sel", "OR", ("t_a", "t_b", "t_ab"))],
-        {"o": "sel"})
+    return _mux("cmux1", Gate("t_ab", "AND", ("a", "b")))
 
 
 def build_cmux_clocked() -> Circuit:

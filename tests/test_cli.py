@@ -1,5 +1,8 @@
 """Command-line front end: reports, artifacts, exit codes."""
 
+import argparse
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -10,8 +13,8 @@ import pytest
 
 from conftest import FEEDBACK_TEXT, all_words, limited
 from mcsim.analysis import emit_spec_table, unroll
-from mcsim import executor
-from mcsim.cli import build_parser, main
+from mcsim import cli, executor
+from mcsim.cli import build_parser, component_table, main
 from mcsim.components import (
     build_counter,
     build_fanout_buffer,
@@ -291,7 +294,52 @@ class TestFilesThatCannotBeReadOrWritten:
         assert got == (2, "", f"error: cannot write {tmp_path / 'out'}: Is a directory\n")
 
 
+class TestWrittenFiles:
+    @pytest.mark.parametrize("argv,out", [
+        (["closure", "@and.tab", "-o", "@out.spec"], "out.spec"),
+        (["sim", "@buf.net", "M", "2", "--trace", "@run.trace"], "run.trace")],
+        ids=["-o", "--trace"])
+    def test_an_existing_tmp_file_is_left_alone(self, capsys, tmp_path, argv, out):
+        (tmp_path / "and.tab").write_text(AND_TABLE)
+        (tmp_path / "buf.net").write_text(BUF_NET)
+        (tmp_path / f"{out}.tmp").write_bytes(b"notes\n")
+        umask = os.umask(0o022)
+        try:
+            rc, _, err = run(capsys, [str(tmp_path / a[1:]) if a.startswith("@") else a
+                                      for a in argv])
+        finally:
+            os.umask(umask)
+        assert (rc, err) == (0, "")
+        assert (tmp_path / f"{out}.tmp").read_bytes() == b"notes\n"
+        assert (tmp_path / out).stat().st_mode & 0o777 == 0o644
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["and.tab", "buf.net", out, f"{out}.tmp"])
+
+
+def args_read(fn, callers=()):
+    """The args.<dest> names fn reads, itself or through a cli function it
+    hands args to."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(getattr(a, "id", None) == "args" for a in node.args)):
+            callee = getattr(cli, node.func.id)
+            if callee not in callers + (fn,):
+                names |= args_read(callee, callers + (fn,))
+    return names
+
+
 class TestParserReuse:
+    def test_every_argument_is_read_by_its_command(self):
+        # no flag is accepted and then ignored
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        for command, p in sub.choices.items():
+            defined = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            assert defined - args_read(p.get_default("func")) == set(), command
+
     def test_a_second_call_keeps_nothing_of_the_first(self, capsys, fig4_path, tmp_path):
         import os
         import subprocess
@@ -523,30 +571,32 @@ class TestWitness:
                        "raise the max-states cap\n")
 
 
-ALL_COMPONENTS = [
-    ("mux", []),
-    ("cmux1", []),
-    ("cmux-clocked", []),
-    ("fanout-buffer", ["3"]),
-    ("counter", ["3"]),
-    ("selector", ["2"]),
-    ("tc-to-brgc", ["2"]),
-    ("two-sort", ["2"]),
-    ("brgc-to-tc", ["2"]),
-    ("sorting-network", ["4", "1"]),
-]
+# a valid parameter set for each parameter count of the component table
+VALID_PARAMS = {0: [], 1: ["3"], 2: ["4", "1"]}
+TAKES = {0: "takes no parameters", 1: "takes one parameter", 2: "takes channels and word width"}
 
 
 class TestComponent:
-    @pytest.mark.parametrize("name,params", ALL_COMPONENTS)
-    def test_report_and_netlist_both_work(self, capsys, name, params):
+    @pytest.mark.parametrize("name", sorted(component_table()))
+    def test_report_and_netlist_both_work(self, capsys, name):
+        count, _, checks = component_table()[name]
+        params = VALID_PARAMS[count]
         rc, out, _ = run(capsys, ["component", name, *params])
         assert rc == 0
         assert f"component: {name}" in out
+        verdicts = [line for line in out.splitlines() if line.startswith("check: ")]
+        assert len(verdicts) == len(checks)
+        for line in verdicts:
+            failing = name == "mux" and "containing mux" in line
+            assert line.endswith(": no" if failing else ": yes"), line
         rc, out, _ = run(capsys, ["component", name, *params,
                                   "--emit", "netlist"])
         assert rc == 0
         assert validate(parse_netlist(out)) == []
+        for wrong in ([], ["1"], ["4", "1"], ["2", "2", "2"]):
+            if len(wrong) != count:
+                assert run(capsys, ["component", name, *wrong]) == (
+                    2, "", f"error: {name} {TAKES[count]}\n")
 
     def test_netlist_matches_the_builder(self, capsys):
         rc, out, _ = run(capsys, ["component", "counter", "3",

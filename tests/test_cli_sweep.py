@@ -250,9 +250,6 @@ def one_round_invocations(draw):
         faults = st.integers(0, (n - 1) // 3) | st.integers(-1, 3)
         argv = ["pipeline", *draw(st.lists(tdc_reading(width), min_size=n, max_size=n)),
                 "--faults", str(draw(faults))]
-        nodes = draw(st.none() | st.integers(-1, 9))
-        if nodes is not None:
-            argv += ["--nodes", str(nodes)]
     if command in ("closure", "synth") and draw(st.booleans()):
         argv += ["-o", draw(OUT)]
     if command in ("component", "pipeline") and draw(st.booleans()):
