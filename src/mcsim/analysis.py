@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Optional
 from .executor import (ExecutionTrace, TraceRound, _Budget, _rails, check_round_budget,
                        covered, outputs, read_outcomes, spec_layers)
 from .netlist import (
+    GATE_KINDS,
     Circuit,
     Dag,
     Gate,
@@ -68,7 +69,9 @@ class FunctionSpec:
     output bit, digit M leaves it completely unconstrained (printed as *
     in table files). General form keeps an arbitrary nonempty cube set
     per input. Build instances with natural_spec/general_spec. A natural
-    spec computed on lanes keeps its entries as the rails of spec_layers.
+    spec computed on lanes keeps its entries as the rails of spec_layers; a
+    closure or natural subfunction also carries its naturalness, which is
+    not tested again, while a spec built by hand always is.
     """
     m: int
     n: int
@@ -151,10 +154,20 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
     return m, n
 
 
-def _stable_lanes(m: int) -> list[int]:
-    """The lane of each m-digit stable word, in stable_words order: stable
-    word k sits on the lane its binary digits name in base 3."""
-    return [int(format(k, "b"), 3) for k in range(1 << m)]
+_STABLE: dict[int, tuple] = {}  # m <= 10, as digit_lanes
+
+
+def _stable(m: int) -> tuple[int, list[int], dict[int, int]]:
+    """The stable lanes of width m: their mask, the lane of each stable word
+    in stable_words order, and that lane by the word's packed value. Stable
+    word k sits on the lane its binary digits name in base 3 (its packed
+    value names them in base 4). Built once for m <= 10."""
+    if m in _STABLE:
+        return _STABLE[m]
+    bits = [format(k, "b") for k in range(1 << m)]
+    found = (reduce(and_, (z ^ o for z, o in digit_lanes(m)), (1 << 3 ** m) - 1),
+             [int(b, 3) for b in bits], {int(b, 4): int(b, 3) for b in bits})
+    return _STABLE.setdefault(m, found) if m <= 10 else found
 
 
 def _zeta(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
@@ -171,8 +184,15 @@ def _zeta(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
 
 def _stable_part(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
     """The rails on the stable lanes, where no digit reads both 0 and 1."""
-    stable = reduce(and_, (z ^ o for z, o in digits), (1 << 3 ** len(digits)) - 1)
+    stable = _stable(len(digits))[0]
     return [(z & stable, o & stable) for z, o in rails]
+
+
+def _natural(m: int, n: int, rails: tuple) -> FunctionSpec:
+    """A spec of natural rails, marked with them as its natural hull."""
+    f = FunctionSpec(m, n, rails=rails)
+    vars(f)["_hull_mark"] = rails
+    return f
 
 
 def _decode(m: int, n: int, rails) -> dict:
@@ -196,11 +216,11 @@ def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
     stable lanes, each M digit takes the union of its 0 and 1 neighbours.
     """
     m, n = _check_bool_table(table)
-    rows = [TernaryWord(n, 0)] * 3 ** m
-    for lane, y in zip(_stable_lanes(m), stable_words(m)):
-        rows[lane] = table[y]
+    rows, lane = [TernaryWord(n, 0)] * 3 ** m, _stable(m)[2]
+    for x, y in table.items():
+        rows[lane[x.packed]] = y
     digits = digit_lanes(m)
-    return FunctionSpec(m, n, rails=_zeta(digits, _stable_part(digits, _rails(rows, n))))
+    return _natural(m, n, _zeta(digits, _stable_part(digits, _rails(rows, n))))
 
 
 def _hull(layers: list, n: int) -> list[tuple[int, int]]:
@@ -223,11 +243,14 @@ def closure_general(f: FunctionSpec) -> FunctionSpec:
     if empty:
         x = lane_word(digits, (empty & -empty).bit_length() - 1)
         raise InputError(f"specification allows no output at input {x}")
-    return FunctionSpec(f.m, f.n, rails=_zeta(digits, _hull(layers, f.n)))
+    return _natural(f.m, f.n, _zeta(digits, _hull(layers, f.n)))
 
 
 def _natural_hull(f: FunctionSpec, digits: list) -> Optional[list[tuple[int, int]]]:
-    """The rails of f's entries if f is natural, else None (digits: f.m's digit_lanes)."""
+    """The rails of f's entries if f is natural, else None (digits: f.m's
+    digit_lanes). A spec built natural (_natural) hands over its mark."""
+    if (mark := getattr(f, "_hull_mark", None)) is not None:
+        return mark
     layers = spec_layers(f)
     hull = _hull(layers, f.n)
     joins = _zeta(digits, _stable_part(digits, hull))
@@ -252,7 +275,16 @@ def _candidates(layers: list, m: int, n: int) -> list[list[tuple]]:
     words, full = [e.digits() for e in stable_words(n)], (1 << 3 ** m) - 1
     fits = [covered(layers, [(0, full) if d is ONE else (full, 0) for d in e]) for e in words]
     return [[e for e, lanes in zip(words, fits) if lanes >> lane & 1]
-            for lane in _stable_lanes(m)]
+            for lane in _stable(m)[1]]
+
+
+def _cones(digits: list[tuple[int, int]]) -> list[int]:
+    """Per stable word, in stable_words order, the lanes of the words it
+    resolves (_zeta of its lane alone): the AND of one rail per digit."""
+    cones = [(1 << 3 ** len(digits)) - 1]
+    for z, o in digits:
+        cones = [c & rail for c in cones for rail in (z, o)]
+    return cones
 
 
 def find_natural_subfunction(g: FunctionSpec,
@@ -268,45 +300,49 @@ def find_natural_subfunction(g: FunctionSpec,
     if g.m > 8:
         raise InputError("natural-subfunction search is capped at 8 inputs")
     m, n = g.m, g.n
-    layers, digits, stable = spec_layers(g), digit_lanes(m), _stable_lanes(m)
+    layers = spec_layers(g)
     candidates = _candidates(layers, m, n)
     if not all(candidates):
         return None
-    full = (1 << 3 ** m) - 1
+    full, cones = (1 << 3 ** m) - 1, _cones(digit_lanes(m))
     budget = _Budget(max_nodes, "subfunction search")
 
     def assign(idx: int, rails: list) -> Optional[list]:
-        """rails holds the choices for the first idx stable inputs."""
+        """rails: _zeta of the choices for the first idx stable inputs; it
+        is OR-linear, so a choice at input idx ORs in that input's cone."""
         if idx == len(candidates):
             return rails
-        bit = 1 << stable[idx]
+        cone = cones[idx]
         for e in candidates[idx]:
             budget.spend(1)
-            tried = [(z, o | bit) if d is ONE else (z | bit, o)
+            tried = [(z, o | cone) if d is ONE else (z | cone, o)
                      for (z, o), d in zip(rails, e)]
-            if covered(layers, _zeta(digits, tried)) == full \
+            if covered(layers, tried) == full \
                     and (found := assign(idx + 1, tried)) is not None:
                 return found
         return None
 
     rails = assign(0, [(0, 0)] * n)
-    return None if rails is None else FunctionSpec(m, n, rails=_zeta(digits, rails))
+    return None if rails is None else _natural(m, n, tuple(rails))
 
 
 # ---------------------------------------------------------------------------
 # Prime implicants and circuit synthesis
 
-def _primes(digits: list[tuple[int, int]], ones: int) -> list[int]:
-    """The lanes of the prime implicants, in lex order, of the Boolean function
-    that is 1 on the stable lanes in ones and 0 on the other stable lanes."""
-    [(z, o)] = _zeta(digits, _stable_part(digits, [(~ones, ones)]))
-    # an implicant is 1 at every full resolution; it is prime when no
-    # widening of one stable digit to M is an implicant too
-    imp = prime = o & ~z
-    for i, (dz, do) in enumerate(digits):
-        s = 3 ** (len(digits) - 1 - i)
-        prime &= ~(imp >> 2 * s & dz & ~do | imp >> s & do & ~dz)
-    return [lane for lane, bit in enumerate(format(prime, "b")[::-1]) if bit == "1"]
+def _primes(digits: list[tuple[int, int]], ones: list[int]) -> list[list[int]]:
+    """Per Boolean function, 1 on the stable lanes in its ones and 0 on the
+    other stable lanes, the lanes of its prime implicants in lex order."""
+    primes = []
+    for z, o in _zeta(digits, _stable_part(digits, [(~x, x) for x in ones])):
+        # an implicant is 1 at every full resolution; it is prime when no
+        # widening of one stable digit to M is an implicant too
+        imp = prime = o & ~z
+        for i, (dz, do) in enumerate(digits):
+            s = 3 ** (len(digits) - 1 - i)
+            prime &= ~(imp >> 2 * s & dz & ~do | imp >> s & do & ~dz)
+        primes.append([lane for lane, bit in enumerate(format(prime, "b")[::-1])
+                       if bit == "1"])
+    return primes
 
 
 def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, ...]:
@@ -324,10 +360,9 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
     m, _ = _check_bool_table(rows)
     if m > 10:
         raise InputError("prime implicants are capped at 10 inputs")
-    ones = sum(1 << lane for lane, y in zip(_stable_lanes(m), stable_words(m))
-               if table[y] in (1, ONE))
-    digits = digit_lanes(m)
-    return tuple(lane_word(digits, lane) for lane in _primes(digits, ones))
+    lane, digits = _stable(m)[2], digit_lanes(m)
+    ones = sum(1 << lane[x.packed] for x, bit in table.items() if bit in (1, ONE))
+    return tuple(lane_word(digits, p) for p in _primes(digits, [ones])[0])
 
 
 def synthesize(h: FunctionSpec) -> Circuit:
@@ -350,38 +385,40 @@ def synthesize(h: FunctionSpec) -> Circuit:
              for i in range(n)]
     gates: list[Gate] = []
     drives: list[tuple[str, str]] = []
-    nots: dict[int, str] = {}
+    # the plan Dag._plan would build: each node's index, and per gate its
+    # rule and argument indices
+    index, ops = {f"x{j}": j for j in range(m)}, []
+
+    def gate(gid: str, kind: str, args: tuple) -> str:
+        ops.append((GATE_KINDS[kind][2], tuple(map(index.__getitem__, args))))
+        index[gid] = m + len(gates)
+        gates.append(Gate(gid, kind, args))
+        return gid
 
     def negated(j: int) -> str:
-        if j not in nots:
-            nots[j] = f"not_x{j}"
-            gates.append(Gate(nots[j], "NOT", (f"x{j}",)))
-        return nots[j]
+        gid = f"not_x{j}"
+        return gid if gid in index else gate(gid, "NOT", (f"x{j}",))
 
-    for i, (z, o) in enumerate(hull):
-        # the Boolean restriction: 1 where the stable entry is 1
-        pis = _primes(digits, o & ~z)
+    powers = [3 ** j for j in reversed(range(m))]
+    for i, pis in enumerate(_primes(digits, [o & ~z for z, o in hull])):
         # constant 0, or 1 (the all-M cube, the last lane, is then the only prime)
         if not pis or pis[0] == 3 ** m - 1:
             gid, kind = (f"y{i}_one", "CONST1") if pis else (f"y{i}_zero", "CONST0")
-            gates.append(Gate(gid, kind, ()))
-            drives.append((f"y{i}", gid))
+            drives.append((f"y{i}", gate(gid, kind, ())))
             continue
         terms = []
         for p, lane in enumerate(pis):
-            # digit j of the prime reads 1, or 0, or M (no literal)
-            lits = [f"x{j}" if do >> lane & 1 else negated(j)
-                    for j, (dz, do) in enumerate(digits) if not (dz & do) >> lane & 1]
-            if len(lits) > 1:
-                gates.append(Gate(f"y{i}_t{p}", "AND", tuple(lits)))
-            terms.append(lits[0] if len(lits) == 1 else f"y{i}_t{p}")
-        if len(terms) > 1:
-            gates.append(Gate(f"y{i}_or", "OR", tuple(terms)))
-        drives.append((f"y{i}", terms[0] if len(terms) == 1 else f"y{i}_or"))
+            # digit j of the prime (of its lane in base 3) reads 1, 0, or M (no literal)
+            lits = [f"x{j}" if d else negated(j)
+                    for j, d in enumerate(lane // s % 3 for s in powers) if d != 2]
+            terms.append(lits[0] if len(lits) == 1 else gate(f"y{i}_t{p}", "AND", tuple(lits)))
+        drives.append((f"y{i}", terms[0] if len(terms) == 1
+                       else gate(f"y{i}_or", "OR", tuple(terms))))
     # each NOT precedes its first reader and every name is fresh, so
     # make_circuit's sorting and checks would find nothing to do
-    return Circuit(f"synth_{m}x{n}", tuple(regs),
-                   Dag(tuple(f"x{j}" for j in range(m)), tuple(gates), tuple(drives)))
+    dag = Dag(tuple(f"x{j}" for j in range(m)), tuple(gates), tuple(drives))
+    vars(dag)["_plan"] = ops, tuple(index[src] for _, src in drives)
+    return Circuit(f"synth_{m}x{n}", tuple(regs), dag)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def build_tc_to_brgc(k: int) -> Circuit:
     metastable input bit disturbs one output bit only.
     """
     if not 1 <= k <= 5:
-        raise InputError("TC-to-BRGC conversion is capped at 5 output bits")
+        raise InputError(f"TC-to-BRGC conversion takes 1 to 5 output bits, got {k}")
     n = (1 << k) - 1
     regs = [RegisterDecl(f"i{t}", Role.INPUT, RegType.SIMPLE)
             for t in range(n)]
@@ -250,7 +250,7 @@ def build_two_sort(k: int) -> Circuit:
     precision-1 input pair comes out as precision-1 min and max.
     """
     if not 1 <= k <= 3:
-        raise InputError("two-sort synthesis is capped at 3-bit words")
+        raise InputError(f"two-sort synthesis takes words of 1 to 3 bits, got {k}")
     code = brgc(k)
     table = {}
     for u in range(code.range):
@@ -265,7 +265,7 @@ def build_two_sort(k: int) -> Circuit:
 def build_brgc_to_tc(k: int) -> Circuit:
     """Gray code in, canonical thermometer code (zeros first) out."""
     if not 1 <= k <= 4:
-        raise InputError("BRGC-to-TC conversion is capped at 4 input bits")
+        raise InputError(f"BRGC-to-TC conversion takes 1 to 4 input bits, got {k}")
     code = brgc(k)
     out = tc((1 << k) - 1)
     table = {encode(code, v): encode(out, v) for v in range(code.range)}
@@ -340,6 +340,8 @@ def build_sorting_network(channels: int, word_width: int):
     carries the minimum."""
     if not 2 <= channels <= 8:
         raise InputError(f"sorting network takes 2 to 8 channels, got {channels}")
+    if not 1 <= word_width <= 3:
+        raise InputError(f"sorting network takes words of 1 to 3 bits, got {word_width}")
     k = word_width
     net = SortingNetwork(channels, k, _layered(_batcher_pairs(channels)))
     comp = build_two_sort(k)

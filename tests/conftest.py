@@ -17,11 +17,13 @@ from mcsim.netlist import (
     RegisterDecl,
     RegType,
     Role,
+    digit_lanes,
     eval_lanes,
     make_circuit,
     parse_netlist,
 )
-from mcsim.ternary_core import META, ONE, ZERO, InputError, TernaryWord, kleene_extend
+from mcsim.ternary_core import (
+    META, ONE, ZERO, BudgetError, InputError, TernaryWord, kleene_extend)
 
 ALL_DIGITS = (ZERO, ONE, META)
 
@@ -491,7 +493,7 @@ def scalar_is_natural(f) -> bool:
                if not x.is_stable for y in res_full(x))
 
 
-def scalar_find_natural_subfunction(g):
+def per_word_find_natural_subfunction(g):
     """(entries or None, nodes spent): one stable output word per stable
     input, tightest first, each metastable input keeping the join of its
     resolutions' choices, which must stay inside g; undo restores it."""
@@ -819,6 +821,41 @@ def scalar_zeta(digits, rails):
     return tuple(rails)
 
 
+def scalar_find_natural_subfunction(g, max_nodes=None):
+    """find_natural_subfunction as it searched before it kept its partial
+    assignment closed: every search node runs a full zeta pass over the
+    choices on the stable lanes. Returns (the found rails or None, nodes
+    spent) and raises BudgetError once more than max_nodes are spent."""
+    from mcsim.executor import covered, spec_layers
+    m, n = g.m, g.n
+    layers, digits = spec_layers(g), digit_lanes(m)
+    stable = [int(format(k, "b"), 3) for k in range(1 << m)]
+    candidates = scalar_candidates(g)
+    if not all(candidates):
+        return None, 0
+    full, spent = (1 << 3 ** m) - 1, 0
+
+    def assign(idx, rails):
+        nonlocal spent
+        if idx == len(candidates):
+            return rails
+        bit = 1 << stable[idx]
+        for e in candidates[idx]:
+            spent += 1
+            if max_nodes is not None and spent > max_nodes:
+                raise BudgetError("subfunction search budget exceeded; "
+                                  "raise the max-states cap")
+            tried = [(z, o | bit) if d is ONE else (z | bit, o)
+                     for (z, o), d in zip(rails, e)]
+            if covered(layers, scalar_zeta(digits, tried)) == full \
+                    and (found := assign(idx + 1, tried)) is not None:
+                return found
+        return None
+
+    rails = assign(0, [(0, 0)] * n)
+    return (None if rails is None else scalar_zeta(digits, rails)), spent
+
+
 def scalar_candidates(g):
     """find_natural_subfunction's candidates read word by word: per stable
     input, the digits of each stable output word its value set holds."""
@@ -830,7 +867,7 @@ def checked_synthesize(h):
     """synthesize with its circuit built by make_circuit, which sorts the
     gates and validates every name and reference."""
     from mcsim.analysis import _natural_hull, _primes
-    from mcsim.netlist import digit_lanes, lane_word
+    from mcsim.netlist import lane_word
     m, n = h.m, h.n
     digits = digit_lanes(m)
     hull = _natural_hull(h, digits)
@@ -849,7 +886,8 @@ def checked_synthesize(h):
         return nots[j]
 
     for i, (z, o) in enumerate(hull):
-        pis = [lane_word(digits, lane) for lane in _primes(digits, o & ~z)]
+        [lanes] = _primes(digits, [o & ~z])
+        pis = [lane_word(digits, lane) for lane in lanes]
         if not pis or pis[0].meta_count() == m:
             gid, kind = (f"y{i}_one", "CONST1") if pis else (f"y{i}_zero", "CONST0")
             gates.append(Gate(gid, kind, ()))

@@ -1,6 +1,7 @@
 """Closure, naturality tests, synthesis, unrolling, pivotal witnesses."""
 
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -15,6 +16,7 @@ from conftest import (
     detector_spec,
     eager_spec,
     mm_example_spec,
+    per_word_find_natural_subfunction,
     recursive_metastable_witness,
     resolver_spec,
     scalar_candidates,
@@ -51,6 +53,8 @@ from mcsim.analysis import (
 from mcsim.executor import (
     Verdict, emit_trace, implements, outputs, spec_layers, trace_check)
 from mcsim.netlist import (
+    Circuit,
+    Dag,
     Gate,
     ParseError,
     RegisterDecl,
@@ -642,6 +646,170 @@ class TestSynthesizedCircuitsNeedNoChecks:
                 x: CubeSet.of(h.n, [e]) for x, e in h.entries.items()}))
 
 
+class TestHandedOver:
+    """Each step of closure -> synthesis -> check hands over what it built:
+    synthesize its circuit's evaluation plan, the lane builders the mark of
+    their spec's naturalness, and the subfunction search its closed rails.
+    Each is checked against what the next step would compute from scratch."""
+
+    @staticmethod
+    def assert_plan_handed_over(c):
+        d = c.dag
+        ops, out = vars(d)["_plan"]
+        want_ops, want_out = Dag(d.inputs, d.gates, d.outputs)._plan
+        assert out == want_out and len(ops) == len(want_ops)
+        for (rule, args), (want_rule, want_args) in zip(ops, want_ops):
+            assert rule is want_rule and args == want_args
+
+    def test_synthesized_plans_match_a_fresh_build(self):
+        rng = random.Random(50)
+        tables = [t for m in range(4) for t in bool_tables(m)]
+        tables += [random_bool_table(rng, rng.randint(4, 6), rng.randint(1, 3))
+                   for _ in range(30)]
+        for table in tables:
+            self.assert_plan_handed_over(synthesize(closure_bool(table)))
+        for h in filter(None, map(find_natural_subfunction, subfunction_corpus())):
+            self.assert_plan_handed_over(synthesize(h))
+
+    def test_pickled_circuits_evaluate_the_same(self):
+        rng = random.Random(51)
+        for _ in range(20):
+            h = closure_bool(random_bool_table(rng, rng.randint(0, 4), rng.randint(1, 3)))
+            c = synthesize(h)
+            copy = pickle.loads(pickle.dumps(c))
+            assert copy == c and "_plan" not in vars(copy.dag)
+            assert [eval_dag(copy.dag, x) for x in all_words(c.m)] == \
+                [eval_dag(c.dag, x) for x in all_words(c.m)]
+            assert implements(copy, 1, h)
+
+    def test_marks_match_the_hull_from_scratch(self):
+        from mcsim.analysis import _natural_hull
+        rng = random.Random(52)
+        specs = [closure_bool(random_bool_table(rng, rng.randint(0, 5), rng.randint(0, 3)))
+                 for _ in range(60)]
+        specs += [closure_general(random_general(rng, rng.randint(0, 3), rng.randint(1, 3)))
+                  for _ in range(60)]
+        specs += [h for h in map(find_natural_subfunction, subfunction_corpus()) if h]
+        for f in specs:
+            mark = vars(f)["_hull_mark"]
+            fresh = FunctionSpec(f.m, f.n, rails=f.rails)
+            assert "_hull_mark" not in vars(fresh)
+            assert list(mark) == _natural_hull(fresh, digit_lanes(f.m))
+        assert len(specs) > 200
+
+    def test_hand_built_rails_are_still_checked(self):
+        detector = natural_spec(1, 1, {word("0"): word("0"), word("1"): word("0"),
+                                       word("M"): word("1")})
+        [(_, rails)] = spec_layers(detector)
+        with pytest.raises(InputError, match="^specification is not natural$"):
+            synthesize(FunctionSpec(1, 1, rails=tuple(rails)))
+        rng = random.Random(53)
+        seen = Counter()
+        for _ in range(60):
+            m, n = rng.randint(0, 3), rng.randint(1, 3)
+            f = natural_spec(m, n, {x: TernaryWord.from_digits(
+                rng.choice(ALL_DIGITS) for _ in range(n)) for x in all_words(m)})
+            [(_, rails)] = spec_layers(f)
+            want = scalar_is_natural(f)
+            assert is_natural(FunctionSpec(m, n, rails=tuple(rails))) == want
+            seen[want] += 1
+        assert len(seen) == 2
+
+    def test_width_constants_match_a_fresh_build(self):
+        import mcsim.analysis as an
+        for m in range(11):
+            lane = {w: i for i, w in enumerate(all_words(m))}
+            lanes = [lane[y] for y in stable_words(m)]
+            assert an._stable(m) == (sum(1 << i for i in lanes), lanes,
+                                     {y.packed: lane[y] for y in stable_words(m)})
+            assert an._stable(m) is an._stable(m)
+        mask, lanes, by_packed = an._stable(11)
+        assert len(lanes) == len(by_packed) == 2048 and mask.bit_count() == 2048
+        assert 11 not in an._STABLE and max(an._STABLE) == 10
+
+
+class TestClosedSearch:
+    """find_natural_subfunction ORs each choice's cone into rails it keeps
+    closed; conftest.scalar_find_natural_subfunction runs the zeta pass per
+    search node that this replaced."""
+
+    def test_same_rails_and_budget_edge_as_the_zeta_per_node_search(self):
+        rng = random.Random(54)
+        specs = subfunction_corpus()
+        specs += [loosened_closure(rng, rng.randint(1, 5), rng.randint(1, 3))
+                  for _ in range(300)]
+        seen = Counter()
+        for g in specs:
+            _, spent = scalar_find_natural_subfunction(g)
+            for nodes in (spent, spent - 1):
+                try:
+                    want = scalar_find_natural_subfunction(g, nodes)[0]
+                except BudgetError:
+                    want = BudgetError
+                try:
+                    got = find_natural_subfunction(g, max_nodes=nodes)
+                    got = got and got.rails
+                except BudgetError:
+                    got = BudgetError
+                assert got == want
+                seen[nodes == spent, want is BudgetError, want is None] += 1
+        # found, none found, and out of budget one node short of either
+        assert len(seen) == 3 and min(seen.values()) > 30, seen
+
+
+class TestHandOverWorkCounts:
+    """What each step hands over is not computed again; a change that
+    brings the work back fails here."""
+
+    def test_implements_on_a_synthesized_circuit_builds_no_plan(self, monkeypatch):
+        from mcsim import netlist
+        build, built = netlist.Dag.__dict__["_plan"].func, []
+
+        class Counted:
+            def __get__(self, dag, owner=None):
+                built.append(dag)
+                return build(dag)
+        monkeypatch.setattr(netlist.Dag, "_plan", Counted())
+        rng = random.Random(55)
+        for m in (0, 2, 3, 4, 5):
+            h = closure_bool(random_bool_table(rng, m, 2))
+            c = synthesize(h)
+            assert implements(c, 1, h)
+        assert built == []
+        fresh = Dag(c.dag.inputs, c.dag.gates, c.dag.outputs)
+        assert implements(Circuit(c.name, c.registers, fresh), 1, h)
+        assert built == [fresh]
+
+    def test_subfunction_search_runs_zeta_per_call_not_per_node(self, monkeypatch):
+        import mcsim.analysis as an
+        specs = subfunction_corpus()
+        zeta, nodes = an._zeta, Counter()
+        spend = an._Budget.spend
+        monkeypatch.setattr(an, "_zeta", lambda *a: (nodes.update(["zeta"]), zeta(*a))[1])
+        monkeypatch.setattr(an._Budget, "spend",
+                            lambda self, k: (nodes.update(["node"] * k), spend(self, k))[1])
+        found = [find_natural_subfunction(g) for g in specs]
+        assert nodes["zeta"] <= len(specs) and nodes["node"] > 3 * len(specs), nodes
+        assert sum(h is not None for h in found) > 100
+
+    def test_lane_built_specs_skip_the_naturalness_check(self, monkeypatch):
+        import mcsim.analysis as an
+        rng = random.Random(56)
+        specs = [closure_bool(random_bool_table(rng, m, n)) for m in (2, 3, 4) for n in (1, 2)]
+        specs += [closure_general(random_general(rng, 2, 2)) for _ in range(5)]
+        specs += [h for h in map(find_natural_subfunction, subfunction_corpus()[:60]) if h]
+        layers, checked = an.spec_layers, []
+        monkeypatch.setattr(an, "spec_layers", lambda f: (checked.append(f), layers(f))[1])
+        for h in specs:
+            assert is_natural(h)
+            synthesize(h)
+        assert checked == []
+        copies = [FunctionSpec(h.m, h.n, rails=h.rails) for h in specs[:5]]
+        for f in copies:
+            synthesize(f)
+        assert checked == copies
+
+
 class TestPrimeImplicants:
     def test_two_input_and(self):
         table = {y: 1 if y == word("11") else 0 for y in stable_words(2)}
@@ -796,7 +964,7 @@ class TestPerWordReferences:
         seen = Counter()
         for _ in range(320):
             g = random_general(rng, rng.randint(0, 3), rng.randint(1, 3))
-            want, spent = scalar_find_natural_subfunction(g)
+            want, spent = per_word_find_natural_subfunction(g)
             h = find_natural_subfunction(g, max_nodes=spent)
             assert (h and h.entries) == want
             if spent:

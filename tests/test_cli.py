@@ -628,6 +628,19 @@ class TestComponent:
         assert run(capsys, ["component", "sorting-network", channels, "2"]) == (
             2, "", f"error: sorting network takes 2 to 8 channels, got {channels}\n")
 
+    @pytest.mark.parametrize("params,message", [
+        (["tc-to-brgc", "0"], "TC-to-BRGC conversion takes 1 to 5 output bits, got 0"),
+        (["tc-to-brgc", "6"], "TC-to-BRGC conversion takes 1 to 5 output bits, got 6"),
+        (["brgc-to-tc", "0"], "BRGC-to-TC conversion takes 1 to 4 input bits, got 0"),
+        (["brgc-to-tc", "5"], "BRGC-to-TC conversion takes 1 to 4 input bits, got 5"),
+        (["two-sort", "0"], "two-sort synthesis takes words of 1 to 3 bits, got 0"),
+        (["two-sort", "4"], "two-sort synthesis takes words of 1 to 3 bits, got 4"),
+        (["sorting-network", "4", "0"], "sorting network takes words of 1 to 3 bits, got 0"),
+        (["sorting-network", "4", "9"], "sorting network takes words of 1 to 3 bits, got 9"),
+    ])
+    def test_width_bounds_name_the_range_and_the_value(self, capsys, params, message):
+        assert run(capsys, ["component", *params]) == (2, "", f"error: {message}\n")
+
     def test_unknown_name(self, capsys):
         rc, _, err = run(capsys, ["component", "frobnicator"])
         assert rc == 2
@@ -685,6 +698,10 @@ class TestPipeline:
     def test_one_node_is_below_the_sorters_channel_range(self, capsys):
         assert run(capsys, ["pipeline", "111", "--faults", "0"]) == (
             2, "", "error: sorting network takes 2 to 8 channels, got 1\n")
+
+    def test_readings_wider_than_the_sorters_words(self, capsys):
+        assert run(capsys, ["pipeline", *["1" * 3 + "0" * 12] * 4, "--faults", "1"]) == (
+            2, "", "error: sorting network takes words of 1 to 3 bits, got 4\n")
 
     def test_too_many_faults(self, capsys):
         rc, _, err = run(capsys, ["pipeline", "100", "110", "000",
