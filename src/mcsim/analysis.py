@@ -12,16 +12,14 @@ between inputs with disjoint output sets, metastability must appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 from typing import Callable, Mapping, Optional
 
 from .executor import (ExecutionTrace, TraceRound, _Budget, _rails, check_round_budget,
                        covered, outputs, read_outcomes, spec_layers)
 from .netlist import (
-    GATE_KINDS,
     Circuit,
-    Dag,
     Gate,
     RegisterDecl,
     RegType,
@@ -30,6 +28,7 @@ from .netlist import (
     eval_dag,
     lane_word,
     make_circuit,
+    planned_dag,
     splice_dag,
 )
 from .ternary_core import (
@@ -138,12 +137,17 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
         raise InputError("empty truth table")
     m = len(next(iter(table)))
     n, *more = set(map(_WIDTH, table.values()))
+    # an M digit or a bit past the last digit, in any input or output
     if more or set(map(_WIDTH, table)) != {m} \
-            or reduce(or_, map(_PACKED, table)) & _meta_mask(m) \
-            or reduce(or_, map(_PACKED, table.values())) & _meta_mask(n):
+            or reduce(or_, map(_PACKED, table)) & (_meta_mask(m) | -1 << 2 * m) \
+            or reduce(or_, map(_PACKED, table.values())) & (_meta_mask(n) | -1 << 2 * n):
         # some row is bad: name the first one
         n = None
         for x, y in table.items():
+            for side, w in (("input", x), ("output", y)):
+                if w.packed >> 2 * w.width:
+                    raise InputError(f"truth-table {side} packed as {w.packed:#x} "
+                                     f"is wider than its width {w.width}")
             if not x.is_stable or len(x) != m:
                 raise InputError(f"truth-table input {x} must be stable, width {m}")
             if not y.is_stable or (n is not None and len(y) != n):
@@ -385,19 +389,13 @@ def synthesize(h: FunctionSpec) -> Circuit:
              for i in range(n)]
     gates: list[Gate] = []
     drives: list[tuple[str, str]] = []
-    # the plan Dag._plan would build: each node's index, and per gate its
-    # rule and argument indices
-    index, ops = {f"x{j}": j for j in range(m)}, []
 
     def gate(gid: str, kind: str, args: tuple) -> str:
-        ops.append((GATE_KINDS[kind][2], tuple(map(index.__getitem__, args))))
-        index[gid] = m + len(gates)
         gates.append(Gate(gid, kind, args))
         return gid
 
-    def negated(j: int) -> str:
-        gid = f"not_x{j}"
-        return gid if gid in index else gate(gid, "NOT", (f"x{j}",))
+    # one NOT per input, made at its first reader
+    negated = cache(lambda j: gate(f"not_x{j}", "NOT", (f"x{j}",)))
 
     powers = [3 ** j for j in reversed(range(m))]
     for i, pis in enumerate(_primes(digits, [o & ~z for z, o in hull])):
@@ -416,8 +414,7 @@ def synthesize(h: FunctionSpec) -> Circuit:
                        else gate(f"y{i}_or", "OR", tuple(terms))))
     # each NOT precedes its first reader and every name is fresh, so
     # make_circuit's sorting and checks would find nothing to do
-    dag = Dag(tuple(f"x{j}" for j in range(m)), tuple(gates), tuple(drives))
-    vars(dag)["_plan"] = ops, tuple(index[src] for _, src in drives)
+    dag = planned_dag(tuple(f"x{j}" for j in range(m)), tuple(gates), tuple(drives))
     return Circuit(f"synth_{m}x{n}", tuple(regs), dag)
 
 

@@ -15,7 +15,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .ternary_core import (
     CHAR_TO_DIGIT,
@@ -43,7 +43,7 @@ class RegType(Enum):
     MASK1 = "mask1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterDecl:
     """One register: unique name, exactly one role, one type.
 
@@ -71,7 +71,7 @@ def register_transitions(rtype: RegType, v: Ternary) -> tuple[tuple[Ternary, Ter
     return ((ONE, META), (META, ZERO))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """Single-output gate; args name input nodes or earlier gates."""
 
@@ -101,29 +101,12 @@ class Dag:
     @functools.cached_property
     def _plan(self):
         """Index-based evaluation plan, compiled once (not a field, so equality
-        and hash ignore it); rejects bad refs first, then gates validate rejects."""
-        index = {name: i for i, name in enumerate(self.inputs)}
-        if len(index) != len(self.inputs):
+        and hash ignore it); raises validate's first finding on the DAG."""
+        if len(set(self.inputs)) != len(self.inputs):
             raise InputError("duplicate input node name")
-        ops = []
-        for g in self.gates:
-            try:
-                arg_idx = tuple(index[a] for a in g.args)
-            except KeyError as e:
-                raise InputError(f"gate {g.gid} references undefined or later "
-                                 f"node {e.args[0]!r}") from e
-            if g.gid in index:
-                raise InputError(f"duplicate node name {g.gid!r}")
-            index[g.gid] = len(self.inputs) + len(ops)
-            ops.append((g, arg_idx))
-        try:
-            out_idx = tuple(index[src] for _, src in self.outputs)
-        except KeyError as e:
-            raise InputError(f"output driven by undefined node {e.args[0]!r}") from e
-        for g, _ in ops:
-            if problem := _misfit(g):
-                raise InputError(problem)
-        return [(GATE_KINDS[g.kind][2] or _table(g.table), a) for g, a in ops], out_idx
+        for problem in _dag_findings(self):
+            raise InputError(problem)
+        return _compile(self)
 
     def __getstate__(self):
         # the plan holds closures, which do not pickle; it is rebuilt on use
@@ -238,20 +221,24 @@ GATE_KINDS = {
 }
 
 
-def _misfit(g: Gate) -> str | None:
-    """validate's text for an unknown kind, a fan-in out of the kind's bounds
-    or TABLE bits that are not 2^fan-in zeros and ones; None if g can run."""
-    if g.kind not in GATE_KINDS:
-        return f"gate {g.gid}: unknown kind {g.kind!r}"
-    lo, hi, _ = GATE_KINDS[g.kind]
-    arity = len(g.args)
-    if g.kind == "TABLE":
-        if not g.table or len(g.table) != 1 << arity or set(g.table) - {"0", "1"}:
-            return f"gate {g.gid}: TABLE bits must be 2^{arity} characters over 0/1"
-    elif arity < lo or hi is not None and arity > hi:
-        return (f"gate {g.gid}: {g.kind} takes {'at least' if hi is None else 'exactly'} "
-                f"{lo} inputs, got {arity}")
-    return None
+def _compile(dag: Dag):
+    """The plan of a DAG with no findings: per gate its rail rule and argument
+    indices (inputs first, then gates in order), and each output's index."""
+    index, ops = {name: i for i, name in enumerate(dag.inputs)}, []
+    for i, g in enumerate(dag.gates, len(dag.inputs)):
+        ops.append((GATE_KINDS[g.kind][2] or _table(g.table),
+                    tuple(map(index.__getitem__, g.args))))
+        index[g.gid] = i
+    return ops, tuple(index[src] for _, src in dag.outputs)
+
+
+def planned_dag(inputs: tuple[str, ...], gates: tuple[Gate, ...],
+                outputs: tuple[tuple[str, str], ...]) -> Dag:
+    """The DAG with its plan compiled and not checked, for a builder whose
+    gates are in order, freshly named, of known kinds and fitting fan-ins."""
+    dag = Dag(inputs, gates, outputs)
+    vars(dag)["_plan"] = _compile(dag)
+    return dag
 
 
 def eval_gate(kind: str, table: str | None, vals: list[Ternary]) -> Ternary:
@@ -365,24 +352,38 @@ def validate(c: Circuit) -> list[str]:
             f"dag output nodes {[n for n, _ in c.dag.outputs]} must be the "
             f"non-input registers in declaration order {list(want_outputs)}")
 
-    defined = set(c.dag.inputs)
-    for g in c.dag.gates:
+    out.extend(_dag_findings(c.dag))
+    return out
+
+
+def _dag_findings(dag: Dag) -> Iterator[str]:
+    """validate's findings on the DAG itself, in gate order, then in output
+    order: bad or colliding gate ids, unknown kinds, fan-ins out of the
+    kind's bounds, TABLE bits that are not 2^fan-in zeros and ones, and
+    references to nodes not defined before."""
+    defined, outs = set(dag.inputs), {name for name, _ in dag.outputs}
+    for g in dag.gates:
         if not _NAME_RE.match(g.gid):
-            out.append(f"bad gate id {g.gid!r}")
-        if g.gid in seen or g.gid in defined:
-            out.append(f"gate id {g.gid} collides with an earlier name")
-        if problem := _misfit(g):
-            out.append(problem)
+            yield f"bad gate id {g.gid!r}"
+        if g.gid in outs or g.gid in defined:
+            yield f"gate id {g.gid} collides with an earlier name"
+        (lo, hi, _), arity = GATE_KINDS.get(g.kind, (0, None, None)), len(g.args)
+        if g.kind not in GATE_KINDS:
+            yield f"gate {g.gid}: unknown kind {g.kind!r}"
+        elif g.kind == "TABLE":
+            if not g.table or len(g.table) != 1 << arity or set(g.table) - {"0", "1"}:
+                yield f"gate {g.gid}: TABLE bits must be 2^{arity} characters over 0/1"
+        elif arity < lo or hi is not None and arity > hi:
+            yield (f"gate {g.gid}: {g.kind} takes {'at least' if hi is None else 'exactly'} "
+                   f"{lo} inputs, got {arity}")
         for a in g.args:
             if a not in defined:
-                out.append(f"gate {g.gid} uses {a!r} before it is defined "
-                           f"(undeclared, a cycle, or out of order)")
+                yield (f"gate {g.gid} uses {a!r} before it is defined "
+                       f"(undeclared, a cycle, or out of order)")
         defined.add(g.gid)
-    for name, src in c.dag.outputs:
+    for name, src in dag.outputs:
         if src not in defined:
-            out.append(f"register {name} is driven by {src!r} which is not "
-                       f"an input node or gate")
-    return out
+            yield f"register {name} is driven by {src!r} which is not an input node or gate"
 
 
 def dag_toposort(dag: Dag) -> Dag:

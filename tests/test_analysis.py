@@ -883,6 +883,19 @@ class TestPrimeImplicants:
         with pytest.raises(InputError, match="^prime implicants are capped at 10 inputs$"):
             prime_implicants(dict.fromkeys(stable_words(11), 1))
 
+    def test_keys_packed_past_their_digits_are_input_errors(self):
+        # 0b0101 is the word 11, and the bit above its two digits is spoilt
+        wide = TernaryWord(2, 0b0101 | 1 << 4)
+        rows = {word("00"): 0, word("01"): 1, word("10"): 0, wide: 1}
+        text = "^truth-table input packed as 0x15 is wider than its width 2$"
+        with pytest.raises(InputError, match=text):
+            closure_bool({x: TernaryWord.from_digits([bit]) for x, bit in rows.items()})
+        with pytest.raises(InputError, match=text):
+            prime_implicants(rows)
+        with pytest.raises(InputError, match="^truth-table output packed as 0x5 is wider "
+                                             "than its width 1$"):
+            closure_bool({x: TernaryWord(1, 0b101) for x in stable_words(1)})
+
 
 class TestPerWordReferences:
     """The lane-form analysis against the per-word algorithms it replaced

@@ -415,6 +415,46 @@ class TestCheck:
         assert "error:" in err
 
 
+class TestRefusedFiles:
+    """Malformed netlists and spec files: exit 2 and one error line naming
+    the fault, through every command that reads them."""
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("drive O g", "drive O g\ncircuit other", "line 6: duplicate circuit line"),
+        ("circuit buf", "circuit", "line 1: expected: circuit <name>"),
+        ("input I simple", "input I", "line 2: expected: input <reg> <type>"),
+        ("input I simple", "input I simple\nlocal L simple init",
+         "line 3: expected: local <reg> <type> init <0|1|M>"),
+        ("output O simple init 0", "output O simple 0",
+         "line 3: expected: output <reg> <type> init <0|1|M>"),
+        ("gate g BUF I", "gate g", "line 4: expected: gate <id> <KIND> <src> ..."),
+        ("drive O g", "drive O", "line 5: expected: drive <reg> <src>"),
+        ("drive O g", "drive O g\ndrive I g", "line 6: input register I cannot be driven"),
+        ("I", "1I", "bad register name '1I'"),
+        ("input I simple", "input I simple\ninput I simple", "register I declared twice"),
+        ("g BUF I\ndrive O g", "1g BUF I\ndrive O 1g", "bad gate id '1g'"),
+    ])
+    def test_netlists(self, capsys, workspace, old, new, message):
+        text = BUF_NET.replace(old, new)
+        assert text != BUF_NET
+        net = workspace("bad.net", text)
+        spec = workspace("and.spec", AND_CLOSURE_SPEC)
+        for argv in (["sim", net, "0", "1"], ["check", net, spec, "1"],
+                     ["unroll", net, "2"], ["witness", net, "0", "1", "1"]):
+            assert run(capsys, argv) == (2, "", f"error: {message}\n"), argv
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "line 1: missing spec header"),
+        ("# only a comment\n", "line 1: missing spec header"),
+        ("spec m=1 n=1\n0 -> 0, 01\n1 -> 1\nM -> 0,1\n",
+         "line 2: cube 01 does not have width 1"),
+    ])
+    def test_spec_files(self, capsys, workspace, text, message):
+        spec = workspace("bad.spec", text)
+        for argv in (["synth", spec], ["check", workspace("buf.net", BUF_NET), spec, "1"]):
+            assert run(capsys, argv) == (2, "", f"error: {message}\n"), argv
+
+
 class TestClosure:
     def test_and_table_closure_is_frozen(self, capsys, workspace):
         table = workspace("and.tab", AND_TABLE)

@@ -373,6 +373,12 @@ class TestSortingNetwork:
             vals = [rng.randrange(100) for _ in range(n)]
             assert net.apply(vals) == sorted(vals)
 
+    def test_apply_takes_one_value_per_channel(self):
+        net, _ = build_sorting_network(4, 1)
+        for vals in ([1, 0, 1], [1, 0, 1, 0, 1]):
+            with pytest.raises(InputError, match="^expected 4 values$"):
+                net.apply(vals)
+
     def test_layers_are_channel_disjoint(self):
         for n in range(2, 9):
             net, _ = build_sorting_network(n, 1)

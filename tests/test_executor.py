@@ -248,6 +248,10 @@ class TestSuccessors:
         # the trace's s_1 is a member of the first cube
         assert state_cube_contains(2, word("MMMM"), word("MM1M"))
 
+    def test_a_state_of_the_wrong_width(self, feedback_circuit):
+        with pytest.raises(InputError, match="^state width 3 does not match 4 registers$"):
+            successors(feedback_circuit, word("MM1"))
+
     def test_stable_state_singleton(self, feedback_circuit):
         got = successors(feedback_circuit, word("1011"))
         assert set(got) == {word("1011")}  # OR=1, AND(1,1)=1
@@ -284,6 +288,11 @@ class TestReach:
         for c in corpus_mixed[:10]:
             iota = rng.choice(all_words(c.m))
             assert list(reach(c, iota, 0)) == [iota.concat(c.init_word())]
+
+    def test_negative_round_counts(self, feedback_circuit):
+        for run in (reach, run_trace):
+            with pytest.raises(InputError, match="^round count must be nonnegative$"):
+                run(feedback_circuit, word("MM"), -1)
 
     def test_worked_example_rounds(self, feedback_circuit):
         c = feedback_circuit
@@ -744,6 +753,20 @@ class TestTraces:
         # a mask-0 register in state M never reads 1
         t = parse_trace("0 | MM11 | 1M1 | MM | MM\n")
         assert not trace_check(feedback_circuit, t)
+
+    @pytest.mark.parametrize("rows,message", [
+        ((), "empty trace"),
+        ((TraceRound(word("MM11"), word("0M1")),), "round 0: partial round record"),
+        ((TraceRound(word("MM11"), word("0M"), word("MM"), word("MM")),),
+         "round 0: read width 2"),
+        ((TraceRound(word("MM11"), word("0M1"), word("M"), word("MM")),),
+         "round 0: evaluation/write width"),
+        ((TraceRound(word("MM11"), word("0M1"), word("MM"), word("MMM")),),
+         "round 0: evaluation/write width"),
+    ])
+    def test_malformed_traces_are_refused(self, feedback_circuit, rows, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            trace_check(feedback_circuit, ExecutionTrace(rows))
 
     def test_run_trace_always_valid(self, corpus_mixed):
         rng = random.Random(11)

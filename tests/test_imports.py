@@ -81,3 +81,35 @@ def test_a_leftover_helper_is_caught():
                     "def f():\n    return _K\n",
                "b": "from .a import _Box\nx = _Box()\n"}
     assert orphaned_privates(sources) == ["a._GONE", "a._walk"]
+
+
+PLAN_NAMES = {"_plan", "GATE_KINDS"}
+
+
+def touches_the_plan(text: str) -> bool:
+    """Whether a module reads or writes a DAG's evaluation plan `_plan` (as
+    an attribute or a vars() key) or names the gate table GATE_KINDS."""
+    for node in ast.walk(ast.parse(text)):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else \
+            node.name if isinstance(node, ast.alias) else \
+            node.value if isinstance(node, ast.Constant) else None
+        if isinstance(name, str) and name in PLAN_NAMES:
+            return True
+    return False
+
+
+def test_only_netlist_checks_dags_and_compiles_plans():
+    assert [p.stem for p in sorted(SRC.glob("*.py"))
+            if p.stem != "netlist" and touches_the_plan(p.read_text())] == []
+
+
+@pytest.mark.parametrize("text, touches", [
+    ("from .netlist import GATE_KINDS\n", True),
+    ("from . import netlist\nrule = netlist.GATE_KINDS['AND'][2]\n", True),
+    ("def f(dag):\n    return dag._plan\n", True),
+    ("def f(dag, plan):\n    vars(dag)['_plan'] = plan\n", True),
+    ("def f(dag):\n    '''Builds no _plan.'''\n    return planned_dag(dag)\n", False),
+])
+def test_a_plan_built_elsewhere_is_caught(text, touches):
+    assert touches_the_plan(text) is touches

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -240,10 +241,21 @@ class TestDualRail:
         fresh = parse_netlist(FEEDBACK_TEXT)
         assert fresh == c and hash(fresh) == hash(c)
 
+    def test_gates_and_registers_are_slotted_values(self, feedback_circuit):
+        import pickle
+        for x in feedback_circuit.registers + feedback_circuit.dag.gates:
+            first = fields(x)[0].name
+            assert not hasattr(x, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, first, "z")
+            back = pickle.loads(pickle.dumps(x))
+            assert back == x and hash(back) == hash(x)
+            assert replace(x) == x and replace(x, **{first: "z"}) != x
+
     @pytest.mark.parametrize("gates,match", [
-        ((Gate("g1", "NOT", ("g2",)), Gate("g2", "NOT", ("a",))), "undefined or later"),
+        ((Gate("g1", "NOT", ("g2",)), Gate("g2", "NOT", ("a",))), "before it is defined"),
         ((Gate("g1", "FROB", ("a",)),), "unknown kind 'FROB'"),
-        ((Gate("g1", "FROB", ("a",)), Gate("g2", "NOT", ("zz",))), "undefined or later"),
+        ((Gate("g1", "FROB", ("a",)), Gate("g2", "NOT", ("zz",))), "unknown kind 'FROB'"),
         ((Gate("g1", "TABLE", ("a",), "011"),), r"TABLE bits must be 2\^1"),
     ])
     def test_plan_errors_are_raised_on_every_call(self, gates, match):
@@ -255,6 +267,13 @@ class TestDualRail:
                 eval_lanes(dag, 1, TernaryWord(0, 0))
         assert "_plan" not in vars(dag)
 
+    def test_duplicate_input_nodes_are_refused(self):
+        dag = Dag(("a", "a"), (Gate("g", "AND", ("a", "a")),), (("o", "g"),))
+        for _ in range(2):
+            with pytest.raises(InputError, match="^duplicate input node name$"):
+                eval_dag(dag, word("01"))
+        assert "_plan" not in vars(dag)
+
     def test_evaluation_refuses_exactly_what_validate_refuses(self):
         regs = (RegisterDecl("a", Role.INPUT, RegType.SIMPLE),
                 RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO))
@@ -262,16 +281,31 @@ class TestDualRail:
         bad = [Gate("g", "XOR", ("a",) * 3), Gate("g", "NOT", ("a",) * 2),
                Gate("g", "BUF", ("a",) * 2), Gate("g", "CONST0", ("a",))]
         bad += [Gate("g", kind, ("a",) * arity) for kind in ("AND", "OR") for arity in (0, 1)]
-        for g in bad:
-            dag = one_gate(g)
+        bad += [Gate("g", "FROB", ("a",)), Gate("g", "TABLE", ("a",), "01M")]
+        cases = [(one_gate(g), g) for g in bad]
+        # references and names, where eval_gate, which names its own nodes,
+        # has nothing to compare: a forward and an undefined reference, a
+        # duplicate gate id, one equal to an input or output node, an
+        # undefined output source, a bad gate id
+        cases += [(dag, None) for dag in (
+            Dag(("a",), (Gate("g", "NOT", ("h",)), Gate("h", "NOT", ("a",))), (("o", "g"),)),
+            Dag(("a",), (Gate("g", "NOT", ("zz",)),), (("o", "g"),)),
+            Dag(("a",), (Gate("g", "NOT", ("a",)), Gate("g", "BUF", ("a",))), (("o", "g"),)),
+            Dag(("a",), (Gate("a", "NOT", ("a",)),), (("o", "a"),)),
+            Dag(("a",), (Gate("o", "NOT", ("a",)),), (("o", "o"),)),
+            Dag(("a",), (Gate("g", "NOT", ("a",)),), (("o", "zz"),)),
+            Dag(("a",), (Gate("1g", "NOT", ("a",)),), (("o", "1g"),)))]
+        for dag, g in cases:
             [want] = validate(Circuit("c", regs, dag))
             for _ in range(2):
-                for run in (lambda: eval_dag(dag, word("0")),
-                            lambda: eval_lanes(dag, 1, TernaryWord(0, 0)),
-                            lambda: eval_gate(g.kind, g.table, [ZERO] * len(g.args))):
+                runs = [lambda: eval_dag(dag, word("0")),
+                        lambda: eval_lanes(dag, 1, TernaryWord(0, 0))]
+                if g:
+                    runs.append(lambda: eval_gate(g.kind, g.table, [ZERO] * len(g.args)))
+                for run in runs:
                     with pytest.raises(InputError) as got:
                         run()
-                    assert str(got.value) == want, g
+                    assert str(got.value) == want, dag
             assert "_plan" not in vars(dag)
         # every shape the table allows passes validate and evaluates as the scalar chain
         for kind, (lo, hi, _) in GATE_KINDS.items():
@@ -447,6 +481,12 @@ class TestNetlistFiles:
             assert f"line {len(FEEDBACK_TEXT.splitlines()) + 1}" in str(e)
         except InputError:
             pass  # semantic errors found by validate have no line
+
+    def test_drives_for_unknown_registers(self, feedback_circuit):
+        c = feedback_circuit
+        drives = {"L1": "g_or", "O1": "g_and", "Z9": "g_or", "A0": "I1"}
+        with pytest.raises(InputError, match="^drives for unknown registers: A0, Z9$"):
+            make_circuit(c.name, c.registers, c.dag.gates, drives)
 
     def test_unknown_drive_source(self):
         text = FEEDBACK_TEXT.replace("drive L1 g_or", "drive L1 nosuch")

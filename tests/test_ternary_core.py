@@ -19,6 +19,7 @@ from mcsim.ternary_core import (
     ONE,
     ZERO,
     BudgetError,
+    Code,
     CubeSet,
     InputError,
     Ternary,
@@ -70,6 +71,11 @@ class TestWordBasics:
     def test_parse_str_roundtrip(self):
         assert str(word("0M110")) == "0M110"
         assert word("").width == 0
+
+    def test_digit_index_out_of_range(self):
+        for i in (-1, 3):
+            with pytest.raises(InputError, match=f"^digit index {i} out of range for width 3$"):
+                word("01M").digit(i)
 
     def test_parse_rejects_bad_digit(self):
         with pytest.raises(InputError):
@@ -304,6 +310,10 @@ class TestCubeSet:
         assert cubeset_canonicalize(canon) == canon
         assert cubeset_canonicalize(CubeSet.of(width, reversed(cubes))) == canon
 
+    def test_cubes_of_another_width(self):
+        with pytest.raises(InputError, match="^cube 011 does not have width 2$"):
+            CubeSet.of(2, [word("0M"), word("011")])
+
     def test_disjointness(self):
         a = CubeSet.of(2, [word("0M")])
         b = CubeSet.of(2, [word("11")])
@@ -385,6 +395,15 @@ class TestCodes:
             encode(tc(4), 5)
         with pytest.raises(InputError):
             encode(brgc(3), 8)
+
+    def test_bad_kinds_widths_and_words(self):
+        with pytest.raises(InputError, match="^unknown code kind 'BCD'$"):
+            Code("BCD", 4)
+        for kind in ("TC", "BRGC"):
+            with pytest.raises(InputError, match="^code width must be positive$"):
+                Code(kind, 0)
+        with pytest.raises(InputError, match="^width mismatch: 011 vs BRGC width 4$"):
+            decode(brgc(4), word("011"))
 
     def test_decode_rejects_metastable(self):
         with pytest.raises(InputError, match="not a codeword"):
