@@ -12,11 +12,11 @@ between inputs with disjoint output sets, metastability must appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Callable, Mapping, Optional
 
-from .executor import (ExecutionTrace, TraceRound, _Budget, _rails, check_round_budget,
+from .executor import (ExecutionTrace, TraceRound, _Budget, check_round_budget,
                        covered, outputs, read_outcomes, spec_layers)
 from .netlist import (
     Circuit,
@@ -220,11 +220,15 @@ def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
     stable lanes, each M digit takes the union of its 0 and 1 neighbours.
     """
     m, n = _check_bool_table(table)
-    rows, lane = [TernaryWord(n, 0)] * 3 ** m, _stable(m)[2]
+    stable, _, lane = _stable(m)
+    # per output digit, a "1" on each stable lane where it reads 1, lane 0 last
+    planes = [bytearray(b"0" * 3 ** m) for _ in range(n)]
     for x, y in table.items():
-        rows[lane[x.packed]] = y
-    digits = digit_lanes(m)
-    return _natural(m, n, _zeta(digits, _stable_part(digits, _rails(rows, n))))
+        for j, plane in enumerate(planes):
+            if y.packed >> 2 * (n - 1 - j) & 1:
+                plane[~lane[x.packed]] = 49
+    ones = [int(plane, 2) for plane in planes]
+    return _natural(m, n, _zeta(digit_lanes(m), [(stable & ~o, o) for o in ones]))
 
 
 def _hull(layers: list, n: int) -> list[tuple[int, int]]:
@@ -369,6 +373,31 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
     return tuple(lane_word(digits, p) for p in _primes(digits, [ones])[0])
 
 
+_SHAPES: dict[tuple[int, int], tuple] = {}  # m <= 10, as _STABLE
+
+
+def _shape(m: int, n: int) -> tuple:
+    """What synthesize's circuits of m inputs and n outputs share: name,
+    registers, input nodes, NOT gates, and the (literals, mask of the NOTs
+    read) of a cube lane's leading digits and of its last min(m, 5), not of
+    all 3^m lanes: x_j for a 1, not_x_j for a 0, none for M. Built once for m <= 10."""
+    if (m, n) in _SHAPES:
+        return _SHAPES[m, n]
+    xs, cut = tuple(f"x{j}" for j in range(m)), max(m - 5, 0)
+    nots = tuple(Gate(f"not_{x}", "NOT", (x,)) for x in xs)
+    halves = []
+    for digits in (range(cut), range(cut, m)):
+        lits = [((), 0)]
+        for j in digits:
+            lits = [(ls + lit, neg | bit) for ls, neg in lits
+                    for lit, bit in (((nots[j].gid,), 1 << j), ((xs[j],), 0), ((), 0))]
+        halves.append(tuple(lits))
+    regs = tuple(RegisterDecl(x, Role.INPUT, RegType.SIMPLE) for x in xs) + tuple(
+        RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO) for i in range(n))
+    found = (f"synth_{m}x{n}", regs, xs, nots, *halves, 3 ** (m - cut))
+    return _SHAPES.setdefault((m, n), found) if m <= 10 else found
+
+
 def synthesize(h: FunctionSpec) -> Circuit:
     """A circuit whose single round realizes the natural specification h.
 
@@ -383,39 +412,34 @@ def synthesize(h: FunctionSpec) -> Circuit:
     hull = _natural_hull(h, digits)
     if hull is None:
         raise InputError("specification is not natural")
-    regs = [RegisterDecl(f"x{j}", Role.INPUT, RegType.SIMPLE)
-            for j in range(m)]
-    regs += [RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO)
-             for i in range(n)]
+    name, regs, xs, nots, lead, last, size = _shape(m, n)
     gates: list[Gate] = []
     drives: list[tuple[str, str]] = []
-
-    def gate(gid: str, kind: str, args: tuple) -> str:
-        gates.append(Gate(gid, kind, args))
-        return gid
-
-    # one NOT per input, made at its first reader
-    negated = cache(lambda j: gate(f"not_x{j}", "NOT", (f"x{j}",)))
-
-    powers = [3 ** j for j in reversed(range(m))]
+    made = 0  # the inputs whose NOT is made, each at its first reader
     for i, pis in enumerate(_primes(digits, [o & ~z for z, o in hull])):
+        y = regs[m + i].name
         # constant 0, or 1 (the all-M cube, the last lane, is then the only prime)
         if not pis or pis[0] == 3 ** m - 1:
-            gid, kind = (f"y{i}_one", "CONST1") if pis else (f"y{i}_zero", "CONST0")
-            drives.append((f"y{i}", gate(gid, kind, ())))
+            gid, kind = (f"{y}_one", "CONST1") if pis else (f"{y}_zero", "CONST0")
+            gates.append(Gate(gid, kind, ()))
+            drives.append((y, gid))
             continue
         terms = []
         for p, lane in enumerate(pis):
-            # digit j of the prime (of its lane in base 3) reads 1, 0, or M (no literal)
-            lits = [f"x{j}" if d else negated(j)
-                    for j, d in enumerate(lane // s % 3 for s in powers) if d != 2]
-            terms.append(lits[0] if len(lits) == 1 else gate(f"y{i}_t{p}", "AND", tuple(lits)))
-        drives.append((f"y{i}", terms[0] if len(terms) == 1
-                       else gate(f"y{i}_or", "OR", tuple(terms))))
+            (lits, neg), (more, neg2) = lead[lane // size], last[lane % size]
+            lits, new = lits + more, (neg | neg2) & ~made
+            if new:
+                made |= new
+                gates += [g for j, g in enumerate(nots) if new >> j & 1]
+            if len(lits) > 1:
+                gates.append(Gate(f"{y}_t{p}", "AND", lits))
+            terms.append(lits[0] if len(lits) == 1 else gates[-1].gid)
+        if len(terms) > 1:
+            gates.append(Gate(f"{y}_or", "OR", tuple(terms)))
+        drives.append((y, terms[0] if len(terms) == 1 else gates[-1].gid))
     # each NOT precedes its first reader and every name is fresh, so
     # make_circuit's sorting and checks would find nothing to do
-    dag = planned_dag(tuple(f"x{j}" for j in range(m)), tuple(gates), tuple(drives))
-    return Circuit(f"synth_{m}x{n}", tuple(regs), dag)
+    return Circuit(name, regs, planned_dag(xs, tuple(gates), tuple(drives)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ function.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import re
 from dataclasses import dataclass
@@ -41,6 +40,25 @@ class RegType(Enum):
     SIMPLE = "simple"
     MASK0 = "mask0"
     MASK1 = "mask1"
+
+
+class _derived:
+    """A value derived from a frozen instance on first read and kept in its
+    __dict__, where later reads find it first: functools.cached_property
+    without the lock it takes before Python 3.12. A read that raises keeps
+    nothing, so the next read raises again."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +116,7 @@ class Dag:
     gates: tuple[Gate, ...]
     outputs: tuple[tuple[str, str], ...]
 
-    @functools.cached_property
+    @_derived
     def _plan(self):
         """Index-based evaluation plan, compiled once (not a field, so equality
         and hash ignore it); raises validate's first finding on the DAG."""
@@ -124,31 +142,15 @@ class Circuit:
     def regs(self, role: Role) -> tuple[RegisterDecl, ...]:
         return tuple(r for r in self.registers if r.role is role)
 
-    @functools.cached_property
-    def input_regs(self) -> tuple[RegisterDecl, ...]:
-        return self.regs(Role.INPUT)
+    # read on every check and round, so each is derived once (see _derived)
+    input_regs = _derived(lambda self: self.regs(Role.INPUT))
+    local_regs = _derived(lambda self: self.regs(Role.LOCAL))
+    output_regs = _derived(lambda self: self.regs(Role.OUTPUT))
+    m = _derived(lambda self: len(self.input_regs))
+    k = _derived(lambda self: len(self.local_regs))
+    n = _derived(lambda self: len(self.output_regs))
 
-    @functools.cached_property
-    def local_regs(self) -> tuple[RegisterDecl, ...]:
-        return self.regs(Role.LOCAL)
-
-    @functools.cached_property
-    def output_regs(self) -> tuple[RegisterDecl, ...]:
-        return self.regs(Role.OUTPUT)
-
-    @functools.cached_property
-    def m(self) -> int:
-        return len(self.input_regs)
-
-    @functools.cached_property
-    def k(self) -> int:
-        return len(self.local_regs)
-
-    @functools.cached_property
-    def n(self) -> int:
-        return len(self.output_regs)
-
-    @functools.cached_property
+    @_derived
     def _init(self) -> TernaryWord:
         regs = self.local_regs + self.output_regs
         # the digits 0, 1, 2 (M) read in base 4 are the packed word
@@ -158,7 +160,7 @@ class Circuit:
         """Initial values of the non-input registers, locals then outputs."""
         return self._init
 
-    @functools.cached_property
+    @_derived
     def read_plan(self) -> tuple[int, int, tuple]:
         """Bit patterns on the word of the non-output registers: (the low
         bit of every digit, the M bit of every masked register, and per
@@ -378,17 +380,20 @@ def _dag_findings(dag: Dag) -> Iterator[str]:
                    f"{lo} inputs, got {arity}")
         for a in g.args:
             if a not in defined:
-                yield (f"gate {g.gid} uses {a!r} before it is defined "
-                       f"(undeclared, a cycle, or out of order)")
+                yield _USED_EARLY.format(g.gid, a)
         defined.add(g.gid)
     for name, src in dag.outputs:
         if src not in defined:
             yield f"register {name} is driven by {src!r} which is not an input node or gate"
 
 
+_USED_EARLY = "gate {} uses {!r} before it is defined (undeclared, a cycle, or out of order)"
+
+
 def dag_toposort(dag: Dag) -> Dag:
     """Reorder gates into the fixed topological order used everywhere:
-    among ready gates, earliest declaration first. Raises on cycles."""
+    among ready gates, earliest declaration first. An undefined reference
+    or a cycle raises validate's text for the first gate it holds back."""
     seen = set(dag.inputs).difference(g.gid for g in dag.gates)
     for g in dag.gates:
         if not seen.issuperset(g.args):
@@ -396,36 +401,32 @@ def dag_toposort(dag: Dag) -> Dag:
         seen.add(g.gid)
     else:
         return dag  # each gate follows every gate it names: the heap keeps that order
-    by_id = {g.gid: i for i, g in enumerate(dag.gates)}
-    known = set(dag.inputs)
-    waits: dict[int, int] = {}
-    users: dict[str, list[int]] = {}
-    ready: list[int] = []
+    by_id, known = {g.gid: i for i, g in enumerate(dag.gates)}, set(dag.inputs)
+    waits, users, ready = [0] * len(dag.gates), {}, []
     for i, g in enumerate(dag.gates):
-        pending = 0
         for a in g.args:
             if a in by_id:
-                pending += 1
+                waits[i] += 1
                 users.setdefault(a, []).append(i)
             elif a not in known:
-                raise InputError(f"gate {g.gid} references undefined node {a!r}")
-        waits[i] = pending
-        if pending == 0:
-            heapq.heappush(ready, i)
+                raise InputError(_USED_EARLY.format(g.gid, a))
+        if not waits[i]:
+            ready.append(i)  # in ascending order, so already a heap
     order = []
     while ready:
         i = heapq.heappop(ready)
-        g = dag.gates[i]
-        order.append(g)
-        for j in users.get(g.gid, ()):
+        order.append(i)
+        for j in users.get(dag.gates[i].gid, ()):
             waits[j] -= 1
-            if waits[j] == 0:
+            if not waits[j]:
                 heapq.heappush(ready, j)
     if len(order) != len(dag.gates):
-        stuck = sorted(set(range(len(dag.gates))) - {by_id[g.gid] for g in order})
-        raise InputError(
-            f"cycle through gate {dag.gates[stuck[0]].gid}")
-    return Dag(dag.inputs, tuple(order), dag.outputs)
+        # the first gate left waiting, on a gate never placed
+        placed = {dag.gates[i].gid for i in order}
+        g = dag.gates[min(set(range(len(dag.gates))).difference(order))]
+        raise InputError(_USED_EARLY.format(g.gid, next(a for a in g.args
+                                                        if a in by_id and a not in placed)))
+    return Dag(dag.inputs, tuple(dag.gates[i] for i in order), dag.outputs)
 
 
 def parse_netlist(text: str) -> Circuit:

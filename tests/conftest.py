@@ -410,8 +410,14 @@ def assert_lane_spec_agrees(f, circuits=()):
 
 def scalar_dag_toposort(dag: Dag) -> Dag:
     """dag_toposort by the heap alone: among ready gates, earliest
-    declaration first, for gates in any order."""
+    declaration first, for gates in any order. An undefined reference, or
+    the first gate a cycle holds back with its first argument never
+    placed, raises validate's text for a reference not defined before."""
     import heapq
+
+    def used_early(gid, a):
+        return InputError(f"gate {gid} uses {a!r} before it is defined "
+                          f"(undeclared, a cycle, or out of order)")
     by_id = {g.gid: i for i, g in enumerate(dag.gates)}
     known = set(dag.inputs)
     waits: dict[int, int] = {}
@@ -424,24 +430,23 @@ def scalar_dag_toposort(dag: Dag) -> Dag:
                 pending += 1
                 users.setdefault(a, []).append(i)
             elif a not in known:
-                raise InputError(f"gate {g.gid} references undefined node {a!r}")
+                raise used_early(g.gid, a)
         waits[i] = pending
         if pending == 0:
             heapq.heappush(ready, i)
     order = []
     while ready:
         i = heapq.heappop(ready)
-        g = dag.gates[i]
-        order.append(g)
-        for j in users.get(g.gid, ()):
+        order.append(i)
+        for j in users.get(dag.gates[i].gid, ()):
             waits[j] -= 1
             if waits[j] == 0:
                 heapq.heappush(ready, j)
     if len(order) != len(dag.gates):
-        stuck = sorted(set(range(len(dag.gates))) - {by_id[g.gid] for g in order})
-        raise InputError(
-            f"cycle through gate {dag.gates[stuck[0]].gid}")
-    return Dag(dag.inputs, tuple(order), dag.outputs)
+        placed = {dag.gates[i].gid for i in order}
+        g = dag.gates[min(set(range(len(dag.gates))) - set(order))]
+        raise used_early(g.gid, [a for a in g.args if a in by_id and a not in placed][0])
+    return Dag(dag.inputs, tuple(dag.gates[i] for i in order), dag.outputs)
 
 
 # The per-word analysis algorithms that the lane form replaced, kept as
@@ -453,6 +458,20 @@ def scalar_closure_bool(table):
     m = len(next(iter(table)))
     return {x: functools.reduce(superpose, (table[y] for y in res_full(x)))
             for x in all_words(m)}
+
+
+def rows_closure_bool(table):
+    """closure_bool's rails by encoding all 3^m rows, the zero word on every
+    lane but the stable ones: the reference for the closure built from the
+    2^m stable rows alone."""
+    from mcsim.analysis import _check_bool_table, _stable, _zeta
+    from mcsim.executor import _rails
+    m, n = _check_bool_table(table)
+    stable, _, lane = _stable(m)
+    rows = [TernaryWord(n, 0)] * 3 ** m
+    for x, y in table.items():
+        rows[lane[x.packed]] = y
+    return _zeta(digit_lanes(m), [(z & stable, o & stable) for z, o in _rails(rows, n)])
 
 
 def scalar_check_bool_table(table):

@@ -19,6 +19,7 @@ from conftest import (
     per_word_find_natural_subfunction,
     recursive_metastable_witness,
     resolver_spec,
+    rows_closure_bool,
     scalar_candidates,
     scalar_check_bool_table,
     scalar_closure_bool,
@@ -299,6 +300,16 @@ class TestClosureBool:
         tables = [t for m in range(4) for t in bool_tables(m)]
         tables += [random_bool_table(rng, 3, 2) for _ in range(15)]
         assert all(is_natural(closure_bool(t)) for t in tables)
+
+    def test_same_rails_as_the_encode_of_every_row(self):
+        # rows in a shuffled order: the closure places each by its key
+        rng = random.Random(4023)
+        for m in range(9):
+            for n in range(5):
+                for _ in range(4 if m < 6 else 1):
+                    rows = list(random_bool_table(rng, m, n).items())
+                    table = dict(rng.sample(rows, len(rows)))
+                    assert closure_bool(table).rails == rows_closure_bool(table)
 
     def test_partial_table_rejected(self):
         table = dict(AND_TABLE)
@@ -646,6 +657,53 @@ class TestSynthesizedCircuitsNeedNoChecks:
                 x: CubeSet.of(h.n, [e]) for x, e in h.entries.items()}))
 
 
+class TestShapeTables:
+    """synthesize reads what every circuit of one shape shares (name,
+    registers, NOT gates, each lane's literals) from tables built once per
+    shape, which no later call changes."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(57)
+        specs = [closure_bool(random_bool_table(rng, m, n))
+                 for m in range(7) for n in range(4) for _ in range(3)]
+        specs += [random_natural(rng, m, 2) for m in (2, 3, 4)]
+        return specs + [h for h in map(find_natural_subfunction, subfunction_corpus()[:40]) if h]
+
+    def test_two_orders_build_the_same_circuits_and_tables(self, monkeypatch):
+        import mcsim.analysis as an
+        specs = self.corpus()
+        monkeypatch.setattr(an, "_SHAPES", {})
+        forward = [synthesize(h) for h in specs]
+        tables = dict(an._SHAPES)
+        monkeypatch.setattr(an, "_SHAPES", {})
+        backward = [synthesize(h) for h in reversed(specs)][::-1]
+        assert an._SHAPES == tables and len(tables) == len({(h.m, h.n) for h in specs})
+        again = [synthesize(h) for h in specs]
+        assert forward == backward == again == [checked_synthesize(h) for h in specs]
+        # one table per shape since the reset: one register tuple
+        registers = {}
+        for c in backward + again:
+            assert c.registers is registers.setdefault((c.m, c.n), c.registers)
+
+    def test_no_call_changes_a_table(self):
+        import mcsim.analysis as an
+        specs = self.corpus()
+        for h in specs:
+            synthesize(h)
+        tables = {shape: an._SHAPES[shape] for shape in {(h.m, h.n) for h in specs}}
+        copies = {shape: pickle.loads(pickle.dumps(t)) for shape, t in tables.items()}
+        for h in reversed(specs):
+            synthesize(h)
+        assert all(an._SHAPES[shape] is t and t == copies[shape] for shape, t in tables.items())
+
+    def test_wider_shapes_are_built_per_call(self, monkeypatch):
+        import mcsim.analysis as an
+        monkeypatch.setattr(an, "_SHAPES", {})
+        h = closure_bool(random_bool_table(random.Random(58), 11, 1))
+        assert synthesize(h) == checked_synthesize(h) and an._SHAPES == {}
+
+
 class TestHandedOver:
     """Each step of closure -> synthesis -> check hands over what it built:
     synthesize its circuit's evaluation plan, the lane builders the mark of
@@ -779,6 +837,30 @@ class TestHandOverWorkCounts:
         fresh = Dag(c.dag.inputs, c.dag.gates, c.dag.outputs)
         assert implements(Circuit(c.name, c.registers, fresh), 1, h)
         assert built == [fresh]
+
+    def test_each_derived_circuit_attribute_is_computed_once(self, monkeypatch, corpus_mixed):
+        from mcsim import netlist
+        from mcsim.executor import read_outcomes
+        computed = Counter()
+        for name, attr in vars(netlist.Circuit).items():
+            if isinstance(attr, netlist._derived):
+                monkeypatch.setattr(attr, "func", lambda c, f=attr.func, name=name: (
+                    computed.update([(id(c), name)]), f(c))[1])
+        rng = random.Random(59)
+        # fresh copies, with nothing derived yet, and synthesized circuits
+        circuits = [Circuit(c.name, c.registers, c.dag) for c in corpus_mixed[:40]]
+        circuits += [synthesize(closure_bool(random_bool_table(rng, m, 2))) for m in (1, 2, 3)]
+        for c in circuits:
+            h = closure_bool(random_bool_table(rng, c.m, c.n))
+            for r in (1, 2):
+                implements(c, r, h)
+            for x in all_words(c.m)[:4]:
+                assert len(outputs(c, x, 2)) > 0
+                state = x.concat(c.init_word())
+                assert read_outcomes(c, state) == read_outcomes(c, state)
+        assert max(computed.values()) == 1
+        assert {name for _, name in computed} == {
+            "input_regs", "local_regs", "output_regs", "m", "k", "n", "_init", "read_plan"}
 
     def test_subfunction_search_runs_zeta_per_call_not_per_node(self, monkeypatch):
         import mcsim.analysis as an

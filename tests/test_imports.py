@@ -113,3 +113,30 @@ def test_only_netlist_checks_dags_and_compiles_plans():
 ])
 def test_a_plan_built_elsewhere_is_caught(text, touches):
     assert touches_the_plan(text) is touches
+
+
+def uses_cached_property(text: str) -> bool:
+    """Whether a module names functools.cached_property, which takes a lock
+    on every first read before Python 3.12 (netlist._derived does not)."""
+    for node in ast.walk(ast.parse(text)):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else \
+            node.name if isinstance(node, ast.alias) else None
+        if name == "cached_property":
+            return True
+    return False
+
+
+def test_no_module_uses_cached_property():
+    assert [p.stem for p in sorted(SRC.glob("*.py"))
+            if uses_cached_property(p.read_text())] == []
+
+
+@pytest.mark.parametrize("text, uses", [
+    ("import functools\nclass A:\n    @functools.cached_property\n    def x(self):\n"
+     "        return 1\n", True),
+    ("from functools import cached_property as once\n", True),
+    ("def f():\n    '''Not a functools.cached_property.'''\n", False),
+])
+def test_a_cached_property_is_caught(text, uses):
+    assert uses_cached_property(text) is uses

@@ -388,6 +388,26 @@ class TestToposort:
         with pytest.raises(InputError, match="cycle"):
             dag_toposort(dag)
 
+    @pytest.mark.parametrize("lines", [
+        ["gate g BUF zz"],
+        ["gate g1 BUF g2", "gate g2 BUF g1"],
+        ["gate g0 NOT a", "gate g1 AND g0 g3", "gate g2 BUF g1", "gate g3 BUF g2"],
+    ])
+    def test_a_netlist_file_and_a_hand_built_dag_end_in_one_text(self, lines):
+        # an undefined reference, a two-gate loop, a loop behind a good gate
+        last = lines[-1].split()[1]
+        with pytest.raises(InputError) as parsed:
+            parse_netlist("circuit c\ninput a simple\noutput o simple init 0\n"
+                          + "\n".join(lines) + f"\ndrive o {last}\n")
+        gates = tuple(Gate(gid, kind, tuple(args)) for _, gid, kind, *args in map(str.split, lines))
+        dag = Dag(("a",), gates, (("o", last),))
+        c = Circuit("c", (RegisterDecl("a", Role.INPUT, RegType.SIMPLE),
+                          RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO)), dag)
+        with pytest.raises(InputError) as evaluated:
+            eval_dag(dag, TernaryWord.from_digits([ZERO]))
+        assert str(parsed.value) == validate(c)[0] == str(evaluated.value)
+        assert "before it is defined (undeclared, a cycle, or out of order)" in str(parsed.value)
+
     @staticmethod
     def variants(dag, rng):
         """The corpus DAG in order and shuffled, and broken copies: a
