@@ -12,12 +12,12 @@ between inputs with disjoint output sets, metastability must appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 from typing import Callable, Mapping, Optional
 
 from .executor import (ExecutionTrace, TraceRound, _Budget, check_round_budget,
-                       covered, outputs, read_outcomes, spec_layers)
+                       covered, cube_layers, outputs, read_outcomes, spec_layers)
 from .netlist import (
     Circuit,
     Gate,
@@ -70,7 +70,8 @@ class FunctionSpec:
     per input. Build instances with natural_spec/general_spec. A natural
     spec computed on lanes keeps its entries as the rails of spec_layers; a
     closure or natural subfunction also carries its naturalness, which is
-    not tested again, while a spec built by hand always is.
+    not tested again, while a spec built by hand always is. general_spec
+    encodes its values into spec_layers' layers once and keeps them.
     """
     m: int
     n: int
@@ -126,7 +127,9 @@ def general_spec(m: int, n: int,
         if v.width != n or len(v) == 0:
             raise InputError(f"value for {x} must be a nonempty set of "
                              f"{n}-digit cubes")
-    return FunctionSpec(m, n, values=_full_domain(m, values, check))
+    f = FunctionSpec(m, n, values=_full_domain(m, values, check))
+    vars(f)["_layers"] = cube_layers(list(f.values.values()), n)  # in all_words order
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +289,13 @@ def _candidates(layers: list, m: int, n: int) -> list[list[tuple]]:
             for lane in _stable(m)[1]]
 
 
-def _cones(digits: list[tuple[int, int]]) -> list[int]:
-    """Per stable word, in stable_words order, the lanes of the words it
-    resolves (_zeta of its lane alone): the AND of one rail per digit."""
-    cones = [(1 << 3 ** len(digits)) - 1]
-    for z, o in digits:
+@cache
+def _cones(m: int) -> list[int]:
+    """Per stable word of width m, in stable_words order, the lanes of the
+    words it resolves (_zeta of its lane alone): the AND of one rail per
+    digit. Built once per width, which the search caps at 8."""
+    cones = [(1 << 3 ** m) - 1]
+    for z, o in digit_lanes(m):
         cones = [c & rail for c in cones for rail in (z, o)]
     return cones
 
@@ -307,12 +312,11 @@ def find_natural_subfunction(g: FunctionSpec,
     """
     if g.m > 8:
         raise InputError("natural-subfunction search is capped at 8 inputs")
-    m, n = g.m, g.n
-    layers = spec_layers(g)
+    m, n, layers = g.m, g.n, spec_layers(g)
     candidates = _candidates(layers, m, n)
     if not all(candidates):
         return None
-    full, cones = (1 << 3 ** m) - 1, _cones(digit_lanes(m))
+    full, cones = (1 << 3 ** m) - 1, _cones(m)
     budget = _Budget(max_nodes, "subfunction search")
 
     def assign(idx: int, rails: list) -> Optional[list]:
@@ -378,23 +382,28 @@ _SHAPES: dict[tuple[int, int], tuple] = {}  # m <= 10, as _STABLE
 
 def _shape(m: int, n: int) -> tuple:
     """What synthesize's circuits of m inputs and n outputs share: name,
-    registers, input nodes, NOT gates, and the (literals, mask of the NOTs
-    read) of a cube lane's leading digits and of its last min(m, 5), not of
-    all 3^m lanes: x_j for a 1, not_x_j for a 0, none for M. Built once for m <= 10."""
+    registers, input nodes, NOT gates, derived Circuit attributes, and the
+    (literals, their keys, mask of the NOTs read) of a cube lane's leading
+    digits and of its last min(m, 5), not of all 3^m lanes: x_j (key j) for
+    a 1, not_x_j (key m + j) for a 0, none for M. Built once for m <= 10."""
     if (m, n) in _SHAPES:
         return _SHAPES[m, n]
     xs, cut = tuple(f"x{j}" for j in range(m)), max(m - 5, 0)
     nots = tuple(Gate(f"not_{x}", "NOT", (x,)) for x in xs)
     halves = []
     for digits in (range(cut), range(cut, m)):
-        lits = [((), 0)]
+        lits = [((), (), 0)]
         for j in digits:
-            lits = [(ls + lit, neg | bit) for ls, neg in lits
-                    for lit, bit in (((nots[j].gid,), 1 << j), ((xs[j],), 0), ((), 0))]
+            lits = [(ls + lit, ks + key, neg | bit) for ls, ks, neg in lits
+                    for lit, key, bit in (((nots[j].gid,), (m + j,), 1 << j),
+                                          ((xs[j],), (j,), 0), ((), (), 0))]
         halves.append(tuple(lits))
     regs = tuple(RegisterDecl(x, Role.INPUT, RegType.SIMPLE) for x in xs) + tuple(
         RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO) for i in range(n))
-    found = (f"synth_{m}x{n}", regs, xs, nots, *halves, 3 ** (m - cut))
+    shell = Circuit(f"synth_{m}x{n}", regs, None)
+    derived = {a: getattr(shell, a) for a in ("input_regs", "local_regs", "output_regs",
+                                              "m", "k", "n", "_init", "read_plan")}
+    found = (shell.name, regs, xs, nots, *halves, 3 ** (m - cut), derived)
     return _SHAPES.setdefault((m, n), found) if m <= 10 else found
 
 
@@ -407,39 +416,43 @@ def synthesize(h: FunctionSpec) -> Circuit:
     contains metastability: any input whose stable resolutions agree is
     covered by some all-stable implicant term.
     """
-    m, n = h.m, h.n
-    digits = digit_lanes(m)
-    hull = _natural_hull(h, digits)
-    if hull is None:
+    m, n, digits = h.m, h.n, digit_lanes(h.m)
+    if (hull := _natural_hull(h, digits)) is None:
         raise InputError("specification is not natural")
-    name, regs, xs, nots, lead, last, size = _shape(m, n)
-    gates: list[Gate] = []
-    drives: list[tuple[str, str]] = []
-    made = 0  # the inputs whose NOT is made, each at its first reader
+    name, regs, xs, nots, lead, last, size, derived = _shape(m, n)
+    # ops: each gate and its argument indices (inputs, then gates in order);
+    # at: each literal key's index (x_j is input j, not_x_j its NOT once made)
+    ops, outs, srcs, at, made = [], [], [], [*range(m), *[None] * m], 0
     for i, pis in enumerate(_primes(digits, [o & ~z for z, o in hull])):
-        y = regs[m + i].name
+        y, names, ids = regs[m + i].name, [], []  # each prime's node and its index
         # constant 0, or 1 (the all-M cube, the last lane, is then the only prime)
         if not pis or pis[0] == 3 ** m - 1:
             gid, kind = (f"{y}_one", "CONST1") if pis else (f"{y}_zero", "CONST0")
-            gates.append(Gate(gid, kind, ()))
-            drives.append((y, gid))
-            continue
-        terms = []
+            ops.append((Gate(gid, kind, ()), ()))
+            names, ids, pis = [gid], [m + len(ops) - 1], ()  # and no terms to build
         for p, lane in enumerate(pis):
-            (lits, neg), (more, neg2) = lead[lane // size], last[lane % size]
-            lits, new = lits + more, (neg | neg2) & ~made
-            if new:
+            (lits, keys, neg), (more, keys2, neg2) = lead[lane // size], last[lane % size]
+            if new := (neg | neg2) & ~made:
                 made |= new
-                gates += [g for j, g in enumerate(nots) if new >> j & 1]
+                for j in range(m):
+                    if new >> j & 1:
+                        at[m + j] = m + len(ops)
+                        ops.append((nots[j], (j,)))
+            lits, keys = lits + more, tuple(map(at.__getitem__, keys + keys2))
             if len(lits) > 1:
-                gates.append(Gate(f"{y}_t{p}", "AND", lits))
-            terms.append(lits[0] if len(lits) == 1 else gates[-1].gid)
-        if len(terms) > 1:
-            gates.append(Gate(f"{y}_or", "OR", tuple(terms)))
-        drives.append((y, terms[0] if len(terms) == 1 else gates[-1].gid))
+                ops.append((Gate(f"{y}_t{p}", "AND", lits), keys))
+                lits, keys = (ops[-1][0].gid,), (m + len(ops) - 1,)
+            names.append(lits[0])
+            ids.append(keys[0])
+        if len(names) > 1:
+            ops.append((Gate(f"{y}_or", "OR", tuple(names)), tuple(ids)))
+            names, ids = [ops[-1][0].gid], [m + len(ops) - 1]
+        outs.append((y, names[0]))
+        srcs.append(ids[0])
     # each NOT precedes its first reader and every name is fresh, so
     # make_circuit's sorting and checks would find nothing to do
-    return Circuit(name, regs, planned_dag(xs, tuple(gates), tuple(drives)))
+    vars(c := Circuit(name, regs, planned_dag(xs, ops, outs, srcs))).update(derived)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +520,7 @@ def pivotal_sequence(x: TernaryWord, x2: TernaryWord) -> PivotalSequence:
     """A pivotal sequence from x to x2, least significant bits first."""
     if len(x) != len(x2):
         raise InputError("pivotal endpoints must have equal width")
-    words = [x]
-    cur = x
+    words, cur = [x], x
     for i in range(len(x) - 1, -1, -1):
         a, b = cur.digit(i), x2.digit(i)
         if a is b:
@@ -629,8 +641,7 @@ def parse_spec_table(text: str) -> FunctionSpec:
     if natural and general:
         raise InputError("table mixes natural (*) and general (M or ,) rows")
 
-    entries: dict = {}
-    values: dict = {}
+    entries, values = {}, {}
     for lineno, lhs, rhs in rows:
         x = word_at(lineno, lhs)
         if x in entries or x in values:
@@ -662,10 +673,8 @@ def emit_spec_table(f: FunctionSpec) -> str:
             rows[at::size] = (plane(o & ~z) + (plane(z & o) - plane(0)) * meta
                               ).to_bytes(lanes, "little")
         return f"{head}\n{rows.decode()}"
-    lines = [head]
-    for x in all_words(f.m):
-        lines.append(f"{x} -> {', '.join(str(c) for c in f.values[x])}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([head, *(f"{x} -> {', '.join(map(str, f.values[x]))}"
+                               for x in all_words(f.m))]) + "\n"
 
 
 def parse_truth_table(text: str) -> dict[TernaryWord, TernaryWord]:
@@ -689,7 +698,5 @@ def parse_truth_table(text: str) -> dict[TernaryWord, TernaryWord]:
 
 def emit_truth_table(table: Mapping[TernaryWord, TernaryWord]) -> str:
     m, n = _check_bool_table(table)
-    lines = [f"table m={m} n={n}"]
-    for x in stable_words(m):
-        lines.append(f"{x} -> {table[x]}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{x} -> {table[x]}" for x in stable_words(m))
+    return "\n".join([f"table m={m} n={n}", *rows]) + "\n"

@@ -256,23 +256,27 @@ def _rails(cubes: list[TernaryWord], n: int) -> list[tuple[int, int]]:
 def spec_layers(f) -> list[tuple[int, list[tuple[int, int]]]]:
     """f's allowed cubes on all inputs at once, lane L being input L in
     all_words order, as layers (has, rails): layer k's rails hold the k-th
-    allowed cube of each input in has. A natural spec is one layer; one
-    built on lanes hands over its own rails."""
+    allowed cube of each input in has. A natural spec is one layer. A spec
+    built on lanes hands over its own rails, and one built by general_spec
+    the layers it encoded; any other spec is encoded on every call."""
     m, n = f.m, f.n
     if getattr(f, "rails", None) is not None:
         return [((1 << 3 ** m) - 1, list(f.rails))]
+    if (layers := getattr(f, "_layers", None)) is not None:
+        return layers
     entries = getattr(f, "entries", None)
-    table = entries if entries is not None else getattr(f, "values", None)
-    if isinstance(table, dict) and len(table) == 3 ** m:
+    if isinstance(entries, dict) and len(entries) == 3 ** m:
         # all_words order is ascending packed word, as in every dict
         # _full_domain builds; a hand-built dict may differ
-        keys, values = list(map(_PACKED, table)), list(table.values())
+        keys, values = list(map(_PACKED, entries)), list(entries.values())
         if keys != sorted(keys):
             values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
-        if entries is not None:
-            return [((1 << len(values)) - 1, _rails(values, n))]
-    else:
-        values = [f.value_cubeset(x) for x in all_words(m)]
+        return [((1 << len(values)) - 1, _rails(values, n))]
+    return cube_layers([f.value_cubeset(x) for x in all_words(m)], n)
+
+
+def cube_layers(values: list, n: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The layers (see spec_layers) of one set of n-digit cubes per lane."""
     filler = TernaryWord(n, 0)
     return [(int("".join("0" if c is None else "1" for c in reversed(row)), 2),
              _rails([filler if c is None else c for c in row], n))

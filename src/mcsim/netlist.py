@@ -119,11 +119,13 @@ class Dag:
     @_derived
     def _plan(self):
         """Index-based evaluation plan, compiled once (not a field, so equality
-        and hash ignore it); raises validate's first finding on the DAG."""
-        if len(set(self.inputs)) != len(self.inputs):
-            raise InputError("duplicate input node name")
-        for problem in _dag_findings(self):
-            raise InputError(problem)
+        and hash ignore it); raises validate's first finding on a DAG that
+        make_circuit has not checked."""
+        if "_checked" not in vars(self):
+            if len(set(self.inputs)) != len(self.inputs):
+                raise InputError("duplicate input node name")
+            for problem in _dag_findings(self):
+                raise InputError(problem)
         return _compile(self)
 
     def __getstate__(self):
@@ -234,12 +236,14 @@ def _compile(dag: Dag):
     return ops, tuple(index[src] for _, src in dag.outputs)
 
 
-def planned_dag(inputs: tuple[str, ...], gates: tuple[Gate, ...],
-                outputs: tuple[tuple[str, str], ...]) -> Dag:
-    """The DAG with its plan compiled and not checked, for a builder whose
-    gates are in order, freshly named, of known kinds and fitting fan-ins."""
-    dag = Dag(inputs, gates, outputs)
-    vars(dag)["_plan"] = _compile(dag)
+def planned_dag(inputs: tuple[str, ...], ops: list[tuple[Gate, tuple[int, ...]]],
+                outputs: list[tuple[str, str]], sources: list[int]) -> Dag:
+    """The DAG, planned and not checked: ops pairs each gate, in order, freshly
+    named and of a fitting fan-in, with its arguments' node indices (inputs,
+    then gates), and sources holds the index of each output's source."""
+    dag = Dag(inputs, next(zip(*ops), ()), tuple(outputs))
+    vars(dag)["_plan"] = ([(GATE_KINDS[g.kind][2] or _table(g.table), a) for g, a in ops],
+                          tuple(sources))
     return dag
 
 
@@ -509,10 +513,8 @@ def emit_netlist(c: Circuit) -> str:
             lines.append(f"input {r.name} {r.rtype.value}")
         else:
             lines.append(f"{r.role.value} {r.name} {r.rtype.value} init {r.init}")
-    for g in c.dag.gates:
-        lines.append(str(g))
-    for reg, src in c.dag.outputs:
-        lines.append(f"drive {reg} {src}")
+    lines += map(str, c.dag.gates)
+    lines += (f"drive {reg} {src}" for reg, src in c.dag.outputs)
     return "\n".join(lines) + "\n"
 
 
@@ -535,9 +537,9 @@ def make_circuit(name: str,
         outputs=tuple((r.name, drives[r.name]) for r in non_inputs),
     ))
     c = Circuit(name, regs, dag)
-    problems = validate(c)
-    if problems:
+    if problems := validate(c):
         raise InputError("; ".join(problems))
+    vars(dag)["_checked"] = True  # so _plan does not check it again
     return c
 
 

@@ -27,6 +27,7 @@ from conftest import (
     scalar_find_natural_subfunction,
     scalar_is_natural,
     scalar_prime_implicants,
+    scalar_spec_layers,
     scalar_unroll,
     scalar_zeta,
     simple_copy,
@@ -822,21 +823,28 @@ class TestHandOverWorkCounts:
     def test_implements_on_a_synthesized_circuit_builds_no_plan(self, monkeypatch):
         from mcsim import netlist
         build, built = netlist.Dag.__dict__["_plan"].func, []
+        compile_, compiled = netlist._compile, []
 
         class Counted:
             def __get__(self, dag, owner=None):
                 built.append(dag)
                 return build(dag)
         monkeypatch.setattr(netlist.Dag, "_plan", Counted())
+        # synthesize plans from the indices it knows, and never compiles
+        monkeypatch.setattr(netlist, "_compile",
+                            lambda dag: (compiled.append(dag), compile_(dag))[1])
         rng = random.Random(55)
+        for g in subfunction_corpus()[:80]:
+            if (sub := find_natural_subfunction(g)) is not None:
+                assert implements(synthesize(sub), 1, g)
         for m in (0, 2, 3, 4, 5):
             h = closure_bool(random_bool_table(rng, m, 2))
             c = synthesize(h)
             assert implements(c, 1, h)
-        assert built == []
+        assert built == compiled == []
         fresh = Dag(c.dag.inputs, c.dag.gates, c.dag.outputs)
         assert implements(Circuit(c.name, c.registers, fresh), 1, h)
-        assert built == [fresh]
+        assert built == compiled == [fresh]
 
     def test_each_derived_circuit_attribute_is_computed_once(self, monkeypatch, corpus_mixed):
         from mcsim import netlist
@@ -847,9 +855,12 @@ class TestHandOverWorkCounts:
                 monkeypatch.setattr(attr, "func", lambda c, f=attr.func, name=name: (
                     computed.update([(id(c), name)]), f(c))[1])
         rng = random.Random(59)
-        # fresh copies, with nothing derived yet, and synthesized circuits
+        # fresh copies, with nothing derived yet, and synthesized circuits,
+        # which are handed their shape's attributes and derive none
         circuits = [Circuit(c.name, c.registers, c.dag) for c in corpus_mixed[:40]]
-        circuits += [synthesize(closure_bool(random_bool_table(rng, m, 2))) for m in (1, 2, 3)]
+        synthesized = [synthesize(closure_bool(random_bool_table(rng, m, n)))
+                       for m in (0, 1, 2, 3, 4) for n in (1, 2)]
+        circuits += synthesized
         for c in circuits:
             h = closure_bool(random_bool_table(rng, c.m, c.n))
             for r in (1, 2):
@@ -858,9 +869,40 @@ class TestHandOverWorkCounts:
                 assert len(outputs(c, x, 2)) > 0
                 state = x.concat(c.init_word())
                 assert read_outcomes(c, state) == read_outcomes(c, state)
-        assert max(computed.values()) == 1
-        assert {name for _, name in computed} == {
+        names = {name for _, name in computed}
+        assert max(computed.values()) == 1 and names == {
             "input_regs", "local_regs", "output_regs", "m", "k", "n", "_init", "read_plan"}
+        assert not {id(c) for c in synthesized} & {cid for cid, _ in computed}
+        # what they were handed is what they would derive
+        for c in synthesized:
+            fresh = Circuit(c.name, c.registers, c.dag)
+            assert all(vars(c)[name] == getattr(fresh, name) for name in names)
+
+    def test_synth_on_a_general_table_encodes_its_spec_once(self, monkeypatch, tmp_path, capsys):
+        import mcsim.analysis as an
+        import mcsim.executor as ex
+        from mcsim.cli import main
+        rng = random.Random(61)
+        g = loosened_closure(rng, 6, 2)
+        path = tmp_path / "g.spec"
+        path.write_text(emit_spec_table(g))
+        encode, encoded = ex.cube_layers, []
+        counted = lambda values, n: (encoded.append(n), encode(values, n))[1]
+        monkeypatch.setattr(ex, "cube_layers", counted)
+        monkeypatch.setattr(an, "cube_layers", counted)
+        assert main(["synth", str(path), "-o", str(tmp_path / "g.net")]) == 0
+        assert "spec: general m=6 n=2" in capsys.readouterr().out
+        assert encoded == [2]
+
+    def test_each_width_builds_its_cones_once(self):
+        import mcsim.analysis as an
+        specs = subfunction_corpus()
+        an._cones.cache_clear()
+        found = [find_natural_subfunction(g) for g in specs]
+        info = an._cones.cache_info()
+        assert info.misses == info.currsize <= len({g.m for g in specs})
+        assert info.hits > 20 * info.misses
+        assert sum(h is not None for h in found) > 100
 
     def test_subfunction_search_runs_zeta_per_call_not_per_node(self, monkeypatch):
         import mcsim.analysis as an
@@ -890,6 +932,64 @@ class TestHandOverWorkCounts:
         for f in copies:
             synthesize(f)
         assert checked == copies
+
+
+class TestStoredLayers:
+    """general_spec encodes its values once and spec_layers hands over the
+    layers it kept; each is checked against conftest's word-by-word
+    encoder, which reads the spec through value_cubeset alone."""
+
+    @staticmethod
+    def assert_stored(f):
+        assert vars(f)["_layers"] is spec_layers(f)
+        assert spec_layers(f) == scalar_spec_layers(f)
+
+    def test_every_general_spec_in_the_corpora(self, corpus_simple):
+        from test_executor import random_specs
+        specs = [detector_spec(), resolver_spec(), mm_example_spec()]
+        specs += [g for g in subfunction_corpus() if not g.is_natural_form]
+        rng = random.Random(62)
+        specs += [f for c in corpus_simple[:30] for f in random_specs(c, rng)
+                  if not f.is_natural_form]
+        assert len(specs) > 250
+        for f in specs:
+            self.assert_stored(f)
+
+    def test_parsed_general_tables_in_any_row_order(self):
+        rng = random.Random(63)
+        general = 0
+        for _ in range(60):
+            m, n = rng.randint(0, 4), rng.randint(1, 3)
+            g = random_general(rng, m, n)
+            head, *rows = emit_spec_table(g).splitlines()
+            rng.shuffle(rows)
+            f = parse_spec_table("\n".join([head, *rows]) + "\n")
+            # a table of single stable cubes reads as natural
+            if not f.is_natural_form:
+                general += 1
+                self.assert_stored(f)
+                assert f == g and spec_layers(f) == spec_layers(g)
+        assert general > 50
+
+    def test_component_specs(self):
+        from mcsim.components import cmux_spec, masking_fanout_spec, mux_spec
+        for f in [mux_spec(), cmux_spec()] + [masking_fanout_spec(r) for r in (1, 2, 3, 8, 33)]:
+            self.assert_stored(f)
+
+    def test_loosened_closures(self):
+        rng = random.Random(64)
+        for m in range(6):
+            for n in (1, 2, 3):
+                self.assert_stored(loosened_closure(rng, m, n))
+
+    def test_hand_built_specs_are_encoded_on_every_call(self):
+        rng = random.Random(65)
+        for _ in range(20):
+            g = random_general(rng, rng.randint(0, 3), rng.randint(1, 3))
+            f = FunctionSpec(g.m, g.n, values=g.values)
+            first = spec_layers(f)
+            assert first == spec_layers(g) == scalar_spec_layers(f)
+            assert spec_layers(f) is not first and "_layers" not in vars(f)
 
 
 class TestPrimeImplicants:

@@ -559,6 +559,42 @@ class TestMakeCircuit:
         with pytest.raises(InputError):
             make_circuit("c", regs, [], {"o": "ghost"})
 
+    @staticmethod
+    def count_checks_and_compiles(monkeypatch):
+        """The DAGs validate's DAG findings run on, and those compiled."""
+        import mcsim.netlist as nl
+        find, compile_, checked, compiled = nl._dag_findings, nl._compile, [], []
+        monkeypatch.setattr(nl, "_dag_findings",
+                            lambda dag: (checked.append(dag), find(dag))[1])
+        monkeypatch.setattr(nl, "_compile", lambda dag: (compiled.append(dag), compile_(dag))[1])
+        return checked, compiled
+
+    def test_a_made_circuit_is_checked_once_and_compiled_on_use(self, monkeypatch,
+                                                                corpus_mixed):
+        checked, compiled = self.count_checks_and_compiles(monkeypatch)
+        circuits = [parse_netlist(emit_netlist(c)) for c in corpus_mixed[:40]]
+        assert list(map(id, checked)) == [id(c.dag) for c in circuits] and compiled == []
+        for c in circuits:
+            eval_dag(c.dag, TernaryWord(len(c.dag.inputs), 0))
+        assert len(checked) == 40 and list(map(id, compiled)) == list(map(id, checked))
+        # a hand-built copy is checked on use
+        fresh = Dag(c.dag.inputs, c.dag.gates, c.dag.outputs)
+        zeros = TernaryWord(len(fresh.inputs), 0)
+        assert eval_dag(fresh, zeros) == eval_dag(c.dag, zeros)
+        assert list(map(id, checked[40:])) == list(map(id, compiled[40:])) == [id(fresh)]
+
+    def test_commands_that_only_emit_compile_no_plan(self, monkeypatch, tmp_path,
+                                                     corpus_simple, capsys):
+        from mcsim.cli import main
+        _, compiled = self.count_checks_and_compiles(monkeypatch)
+        path = tmp_path / "c.net"
+        path.write_text(emit_netlist(corpus_simple[0]))
+        for argv in (["unroll", str(path), "3"],
+                     ["component", "sorting-network", "4", "2", "--emit", "netlist"],
+                     ["component", "counter", "5", "--emit", "netlist"]):
+            assert main(argv) == 0
+        assert "circuit sorting_4x2" in capsys.readouterr().out and compiled == []
+
 
 class TestSpliceDag:
     def test_renamed_copy_reads_the_fed_nodes(self):
