@@ -67,11 +67,10 @@ class FunctionSpec:
     Natural form keeps one entry word per input; digit 0 or 1 pins that
     output bit, digit M leaves it completely unconstrained (printed as *
     in table files). General form keeps an arbitrary nonempty cube set
-    per input. Build instances with natural_spec/general_spec. A natural
-    spec computed on lanes keeps its entries as the rails of spec_layers; a
-    closure or natural subfunction also carries its naturalness, which is
-    not tested again, while a spec built by hand always is. general_spec
-    encodes its values into spec_layers' layers once and keeps them.
+    per input. Build instances with natural_spec/general_spec. general_spec
+    keeps the layers of spec_layers, and a natural spec computed on lanes its
+    entries as their rails; a closure or natural subfunction also carries its
+    naturalness, which is not tested again, while a spec built by hand always is.
     """
     m: int
     n: int
@@ -292,8 +291,7 @@ def _candidates(layers: list, m: int, n: int) -> list[list[tuple]]:
 @cache
 def _cones(m: int) -> list[int]:
     """Per stable word of width m, in stable_words order, the lanes of the
-    words it resolves (_zeta of its lane alone): the AND of one rail per
-    digit. Built once per width, which the search caps at 8."""
+    words it resolves (_zeta of its lane alone): the AND of one rail per digit."""
     cones = [(1 << 3 ** m) - 1]
     for z, o in digit_lanes(m):
         cones = [c & rail for c in cones for rail in (z, o)]
@@ -312,7 +310,8 @@ def find_natural_subfunction(g: FunctionSpec,
     """
     if g.m > 8:
         raise InputError("natural-subfunction search is capped at 8 inputs")
-    m, n, layers = g.m, g.n, spec_layers(g)
+    m, n = g.m, g.n
+    layers = spec_layers(g)
     candidates = _candidates(layers, m, n)
     if not all(candidates):
         return None
@@ -381,29 +380,25 @@ _SHAPES: dict[tuple[int, int], tuple] = {}  # m <= 10, as _STABLE
 
 
 def _shape(m: int, n: int) -> tuple:
-    """What synthesize's circuits of m inputs and n outputs share: name,
-    registers, input nodes, NOT gates, derived Circuit attributes, and the
-    (literals, their keys, mask of the NOTs read) of a cube lane's leading
-    digits and of its last min(m, 5), not of all 3^m lanes: x_j (key j) for
-    a 1, not_x_j (key m + j) for a 0, none for M. Built once for m <= 10."""
+    """What synthesize's circuits of m inputs and n outputs share: a shell
+    (see Circuit.around), registers, input nodes, NOT gates, and the
+    (literals, mask of the NOTs read) of a cube lane's leading digits and of
+    its last min(m, 5), not of all 3^m lanes: x_j for a 1, not_x_j for a 0,
+    none for M. Built once for m <= 10."""
     if (m, n) in _SHAPES:
         return _SHAPES[m, n]
     xs, cut = tuple(f"x{j}" for j in range(m)), max(m - 5, 0)
     nots = tuple(Gate(f"not_{x}", "NOT", (x,)) for x in xs)
     halves = []
     for digits in (range(cut), range(cut, m)):
-        lits = [((), (), 0)]
+        lits = [((), 0)]
         for j in digits:
-            lits = [(ls + lit, ks + key, neg | bit) for ls, ks, neg in lits
-                    for lit, key, bit in (((nots[j].gid,), (m + j,), 1 << j),
-                                          ((xs[j],), (j,), 0), ((), (), 0))]
+            lits = [(ls + lit, neg | bit) for ls, neg in lits
+                    for lit, bit in (((nots[j].gid,), 1 << j), ((xs[j],), 0), ((), 0))]
         halves.append(tuple(lits))
     regs = tuple(RegisterDecl(x, Role.INPUT, RegType.SIMPLE) for x in xs) + tuple(
         RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO) for i in range(n))
-    shell = Circuit(f"synth_{m}x{n}", regs, None)
-    derived = {a: getattr(shell, a) for a in ("input_regs", "local_regs", "output_regs",
-                                              "m", "k", "n", "_init", "read_plan")}
-    found = (shell.name, regs, xs, nots, *halves, 3 ** (m - cut), derived)
+    found = (Circuit(f"synth_{m}x{n}", regs, None), regs, xs, nots, *halves, 3 ** (m - cut))
     return _SHAPES.setdefault((m, n), found) if m <= 10 else found
 
 
@@ -416,43 +411,39 @@ def synthesize(h: FunctionSpec) -> Circuit:
     contains metastability: any input whose stable resolutions agree is
     covered by some all-stable implicant term.
     """
-    m, n, digits = h.m, h.n, digit_lanes(h.m)
-    if (hull := _natural_hull(h, digits)) is None:
+    m, n = h.m, h.n
+    digits = digit_lanes(m)
+    hull = _natural_hull(h, digits)
+    if hull is None:
         raise InputError("specification is not natural")
-    name, regs, xs, nots, lead, last, size, derived = _shape(m, n)
-    # ops: each gate and its argument indices (inputs, then gates in order);
-    # at: each literal key's index (x_j is input j, not_x_j its NOT once made)
-    ops, outs, srcs, at, made = [], [], [], [*range(m), *[None] * m], 0
+    shell, regs, xs, nots, lead, last, size = _shape(m, n)
+    gates: list[Gate] = []
+    drives: list[tuple[str, str]] = []
+    made = 0  # the inputs whose NOT is made, each at its first reader
     for i, pis in enumerate(_primes(digits, [o & ~z for z, o in hull])):
-        y, names, ids = regs[m + i].name, [], []  # each prime's node and its index
+        y = regs[m + i].name
         # constant 0, or 1 (the all-M cube, the last lane, is then the only prime)
         if not pis or pis[0] == 3 ** m - 1:
             gid, kind = (f"{y}_one", "CONST1") if pis else (f"{y}_zero", "CONST0")
-            ops.append((Gate(gid, kind, ()), ()))
-            names, ids, pis = [gid], [m + len(ops) - 1], ()  # and no terms to build
+            gates.append(Gate(gid, kind, ()))
+            drives.append((y, gid))
+            continue
+        terms = []
         for p, lane in enumerate(pis):
-            (lits, keys, neg), (more, keys2, neg2) = lead[lane // size], last[lane % size]
-            if new := (neg | neg2) & ~made:
+            (lits, neg), (more, neg2) = lead[lane // size], last[lane % size]
+            lits, new = lits + more, (neg | neg2) & ~made
+            if new:
                 made |= new
-                for j in range(m):
-                    if new >> j & 1:
-                        at[m + j] = m + len(ops)
-                        ops.append((nots[j], (j,)))
-            lits, keys = lits + more, tuple(map(at.__getitem__, keys + keys2))
+                gates += [g for j, g in enumerate(nots) if new >> j & 1]
             if len(lits) > 1:
-                ops.append((Gate(f"{y}_t{p}", "AND", lits), keys))
-                lits, keys = (ops[-1][0].gid,), (m + len(ops) - 1,)
-            names.append(lits[0])
-            ids.append(keys[0])
-        if len(names) > 1:
-            ops.append((Gate(f"{y}_or", "OR", tuple(names)), tuple(ids)))
-            names, ids = [ops[-1][0].gid], [m + len(ops) - 1]
-        outs.append((y, names[0]))
-        srcs.append(ids[0])
+                gates.append(Gate(f"{y}_t{p}", "AND", lits))
+            terms.append(lits[0] if len(lits) == 1 else gates[-1].gid)
+        if len(terms) > 1:
+            gates.append(Gate(f"{y}_or", "OR", tuple(terms)))
+        drives.append((y, terms[0] if len(terms) == 1 else gates[-1].gid))
     # each NOT precedes its first reader and every name is fresh, so
     # make_circuit's sorting and checks would find nothing to do
-    vars(c := Circuit(name, regs, planned_dag(xs, ops, outs, srcs))).update(derived)
-    return c
+    return shell.around(planned_dag(xs, tuple(gates), tuple(drives)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +511,8 @@ def pivotal_sequence(x: TernaryWord, x2: TernaryWord) -> PivotalSequence:
     """A pivotal sequence from x to x2, least significant bits first."""
     if len(x) != len(x2):
         raise InputError("pivotal endpoints must have equal width")
-    words, cur = [x], x
+    words = [x]
+    cur = x
     for i in range(len(x) - 1, -1, -1):
         a, b = cur.digit(i), x2.digit(i)
         if a is b:
@@ -641,7 +633,8 @@ def parse_spec_table(text: str) -> FunctionSpec:
     if natural and general:
         raise InputError("table mixes natural (*) and general (M or ,) rows")
 
-    entries, values = {}, {}
+    entries: dict = {}
+    values: dict = {}
     for lineno, lhs, rhs in rows:
         x = word_at(lineno, lhs)
         if x in entries or x in values:
@@ -673,8 +666,10 @@ def emit_spec_table(f: FunctionSpec) -> str:
             rows[at::size] = (plane(o & ~z) + (plane(z & o) - plane(0)) * meta
                               ).to_bytes(lanes, "little")
         return f"{head}\n{rows.decode()}"
-    return "\n".join([head, *(f"{x} -> {', '.join(map(str, f.values[x]))}"
-                               for x in all_words(f.m))]) + "\n"
+    lines = [head]
+    for x in all_words(f.m):
+        lines.append(f"{x} -> {', '.join(str(c) for c in f.values[x])}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_truth_table(text: str) -> dict[TernaryWord, TernaryWord]:
@@ -698,5 +693,7 @@ def parse_truth_table(text: str) -> dict[TernaryWord, TernaryWord]:
 
 def emit_truth_table(table: Mapping[TernaryWord, TernaryWord]) -> str:
     m, n = _check_bool_table(table)
-    rows = (f"{x} -> {table[x]}" for x in stable_words(m))
-    return "\n".join([f"table m={m} n={n}", *rows]) + "\n"
+    lines = [f"table m={m} n={n}"]
+    for x in stable_words(m):
+        lines.append(f"{x} -> {table[x]}")
+    return "\n".join(lines) + "\n"

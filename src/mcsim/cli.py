@@ -134,11 +134,14 @@ def cmd_synth(args):
     f = analysis.parse_spec_table(_read_text(args.spec))
     natural = analysis.is_natural(f)
     lines = ["command: synth", f"spec: {_spec_shape(f, natural)}"]
-    target = f if natural else analysis.find_natural_subfunction(
-        f, max_nodes=args.max_states)
-    if target is None:
-        lines.append("verdict: no natural subfunction")
-        return 1, "\n".join(lines)
+    if natural:
+        target = f
+    else:
+        target = analysis.find_natural_subfunction(f,
+                                                   max_nodes=args.max_states)
+        if target is None:
+            lines.append("verdict: no natural subfunction")
+            return 1, "\n".join(lines)
     c = analysis.synthesize(target)
     v = executor.implements(c, 1, f, max_states=args.max_states)
     if not v.ok:

@@ -119,8 +119,7 @@ class Dag:
     @_derived
     def _plan(self):
         """Index-based evaluation plan, compiled once (not a field, so equality
-        and hash ignore it); raises validate's first finding on a DAG that
-        make_circuit has not checked."""
+        and hash ignore it); raises validate's first finding unless make_circuit checked it."""
         if "_checked" not in vars(self):
             if len(set(self.inputs)) != len(self.inputs):
                 raise InputError("duplicate input node name")
@@ -158,6 +157,14 @@ class Circuit:
         # the digits 0, 1, 2 (M) read in base 4 are the packed word
         return TernaryWord(len(regs), int("0" + "".join(str(int(r.init)) for r in regs), 4))
 
+    def around(self, dag: Dag) -> Circuit:
+        """This circuit's name and registers around dag, handed every derived
+        attribute. Each reads the registers alone, so a shell with no DAG
+        derives it once for all the circuits it is around."""
+        c = Circuit(self.name, self.registers, dag)
+        vars(c).update({a: getattr(self, a) for a in _DERIVED})
+        return c
+
     def init_word(self) -> TernaryWord:
         """Initial values of the non-input registers, locals then outputs."""
         return self._init
@@ -176,6 +183,9 @@ class Circuit:
                 arcs.append((2 << at, tuple((rv << at, nv << at) for rv, nv
                                             in register_transitions(r.rtype, META))))
         return _meta_mask(w) >> 1, sum(bit for bit, _ in arcs), tuple(arcs)
+
+
+_DERIVED = tuple(a for a, d in vars(Circuit).items() if isinstance(d, _derived))
 
 
 # Each signal is a pair of lane masks (can0, can1): bit L of can_b is set
@@ -236,14 +246,12 @@ def _compile(dag: Dag):
     return ops, tuple(index[src] for _, src in dag.outputs)
 
 
-def planned_dag(inputs: tuple[str, ...], ops: list[tuple[Gate, tuple[int, ...]]],
-                outputs: list[tuple[str, str]], sources: list[int]) -> Dag:
-    """The DAG, planned and not checked: ops pairs each gate, in order, freshly
-    named and of a fitting fan-in, with its arguments' node indices (inputs,
-    then gates), and sources holds the index of each output's source."""
-    dag = Dag(inputs, next(zip(*ops), ()), tuple(outputs))
-    vars(dag)["_plan"] = ([(GATE_KINDS[g.kind][2] or _table(g.table), a) for g, a in ops],
-                          tuple(sources))
+def planned_dag(inputs: tuple[str, ...], gates: tuple[Gate, ...],
+                outputs: tuple[tuple[str, str], ...]) -> Dag:
+    """The DAG with its plan compiled and not checked, for a builder whose
+    gates are in order, freshly named, of known kinds and fitting fan-ins."""
+    dag = Dag(inputs, gates, outputs)
+    vars(dag)["_plan"] = _compile(dag)
     return dag
 
 
@@ -513,8 +521,10 @@ def emit_netlist(c: Circuit) -> str:
             lines.append(f"input {r.name} {r.rtype.value}")
         else:
             lines.append(f"{r.role.value} {r.name} {r.rtype.value} init {r.init}")
-    lines += map(str, c.dag.gates)
-    lines += (f"drive {reg} {src}" for reg, src in c.dag.outputs)
+    for g in c.dag.gates:
+        lines.append(str(g))
+    for reg, src in c.dag.outputs:
+        lines.append(f"drive {reg} {src}")
     return "\n".join(lines) + "\n"
 
 
@@ -537,7 +547,8 @@ def make_circuit(name: str,
         outputs=tuple((r.name, drives[r.name]) for r in non_inputs),
     ))
     c = Circuit(name, regs, dag)
-    if problems := validate(c):
+    problems = validate(c)
+    if problems:
         raise InputError("; ".join(problems))
     vars(dag)["_checked"] = True  # so _plan does not check it again
     return c

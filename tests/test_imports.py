@@ -110,12 +110,6 @@ def test_only_netlist_checks_dags_and_compiles_plans():
     ("def f(dag):\n    return dag._plan\n", True),
     ("def f(dag, plan):\n    vars(dag)['_plan'] = plan\n", True),
     ("def f(dag):\n    '''Builds no _plan.'''\n    return planned_dag(dag)\n", False),
-    # the index handover: a builder passes the indices it knows, netlist plans
-    ("def f(xs, ops, outs, srcs):\n"
-     "    ops.append((Gate('t', 'AND', xs), (0, 1)))\n"
-     "    return planned_dag(xs, ops, outs, srcs)\n", False),
-    ("def f(ops):\n"
-     "    return [(GATE_KINDS[g.kind][2], a) for g, a in ops]\n", True),
 ])
 def test_a_plan_built_elsewhere_is_caught(text, touches):
     assert touches_the_plan(text) is touches
