@@ -69,8 +69,8 @@ class FunctionSpec:
     in table files). General form keeps an arbitrary nonempty cube set
     per input. Build instances with natural_spec/general_spec. general_spec
     keeps the layers of spec_layers, and a natural spec computed on lanes its
-    entries as their rails; a closure or natural subfunction also carries its
-    naturalness, which is not tested again, while a spec built by hand always is.
+    entries as their rails; a closure or subfunction carries its naturalness, not
+    tested again as a hand-built spec's is, and whether its rails are closed (_natural).
     """
     m: int
     n: int
@@ -194,10 +194,10 @@ def _stable_part(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
     return [(z & stable, o & stable) for z, o in rails]
 
 
-def _natural(m: int, n: int, rails: tuple) -> FunctionSpec:
-    """A spec of natural rails, marked with them as its natural hull."""
+def _natural(m: int, n: int, rails: tuple, closed: bool = False) -> FunctionSpec:
+    """A spec of natural rails marked as its hull; closed: they are their stable lanes' zeta."""
     f = FunctionSpec(m, n, rails=rails)
-    vars(f)["_hull_mark"] = rails
+    vars(f).update(_hull_mark=rails, _closed=closed)
     return f
 
 
@@ -230,7 +230,7 @@ def closure_bool(table: Mapping[TernaryWord, TernaryWord]) -> FunctionSpec:
             if y.packed >> 2 * (n - 1 - j) & 1:
                 plane[~lane[x.packed]] = 49
     ones = [int(plane, 2) for plane in planes]
-    return _natural(m, n, _zeta(digit_lanes(m), [(stable & ~o, o) for o in ones]))
+    return _natural(m, n, _zeta(digit_lanes(m), [(stable & ~o, o) for o in ones]), True)
 
 
 def _hull(layers: list, n: int) -> list[tuple[int, int]]:
@@ -279,10 +279,13 @@ def is_natural(f: FunctionSpec) -> bool:
 # ---------------------------------------------------------------------------
 # Natural subfunctions (the implementability test)
 
+_words = cache(lambda n: [e.digits() for e in stable_words(n)])  # kept for n <= 10
+
+
 def _candidates(layers: list, m: int, n: int) -> list[list[tuple]]:
     """Per stable input, the digits of every stable output word inside an
     allowed cube there (both in stable_words order)."""
-    words, full = [e.digits() for e in stable_words(n)], (1 << 3 ** m) - 1
+    words, full = (_words if n <= 10 else _words.__wrapped__)(n), (1 << 3 ** m) - 1
     fits = [covered(layers, [(0, full) if d is ONE else (full, 0) for d in e]) for e in words]
     return [[e for e, lanes in zip(words, fits) if lanes >> lane & 1]
             for lane in _stable(m)[1]]
@@ -334,25 +337,30 @@ def find_natural_subfunction(g: FunctionSpec,
         return None
 
     rails = assign(0, [(0, 0)] * n)
-    return None if rails is None else _natural(m, n, tuple(rails))
+    return None if rails is None else _natural(m, n, tuple(rails), True)
 
 
 # ---------------------------------------------------------------------------
 # Prime implicants and circuit synthesis
 
-def _primes(digits: list[tuple[int, int]], ones: list[int]) -> list[list[int]]:
+def _primes(digits: list[tuple[int, int]], ones: list[int], closed=False) -> list[list[int]]:
     """Per Boolean function, 1 on the stable lanes in its ones and 0 on the
-    other stable lanes, the lanes of its prime implicants in lex order."""
+    other stable lanes, the lanes of its prime implicants in lex order.
+    closed: ones are already all the implicants (a closed spec's pinned-1 lanes)."""
+    if not closed:
+        ones = [o & ~z for z, o in _zeta(digits, _stable_part(digits, [(~x, x) for x in ones]))]
+    steps = [(3 ** i, z & ~o, o & ~z) for i, (z, o) in enumerate(reversed(digits))]
     primes = []
-    for z, o in _zeta(digits, _stable_part(digits, [(~x, x) for x in ones])):
+    for imp in ones:
         # an implicant is 1 at every full resolution; it is prime when no
         # widening of one stable digit to M is an implicant too
-        imp = prime = o & ~z
-        for i, (dz, do) in enumerate(digits):
-            s = 3 ** (len(digits) - 1 - i)
-            prime &= ~(imp >> 2 * s & dz & ~do | imp >> s & do & ~dz)
-        primes.append([lane for lane, bit in enumerate(format(prime, "b")[::-1])
-                       if bit == "1"])
+        prime, lanes = imp, []
+        for s, zero, one in steps:
+            prime &= ~(imp >> 2 * s & zero | imp >> s & one)
+        while prime:  # the lowest set bit's lane, then clear it
+            lanes.append((prime & -prime).bit_length() - 1)
+            prime &= prime - 1
+        primes.append(lanes)
     return primes
 
 
@@ -420,7 +428,7 @@ def synthesize(h: FunctionSpec) -> Circuit:
     gates: list[Gate] = []
     drives: list[tuple[str, str]] = []
     made = 0  # the inputs whose NOT is made, each at its first reader
-    for i, pis in enumerate(_primes(digits, [o & ~z for z, o in hull])):
+    for i, pis in enumerate(_primes(digits, [o & ~z for z, o in hull], vars(h).get("_closed"))):
         y = regs[m + i].name
         # constant 0, or 1 (the all-M cube, the last lane, is then the only prime)
         if not pis or pis[0] == 3 ** m - 1:

@@ -4,7 +4,7 @@ and emit library components.
 Every command prints a deterministic key-value report (or the produced
 artifact itself) and signals its outcome through the exit code: 0 pass,
 1 semantic failure with a counterexample, 2 malformed input, 3 budget
-exceeded. Configuration is flags only.
+exceeded or out of memory. Configuration is flags only.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _write_text(path, text):
             with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
-        except OSError:
+        except BaseException:
             os.remove(tmp)  # this call made it, so a failed write leaves none behind
             raise
     except OSError as e:
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
+        return 3
     try:
         if text:
             print(text, flush=True)

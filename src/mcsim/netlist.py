@@ -160,9 +160,13 @@ class Circuit:
     def around(self, dag: Dag) -> Circuit:
         """This circuit's name and registers around dag, handed every derived
         attribute. Each reads the registers alone, so a shell with no DAG
-        derives it once for all the circuits it is around."""
+        derives them once, into one dict, for all the circuits it is around."""
         c = Circuit(self.name, self.registers, dag)
-        vars(c).update({a: getattr(self, a) for a in _DERIVED})
+        if (handed := vars(self).get("_handed")) is None:
+            handed = vars(self)["_handed"] = {
+                a: getattr(self, a) for a, d in vars(Circuit).items()
+                if isinstance(d, _derived)}
+        vars(c).update(handed)
         return c
 
     def init_word(self) -> TernaryWord:
@@ -183,9 +187,6 @@ class Circuit:
                 arcs.append((2 << at, tuple((rv << at, nv << at) for rv, nv
                                             in register_transitions(r.rtype, META))))
         return _meta_mask(w) >> 1, sum(bit for bit, _ in arcs), tuple(arcs)
-
-
-_DERIVED = tuple(a for a, d in vars(Circuit).items() if isinstance(d, _derived))
 
 
 # Each signal is a pair of lane masks (can0, can1): bit L of can_b is set

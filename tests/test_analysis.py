@@ -756,6 +756,33 @@ class TestHandedOver:
             assert list(mark) == _natural_hull(fresh, digit_lanes(f.m))
         assert len(specs) > 200
 
+    def test_closed_rails_give_the_zeta_path_primes(self):
+        from mcsim.analysis import _primes
+        rng = random.Random(62)
+        specs = [closure_bool(t) for m in range(4) for t in bool_tables(m)]
+        specs += [closure_bool(random_bool_table(rng, m, n))
+                  for m in range(7) for n in (1, 2, 3) for _ in range(5)]
+        specs += [h for h in map(find_natural_subfunction, subfunction_corpus()) if h]
+        for h in specs:
+            assert vars(h)["_closed"]
+            digits, ones = digit_lanes(h.m), [o & ~z for z, o in h.rails]
+            assert _primes(digits, ones, closed=True) == _primes(digits, ones)
+        assert len(specs) > 500
+
+    def test_a_general_closure_keeps_the_zeta_path(self):
+        from mcsim.analysis import _primes
+        # stable 0 -> 1 and 1 -> 1, and M allows {0, 1}: the closure keeps M
+        # at the M lane, where the zeta pass over the stable lanes gives 1
+        one, both = CubeSet.of(1, [word("1")]), CubeSet.of(1, [word("0"), word("1")])
+        h = closure_general(general_spec(1, 1, {word("0"): one, word("1"): one,
+                                                word("M"): both}))
+        assert not vars(h)["_closed"] and h.entry(word("M")) == word("M")
+        digits, ones = digit_lanes(1), [o & ~z for z, o in h.rails]
+        assert _primes(digits, ones, closed=True) == [[0, 1]]
+        assert _primes(digits, ones) == [[2]]
+        c = synthesize(h)
+        assert [g.kind for g in c.dag.gates] == ["CONST1"] and implements(c, 1, h)
+
     def test_hand_built_rails_are_still_checked(self):
         detector = natural_spec(1, 1, {word("0"): word("0"), word("1"): word("0"),
                                        word("M"): word("1")})
@@ -889,6 +916,20 @@ class TestHandOverWorkCounts:
         assert main(["synth", str(path), "-o", str(tmp_path / "g.net")]) == 0
         assert "spec: general m=6 n=2" in capsys.readouterr().out
         assert encoded == [2]
+
+    def test_synthesize_runs_no_zeta_pass_on_closed_rails(self, monkeypatch):
+        import mcsim.analysis as an
+        rng = random.Random(63)
+        specs = [closure_bool(random_bool_table(rng, m, 2)) for m in range(6)]
+        specs += [h for h in map(find_natural_subfunction, subfunction_corpus()[:80]) if h]
+        zeta, passes = an._zeta, []
+        monkeypatch.setattr(an, "_zeta", lambda *a: (passes.append(a), zeta(*a))[1])
+        circuits = [synthesize(h) for h in specs]
+        assert passes == [] and len(specs) > 30
+        # rails built by hand: one pass checks they are natural, one finds the primes
+        h = specs[3]
+        assert synthesize(FunctionSpec(h.m, h.n, rails=h.rails)) == circuits[3]
+        assert len(passes) == 2
 
     def test_each_width_builds_its_cones_once(self):
         import mcsim.analysis as an

@@ -228,6 +228,29 @@ class TestSim:
         assert work[short]["eval_dag"] > work[short]["_successor_cubes"] > 0
 
 
+class TestOutOfMemory:
+    """A MemoryError, say from `mc synth` on a table too wide for the host,
+    ends in one error line and the resource-limit exit code 3."""
+
+    @staticmethod
+    def exhausted(*args):
+        raise MemoryError
+
+    def test_a_command_out_of_memory_exits_3(self, capsys, monkeypatch, workspace):
+        monkeypatch.setattr(cli.analysis, "synthesize", self.exhausted)
+        rc, out, err = run(capsys, ["synth", workspace("and.spec", AND_CLOSURE_SPEC)])
+        assert (rc, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("error: out of memory")
+
+    def test_a_write_out_of_memory_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "and.tab").write_text(AND_TABLE)
+        monkeypatch.setattr(cli.os, "replace", self.exhausted)
+        rc, out, err = run(capsys, ["closure", str(tmp_path / "and.tab"),
+                                    "-o", str(tmp_path / "and.spec")])
+        assert (rc, out, err.count("\n")) == (3, "", 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["and.tab"]
+
+
 class TestClosedStdout:
     SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
