@@ -12,12 +12,12 @@ between inputs with disjoint output sets, metastability must appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Callable, Mapping, Optional
 
-from .executor import (ExecutionTrace, TraceRound, _Budget, check_round_budget,
-                       covered, cube_layers, outputs, read_outcomes, spec_layers)
+from .executor import (ExecutionTrace, TraceRound, _Budget, _read_outcomes,
+                       check_round_budget, covered, cube_layers, outputs, spec_layers)
 from .netlist import (
     Circuit,
     Gate,
@@ -28,6 +28,7 @@ from .netlist import (
     eval_dag,
     lane_word,
     make_circuit,
+    per_width,
     planned_dag,
     splice_dag,
 )
@@ -139,17 +140,13 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
         raise InputError("empty truth table")
     m = len(next(iter(table)))
     n, *more = set(map(_WIDTH, table.values()))
-    # an M digit or a bit past the last digit, in any input or output
+    # an M digit in any input or output
     if more or set(map(_WIDTH, table)) != {m} \
-            or reduce(or_, map(_PACKED, table)) & (_meta_mask(m) | -1 << 2 * m) \
-            or reduce(or_, map(_PACKED, table.values())) & (_meta_mask(n) | -1 << 2 * n):
+            or reduce(or_, map(_PACKED, table)) & _meta_mask(m) \
+            or reduce(or_, map(_PACKED, table.values())) & _meta_mask(n):
         # some row is bad: name the first one
         n = None
         for x, y in table.items():
-            for side, w in (("input", x), ("output", y)):
-                if w.packed >> 2 * w.width:
-                    raise InputError(f"truth-table {side} packed as {w.packed:#x} "
-                                     f"is wider than its width {w.width}")
             if not x.is_stable or len(x) != m:
                 raise InputError(f"truth-table input {x} must be stable, width {m}")
             if not y.is_stable or (n is not None and len(y) != n):
@@ -160,20 +157,15 @@ def _check_bool_table(table: Mapping[TernaryWord, TernaryWord]):
     return m, n
 
 
-_STABLE: dict[int, tuple] = {}  # m <= 10, as digit_lanes
-
-
+@per_width
 def _stable(m: int) -> tuple[int, list[int], dict[int, int]]:
     """The stable lanes of width m: their mask, the lane of each stable word
     in stable_words order, and that lane by the word's packed value. Stable
     word k sits on the lane its binary digits name in base 3 (its packed
-    value names them in base 4). Built once for m <= 10."""
-    if m in _STABLE:
-        return _STABLE[m]
+    value names them in base 4)."""
     bits = [format(k, "b") for k in range(1 << m)]
-    found = (reduce(and_, (z ^ o for z, o in digit_lanes(m)), (1 << 3 ** m) - 1),
-             [int(b, 3) for b in bits], {int(b, 4): int(b, 3) for b in bits})
-    return _STABLE.setdefault(m, found) if m <= 10 else found
+    return (reduce(and_, (z ^ o for z, o in digit_lanes(m)), (1 << 3 ** m) - 1),
+            [int(b, 3) for b in bits], {int(b, 4): int(b, 3) for b in bits})
 
 
 def _zeta(digits: list[tuple[int, int]], rails: list[tuple[int, int]]):
@@ -258,7 +250,8 @@ def closure_general(f: FunctionSpec) -> FunctionSpec:
 
 def _natural_hull(f: FunctionSpec, digits: list) -> Optional[list[tuple[int, int]]]:
     """The rails of f's entries if f is natural, else None (digits: f.m's
-    digit_lanes). A spec built natural (_natural) hands over its mark."""
+    digit_lanes). A spec built natural (_natural) hands over its mark, and
+    one found natural here keeps its hull as that mark."""
     if (mark := getattr(f, "_hull_mark", None)) is not None:
         return mark
     layers = spec_layers(f)
@@ -267,7 +260,7 @@ def _natural_hull(f: FunctionSpec, digits: list) -> Optional[list[tuple[int, int
     # natural: at every input the hull lies inside (so equals) an allowed
     # cube, and so does the join of the entries at its full resolutions
     natural = covered(layers, hull) == covered(layers, joins) == (1 << 3 ** f.m) - 1
-    return hull if natural else None
+    return vars(f).setdefault("_hull_mark", hull) if natural else None
 
 
 def is_natural(f: FunctionSpec) -> bool:
@@ -279,19 +272,19 @@ def is_natural(f: FunctionSpec) -> bool:
 # ---------------------------------------------------------------------------
 # Natural subfunctions (the implementability test)
 
-_words = cache(lambda n: [e.digits() for e in stable_words(n)])  # kept for n <= 10
+_words = per_width(lambda n: [e.digits() for e in stable_words(n)])
 
 
 def _candidates(layers: list, m: int, n: int) -> list[list[tuple]]:
     """Per stable input, the digits of every stable output word inside an
     allowed cube there (both in stable_words order)."""
-    words, full = (_words if n <= 10 else _words.__wrapped__)(n), (1 << 3 ** m) - 1
+    words, full = _words(n), (1 << 3 ** m) - 1
     fits = [covered(layers, [(0, full) if d is ONE else (full, 0) for d in e]) for e in words]
     return [[e for e, lanes in zip(words, fits) if lanes >> lane & 1]
             for lane in _stable(m)[1]]
 
 
-@cache
+@per_width
 def _cones(m: int) -> list[int]:
     """Per stable word of width m, in stable_words order, the lanes of the
     words it resolves (_zeta of its lane alone): the AND of one rail per digit."""
@@ -384,17 +377,13 @@ def prime_implicants(table: Mapping[TernaryWord, object]) -> tuple[TernaryWord, 
     return tuple(lane_word(digits, p) for p in _primes(digits, [ones])[0])
 
 
-_SHAPES: dict[tuple[int, int], tuple] = {}  # m <= 10, as _STABLE
-
-
+@per_width
 def _shape(m: int, n: int) -> tuple:
     """What synthesize's circuits of m inputs and n outputs share: a shell
     (see Circuit.around), registers, input nodes, NOT gates, and the
     (literals, mask of the NOTs read) of a cube lane's leading digits and of
     its last min(m, 5), not of all 3^m lanes: x_j for a 1, not_x_j for a 0,
-    none for M. Built once for m <= 10."""
-    if (m, n) in _SHAPES:
-        return _SHAPES[m, n]
+    none for M."""
     xs, cut = tuple(f"x{j}" for j in range(m)), max(m - 5, 0)
     nots = tuple(Gate(f"not_{x}", "NOT", (x,)) for x in xs)
     halves = []
@@ -406,8 +395,7 @@ def _shape(m: int, n: int) -> tuple:
         halves.append(tuple(lits))
     regs = tuple(RegisterDecl(x, Role.INPUT, RegType.SIMPLE) for x in xs) + tuple(
         RegisterDecl(f"y{i}", Role.OUTPUT, RegType.SIMPLE, ZERO) for i in range(n))
-    found = (Circuit(f"synth_{m}x{n}", regs, None), regs, xs, nots, *halves, 3 ** (m - cut))
-    return _SHAPES.setdefault((m, n), found) if m <= 10 else found
+    return (Circuit(f"synth_{m}x{n}", regs, None), regs, xs, nots, *halves, 3 ** (m - cut))
 
 
 def synthesize(h: FunctionSpec) -> Circuit:
@@ -567,9 +555,7 @@ def metastable_witness(c: Circuit, r: int,
             if remaining == 0 and state.packed & out_meta:
                 return [TraceRound(s, *taken) for s, _, taken in path] + [TraceRound(state)]
             if remaining and (state, remaining) not in failed:
-                outcomes = read_outcomes(c, state)
-                budget.spend(len(outcomes))
-                path.append([state, iter(outcomes), None])
+                path.append([state, iter(_read_outcomes(c, state, budget)), None])
             # back up to the deepest round with an untried outcome; each
             # round left behind fails from its state
             while path and (step := next(path[-1][1], None)) is None:

@@ -68,17 +68,12 @@ def _reads(c: Circuit, s: TernaryWord) -> tuple[int, list]:
     """The one place registers are read, by c.read_plan: state s's
     non-output word with the digit of every metastable masked register
     cleared, and each such register's (M bit, arcs), in digit order."""
-    read = s.packed >> 2 * c.n
-    low, masked, arcs = c.read_plan
-    if read & read >> 1 & low:
-        str(s)  # printing raises the InputError that names the packed digit 3
+    read, (masked, arcs) = s.packed >> 2 * c.n, c.read_plan
     held = read & masked
     return read ^ held, [a for a in arcs if held & a[0]] if held else []
 
 
-def read_outcomes(c: Circuit, s: TernaryWord,
-                  max_outcomes: Optional[int] = None,
-                  ) -> list[tuple[TernaryWord, TernaryWord]]:
+def read_outcomes(c: Circuit, s: TernaryWord) -> list[tuple[TernaryWord, TernaryWord]]:
     """All (read word, next input contents) pairs for state s, in lex order.
 
     The read word covers the non-output registers in state order; the
@@ -86,7 +81,7 @@ def read_outcomes(c: Circuit, s: TernaryWord,
     every other register is overwritten before it is read again.
     """
     _check_state(c, s)
-    return _read_outcomes(c, s, _Budget(max_outcomes))
+    return _read_outcomes(c, s, _Budget(None))
 
 
 def _outcome(c: Circuit, base: int, picked) -> tuple[TernaryWord, TernaryWord]:
@@ -241,10 +236,6 @@ def _rails(cubes: list[TernaryWord], n: int) -> list[tuple[int, int]]:
         size = (2 * n + 7) // 8
         blob = b"".join(map(int.to_bytes, packed, itertools.repeat(size),
                             itertools.repeat("little")))
-    # a word packed past its chunk fails to pack; past its digits alone,
-    # the planes below would not read it
-    if 8 * size > 2 * n and max(packed) >> 2 * n:
-        raise InputError(f"specification has cubes packed wider than {n} digits")
     step = 8 * size
     bits = format(int.from_bytes(blob, "little"), f"0{step * len(packed)}b")
     planes = [(int(bits[hi::step], 2), int(bits[hi + 1::step], 2))

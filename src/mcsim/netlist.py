@@ -10,6 +10,7 @@ function.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import re
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .ternary_core import (
     ParseError,
     Ternary,
     TernaryWord,
-    _meta_mask,
     content_lines,
 )
 
@@ -174,19 +174,18 @@ class Circuit:
         return self._init
 
     @_derived
-    def read_plan(self) -> tuple[int, int, tuple]:
-        """Bit patterns on the word of the non-output registers: (the low
-        bit of every digit, the M bit of every masked register, and per
-        masked register in digit order its M bit and register_transitions
-        out of M as (read, next) patterns, next landing in the input word
-        once shifted right by 2k)."""
+    def read_plan(self) -> tuple[int, tuple]:
+        """Bit patterns on the word of the non-output registers: (the M bit
+        of every masked register, and per masked register in digit order
+        its M bit and register_transitions out of M as (read, next)
+        patterns, next landing in the input word once shifted right by 2k)."""
         w, arcs = self.m + self.k, []
         for i, r in enumerate(self.input_regs + self.local_regs):
             if r.rtype is not RegType.SIMPLE:
                 at = 2 * (w - 1 - i)
                 arcs.append((2 << at, tuple((rv << at, nv << at) for rv, nv
                                             in register_transitions(r.rtype, META))))
-        return _meta_mask(w) >> 1, sum(bit for bit, _ in arcs), tuple(arcs)
+        return sum(bit for bit, _ in arcs), tuple(arcs)
 
 
 # Each signal is a pair of lane masks (can0, can1): bit L of can_b is set
@@ -276,10 +275,7 @@ def _run(dag: Dag, z: list[int], o: list[int], full: int) -> list[tuple[int, int
 
 def _word_rails(x: TernaryWord, full: int) -> tuple[list[int], list[int]]:
     """The can0 and can1 rails of each digit of x, full or 0, read off x.packed."""
-    p = x.packed
-    if p & p >> 1 & _meta_mask(x.width) >> 1:
-        str(x)  # printing raises the InputError that names the packed digit 3
-    at = range(2 * x.width - 2, -1, -2)
+    p, at = x.packed, range(2 * x.width - 2, -1, -2)
     return [full * (p >> s & 3 != 1) for s in at], [full * (p >> s & 3 != 0) for s in at]
 
 
@@ -294,14 +290,22 @@ def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     return TernaryWord(len(dag.outputs), packed)
 
 
-_DIGIT_LANES: dict[int, tuple] = {}  # m <= 10, the widths the analysis takes
+def per_width(build):
+    """build(width, *more), kept in table.kept per arguments while the width is
+    at most 10 (the widths the analysis takes), and built per call above."""
+    kept = functools.cache(build)
+
+    @functools.wraps(build)
+    def table(width: int, *more):
+        return (kept if width <= 10 else build)(width, *more)
+    table.kept = kept
+    return table
 
 
+@per_width
 def digit_lanes(m: int) -> tuple[tuple[int, int], ...]:
     """Rails of every digit of the m-digit words over all of them at once:
-    lane L is word L in all_words order. Built once for m <= 10."""
-    if m in _DIGIT_LANES:
-        return _DIGIT_LANES[m]
+    lane L is word L in all_words order."""
     rails, lanes = (), 1
     for _ in range(m):
         # a new leading digit reads 0, 1, M on three runs of the old lanes,
@@ -310,7 +314,7 @@ def digit_lanes(m: int) -> tuple[tuple[int, int], ...]:
         rails = ((tri(run) ^ run << lanes, tri(run) ^ run),) + \
             tuple((tri(z), tri(o)) for z, o in rails)
         lanes *= 3
-    return _DIGIT_LANES.setdefault(m, rails) if m <= 10 else rails
+    return rails
 
 
 def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:

@@ -87,20 +87,32 @@ def _digit_value(d: Ternary | int) -> int:
         raise InputError(f"bad digit {d!r}: must be 0, 1, or 2 (M)") from None
 
 
-# each hex digit of a packed word holds two ternary digits; 3 is no digit
+# each hex digit of a packed word holds two ternary digits; no word packs the 3 read as ?
 _HEX_PAIRS = str.maketrans({f"{h:x}": "01M?"[h >> 2] + "01M?"[h & 3] for h in range(16)})
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class TernaryWord:
     """Fixed-width vector over {0,1,M}, MSB first.
 
     Digits are packed two bits each (0, 1, 2), so comparing the
     (width, packed) tuples orders words lexicographically with 0 < 1 < M.
+    A word is checked once, when it is built: no digit is packed as 3 and
+    no bit lies past the width, so nothing that reads a word checks again.
     """
 
     width: int
     packed: int
+
+    def __init__(self, width: int, packed: int):
+        if width < 0 or packed < 0 or packed >> 2 * width:
+            raise InputError(f"no word of width {width} is packed as {packed:#x}")
+        if threes := packed & packed << 1 & _meta_mask(width):
+            # the high bit of the first 3 from the left is bit 2 * (width - i) - 1
+            raise InputError(f"digit {width - (threes.bit_length() >> 1)} of a width-{width} "
+                             f"word packed as {packed:#x} is 3, not 0, 1, or 2 (M)")
+        _SET_WIDTH(self, width)
+        _SET_PACKED(self, packed)
 
     @staticmethod
     def from_digits(digits: Iterable[Ternary | int]) -> "TernaryWord":
@@ -121,11 +133,7 @@ class TernaryWord:
     def digit(self, i: int) -> Ternary:
         if not 0 <= i < self.width:
             raise InputError(f"digit index {i} out of range for width {self.width}")
-        try:
-            return DIGITS[(self.packed >> (2 * (self.width - 1 - i))) & 3]
-        except IndexError:
-            raise InputError(f"digit {i} of a width-{self.width} word packed as "
-                             f"{self.packed:#x} is 3, not 0, 1, or 2 (M)") from None
+        return DIGITS[(self.packed >> (2 * (self.width - 1 - i))) & 3]
 
     def digits(self) -> tuple[Ternary, ...]:
         return tuple(self.digit(i) for i in range(self.width))
@@ -160,13 +168,14 @@ class TernaryWord:
 
     def __str__(self) -> str:
         text = f"{self.packed:0{(self.width + 1) // 2}x}".translate(_HEX_PAIRS)
-        text = text[len(text) - self.width:]
-        if "?" in text:
-            self.digit(text.index("?"))  # raises the InputError for packed digit 3
-        return text
+        return text[len(text) - self.width:]
 
     def __repr__(self) -> str:
         return f"word({str(self)!r})"
+
+
+# the slots' own setters: the frozen class refuses setattr, in __init__ too
+_SET_WIDTH, _SET_PACKED = TernaryWord.width.__set__, TernaryWord.packed.__set__
 
 
 def word(text: str) -> TernaryWord:
@@ -204,8 +213,6 @@ def stable_words(m: int) -> Iterator[TernaryWord]:
 
 def _resolutions(w: TernaryWord, digits: tuple[int, ...],
                  max_meta: int, what: str) -> list[TernaryWord]:
-    if w.packed & w.packed >> 1 & _meta_mask(w.width) >> 1:
-        w.digits()  # raises the InputError that names the packed digit 3
     k = w.meta_count()
     if k > max_meta:
         raise BudgetError(

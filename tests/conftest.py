@@ -482,10 +482,6 @@ def scalar_check_bool_table(table):
     m = len(next(iter(table)))
     n = None
     for x, y in table.items():
-        for side, w in (("input", x), ("output", y)):
-            if w.packed >> 2 * w.width:
-                raise InputError(f"truth-table {side} packed as {w.packed:#x} "
-                                 f"is wider than its width {w.width}")
         if not x.is_stable or len(x) != m:
             raise InputError(f"truth-table input {x} must be stable, width {m}")
         if not y.is_stable or (n is not None and len(y) != n):

@@ -53,7 +53,7 @@ from mcsim.analysis import (
     unroll,
 )
 from mcsim.executor import (
-    Verdict, emit_trace, implements, outputs, spec_layers, trace_check)
+    Verdict, check_round_budget, emit_trace, implements, outputs, spec_layers, trace_check)
 from mcsim.netlist import (
     Circuit,
     Dag,
@@ -671,15 +671,17 @@ class TestShapeTables:
         specs += [random_natural(rng, m, 2) for m in (2, 3, 4)]
         return specs + [h for h in map(find_natural_subfunction, subfunction_corpus()[:40]) if h]
 
-    def test_two_orders_build_the_same_circuits_and_tables(self, monkeypatch):
+    def test_two_orders_build_the_same_circuits_and_tables(self):
         import mcsim.analysis as an
         specs = self.corpus()
-        monkeypatch.setattr(an, "_SHAPES", {})
+        shapes = {(h.m, h.n) for h in specs}
+        an._shape.kept.cache_clear()
         forward = [synthesize(h) for h in specs]
-        tables = dict(an._SHAPES)
-        monkeypatch.setattr(an, "_SHAPES", {})
+        tables = {shape: an._shape(*shape) for shape in shapes}
+        an._shape.kept.cache_clear()
         backward = [synthesize(h) for h in reversed(specs)][::-1]
-        assert an._SHAPES == tables and len(tables) == len({(h.m, h.n) for h in specs})
+        assert {shape: an._shape(*shape) for shape in shapes} == tables
+        assert an._shape.kept.cache_info().currsize == len(shapes)
         again = [synthesize(h) for h in specs]
         assert forward == backward == again == [checked_synthesize(h) for h in specs]
         # one table per shape since the reset: one register tuple
@@ -692,17 +694,18 @@ class TestShapeTables:
         specs = self.corpus()
         for h in specs:
             synthesize(h)
-        tables = {shape: an._SHAPES[shape] for shape in {(h.m, h.n) for h in specs}}
+        tables = {shape: an._shape(*shape) for shape in {(h.m, h.n) for h in specs}}
         copies = {shape: pickle.loads(pickle.dumps(t)) for shape, t in tables.items()}
         for h in reversed(specs):
             synthesize(h)
-        assert all(an._SHAPES[shape] is t and t == copies[shape] for shape, t in tables.items())
+        assert all(an._shape(*shape) is t and t == copies[shape] for shape, t in tables.items())
 
-    def test_wider_shapes_are_built_per_call(self, monkeypatch):
+    def test_wider_shapes_are_built_per_call(self):
         import mcsim.analysis as an
-        monkeypatch.setattr(an, "_SHAPES", {})
+        an._shape.kept.cache_clear()
         h = closure_bool(random_bool_table(random.Random(58), 11, 1))
-        assert synthesize(h) == checked_synthesize(h) and an._SHAPES == {}
+        assert synthesize(h) == checked_synthesize(h)
+        assert an._shape.kept.cache_info().currsize == 0
 
 
 class TestHandedOver:
@@ -809,9 +812,10 @@ class TestHandedOver:
             assert an._stable(m) == (sum(1 << i for i in lanes), lanes,
                                      {y.packed: lane[y] for y in stable_words(m)})
             assert an._stable(m) is an._stable(m)
+        an._stable.kept.cache_clear()
         mask, lanes, by_packed = an._stable(11)
         assert len(lanes) == len(by_packed) == 2048 and mask.bit_count() == 2048
-        assert 11 not in an._STABLE and max(an._STABLE) == 10
+        assert an._stable(11) is not an._stable(11) and an._stable.kept.cache_info().currsize == 0
 
 
 class TestClosedSearch:
@@ -846,6 +850,19 @@ class TestClosedSearch:
 class TestHandOverWorkCounts:
     """What each step hands over is not computed again; a change that
     brings the work back fails here."""
+
+    def test_synth_of_a_natural_table_runs_the_hull_test_once(self, monkeypatch, tmp_path,
+                                                             capsys):
+        # is_natural finds the table natural and keeps the hull it computed,
+        # which synthesize then reads instead of testing the spec again
+        import mcsim.analysis as an
+        from mcsim.cli import main
+        hull, hulls = an._hull, []
+        monkeypatch.setattr(an, "_hull", lambda *a: (hulls.append(a), hull(*a))[1])
+        path = tmp_path / "h.spec"
+        path.write_text(emit_spec_table(closure_bool(random_bool_table(random.Random(61), 3, 2))))
+        assert main(["synth", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("circuit synth_3x2\n") and len(hulls) == 1
 
     def test_implements_on_a_synthesized_circuit_builds_no_plan(self, monkeypatch):
         from mcsim import netlist
@@ -934,9 +951,9 @@ class TestHandOverWorkCounts:
     def test_each_width_builds_its_cones_once(self):
         import mcsim.analysis as an
         specs = subfunction_corpus()
-        an._cones.cache_clear()
+        an._cones.kept.cache_clear()
         found = [find_natural_subfunction(g) for g in specs]
-        info = an._cones.cache_info()
+        info = an._cones.kept.cache_info()
         assert info.misses == info.currsize <= len({g.m for g in specs})
         assert info.hits > 20 * info.misses
         assert sum(h is not None for h in found) > 100
@@ -1103,17 +1120,12 @@ class TestPrimeImplicants:
             prime_implicants(dict.fromkeys(stable_words(11), 1))
 
     def test_keys_packed_past_their_digits_are_input_errors(self):
-        # 0b0101 is the word 11, and the bit above its two digits is spoilt
-        wide = TernaryWord(2, 0b0101 | 1 << 4)
-        rows = {word("00"): 0, word("01"): 1, word("10"): 0, wide: 1}
-        text = "^truth-table input packed as 0x15 is wider than its width 2$"
-        with pytest.raises(InputError, match=text):
-            closure_bool({x: TernaryWord.from_digits([bit]) for x, bit in rows.items()})
-        with pytest.raises(InputError, match=text):
-            prime_implicants(rows)
-        with pytest.raises(InputError, match="^truth-table output packed as 0x5 is wider "
-                                             "than its width 1$"):
-            closure_bool({x: TernaryWord(1, 0b101) for x in stable_words(1)})
+        # 0b0101 is the word 11, and the bit above its two digits is spoilt:
+        # such a key or value is refused when it is built, before any table
+        with pytest.raises(InputError, match="^no word of width 2 is packed as 0x15$"):
+            TernaryWord(2, 0b0101 | 1 << 4)
+        with pytest.raises(InputError, match="^no word of width 1 is packed as 0x5$"):
+            TernaryWord(1, 0b101)
 
 
 class TestPerWordReferences:
@@ -1121,15 +1133,17 @@ class TestPerWordReferences:
     (conftest's scalar_* references)."""
 
     def test_bool_table_checks_name_the_same_first_bad_row(self):
-        # one or two rows spoilt anywhere (unstable, wrong width, packed
-        # digit 3 or bits past the width), in any order, or rows missing
+        # one or two rows spoilt anywhere (unstable or wrong width), in any
+        # order, or rows missing; a word packed with a digit 3 or bits past
+        # its width is refused when it is built, so no row holds one
         from mcsim.analysis import _check_bool_table
         rng = random.Random(77)
+        for packed in (0b0111, 0b010001):
+            with pytest.raises(InputError):
+                TernaryWord(2, packed)
         spoil = [lambda w: w.with_digit(rng.randrange(w.width), META) if w.width else w,
                  lambda w: w.concat(word(rng.choice("01"))),
-                 lambda w: w.subword(1, w.width) if w.width else w,
-                 lambda w: TernaryWord(w.width, w.packed | 3),
-                 lambda w: TernaryWord(w.width, w.packed | 1 << 2 * w.width)]
+                 lambda w: w.subword(1, w.width) if w.width else w]
         seen = Counter()
         for _ in range(600):
             m, n = rng.randint(0, 4), rng.randint(0, 3)
@@ -1149,12 +1163,12 @@ class TestPerWordReferences:
                 with pytest.raises(InputError) as got:
                     _check_bool_table(table)
                 assert str(got.value) == str(e)
-                seen[next(k for k in ("needs", "empty", "is 3", "output", "input")
+                seen[next(k for k in ("needs", "empty", "output", "input")
                           if k in str(e))] += 1
             else:
                 assert _check_bool_table(table) == want
                 seen["ok"] += 1
-        assert len(seen) == 6 and min(seen.values()) > 10, seen
+        assert len(seen) == 5 and min(seen.values()) > 10, seen
 
     def test_closure_bool(self):
         small = [dict(zip(stable_words(m), map(TernaryWord.parse, bits)))
@@ -1607,6 +1621,30 @@ class TestMetastableWitness:
                 assert metastable_witness(c, r, a, b, cap) == want
                 seen[want is None] += 1
         assert min(seen.values()) > 20 and len(seen) == 3
+
+    def test_every_budget_ends_as_the_two_step_spend_did(self, corpus_mixed):
+        # the recursive search reads all outcomes, then spends their count;
+        # the search spends 1 << branches before it builds them: the same
+        # units, so every cap ends in the same trace, None or BudgetError
+        rng = random.Random(60)
+        seen = Counter()
+        for c in corpus_mixed:
+            a, b = rng.sample(stable_words(c.m), 2) if c.m > 1 else stable_words(1)
+            r = rng.randint(3, 8)
+            for cap in [*range(61), None]:
+                try:
+                    check_round_budget(r, cap)
+                    want = recursive_metastable_witness(c, r, a, b, cap)
+                except BudgetError as e:
+                    with pytest.raises(BudgetError) as got:
+                        metastable_witness(c, r, a, b, cap)
+                    assert str(got.value) == str(e)
+                    seen["rounds" if str(e)[0].isdigit() else str(e).split()[0]] += 1
+                    continue
+                assert metastable_witness(c, r, a, b, cap) == want, (c.name, cap)
+                seen[want is None] += 1
+        # the caps run out in check_round_budget, reach and the search itself
+        assert min(seen.values()) > 20 and len(seen) == 5, seen
 
     def test_spends_what_the_recursive_search_spends(self, witness_spend):
         rng = random.Random(57)

@@ -87,11 +87,9 @@ class TestWordBasics:
             TernaryWord.from_digits([0, 5])
         with pytest.raises(InputError):
             TernaryWord.from_digits([ONE, -1])
-        # packed digit 3 is no ternary value
+        # packed digit 3 is no ternary value: the word is refused when built
         with pytest.raises(InputError):
-            TernaryWord(1, 3).digit(0)
-        with pytest.raises(InputError):
-            str(TernaryWord(1, 3))
+            TernaryWord(1, 3)
         # with_digit: an index off the word, and a digit that would spill
         for i, d in ((3, ONE), (-1, ONE), (1, 5), (0, -1), (1, META + 1)):
             with pytest.raises(InputError):
@@ -115,13 +113,34 @@ class TestWordBasics:
                 assert str(w) == "".join("01M"[d] for d in w.digits()), w
 
     def test_str_of_a_packed_digit_3_names_the_digit(self):
-        # the first digit 3 from the left is the one the error names
+        # such a word is refused when it is built, so str never meets one;
+        # the error names the first digit 3 from the left
         for width in range(1, 6):
             for i in range(width):
-                w = TernaryWord(width, 3 << 2 * (width - 1 - i) | 3)
-                with pytest.raises(InputError, match=f"^digit {i} of a width-{width} "
-                                   f"word packed as {w.packed:#x} is 3"):
-                    str(w)
+                packed = 3 << 2 * (width - 1 - i) | 3
+                with pytest.raises(InputError, match=f"^digit {i} of a width-{width} word "
+                                   rf"packed as {packed:#x} is 3, not 0, 1, or 2 \(M\)$"):
+                    TernaryWord(width, packed)
+
+    @settings(max_examples=300)
+    @given(st.integers(-2, 8),
+           st.integers(-2 ** 20, 2 ** 20) | st.lists(st.integers(0, 3), max_size=10).map(
+               lambda ds: int("".join(map(str, ds)) or "0", 4)))
+    def test_the_constructor_refuses_exactly_the_invalid_packings(self, width, packed):
+        # refused: a negative width or packing, a bit past the width, or a
+        # digit 3, the first of which from the left is named
+        if width < 0 or packed < 0 or packed >= 4 ** width:
+            with pytest.raises(InputError, match=f"^no word of width {width} is packed as "):
+                TernaryWord(width, packed)
+            return
+        digits = [packed >> 2 * j & 3 for j in reversed(range(width))]
+        if 3 in digits:
+            with pytest.raises(InputError, match=f"^digit {digits.index(3)} of a width-{width} "):
+                TernaryWord(width, packed)
+            return
+        w = TernaryWord(width, packed)
+        assert (w.width, w.packed) == (width, packed)
+        assert word(str(w)) == w == TernaryWord(w.width, w.packed)
 
     @given(ternary_words())
     def test_digits_roundtrip(self, w):
@@ -142,7 +161,7 @@ class TestSlottedWord:
     """TernaryWord keeps two slots and no instance dict, yet equality, hash,
     order, pickling and copying stay those of its (width, packed) pair."""
 
-    WORDS = all_words(3) + all_words(0) + [word("M10M1"), TernaryWord(2, 3), TernaryWord(1, 9)]
+    WORDS = all_words(3) + all_words(0) + [word("M10M1"), TernaryWord(2, 6), TernaryWord(5, 9)]
 
     def test_no_instance_dict(self):
         w = word("0M1")
@@ -284,10 +303,10 @@ class TestResolutions:
         assert res_full(stable)[0] is stable and res_members(stable)[0] is stable
 
     def test_resolutions_of_a_packed_digit_3_are_input_errors(self):
-        for expand in (res_full, res_members):
-            for w in (TernaryWord(1, 3), TernaryWord(3, 0b001101)):
-                with pytest.raises(InputError, match="is 3"):
-                    expand(w)
+        # such a word is refused when it is built, before it could be expanded
+        for width, packed in ((1, 3), (3, 0b001101)):
+            with pytest.raises(InputError, match="is 3, not 0, 1, or 2"):
+                TernaryWord(width, packed)
 
 class TestCubeSet:
     def test_canonicalize_examples(self):
