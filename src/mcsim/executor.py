@@ -11,14 +11,17 @@ so reachable-state sets never get expanded flat.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .netlist import Circuit, RegType, digit_lanes, eval_dag, eval_lanes, lane_word
+from .netlist import (Circuit, RegType, _run, digit_lanes, eval_dag, lane_word,
+                      register_transitions)
 from .ternary_core import (
     DEFAULT_MAX_STATES,
+    META,
     BudgetError,
     CubeSet,
     InputError,
@@ -285,6 +288,48 @@ def covered(layers: list[tuple[int, list[tuple[int, int]]]],
     return inside
 
 
+def _schedule_fails(c: Circuit, r: int, f, max_states: Optional[int]) -> Optional[int]:
+    """The inputs, as lanes in all_words order, whose outputs after r rounds
+    leave f under some read schedule, or None where the walk must run. A
+    schedule picks the round (0: never) at which each of the q masked
+    registers that can hold M reads M and resolves; before, it reads its mask
+    value. With no masked local read after round 1 it is r deterministic
+    passes, those after its last resolve through _orbit. By monotonicity a lane
+    fails exactly when the walk fails on its input. Taken if (r + 1)^q <= 3^m and
+    (1 + 2^q) * sum(t^q, t = 1..r), reach's top spend per input, fits max_states."""
+    k, lanes = c.k, 3 ** c.m
+    held = [(i, reg.rtype) for i, reg in enumerate(c.input_regs + c.local_regs) if reg.rtype
+            is not RegType.SIMPLE and (i < c.m or reg.init is META)] if c.read_plan[0] else []
+    if r < 1 or r > 1 and any(reg.rtype is not RegType.SIMPLE for reg in c.local_regs) \
+            or (r + 1) ** (q := len(held)) > lanes or max_states is not None and (1 + 2 ** q) * (
+                sum(t ** q for t in range(1, min(r, max_states + 1) + 1)) if q else r) > max_states:
+        return None
+    full, inputs, p = (1 << lanes) - 1, digit_lanes(c.m), c.init_word().packed >> 2 * c.n
+    init = tuple(((full, 0), (0, full), (full, full))[p >> 2 * j & 3] for j in reversed(range(k)))
+    branching = []
+    for i, rtype in held:  # its rails reading before, at (M) and after it resolves, on M lanes
+        (z, o), arcs = (inputs + init)[i], register_transitions(rtype, META)
+        branching.append((i, [(z & ~o | z & o * (v != 1), o & ~z | z & o * (v != 0))
+                              for v in (arcs[0][0], *arcs[1])]))
+
+    def step(t: int, schedule: tuple, written: tuple) -> tuple:
+        rails = [*inputs, *written[:k]]
+        for (i, picks), s in zip(branching, schedule):
+            rails[i] = picks[s and (t >= s) + (t > s)]
+        return tuple(_run(c.dag, [z for z, _ in rails], [o for _, o in rails], full))
+
+    layers, fail = spec_layers(f), 0
+    for schedule in itertools.product(range(r + 1), repeat=q):
+        last = max((0, *schedule))
+        written = functools.reduce(lambda w, t: step(t, schedule, w), range(1, last + 1), init)
+        tail = _orbit(written, lambda w: step(last + 1, schedule, w), r - last)
+        fail |= full & ~covered(layers, replayed(*tail, r - last)[k:])
+    return fail
+
+
+_PASS = Verdict(True)   # frozen, so every passing check can hand out this one
+
+
 def implements(c: Circuit, r: int, f,
                max_states: Optional[int] = DEFAULT_MAX_STATES) -> Verdict:
     """Does every output after r rounds land inside f, for every input word?
@@ -294,24 +339,17 @@ def implements(c: Circuit, r: int, f,
     when its own word is an allowed member, so the witness reported for
     a failure is the cube word itself (the most metastable offender).
 
-    When every input and local register is simple, the outputs after one
-    round are the single evaluation cube of each input, so that round is
-    evaluated, and checked against f, on all inputs at once.
+    Where _schedule_fails applies, all inputs are checked at once, and the walk
+    below visits only the first failing one, for its witness.
     """
     if f.m != c.m or f.n != c.n:
         raise InputError(
             f"specification is {f.m}->{f.n} bits, circuit is {c.m}->{c.n}")
-    if r == 1 and all(reg.rtype is RegType.SIMPLE
-                      for reg in c.input_regs + c.local_regs):
-        # what reach spends on each input: its one state and its one read
-        _Budget(max_states).spend(2)
-        rails = eval_lanes(c.dag, c.m, c.init_word().subword(0, c.k))[c.k:]
-        fail = ((1 << 3 ** c.m) - 1) & ~covered(spec_layers(f), rails)
-        if not fail:
-            return Verdict(True)
-        lane = (fail & -fail).bit_length() - 1
-        return Verdict(False, lane_word(digit_lanes(c.m), lane), lane_word(rails, lane))
-    for iota in all_words(c.m):
+    fail = _schedule_fails(c, r, f, max_states)
+    if fail == 0:
+        return _PASS
+    for iota in all_words(c.m) if fail is None else \
+            [lane_word(digit_lanes(c.m), (fail & -fail).bit_length() - 1)]:
         allowed = f.value_cubeset(iota)
         for cube in outputs(c, iota, r, max_states):
             if not allowed.contains_word(cube):

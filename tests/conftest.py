@@ -9,7 +9,7 @@ import signal
 
 import pytest
 
-from mcsim.executor import Verdict
+from mcsim.executor import Verdict, frontiers, outputs
 from mcsim.netlist import (
     Circuit,
     Dag,
@@ -23,7 +23,8 @@ from mcsim.netlist import (
     parse_netlist,
 )
 from mcsim.ternary_core import (
-    META, ONE, ZERO, BudgetError, InputError, TernaryWord, kleene_extend)
+    DEFAULT_MAX_STATES, META, ONE, ZERO, BudgetError, CubeSet, InputError, TernaryWord,
+    kleene_extend)
 
 ALL_DIGITS = (ZERO, ONE, META)
 
@@ -226,6 +227,56 @@ def lane_implements(c: Circuit, f) -> Verdict:
     return Verdict(True)
 
 
+def reach_implements(c: Circuit, r: int, f, max_states=DEFAULT_MAX_STATES) -> Verdict:
+    """implements as a walk: each input's reachable outputs after r rounds
+    (reach, one input at a time) against f.value_cubeset, in lex order."""
+    for iota in all_words(c.m):
+        allowed = f.value_cubeset(iota)
+        for cube in outputs(c, iota, r, max_states):
+            if not any(scalar_res_contains(a, cube) for a in allowed):
+                return Verdict(False, iota, cube)
+    return Verdict(True)
+
+
+def schedule_budget(c: Circuit, r: int) -> tuple[int, int]:
+    """(q, B) of the read-schedule check: q masked registers can hold M (every
+    masked input, and each masked local that starts at M), and B bounds what
+    reach spends on one input in r rounds, (1 + 2^q) * sum of (t + 1)^q, t < r."""
+    regs = c.input_regs + c.local_regs
+    q = sum(reg.rtype is not RegType.SIMPLE and (i < c.m or reg.init is META)
+            for i, reg in enumerate(regs))
+    return q, (1 + 2 ** q) * sum((t + 1) ** q for t in range(r))
+
+
+def last_useful_round(c: Circuit, cap: int = 40) -> int:
+    """Three periods past the first repeat of the latest-repeating input's
+    frontier orbit (cap where some orbit has not repeated by then)."""
+    last = 1
+    for iota in all_words(c.m):
+        distinct, loop = frontiers(c, iota, cap, None)
+        last = max(last, cap if loop is None else loop + 3 * (len(distinct) - loop))
+    return min(last, cap)
+
+
+def tightened(rng: random.Random, f, share: float = 0.2):
+    """f with about a share of its inputs' sets narrowed: one cube each gets an
+    M digit pinned, or, with none, a digit flipped; so some checks that pass
+    on f fail on the copy."""
+    from mcsim.analysis import general_spec
+    values = {}
+    for x in all_words(f.m):
+        cubes = list(f.value_cubeset(x))
+        if cubes and f.n and rng.random() < share:
+            i = rng.randrange(len(cubes))
+            digits = list(cubes[i].digits())
+            metas = [j for j, d in enumerate(digits) if d is META]
+            j = rng.choice(metas) if metas else rng.randrange(f.n)
+            digits[j] = rng.choice((ZERO, ONE)) if metas else (ONE if digits[j] is ZERO else ZERO)
+            cubes[i] = TernaryWord.from_digits(digits)
+        values[x] = CubeSet.of(f.n, cubes)
+    return general_spec(f.m, f.n, values)
+
+
 def random_gates(rng: random.Random, sources: list[str], count: int,
                  prefix: str = "g"):
     """Random gate list; each gate may use input nodes or earlier gates."""
@@ -282,6 +333,13 @@ def simple_copy(c: Circuit) -> Circuit:
     """Same circuit with every register type replaced by simple."""
     regs = tuple(RegisterDecl(r.name, r.role, RegType.SIMPLE, r.init)
                  for r in c.registers)
+    return Circuit(c.name, regs, c.dag)
+
+
+def simple_locals_copy(c: Circuit) -> Circuit:
+    """Same circuit with every local register simple; inputs keep their types."""
+    regs = tuple(RegisterDecl(r.name, r.role, RegType.SIMPLE, r.init)
+                 if r.role is Role.LOCAL else r for r in c.registers)
     return Circuit(c.name, regs, c.dag)
 
 
@@ -347,6 +405,19 @@ def corpus_mixed():
 def corpus_simple():
     """At least 50 random all-simple circuits, <= 5 registers."""
     return circuit_corpus(seed=9157, count=55, max_regs=5, all_simple=True)
+
+
+@pytest.fixture(scope="session")
+def corpus_masked_locals():
+    """40 random circuits, each with a masked local that starts at M, and no
+    more one-round read schedules (2^q) than inputs (3^m)."""
+    rng, found = random.Random(4242), []
+    while len(found) < 40:
+        c = random_circuit(rng, name=f"ml{len(found)}")
+        if any(reg.rtype is not RegType.SIMPLE and reg.init is META for reg in c.local_regs) \
+                and 2 ** schedule_budget(c, 1)[0] <= 3 ** c.m:
+            found.append(c)
+    return found
 
 
 def bool_tables(m, n=1):

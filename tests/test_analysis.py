@@ -772,6 +772,22 @@ class TestHandedOver:
             assert _primes(digits, ones, closed=True) == _primes(digits, ones)
         assert len(specs) > 500
 
+    @pytest.mark.parametrize("m", range(12))
+    def test_both_lane_scans_read_the_same_primes(self, m, monkeypatch):
+        # every width through str.find (threshold 0), then through
+        # lowest-set-bit clearing (threshold 12): closures, and random masks
+        # whose primes are sparse or dense
+        import mcsim.analysis as an
+        rng = random.Random(f"scan/{m}")
+        digits = digit_lanes(m)
+        ones = [o & ~z for z, o in closure_bool(random_bool_table(rng, m, 2)).rails]
+        ones += [0, (1 << 3 ** m) - 1, rng.getrandbits(3 ** m)]
+        scans = []
+        for threshold in (0, 12):
+            monkeypatch.setattr(an, "_FIND_FROM", threshold)
+            scans.append(an._primes(digits, ones, closed=True))
+        assert scans[0] == scans[1] and scans[0][3] == [3 ** m - 1]
+
     def test_a_general_closure_keeps_the_zeta_path(self):
         from mcsim.analysis import _primes
         # stable 0 -> 1 and 1 -> 1, and M allows {0, 1}: the closure keeps M
@@ -1230,7 +1246,7 @@ class TestPerWordReferences:
                              for _ in range(n)]
                     assert an._zeta(digits, rails) == scalar_zeta(digits, rails)
 
-    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("m", [4, 5, 7, 8])
     def test_prime_implicants(self, m):
         rng = random.Random(m)
         for density in (0.2, 0.5, 0.8) * 5:

@@ -13,6 +13,8 @@ from conftest import (
     assert_lane_spec_agrees,
     flatten_states,
     lane_implements,
+    last_useful_round,
+    reach_implements,
     scalar_canonicalize_state_cubes,
     scalar_cubeset_canonicalize,
     scalar_rails,
@@ -21,8 +23,11 @@ from conftest import (
     scalar_spec_layers,
     scalar_state_cube_contains,
     scalar_trace_check,
+    schedule_budget,
     simple_copy,
+    simple_locals_copy,
     stable_words,
+    tightened,
 )
 from mcsim.analysis import (
     FunctionSpec,
@@ -31,7 +36,8 @@ from mcsim.analysis import (
     general_spec,
     natural_spec,
 )
-from mcsim.components import build_counter, build_mux, build_selector, mux_spec
+from mcsim.components import (build_cmux_clocked, build_counter, build_mux, build_selector,
+                               cmux_spec, mux_spec)
 from mcsim.executor import (
     ExecutionTrace,
     TraceRound,
@@ -45,6 +51,7 @@ from mcsim.executor import (
     outputs,
     parse_trace,
     _rails,
+    _schedule_fails,
     reach,
     read_outcomes,
     replayed,
@@ -421,16 +428,6 @@ class TestImplements:
             implements(feedback_circuit, 1, spec)
 
 
-def reach_implements(c, r, f, max_states=10**6):
-    """implements as the reach path runs it, from the public outputs."""
-    for iota in all_words(c.m):
-        allowed = f.value_cubeset(iota)
-        for cube in outputs(c, iota, r, max_states):
-            if not any(res_contains(a, cube) for a in allowed):
-                return Verdict(False, iota, cube)
-    return Verdict(True)
-
-
 def lane_copy(c, rng):
     """c with simple inputs and locals, and masked outputs."""
     regs = tuple(RegisterDecl(reg.name, reg.role,
@@ -491,36 +488,38 @@ class TestImplementsOneRound:
             assert implements(c, 1, f) == reach_implements(c, 1, f)
         assert not implements(c, 1, natural_spec(0, 1, {TernaryWord(0, 0): word("0")}))
 
-    def test_masked_inputs_locals_and_later_rounds_take_the_reach_path(
-            self, corpus_mixed, monkeypatch):
+    def test_masked_locals_after_round_one_take_the_walk(self, corpus_mixed, monkeypatch):
         import mcsim.executor as ex
 
         def no_lanes(*args):
-            raise AssertionError("one-round lane path taken")
+            raise AssertionError("lane pass taken")
         rng = random.Random(5)
-        monkeypatch.setattr(ex, "eval_lanes", no_lanes)
+        monkeypatch.setattr(ex, "_run", no_lanes)
         masked = [c for c in corpus_mixed
-                  if any(r.rtype is not RegType.SIMPLE for r in c.input_regs + c.local_regs)]
-        assert len(masked) > 50
+                  if any(r.rtype is not RegType.SIMPLE for r in c.local_regs)]
+        assert len(masked) > 30
         for c in masked:
-            f = random_specs(simple_copy(c), rng)[1]
-            assert implements(c, 1, f) == reach_implements(c, 1, f)
-        for c in map(simple_copy, corpus_mixed[:30]):
-            for f in random_specs(c, rng)[:2]:
-                for r in (2, 3):
-                    assert implements(c, r, f) == reach_implements(c, r, f)
+            for r in (2, 3):
+                f = random_specs(simple_copy(c), rng)[1]
+                assert implements(c, r, f) == reach_implements(c, r, f)
 
-    def test_lane_path_never_calls_outputs(self, corpus_simple, monkeypatch):
+    def test_lane_path_calls_outputs_only_on_the_witness_input(self, corpus_simple,
+                                                               monkeypatch):
         import mcsim.executor as ex
         rng = random.Random(6)
         specs = [(c, random_specs(c, rng)) for c in corpus_simple[:10]]
-
-        def no_outputs(*args):
-            raise AssertionError("reach path taken")
-        monkeypatch.setattr(ex, "outputs", no_outputs)
+        want = {(c.name, i): reach_implements(c, 1, f)
+                for c, fs in specs for i, f in enumerate(fs)}
+        called = []
+        monkeypatch.setattr(ex, "outputs", lambda c, iota, *rest: called.append(iota)
+                            or outputs(c, iota, *rest))
         for c, fs in specs:
-            for f in fs:
-                implements(c, 1, f)
+            for i, f in enumerate(fs):
+                called.clear()
+                v = implements(c, 1, f)
+                assert v == want[c.name, i]
+                assert called == ([] if v else [v.witness_input])
+        assert 10 < sum(not v for v in want.values()) < len(want)
 
     @pytest.mark.parametrize("budget", [-1, 0, 1])
     def test_budget_below_two_states_per_input_fails(self, budget):
@@ -651,9 +650,14 @@ class TestLaneCheck:
     def test_passing_check_builds_no_word_per_input(self, corpus_simple, monkeypatch):
         import mcsim.executor as ex
         rng = random.Random(10)
-        specs = [(c, f) for c in corpus_simple if c.m >= 3
+        specs = [(c, 1, f) for c in corpus_simple if c.m >= 3
                  for f in random_specs(c, rng) if lane_implements(c, f)]
         assert len(specs) > 20
+        # later rounds, against the walk's own outputs, and the clocked CMUX
+        later = [(c, r, general_spec(c.m, c.n, {x: outputs(c, x, r) for x in all_words(c.m)}))
+                 for c in corpus_simple if c.m >= 2 for r in (2, 5)]
+        specs += later + [(build_cmux_clocked(), 2, cmux_spec())]
+        assert len(later) > 20 and sum(c.k > 0 for c, _, _ in later) > 10
         made = Counter()
         init = TernaryWord.__init__
 
@@ -666,10 +670,10 @@ class TestLaneCheck:
         monkeypatch.setattr(TernaryWord, "__init__", counted)
         monkeypatch.setattr(ex, "all_words", no_lookup)
         monkeypatch.setattr(FunctionSpec, "value_cubeset", no_lookup)
-        for c, f in specs:
+        for c, r, f in specs:
             made.clear()
-            assert implements(c, 1, f)
-            assert made["words"] < 10, (c.name, made)
+            assert implements(c, r, f)
+            assert made["words"] < 10, (c.name, r, made)
 
     def test_cubes_of_the_wrong_width_are_input_errors(self):
         c = mux_circuit()
@@ -677,6 +681,124 @@ class TestLaneCheck:
                   TableSpec(3, 1, {x: CubeSet(2, (word("00"),)) for x in all_words(3)})):
             with pytest.raises(InputError, match="width"):
                 implements(c, 1, f)
+
+
+def outcome(check, *args):
+    """The verdict of a check, or the text of the BudgetError it raised."""
+    try:
+        return check(*args)
+    except BudgetError as e:
+        return str(e)
+
+
+class TestScheduleCheck:
+    """implements over read schedules against the per-input walk in conftest
+    (reach_implements): whole Verdicts, witnesses included, on exact specs
+    (the walk's own outputs at r) and on tightened copies of them."""
+
+    @staticmethod
+    def specs(c, rounds, rng):
+        for r in rounds:
+            exact = general_spec(c.m, c.n, {x: outputs(c, x, r, None) for x in all_words(c.m)})
+            yield r, exact
+            yield r, tightened(rng, exact)
+
+    @staticmethod
+    def lanes_taken(c, r, f, max_states=10**6):
+        return _schedule_fails(c, r, f, max_states) is not None
+
+    @staticmethod
+    def walk_fails(c, r, f):
+        """The inputs, as a lane mask, on which some reachable output leaves f."""
+        return sum(1 << lane for lane, x in enumerate(all_words(c.m))
+                   if any(not f.value_cubeset(x).contains_word(y) for y in outputs(c, x, r)))
+
+    @pytest.mark.parametrize("corpus", ["corpus_simple", "corpus_mixed"])
+    def test_matches_the_walk_up_to_three_periods_past_the_first_repeat(self, corpus,
+                                                                          request):
+        rng = random.Random(f"schedules/{corpus}")
+        seen = Counter()
+        # with its locals simple, a circuit's masked inputs run the lanes at any r
+        circuits = request.getfixturevalue(corpus)
+        for c in circuits + [simple_locals_copy(c) for c in circuits if c.k]:
+            for r, f in self.specs(c, range(1, last_useful_round(c) + 1), rng):
+                got = implements(c, r, f)
+                assert got == reach_implements(c, r, f), (c.name, r)
+                # and every lane's verdict, not only the first failure's
+                fails = _schedule_fails(c, r, f, 10 ** 6)
+                assert fails in (None, self.walk_fails(c, r, f)), (c.name, r)
+                seen[fails is not None, r > 1, got.ok] += 1
+        lanes = {key: count for key, count in seen.items() if key[0]}
+        assert len(lanes) == 4 and min(lanes.values()) > 40, seen
+        if corpus == "corpus_mixed":   # masked locals after round 1 walk
+            assert seen[False, True, True] > 50 and seen[False, True, False] > 50, seen
+
+    def test_masked_locals_at_round_one(self, corpus_masked_locals):
+        rng = random.Random(14)
+        seen = Counter()
+        for c in corpus_masked_locals:
+            for r, f in self.specs(c, [1], rng):
+                assert _schedule_fails(c, r, f, 10 ** 6) == self.walk_fails(c, r, f)
+                got = implements(c, r, f)
+                assert got == reach_implements(c, r, f), c.name
+                seen[got.ok] += 1
+        assert min(seen.values()) > 10, seen
+
+    def test_budget_edge(self, corpus_simple, corpus_mixed):
+        # B - 1 walks (and may run out where the walk does), B and None run
+        # the lanes wherever the schedule guard holds: the same verdict or text
+        rng = random.Random(15)
+        seen = Counter()
+        for c in corpus_simple + corpus_mixed[:60]:
+            for r, f in self.specs(c, (1, 2, 3), rng):
+                q, bound = schedule_budget(c, r)
+                for max_states in (bound - 1, bound, None):
+                    got = outcome(implements, c, r, f, max_states)
+                    assert got == outcome(reach_implements, c, r, f, max_states), \
+                        (c.name, r, max_states)
+                    lanes = self.lanes_taken(c, r, f, max_states)
+                    assert lanes == (max_states != bound - 1 and (r + 1) ** q <= 3 ** c.m and (
+                        r == 1 or all(reg.rtype is RegType.SIMPLE for reg in c.local_regs)))
+                    seen[max_states == bound - 1, lanes, isinstance(got, str)] += 1
+        assert seen[True, False, True] > 50 and seen[False, True, False] > 200, seen
+
+    def test_more_schedules_than_inputs_take_the_walk(self):
+        # the fan-out buffer has one mask-0 input: 3 inputs, r + 1 schedules
+        from mcsim.components import build_fanout_buffer, masking_fanout_spec
+        for r in range(1, 7):
+            c, f = build_fanout_buffer(r), masking_fanout_spec(r)
+            assert self.lanes_taken(c, r, f) == (r <= 2)
+            assert self.walk_fails(c, r, f) == 0
+            assert implements(c, r, f) == reach_implements(c, r, f) == Verdict(True)
+
+    def test_every_round_read_shows(self):
+        # the fan-out buffer's outputs are its mask-0 input's reads, one per
+        # round; unread simple inputs ahead of it make room for r + 1 schedules
+        from mcsim.components import build_fanout_buffer, masking_fanout_spec
+        rng = random.Random(17)
+        for r in range(1, 9):
+            fan, spec = build_fanout_buffer(r), masking_fanout_spec(r)
+            regs = [RegisterDecl(f"x{j}", Role.INPUT, RegType.SIMPLE) for j in range(3)]
+            c = make_circuit(fan.name, regs + list(fan.registers), fan.dag.gates,
+                             dict(fan.dag.outputs))
+            f = general_spec(4, r, {x: spec.value_cubeset(x.subword(3, 4))
+                                    for x in all_words(4)})
+            cases = [(r, f), (r, tightened(rng, f, 0.5)), *self.specs(c, [r], rng)]
+            cases += [(1, f), *self.specs(c, [1, 2], rng)] if r > 2 else []
+            for rr, g in cases:
+                assert self.lanes_taken(c, rr, g)
+                assert implements(c, rr, g) == reach_implements(c, rr, g), (r, rr)
+                assert self.walk_fails(c, rr, g) == _schedule_fails(c, rr, g, None)
+        c = build_cmux_clocked()
+        for r, g in [(r, cmux_spec()) for r in range(1, 6)] + list(self.specs(c, range(1, 6), rng)):
+            assert implements(c, r, g) == reach_implements(c, r, g), r
+            assert self.walk_fails(c, r, g) == _schedule_fails(c, r, g, None)
+
+    def test_long_runs_replay_the_period(self, corpus_simple):
+        rng = random.Random(16)
+        for c in corpus_simple[:20]:
+            for r, f in self.specs(c, (10 ** 5, 10 ** 5 + 1), rng):
+                assert implements(c, r, f, None) == reach_implements(c, r, f, None), c.name
 
 
 def random_word(rng, n):

@@ -578,6 +578,10 @@ class TestMakeCircuit:
     def test_commands_that_only_emit_compile_no_plan(self, monkeypatch, tmp_path,
                                                      corpus_simple, capsys):
         from mcsim.cli import main
+        from mcsim.components import build_two_sort
+        # the sorting network's comparator is synthesized, and so planned,
+        # once per process: build it first, so the count covers the emit paths
+        build_two_sort(2)
         _, compiled = self.count_checks_and_compiles(monkeypatch)
         path = tmp_path / "c.net"
         path.write_text(emit_netlist(corpus_simple[0]))
