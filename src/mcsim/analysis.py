@@ -17,8 +17,8 @@ from functools import reduce
 from operator import and_, or_
 from typing import Callable, Mapping, Optional
 
-from .executor import (ExecutionTrace, TraceRound, _Budget, _read_outcomes,
-                       check_round_budget, covered, cube_layers, outputs, spec_layers)
+from .executor import (ExecutionTrace, TraceRound, _Budget, _initial_state, _read_outcomes,
+                       _trace_row, check_round_budget, covered, cube_layers, outputs, spec_layers)
 from .netlist import (
     Circuit,
     Gate,
@@ -26,7 +26,7 @@ from .netlist import (
     RegType,
     Role,
     digit_lanes,
-    eval_dag,
+    eval_packed,
     lane_word,
     make_circuit,
     per_width,
@@ -550,17 +550,18 @@ def metastable_witness(c: Circuit, r: int,
 
     out_meta = _meta_mask(c.n)   # the M bits of the output digits
     budget = _Budget(max_states, "witness search")
-    failed: set[tuple[TernaryWord, int]] = set()
+    failed: set[tuple[int, int]] = set()
 
-    def search(start: TernaryWord) -> Optional[list[TraceRound]]:
-        """An r-round execution from start that ends with a metastable
-        output, depth first over the read outcomes in their order."""
+    def search(start: int) -> Optional[list[TraceRound]]:
+        """An r-round execution from packed state start that ends with a
+        metastable output, depth first over the read outcomes in their order."""
         # per round on the path: its state, its untried outcomes, the one taken
         path, state = [], start
         while True:
             remaining = r - len(path)
-            if remaining == 0 and state.packed & out_meta:
-                return [TraceRound(s, *taken) for s, _, taken in path] + [TraceRound(state)]
+            if remaining == 0 and state & out_meta:
+                return [_trace_row(c, s, *taken) for s, _, taken in path] + [
+                    TraceRound(TernaryWord(c.m + c.k + c.n, state))]
             if remaining and (state, remaining) not in failed:
                 path.append([state, iter(_read_outcomes(c, state, budget)), None])
             # back up to the deepest round with an untried outcome; each
@@ -571,15 +572,15 @@ def metastable_witness(c: Circuit, r: int,
             if not path:
                 return None
             read, nxt = step
-            ev = eval_dag(c.dag, read)
-            path[-1][2] = (read, ev, ev)
-            state = nxt.concat(ev)
+            ev = eval_packed(c.dag, read)
+            path[-1][2] = (read, ev)
+            state = nxt << 2 * (c.k + c.n) | ev
 
     for p in pivotal_sequence(iota, iota2):
         outs = known[p] if p in known else outputs(c, p, r, max_states)
         if not any(cube.meta_count() for cube in outs):
             continue
-        rows = search(p.concat(c.init_word()))
+        rows = search(_initial_state(c, p))
         if rows is None:
             raise RuntimeError("reach set shows a metastable output but no "
                                "execution realizes it; this cannot happen")

@@ -331,6 +331,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_states", 0) < 0:
+            raise InputError(f"--max-states must be at least 0, not {args.max_states}")
         code, text = args.func(args)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .netlist import (Circuit, RegType, _run, digit_lanes, eval_dag, lane_word,
+from .netlist import (Circuit, RegType, _run, digit_lanes, eval_packed, lane_word,
                       register_transitions)
 from .ternary_core import (
     DEFAULT_MAX_STATES,
@@ -28,11 +28,11 @@ from .ternary_core import (
     ParseError,
     TernaryWord,
     _canonical,
+    _cubes,
     _PACKED,
     _WIDTH,
     all_words,
     content_lines,
-    cubeset_canonicalize,
     res_contains,
     word_at,
 )
@@ -67,11 +67,11 @@ def _check_state(c: Circuit, s: TernaryWord) -> None:
         raise InputError(f"state width {len(s)} does not match {width} registers")
 
 
-def _reads(c: Circuit, s: TernaryWord) -> tuple[int, list]:
-    """The one place registers are read, by c.read_plan: state s's
+def _reads(c: Circuit, s: int) -> tuple[int, list]:
+    """The one place registers are read, by c.read_plan: packed state s's
     non-output word with the digit of every metastable masked register
     cleared, and each such register's (M bit, arcs), in digit order."""
-    read, (masked, arcs) = s.packed >> 2 * c.n, c.read_plan
+    read, (masked, arcs) = s >> 2 * c.n, c.read_plan
     held = read & masked
     return read ^ held, [a for a in arcs if held & a[0]] if held else []
 
@@ -84,18 +84,19 @@ def read_outcomes(c: Circuit, s: TernaryWord) -> list[tuple[TernaryWord, Ternary
     every other register is overwritten before it is read again.
     """
     _check_state(c, s)
-    return _read_outcomes(c, s, _Budget(None))
+    return [(TernaryWord(c.m + c.k, read), TernaryWord(c.m, nxt))
+            for read, nxt in _read_outcomes(c, s.packed, _Budget(None))]
 
 
-def _outcome(c: Circuit, base: int, picked) -> tuple[TernaryWord, TernaryWord]:
-    """The (read word, next input contents) of one arc per branch of _reads."""
+def _outcome(c: Circuit, base: int, picked) -> tuple[int, int]:
+    """The packed (read word, next input contents) of one arc per branch of _reads."""
     read = nxt = base
     for rv, nv in picked:
         read, nxt = read | rv, nxt | nv
-    return TernaryWord(c.m + c.k, read), TernaryWord(c.m, nxt >> 2 * c.k)
+    return read, nxt >> 2 * c.k
 
 
-def _read_outcomes(c: Circuit, s: TernaryWord, budget: _Budget):
+def _read_outcomes(c: Circuit, s: int, budget: _Budget) -> list[tuple[int, int]]:
     # each register's arcs ascend by the value read, so their product in
     # digit order is in lex order of the read word, which fixes the pair
     base, branches = _reads(c, s)
@@ -115,31 +116,31 @@ def canonicalize_state_cubes(m: int, width: int,
     for w in cubes:
         if len(w) != width:
             raise InputError(f"state cube width {len(w)}, expected {width}")
-    return _canonical(width, cubes, m)
+    return _cubes(width, _canonical(width, map(_PACKED, cubes), m))
 
 
 def state_cube_contains(m: int, cube: TernaryWord, s: TernaryWord) -> bool:
     """Membership of a concrete state in one state cube: the cube absorbs it."""
     if len(cube) != len(s):
         raise InputError("state width mismatch")
-    return _canonical(len(s), (cube, s), m).cubes == (cube,)
+    return _canonical(len(s), (cube.packed, s.packed), m) == (cube.packed,)
 
 
-def _successor_cubes(c: Circuit, s: TernaryWord, budget: _Budget) -> list[TernaryWord]:
-    return [nxt.concat(eval_dag(c.dag, read))
+def _successor_cubes(c: Circuit, s: int, budget: _Budget) -> list[int]:
+    return [nxt << 2 * (c.k + c.n) | eval_packed(c.dag, read)
             for read, nxt in _read_outcomes(c, s, budget)]
 
 
 def successors(c: Circuit, s: TernaryWord) -> CubeSet:
     """Canonical cube set of all states one round after state s."""
     _check_state(c, s)
-    return _canonical(len(s), _successor_cubes(c, s, _Budget(None)), c.m)
+    return _cubes(len(s), _canonical(len(s), _successor_cubes(c, s.packed, _Budget(None)), c.m))
 
 
-def _initial_state(c: Circuit, iota: TernaryWord) -> TernaryWord:
+def _initial_state(c: Circuit, iota: TernaryWord) -> int:
     if len(iota) != c.m:
         raise InputError(f"input width {len(iota)}, circuit has {c.m} inputs")
-    return iota.concat(c.init_word())
+    return iota.packed << 2 * (c.k + c.n) | c.init_word().packed
 
 
 def _orbit(x, step, r: int) -> tuple[list, Optional[int]]:
@@ -160,6 +161,24 @@ def replayed(seq: list, loop: Optional[int], t: int):
     return seq[t] if t < len(seq) else seq[loop + (t - loop) % (len(seq) - loop)]
 
 
+def _frontiers(c: Circuit, iota: TernaryWord, r: int, max_states: Optional[int],
+               ) -> tuple[list[tuple[int, ...]], Optional[int]]:
+    """frontiers, each frontier stepped as a tuple of ascending packed cubes."""
+    budget = _Budget(max_states)
+    memo: dict[int, list[int]] = {}
+
+    def step(frontier: tuple[int, ...]) -> tuple[int, ...]:
+        nxt: list[int] = []
+        for cube in frontier:
+            if (cs := memo.get(cube)) is None:
+                budget.spend(1)
+                cs = memo[cube] = _successor_cubes(c, cube, budget)
+            nxt.extend(cs)
+        return _canonical(c.m + c.k + c.n, nxt, c.m)
+
+    return _orbit((_initial_state(c, iota),), step, r)
+
+
 def frontiers(c: Circuit, iota: TernaryWord, r: int,
               max_states: Optional[int] = DEFAULT_MAX_STATES,
               ) -> tuple[list[CubeSet], Optional[int]]:
@@ -170,21 +189,8 @@ def frontiers(c: Circuit, iota: TernaryWord, r: int,
     distinct cube word of the previous round once; the one budget counts
     base states visited plus successor cubes produced. A repeated frontier
     expands no cube, so the replay spends nothing."""
-    width = c.m + c.k + c.n
-    budget = _Budget(max_states)
-    memo: dict[TernaryWord, list[TernaryWord]] = {}
-
-    def step(frontier: CubeSet) -> CubeSet:
-        nxt: list[TernaryWord] = []
-        for cube in frontier:
-            cs = memo.get(cube)
-            if cs is None:
-                budget.spend(1)
-                cs = memo[cube] = _successor_cubes(c, cube, budget)
-            nxt.extend(cs)
-        return _canonical(width, nxt, c.m)
-
-    return _orbit(CubeSet.of(width, [_initial_state(c, iota)]), step, r)
+    distinct, loop = _frontiers(c, iota, r, max_states)
+    return [_cubes(c.m + c.k + c.n, f) for f in distinct], loop
 
 
 def reach(c: Circuit, iota: TernaryWord, r: int,
@@ -193,14 +199,13 @@ def reach(c: Circuit, iota: TernaryWord, r: int,
     read off the frontier orbit: O(prefix + period) rounds for any r."""
     if r < 0:
         raise InputError("round count must be nonnegative")
-    return replayed(*frontiers(c, iota, r, max_states), r)
+    return _cubes(c.m + c.k + c.n, replayed(*_frontiers(c, iota, r, max_states), r))
 
 
 def output_cubes(c: Circuit, states: CubeSet) -> CubeSet:
     """The output-register words a set of state cubes shows."""
     tail = (1 << 2 * c.n) - 1
-    return cubeset_canonicalize(
-        CubeSet(c.n, tuple(TernaryWord(c.n, cube.packed & tail) for cube in states)))
+    return _cubes(c.n, _canonical(c.n, [cube.packed & tail for cube in states], 0))
 
 
 def outputs(c: Circuit, iota: TernaryWord, r: int,
@@ -295,13 +300,15 @@ def _schedule_fails(c: Circuit, r: int, f, max_states: Optional[int]) -> Optiona
     registers that can hold M reads M and resolves; before, it reads its mask
     value. With no masked local read after round 1 it is r deterministic
     passes, those after its last resolve through _orbit. By monotonicity a lane
-    fails exactly when the walk fails on its input. Taken if (r + 1)^q <= 3^m and
-    (1 + 2^q) * sum(t^q, t = 1..r), reach's top spend per input, fits max_states."""
+    fails exactly when the walk fails on its input. Taken if (1 + 2^q) * sum(t^q, t = 1..r),
+    reach's top spend per input, fits max_states, and q = 0 or the (r + 1)^q * r passes
+    cost at most 3 walk rounds, 3^m * (1 + 2^q) units, by which its frontiers mostly repeat."""
     k, lanes = c.k, 3 ** c.m
     held = [(i, reg.rtype) for i, reg in enumerate(c.input_regs + c.local_regs) if reg.rtype
             is not RegType.SIMPLE and (i < c.m or reg.init is META)] if c.read_plan[0] else []
     if r < 1 or r > 1 and any(reg.rtype is not RegType.SIMPLE for reg in c.local_regs) \
-            or (r + 1) ** (q := len(held)) > lanes or max_states is not None and (1 + 2 ** q) * (
+            or (q := len(held)) and (r + 1) ** q * r > 3 * (1 + 2 ** q) * lanes \
+            or max_states is not None and (1 + 2 ** q) * (
                 sum(t ** q for t in range(1, min(r, max_states + 1) + 1)) if q else r) > max_states:
         return None
     full, inputs, p = (1 << lanes) - 1, digit_lanes(c.m), c.init_word().packed >> 2 * c.n
@@ -343,8 +350,7 @@ def implements(c: Circuit, r: int, f,
     below visits only the first failing one, for its witness.
     """
     if f.m != c.m or f.n != c.n:
-        raise InputError(
-            f"specification is {f.m}->{f.n} bits, circuit is {c.m}->{c.n}")
+        raise InputError(f"specification is {f.m}->{f.n} bits, circuit is {c.m}->{c.n}")
     fail = _schedule_fails(c, r, f, max_states)
     if fail == 0:
         return _PASS
@@ -411,15 +417,21 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
 
         # the outcome that reads each branching digit as recorded (its
         # first arc where none does, so that the read words then differ)
-        base, branches = _reads(c, row.state)
+        base, branches = _reads(c, row.state.packed)
         read, nxt = _outcome(c, base, [
             next((a for a in arcs if row.read.packed & (bit | bit >> 1) == a[0]), arcs[0])
             for bit, arcs in branches])
-        if eval_dag(c.dag, row.read) != row.evaluation or read != row.read \
-                or not res_contains(row.evaluation, row.written) \
-                or i + 1 < len(t.rounds) and t.rounds[i + 1].state != nxt.concat(row.written):
+        if eval_packed(c.dag, row.read.packed) != row.evaluation.packed or read != row.read.packed \
+                or not res_contains(row.evaluation, row.written) or i + 1 < len(t.rounds) \
+                and t.rounds[i + 1].state != TernaryWord(c.m, nxt).concat(row.written):
             return False
     return True
+
+
+def _trace_row(c: Circuit, state: int, read: int, evaluation: int) -> TraceRound:
+    """The row of one round on packed words, its evaluation written back unchanged."""
+    return TraceRound(TernaryWord(c.m + c.k + c.n, state), TernaryWord(c.m + c.k, read),
+                      *[TernaryWord(c.k + c.n, evaluation)] * 2)
 
 
 def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
@@ -430,18 +442,19 @@ def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
     state = _initial_state(c, iota)
     if r < 0:
         raise InputError("round count must be nonnegative")
-    rows = []       # the row of each distinct state stepped from
+    rows, shift = [], 2 * (c.k + c.n)   # packed (state, read, evaluation) per state stepped from
 
-    def step(state: TernaryWord) -> TernaryWord:
+    def step(state: int) -> int:
         base, branches = _reads(c, state)
         read, nxt = _outcome(c, base, [arcs[0] for _, arcs in branches])
-        evaluation = eval_dag(c.dag, read)
-        rows.append(TraceRound(state, read, evaluation, evaluation))
-        return nxt.concat(evaluation)
+        evaluation = eval_packed(c.dag, read)
+        rows.append((state, read, evaluation))
+        return nxt << shift | evaluation
 
     states, loop = _orbit(state, step, r)
-    return ExecutionTrace(tuple(replayed(rows, loop, t) for t in range(r))
-                          + (TraceRound(replayed(states, loop, r)),))
+    rows = [_trace_row(c, *row) for row in rows]
+    return ExecutionTrace(tuple(replayed(rows, loop, t) for t in range(r)) + (
+        TraceRound(TernaryWord(c.m + c.k + c.n, replayed(states, loop, r))),))
 
 
 def emit_trace(t: ExecutionTrace) -> str:

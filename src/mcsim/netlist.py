@@ -273,21 +273,25 @@ def _run(dag: Dag, z: list[int], o: list[int], full: int) -> list[tuple[int, int
     return [(z[i], o[i]) for i in out_idx]
 
 
-def _word_rails(x: TernaryWord, full: int) -> tuple[list[int], list[int]]:
-    """The can0 and can1 rails of each digit of x, full or 0, read off x.packed."""
-    p, at = x.packed, range(2 * x.width - 2, -1, -2)
-    return [full * (p >> s & 3 != 1) for s in at], [full * (p >> s & 3 != 0) for s in at]
+def _word_rails(p: int, width: int, full: int) -> tuple[list[int], list[int]]:
+    """The can0 and can1 rails of each digit of the width-digit packed word p, full or 0."""
+    digits = [p >> s & 3 for s in range(2 * width - 2, -1, -2)]
+    return [full * (d != 1) for d in digits], [full * (d != 0) for d in digits]
+
+
+def eval_packed(dag: Dag, x: int) -> int:
+    """The packed output word of the DAG on one packed input word: no word is built."""
+    packed = 0
+    for c0, c1 in _run(dag, *_word_rails(x, len(dag.inputs), 1), 1):
+        packed = packed << 2 | c1 + (c0 & c1)
+    return packed
 
 
 def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     """Evaluate the DAG on one ternary input word, one digit per input node."""
     if x.width != len(dag.inputs):
-        raise InputError(
-            f"input width {x.width} does not match {len(dag.inputs)} input nodes")
-    packed = 0
-    for c0, c1 in _run(dag, *_word_rails(x, 1), 1):
-        packed = packed << 2 | c1 + (c0 & c1)
-    return TernaryWord(len(dag.outputs), packed)
+        raise InputError(f"input width {x.width} does not match {len(dag.inputs)} input nodes")
+    return TernaryWord(len(dag.outputs), eval_packed(dag, x.packed))
 
 
 def per_width(build):
@@ -324,7 +328,7 @@ def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:
         raise InputError(f"input width {m + rest.width} does not match "
                          f"{len(dag.inputs)} input nodes")
     full = (1 << 3 ** m) - 1
-    lanes, (z, o) = digit_lanes(m), _word_rails(rest, full)
+    lanes, (z, o) = digit_lanes(m), _word_rails(rest.packed, rest.width, full)
     return _run(dag, [a for a, _ in lanes] + z, [b for _, b in lanes] + o, full)
 
 

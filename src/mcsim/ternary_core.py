@@ -310,20 +310,26 @@ class CubeSet:
         return ", ".join(str(c) for c in self.cubes) if self.cubes else "(empty)"
 
 
-def _canonical(width: int, cubes: Iterable[TernaryWord], exact: int) -> CubeSet:
-    """The cubes no other one contains, sorted. Cubes compare only when
-    their first `exact` digits are equal, so those digits are literal
-    values, not wildcards: an M there matches only an M."""
+def _canonical(width: int, cubes: Iterable[int], exact: int) -> tuple[int, ...]:
+    """The packed cubes no other one contains, ascending. Cubes compare only when their
+    first `exact` digits are equal, so those are literal values: an M there matches only an M."""
     if not 0 <= exact <= width:
         raise InputError(f"bad subword range [0:{exact}] for width {width}")
-    shift = 2 * (width - exact)
-    kept: dict[int, list[TernaryWord]] = {}
+    if len(cubes := set(cubes)) < 2:
+        return tuple(cubes)
+    shift, meta = 2 * (width - exact), _meta_mask(width)
+    kept: dict[int, list[int]] = {}
     # more M digits first, so every container is kept before what it absorbs
-    for c in sorted(set(cubes), key=lambda c: (-c.meta_count(), c.packed)):
-        group = kept.setdefault(c.packed >> shift, [])
-        if all((k.packed ^ c.packed) & ~_cover(k) for k in group):
+    for c in sorted(cubes, key=lambda c: (-(c & meta).bit_count(), c)):
+        group = kept.setdefault(c >> shift, [])
+        if all((k ^ c) & ~(k & meta | (k & meta) >> 1) for k in group):
             group.append(c)
-    return CubeSet(width, tuple(sorted(itertools.chain(*kept.values()), key=_PACKED)))
+    return tuple(sorted(itertools.chain(*kept.values())))
+
+
+def _cubes(width: int, packed: Iterable[int]) -> CubeSet:
+    """The CubeSet of ascending, distinct packed cubes of one width."""
+    return CubeSet(width, tuple(TernaryWord(width, p) for p in packed))
 
 
 def cubeset_canonicalize(cs: CubeSet) -> CubeSet:
@@ -331,16 +337,7 @@ def cubeset_canonicalize(cs: CubeSet) -> CubeSet:
 
     Idempotent and independent of the input order (the result is sorted).
     """
-    return _canonical(cs.width, cs.cubes, 0)
-
-
-def _norm_table(table: str | Sequence[int], arity: int) -> str:
-    if not isinstance(table, str):
-        table = "".join(str(int(b)) for b in table)
-    if len(table) != 1 << arity or any(c not in "01" for c in table):
-        raise InputError(
-            f"truth table {table!r} does not match arity {arity}")
-    return table
+    return _cubes(cs.width, _canonical(cs.width, map(_PACKED, cs.cubes), 0))
 
 
 def kleene_extend(table: str | Sequence[int], x: TernaryWord) -> Ternary:
@@ -350,7 +347,10 @@ def kleene_extend(table: str | Sequence[int], x: TernaryWord) -> Ternary:
     and M otherwise. The table lists outputs for inputs in ascending binary
     order, MSB first.
     """
-    table = _norm_table(table, x.width)
+    if not isinstance(table, str):
+        table = "".join(str(int(b)) for b in table)
+    if len(table) != 1 << x.width or any(c not in "01" for c in table):
+        raise InputError(f"truth table {table!r} does not match arity {x.width}")
     seen = {table[int(str(y) or "0", 2)] for y in res_full(x, x.width)}
     return META if len(seen) > 1 else Ternary(int(seen.pop()))
 

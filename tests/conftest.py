@@ -647,13 +647,16 @@ def scalar_prime_implicants(table):
     return tuple(sorted(prime))
 
 
-def recursive_metastable_witness(c, r, iota, iota2, max_states):
-    """metastable_witness with its search recursing once per round."""
+def recursive_metastable_witness(c, r, iota, iota2, max_states, scalar=False):
+    """metastable_witness with its search recursing once per round; with
+    scalar, its reach, reads and evaluation are the scalar references too."""
     from mcsim.analysis import pivotal_sequence
     from mcsim.executor import (
         ExecutionTrace, TraceRound, _Budget, outputs, read_outcomes)
     from mcsim.netlist import eval_dag
     from mcsim.ternary_core import words_compatible
+    if scalar:
+        outputs, read_outcomes, eval_dag = scalar_outputs, scalar_read_outcomes, scalar_eval_dag
     a, b = outputs(c, iota, r, max_states), outputs(c, iota2, r, max_states)
     if any(words_compatible(u, v) for u in a for v in b):
         return None
@@ -733,6 +736,46 @@ def scalar_read_outcomes(c, s):
     return [(TernaryWord.from_digits(rv for rv, _ in combo),
              TernaryWord.from_digits(nv for _, nv in combo[:c.m]))
             for combo in itertools.product(*per)]
+
+
+def scalar_frontiers(c, iota, r, max_states):
+    """frontiers as a plain walk over the scalar references: round by round,
+    each distinct cube of a frontier expanded once (one unit, then one per
+    read outcome), until a frontier repeats."""
+    from mcsim.ternary_core import BudgetError
+    if len(iota) != c.m:
+        raise InputError(f"input width {len(iota)}, circuit has {c.m} inputs")
+    width, left, memo = c.m + c.k + c.n, [max_states], {}
+
+    def spend(units):
+        if left[0] is not None:
+            left[0] -= units
+            if left[0] < 0:
+                raise BudgetError("state budget exceeded; raise the max-states cap")
+    walk = [CubeSet.of(width, [iota.concat(c.init_word())])]
+    for _ in range(r):
+        nxt = []
+        for cube in walk[-1]:
+            if cube not in memo:
+                spend(1)
+                outcomes = scalar_read_outcomes(c, cube)
+                spend(len(outcomes))
+                memo[cube] = [n.concat(scalar_eval_dag(c.dag, read)) for read, n in outcomes]
+            nxt += memo[cube]
+        frontier = scalar_canonicalize_state_cubes(c.m, width, nxt)
+        if frontier in walk:
+            return walk, walk.index(frontier)
+        walk.append(frontier)
+    return walk, None
+
+
+def scalar_outputs(c, iota, r, max_states):
+    """outputs off scalar_frontiers: round r's output digits, canonical."""
+    walk, loop = scalar_frontiers(c, iota, r, max_states)
+    frontier = walk[r] if r < len(walk) else walk[loop + (r - loop) % (len(walk) - loop)]
+    width = c.m + c.k + c.n
+    return scalar_cubeset_canonicalize(
+        CubeSet.of(c.n, [cube.subword(width - c.n, width) for cube in frontier]))
 
 
 def scalar_run_trace(c, iota, r):

@@ -170,6 +170,16 @@ class TestSim:
         assert err == ("error: 100000000 rounds exceed the state budget of 1000; "
                        "raise the max-states cap\n")
 
+    @pytest.mark.parametrize("command", ["sim", "check", "synth", "witness"])
+    @pytest.mark.parametrize("cap", ["-1", "-1000000000000"])
+    def test_a_negative_state_cap_is_an_input_error(self, capsys, workspace, command, cap):
+        net = workspace("buf.net", BUF_NET)
+        spec = workspace("and.spec", AND_CLOSURE_SPEC)
+        argv = {"sim": ["sim", net, "M", "5"], "check": ["check", net, spec, "2"],
+                "synth": ["synth", spec], "witness": ["witness", net, "0", "1", "2"]}[command]
+        rc, out, err = run(capsys, argv + ["--max-states", cap])
+        assert (rc, out, err) == (2, "", f"error: --max-states must be at least 0, not {cap}\n")
+
     @pytest.mark.parametrize("rounds,cap", [("64", "100000"), ("64", "64"), ("0", "0")])
     def test_round_counts_up_to_the_state_cap_still_run(self, capsys, workspace,
                                                        rounds, cap):
@@ -214,8 +224,8 @@ class TestSim:
                 calls[name] += 1
                 return fn(*args)
             monkeypatch.setattr(executor, name, wrapper)
-        # the sim walk and the trace reach eval_dag through executor's name
-        counted("eval_dag")
+        # the sim walk and the trace reach eval_packed through executor's name
+        counted("eval_packed")
         counted("_successor_cubes")
         work = {}
         for rounds in (short, 1000):
@@ -225,7 +235,7 @@ class TestSim:
             assert rc == 0
             work[rounds] = dict(calls)
         assert work[short] == work[1000]
-        assert work[short]["eval_dag"] > work[short]["_successor_cubes"] > 0
+        assert work[short]["eval_packed"] > work[short]["_successor_cubes"] > 0
 
 
 class TestOutOfMemory:

@@ -127,7 +127,7 @@ def invocations(draw):
     command = draw(st.sampled_from(("sim", "sim-trace", "witness", "check", "unroll")))
     # unroll takes simple registers only
     text, m, n = draw(netlists(("simple",) if command == "unroll" else TYPES))
-    budget = draw(st.none() | st.integers(0, 40) | st.integers(0, 3000))
+    budget = draw(st.none() | st.integers(-3, 40) | st.integers(0, 3000))
     files = {"c.net": text}
     if command.startswith("sim"):
         rounds = st.integers(-1, 8) | st.integers(-1, 10_000)
@@ -176,6 +176,8 @@ def ends_in_an_exit_code(files, argv):
     assert "Traceback" not in err
     if code in (2, 3):
         assert err.startswith(("error: ", "usage: ")), err
+    if "--max-states" in argv and int(budget := argv[argv.index("--max-states") + 1]) < 0:
+        assert (code, err) == (2, f"error: --max-states must be at least 0, not {budget}\n")
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,7 +232,7 @@ def one_round_invocations(draw):
     elif command == "synth":
         files["f.spec"] = draw(spec_tables(draw(st.integers(0, 3)), draw(st.integers(0, 2))))
         argv = ["synth", "@f.spec"]
-        budget = draw(st.none() | st.integers(0, 40))
+        budget = draw(st.none() | st.integers(-3, 40))
         if budget is not None:
             argv += ["--max-states", str(budget)]
     elif command == "check":

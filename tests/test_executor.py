@@ -11,12 +11,16 @@ import pytest
 from conftest import (
     all_words,
     assert_lane_spec_agrees,
+    circuit_corpus,
     flatten_states,
     lane_implements,
     last_useful_round,
     reach_implements,
+    recursive_metastable_witness,
     scalar_canonicalize_state_cubes,
     scalar_cubeset_canonicalize,
+    scalar_frontiers,
+    scalar_outputs,
     scalar_rails,
     scalar_read_outcomes,
     scalar_run_trace,
@@ -34,6 +38,7 @@ from mcsim.analysis import (
     closure_general,
     find_natural_subfunction,
     general_spec,
+    metastable_witness,
     natural_spec,
 )
 from mcsim.components import (build_cmux_clocked, build_counter, build_mux, build_selector,
@@ -45,6 +50,7 @@ from mcsim.executor import (
     _Budget,
     _read_outcomes,
     canonicalize_state_cubes,
+    check_round_budget,
     emit_trace,
     frontiers,
     implements,
@@ -240,9 +246,9 @@ class TestReadOutcomes:
         s = word("M" * 8 + "0")
         assert len(read_outcomes(c, s)) == 256
         # a search's budget pays one unit per outcome, before they are built
-        assert len(_read_outcomes(c, s, _Budget(256))) == 256
+        assert len(_read_outcomes(c, s.packed, _Budget(256))) == 256
         with pytest.raises(BudgetError, match="^state budget exceeded"):
-            _read_outcomes(c, s, _Budget(255))
+            _read_outcomes(c, s.packed, _Budget(255))
 
 
 class TestSuccessors:
@@ -746,7 +752,8 @@ class TestScheduleCheck:
 
     def test_budget_edge(self, corpus_simple, corpus_mixed):
         # B - 1 walks (and may run out where the walk does), B and None run
-        # the lanes wherever the schedule guard holds: the same verdict or text
+        # the lanes wherever the schedules' passes cost no more than three
+        # rounds of the walk: the same verdict or text
         rng = random.Random(15)
         seen = Counter()
         for c in corpus_simple + corpus_mixed[:60]:
@@ -757,17 +764,19 @@ class TestScheduleCheck:
                     assert got == outcome(reach_implements, c, r, f, max_states), \
                         (c.name, r, max_states)
                     lanes = self.lanes_taken(c, r, f, max_states)
-                    assert lanes == (max_states != bound - 1 and (r + 1) ** q <= 3 ** c.m and (
+                    cheap = not q or (r + 1) ** q * r <= 3 * (1 + 2 ** q) * 3 ** c.m
+                    assert lanes == (max_states != bound - 1 and cheap and (
                         r == 1 or all(reg.rtype is RegType.SIMPLE for reg in c.local_regs)))
                     seen[max_states == bound - 1, lanes, isinstance(got, str)] += 1
         assert seen[True, False, True] > 50 and seen[False, True, False] > 200, seen
 
-    def test_more_schedules_than_inputs_take_the_walk(self):
-        # the fan-out buffer has one mask-0 input: 3 inputs, r + 1 schedules
+    def test_schedules_costlier_than_three_walk_rounds_take_the_walk(self):
+        # the fan-out buffer has one mask-0 input: r + 1 schedules of r passes
+        # against 3 rounds of 3 units on 3 inputs, so the lanes run to r = 4
         from mcsim.components import build_fanout_buffer, masking_fanout_spec
         for r in range(1, 7):
             c, f = build_fanout_buffer(r), masking_fanout_spec(r)
-            assert self.lanes_taken(c, r, f) == (r <= 2)
+            assert self.lanes_taken(c, r, f) == (r <= 4)
             assert self.walk_fails(c, r, f) == 0
             assert implements(c, r, f) == reach_implements(c, r, f) == Verdict(True)
 
@@ -1101,3 +1110,76 @@ class TestScalarReferences:
         assert trace_check(c, t)
         assert time.perf_counter() - start < 1
         assert t.rounds[1].state == word("M" * 24 + "0")
+
+
+# every kind of budget: none left, a few units, a few expansions, and none set
+BUDGETS = (0, 1, 2, 5, 17, 60, 200, None)
+
+
+@pytest.fixture(scope="module")
+def corpus_nine():
+    """40 random circuits of up to 9 registers, every register type."""
+    return circuit_corpus(seed=909, count=40, max_regs=9)
+
+
+def scalar_witness(c, r, a, b, max_states):
+    check_round_budget(r, max_states)
+    return recursive_metastable_witness(c, r, a, b, max_states, scalar=True)
+
+
+class TestPackedKernel:
+    """The executor steps packed words; its results against the scalar
+    references in conftest, which step TernaryWords digit by digit: equal
+    results at every budget, or equal BudgetError texts."""
+
+    CORPORA = ["corpus_mixed", "corpus_masked_locals", "corpus_nine"]
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_frontiers_outputs_and_traces(self, corpus, request):
+        rng = random.Random(f"kernel/{corpus}")
+        seen = Counter()
+        for c in request.getfixturevalue(corpus):
+            for iota in rng.sample(all_words(c.m), min(3, 3 ** c.m)):
+                r = rng.randint(1, 8)
+                for budget in BUDGETS:
+                    got = outcome(frontiers, c, iota, r, budget)
+                    assert got == outcome(scalar_frontiers, c, iota, r, budget), \
+                        (c.name, iota, r, budget)
+                    assert outcome(outputs, c, iota, r, budget) \
+                        == outcome(scalar_outputs, c, iota, r, budget), (c.name, iota, r, budget)
+                    seen[isinstance(got, str)] += 1
+                assert run_trace(c, iota, r) == scalar_run_trace(c, iota, r), (c.name, iota, r)
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_reads_and_canonical_forms_of_every_reached_cube(self, corpus, request):
+        rng = random.Random(f"cubes/{corpus}")
+        dropped = Counter()
+        for c in request.getfixturevalue(corpus):
+            width = c.m + c.k + c.n
+            distinct, _ = frontiers(c, rng.choice(all_words(c.m)), 6, None)
+            for frontier in distinct:
+                raw = []
+                for cube in frontier:
+                    assert read_outcomes(c, cube) == scalar_read_outcomes(c, cube), (c.name, cube)
+                    raw += [nxt.concat(eval_dag(c.dag, read))
+                            for read, nxt in scalar_read_outcomes(c, cube)]
+                got = canonicalize_state_cubes(c.m, width, raw)
+                assert got == scalar_canonicalize_state_cubes(c.m, width, raw), (c.name, raw)
+                tails = CubeSet.of(c.n, [w.subword(width - c.n, width) for w in raw])
+                assert cubeset_canonicalize(tails) == scalar_cubeset_canonicalize(tails)
+                dropped[len(set(raw)) > len(got)] += 1
+        assert min(dropped.values()) > 10, dropped
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_witnesses(self, corpus, request):
+        rng = random.Random(f"witness/{corpus}")
+        seen = Counter()
+        for c in request.getfixturevalue(corpus):
+            a, b = rng.sample(stable_words(c.m), 2) if c.m > 1 else stable_words(1)
+            r = rng.randint(1, 6)
+            for budget in BUDGETS:
+                got = outcome(metastable_witness, c, r, a, b, budget)
+                assert got == outcome(scalar_witness, c, r, a, b, budget), (c.name, r, budget)
+                seen["error" if isinstance(got, str) else got is None] += 1
+        assert min(seen.values()) > 10 and len(seen) == 3, seen
