@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -118,14 +118,18 @@ class Dag:
 
     @_derived
     def _plan(self):
-        """Index-based evaluation plan, compiled once (not a field, so equality
+        """Plan of the gates some output reads, compiled once (not a field, so equality
         and hash ignore it); raises validate's first finding unless make_circuit checked it."""
         if "_checked" not in vars(self):
             if len(set(self.inputs)) != len(self.inputs):
                 raise InputError("duplicate input node name")
             for problem in _dag_findings(self):
                 raise InputError(problem)
-        return _compile(self)
+        read = {src for _, src in self.outputs}
+        for g in reversed(self.gates):
+            read.update(g.args if g.gid in read else ())
+        gates = tuple(g for g in self.gates if g.gid in read)
+        return _compile(self if len(gates) == len(self.gates) else replace(self, gates=gates))
 
     def __getstate__(self):
         # the plan holds closures, which do not pickle; it is rebuilt on use
@@ -204,6 +208,13 @@ def _table(bits: str):
     """The rule of a TABLE gate with these (checked) bits: the output can be
     b wherever some row with output b can be read, the Kleene extension."""
     arity = len(bits).bit_length() - 1
+    if arity == 2:  # z0, z1 (o0, o1): the second input's rails to a 0 (1) row, first input 0, 1
+        z0, z1, o0, o1 = [(bits[p] == b) | (bits[p + 1] == b) << 1 for b in "01" for p in (0, 2)]
+
+        def table2_rule(z, o, a, full):
+            y = (0, z[a[1]], o[a[1]], z[a[1]] | o[a[1]])
+            return z[a[0]] & y[z0] | o[a[0]] & y[z1], z[a[0]] & y[o0] | o[a[0]] & y[o1]
+        return table2_rule
     rows = [(int(bit), [row >> j & 1 for j in reversed(range(arity))])
             for row, bit in enumerate(bits)]
 
@@ -234,13 +245,26 @@ GATE_KINDS = {
     "TABLE": (0, None, None),
 }
 
+# (kind, fan-in) -> a rule written out for it, which _compile takes over the generic one
+FITTED_RULES = {
+    ("AND", 2): lambda z, o, a, full: (z[a[0]] | z[a[1]], o[a[0]] & o[a[1]]),
+    ("OR", 2): lambda z, o, a, full: (z[a[0]] & z[a[1]], o[a[0]] | o[a[1]]),
+    ("NAND", 2): lambda z, o, a, full: (o[a[0]] & o[a[1]], z[a[0]] | z[a[1]]),
+    ("NOR", 2): lambda z, o, a, full: (o[a[0]] | o[a[1]], z[a[0]] & z[a[1]]),
+    ("AND", 3): lambda z, o, a, full: (z[a[0]] | z[a[1]] | z[a[2]], o[a[0]] & o[a[1]] & o[a[2]]),
+    ("OR", 3): lambda z, o, a, full: (z[a[0]] & z[a[1]] & z[a[2]], o[a[0]] | o[a[1]] | o[a[2]]),
+    ("NAND", 3): lambda z, o, a, full: (o[a[0]] & o[a[1]] & o[a[2]], z[a[0]] | z[a[1]] | z[a[2]]),
+    ("NOR", 3): lambda z, o, a, full: (o[a[0]] | o[a[1]] | o[a[2]], z[a[0]] & z[a[1]] & z[a[2]]),
+}
+
 
 def _compile(dag: Dag):
-    """The plan of a DAG with no findings: per gate its rail rule and argument
-    indices (inputs first, then gates in order), and each output's index."""
+    """The plan of a DAG with no findings: per gate its rail rule (fitted to its fan-in
+    if one is) and argument indices (inputs first, then gates in order), and each output's index."""
     index, ops = {name: i for i, name in enumerate(dag.inputs)}, []
     for i, g in enumerate(dag.gates, len(dag.inputs)):
-        ops.append((GATE_KINDS[g.kind][2] or _table(g.table),
+        ops.append((FITTED_RULES.get((g.kind, len(g.args)))
+                    or GATE_KINDS[g.kind][2] or _table(g.table),
                     tuple(map(index.__getitem__, g.args))))
         index[g.gid] = i
     return ops, tuple(index[src] for _, src in dag.outputs)
@@ -342,6 +366,8 @@ def lane_word(rails: list[tuple[int, int]], lane: int) -> TernaryWord:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+# the members by their text, for parse_netlist: a dict read costs less than an Enum call
+_ROLES, _RTYPES = ({e.value: e for e in enum} for enum in (Role, RegType))
 
 
 def validate(c: Circuit) -> list[str]:
@@ -478,7 +504,7 @@ def parse_netlist(text: str) -> Circuit:
                     lineno, f"expected: {kw} <reg> <type> init <0|1|M>")
             if tok[4] not in CHAR_TO_DIGIT:
                 raise ParseError(lineno, f"bad init value {tok[4]!r}")
-            regs.append(RegisterDecl(tok[1], Role(kw), _rtype(lineno, tok[2]),
+            regs.append(RegisterDecl(tok[1], _ROLES[kw], _rtype(lineno, tok[2]),
                                      CHAR_TO_DIGIT[tok[4]]))
             reg_lines[tok[1]] = lineno
         elif kw == "gate":
@@ -516,10 +542,9 @@ def parse_netlist(text: str) -> Circuit:
 
 
 def _rtype(lineno: int, token: str) -> RegType:
-    try:
-        return RegType(token)
-    except ValueError:
-        raise ParseError(lineno, f"bad register type {token!r}") from None
+    if token not in _RTYPES:
+        raise ParseError(lineno, f"bad register type {token!r}")
+    return _RTYPES[token]
 
 
 def emit_netlist(c: Circuit) -> str:

@@ -83,12 +83,12 @@ def test_a_leftover_helper_is_caught():
     assert orphaned_privates(sources) == ["a._GONE", "a._walk"]
 
 
-PLAN_NAMES = {"_plan", "GATE_KINDS"}
+PLAN_NAMES = {"_plan", "GATE_KINDS", "FITTED_RULES"}
 
 
 def touches_the_plan(text: str) -> bool:
     """Whether a module reads or writes a DAG's evaluation plan `_plan` (as
-    an attribute or a vars() key) or names the gate table GATE_KINDS."""
+    an attribute or a vars() key) or names a rule table, GATE_KINDS or FITTED_RULES."""
     for node in ast.walk(ast.parse(text)):
         name = node.id if isinstance(node, ast.Name) else \
             node.attr if isinstance(node, ast.Attribute) else \
@@ -107,6 +107,7 @@ def test_only_netlist_checks_dags_and_compiles_plans():
 @pytest.mark.parametrize("text, touches", [
     ("from .netlist import GATE_KINDS\n", True),
     ("from . import netlist\nrule = netlist.GATE_KINDS['AND'][2]\n", True),
+    ("from .netlist import FITTED_RULES as rules\n", True),
     ("def f(dag):\n    return dag._plan\n", True),
     ("def f(dag, plan):\n    vars(dag)['_plan'] = plan\n", True),
     ("def f(dag):\n    '''Builds no _plan.'''\n    return planned_dag(dag)\n", False),

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -310,6 +311,119 @@ class TestDualRail:
                     assert eval_gate(kind, table, list(vals)) is want, (kind, vals)
 
 
+def read_cone(dag: Dag) -> Dag:
+    """The DAG with only the gates some output reads, found by a walk down
+    from each output: the reference for the plan's reverse pass."""
+    by_id, seen = {g.gid: g for g in dag.gates}, set()
+    todo = [src for _, src in dag.outputs]
+    while todo:
+        ref = todo.pop()
+        if ref in by_id and ref not in seen:
+            seen.add(ref)
+            todo.extend(by_id[ref].args)
+    return Dag(dag.inputs, tuple(g for g in dag.gates if g.gid in seen), dag.outputs)
+
+
+class TestReadGates:
+    """The plan keeps only the gates some output reads, and fits rules to
+    fan-in; netlists, validation and gate counts still see every gate."""
+
+    @staticmethod
+    def dag_with_unread_gates(rng: random.Random, width: int) -> Dag:
+        """Random gates, outputs on some of them or straight on an input node,
+        and, interleaved, gates nothing reads: a chain, a TABLE and a CONST
+        gate, and a gate that reads only those."""
+        inputs = tuple(f"i{j}" for j in range(width))
+        gates, avail = random_gates(rng, list(inputs), rng.randint(1, 8))
+        outs = [(f"o{j}", rng.choice(avail)) for j in range(rng.randint(0, 3))]
+        if width:
+            outs.append(("o_in", rng.choice(inputs)))
+        unread, prev = [], rng.choice(avail)
+        for j in range(rng.randint(1, 4)):
+            unread.append(Gate(f"u_chain{j}", rng.choice(["NOT", "BUF"]), (prev,)))
+            prev = unread[-1].gid
+        unread.append(Gate("u_table", "TABLE", (rng.choice(avail), rng.choice(avail)),
+                           "".join(rng.choice("01") for _ in range(4))))
+        unread.append(Gate("u_const", rng.choice(["CONST0", "CONST1"]), ()))
+        unread.append(Gate("u_top", rng.choice(["AND", "OR", "NAND", "NOR"]),
+                           ("u_table", "u_const", prev)))
+        merged = gates + unread
+        rng.shuffle(merged)
+        return dag_toposort(Dag(inputs, tuple(merged), tuple(outs)))
+
+    def test_unread_gates_change_no_word_or_lane(self):
+        rng = random.Random(240)
+        for width in range(6):
+            for _ in range(10):
+                dag = self.dag_with_unread_gates(rng, width)
+                cone = read_cone(dag)
+                assert len(dag._plan[0]) == len(cone.gates) < len(dag.gates) - 3
+                for x in all_words(width):
+                    assert eval_dag(dag, x) == scalar_eval_dag(dag, x), (dag, x)
+                for m in range(width + 1):
+                    rest = rng.choice(all_words(width - m))
+                    got = list(lane_words(eval_lanes(dag, m, rest), 3 ** m))
+                    assert got == [scalar_eval_dag(dag, x.concat(rest))
+                                   for x in all_words(m)], (dag, m, rest)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3),
+                                     (7, 2), (7, 3)])
+    def test_clock_sync_pipelines_match_the_scalar_oracle(self, n, k):
+        from mcsim.components import build_pipeline
+        dag, width = build_pipeline(n, k, (n - 1) // 3).dag, (1 << k) - 1
+        rng = random.Random(f"pipeline/{n}/{k}")
+        for _ in range(12):
+            readings = []
+            for _ in range(n):
+                v = rng.randint(0, width)
+                meta = v < width and rng.random() < 0.3
+                readings.append("1" * v + "M" * meta + "0" * (width - v - meta))
+            x = word("".join(readings))
+            assert eval_dag(dag, x) == scalar_eval_dag(dag, x), readings
+            # the first two digits on lanes, every other one as read
+            got = list(lane_words(eval_lanes(dag, 2, x.subword(2, x.width)), 9))
+            assert got == [scalar_eval_dag(dag, y.concat(x.subword(2, x.width)))
+                           for y in all_words(2)], readings
+
+    def test_plan_sizes(self):
+        from mcsim.analysis import closure_bool, synthesize, unroll
+        from mcsim.components import build_pipeline
+        c = build_pipeline(7, 3, 2)
+        assert (len(c.dag.gates), len(c.dag._plan[0])) == (530, 435)
+        assert len(read_cone(c.dag).gates) == 435
+        assert emit_netlist(c).count("\ngate ") == 530
+        # a synthesized circuit reads every gate it has, planned or checked
+        rng = random.Random(241)
+        for m in range(5):
+            s = synthesize(closure_bool({x: TernaryWord.from_digits(
+                rng.choice((ZERO, ONE)) for _ in range(2)) for x in stable_words(m)}))
+            assert len(s.dag._plan[0]) == len(s.dag.gates) == len(read_cone(s.dag).gates)
+            fresh = Dag(s.dag.inputs, s.dag.gates, s.dag.outputs)
+            assert len(fresh._plan[0]) == len(s.dag.gates)
+        # an unrolled circuit's sink BUFs stay in its netlist, not in its plan
+        u = unroll(parse_netlist(FEEDBACK_TEXT.replace("mask0", "simple")
+                                 .replace("mask1", "simple")), 4)
+        sinks = [g for g in u.dag.gates if "__sink__" in g.gid]
+        assert len(sinks) == 3 and all(str(g) in emit_netlist(u) for g in sinks)
+        assert not {g.gid for g in sinks} & {g.gid for g in read_cone(u.dag).gates}
+        assert len(u.dag._plan[0]) == len(read_cone(u.dag).gates) <= len(u.dag.gates) - 3
+
+    def test_a_bad_unread_gate_is_still_reported(self):
+        regs = (RegisterDecl("a", Role.INPUT, RegType.SIMPLE),
+                RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO))
+        for bad, needle in ((Gate("u", "AND", ("a",)), "at least 2 inputs"),
+                            (Gate("u", "FROB", ("a",)), "unknown kind"),
+                            (Gate("u", "TABLE", ("a",), "0"), "TABLE bits"),
+                            (Gate("u", "NOT", ("zz",)), "before it is defined")):
+            dag = Dag(("a",), (Gate("g", "NOT", ("a",)), bad), (("o", "g"),))
+            [problem] = validate(Circuit("c", regs, dag))
+            assert needle in problem
+            with pytest.raises(InputError, match=re.escape(problem)):
+                eval_dag(dag, word("0"))
+            with pytest.raises(InputError, match=re.escape(problem)):
+                make_circuit("c", regs, dag.gates, {"o": "g"})
+
+
 class TestValidate:
     def test_worked_example_is_clean(self, feedback_circuit):
         assert validate(feedback_circuit) == []
@@ -568,7 +682,10 @@ class TestMakeCircuit:
         assert list(map(id, checked)) == [id(c.dag) for c in circuits] and compiled == []
         for c in circuits:
             eval_dag(c.dag, TernaryWord(len(c.dag.inputs), 0))
-        assert len(checked) == 40 and list(map(id, compiled)) == list(map(id, checked))
+        # each is compiled itself, or as the DAG of the gates its outputs read
+        assert len(checked) == len(compiled) == 40
+        for d, c in zip(compiled, circuits):
+            assert d is c.dag if d.gates == c.dag.gates else d == read_cone(c.dag)
         # a hand-built copy is checked on use
         fresh = Dag(c.dag.inputs, c.dag.gates, c.dag.outputs)
         zeros = TernaryWord(len(fresh.inputs), 0)
