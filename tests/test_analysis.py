@@ -717,9 +717,10 @@ class TestHandedOver:
     @staticmethod
     def assert_plan_handed_over(c):
         d = c.dag
-        ops, out = vars(d)["_plan"]
-        want_ops, want_out = Dag(d.inputs, d.gates, d.outputs)._plan
+        ops, out, left, chunks = vars(d)["_plan"]
+        want_ops, want_out, want_left, _ = Dag(d.inputs, d.gates, d.outputs)._plan
         assert out == want_out and len(ops) == len(want_ops)
+        assert (left, chunks) == (want_left, None)   # not yet run, so not compiled
         for (rule, args), (want_rule, want_args) in zip(ops, want_ops):
             assert rule is want_rule and args == want_args
 

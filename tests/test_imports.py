@@ -3,6 +3,7 @@ private module-level name is used somewhere in the package, so a helper
 whose last caller is gone does not linger as a dead import or definition."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -83,12 +84,13 @@ def test_a_leftover_helper_is_caught():
     assert orphaned_privates(sources) == ["a._GONE", "a._walk"]
 
 
-PLAN_NAMES = {"_plan", "GATE_KINDS", "FITTED_RULES"}
+PLAN_NAMES = {"_plan", "GATE_KINDS", "_rule", "_chunks"}
 
 
 def touches_the_plan(text: str) -> bool:
-    """Whether a module reads or writes a DAG's evaluation plan `_plan` (as
-    an attribute or a vars() key) or names a rule table, GATE_KINDS or FITTED_RULES."""
+    """Whether a module reads or writes a DAG's evaluation plan `_plan` (as an
+    attribute or a vars() key), or names the template table GATE_KINDS, the
+    rules built from it (_rule) or the chunk compiler (_chunks)."""
     for node in ast.walk(ast.parse(text)):
         name = node.id if isinstance(node, ast.Name) else \
             node.attr if isinstance(node, ast.Attribute) else \
@@ -107,13 +109,65 @@ def test_only_netlist_checks_dags_and_compiles_plans():
 @pytest.mark.parametrize("text, touches", [
     ("from .netlist import GATE_KINDS\n", True),
     ("from . import netlist\nrule = netlist.GATE_KINDS['AND'][2]\n", True),
-    ("from .netlist import FITTED_RULES as rules\n", True),
+    ("from .netlist import _rule as rule\n", True),
+    ("from . import netlist\nrun = netlist._chunks(ops, 3)\n", True),
     ("def f(dag):\n    return dag._plan\n", True),
     ("def f(dag, plan):\n    vars(dag)['_plan'] = plan\n", True),
     ("def f(dag):\n    '''Builds no _plan.'''\n    return planned_dag(dag)\n", False),
 ])
 def test_a_plan_built_elsewhere_is_caught(text, touches):
     assert touches_the_plan(text) is touches
+
+
+def runs_source(text: str) -> bool:
+    """Whether a module calls exec, eval or compile by name (re.compile is
+    an attribute call and does not count)."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id in {"exec", "eval", "compile"}
+               for node in ast.walk(ast.parse(text)))
+
+
+def test_only_netlist_runs_generated_source():
+    assert [p.stem for p in sorted(SRC.glob("*.py"))
+            if p.stem != "netlist" and runs_source(p.read_text())] == []
+
+
+@pytest.mark.parametrize("text, runs", [
+    ("exec(src, ns)\n", True),
+    ("f = eval('lambda: 0')\n", True),
+    ("code = compile(src, '<x>', 'exec')\n", True),
+    ("import re\nNAME = re.compile('[a-z]+')\n", False),
+    ("def f():\n    '''Never calls exec.'''\n", False),
+])
+def test_a_source_runner_elsewhere_is_caught(text, runs):
+    assert runs_source(text) is runs
+
+
+def test_compiled_source_names_no_netlist_text(monkeypatch):
+    # valid gate ids and input names that would mean something in Python
+    # source: none reaches the compiled chunks, which name only their locals
+    from conftest import all_words, scalar_eval_dag
+    import mcsim.netlist as nl
+    from mcsim.netlist import Dag, Gate, eval_dag, eval_lanes
+    from mcsim.ternary_core import TernaryWord
+    sources = []
+    monkeypatch.setattr(nl, "compile", lambda src, *rest: (sources.append(src),
+                                                           compile(src, *rest))[1], raising=False)
+    monkeypatch.setattr(nl, "_COMPILE_AFTER", 1)
+    inputs = ("exit", "os.system", "z", "full", "o7")
+    gates = (Gate("__import__", "AND", ("exit", "os.system", "z")),
+             Gate("_x.y", "TABLE", ("__import__", "full", "o7"), "01101001"),
+             Gate("k3", "XOR", ("_x.y", "exit")), Gate("z0", "CONST1", ()),
+             Gate("print", "NOR", ("k3", "z0", "os.system")))
+    dag = Dag(inputs, gates, (("eval", "print"), ("y", "_x.y"), ("k", "z0"), ("i", "full")))
+    for x in all_words(5):
+        assert eval_dag(dag, x) == scalar_eval_dag(dag, x)
+    rails = eval_lanes(dag, 5, TernaryWord(0, 0))
+    assert len(sources) == 1 and len(rails) == 4
+    for name in ("exit", "os.system", "__import__", "_x.y", "print", "eval"):
+        assert name not in sources[0]
+    names = {node.id for node in ast.walk(ast.parse(sources[0])) if isinstance(node, ast.Name)}
+    assert names and all(re.fullmatch(r"z|o|full|[zok]\d+", n) for n in names), names
 
 
 def uses_cached_property(text: str) -> bool:

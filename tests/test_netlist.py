@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -422,6 +423,192 @@ class TestReadGates:
                 eval_dag(dag, word("0"))
             with pytest.raises(InputError, match=re.escape(problem)):
                 make_circuit("c", regs, dag.gates, {"o": "g"})
+
+
+def every_kind_gate(rng: random.Random, gid: str, avail: list[str]) -> Gate:
+    """A random gate of any kind at any fan-in from 0 to 6 the kind allows
+    (TABLE 0-4), reading nodes from avail (a CONST gate when avail is empty)."""
+    kind = rng.choice(sorted(GATE_KINDS))
+    lo, hi, _ = GATE_KINDS[kind]
+    arity = rng.randint(lo, 4 if kind == "TABLE" else 6 if hi is None else hi)
+    if arity and not avail:
+        kind, arity = rng.choice(["CONST0", "CONST1", "TABLE"]), 0
+    table = "".join(rng.choice("01") for _ in range(1 << arity)) if kind == "TABLE" else None
+    return Gate(gid, kind, tuple(rng.choice(avail) for _ in range(arity)), table)
+
+
+def fresh(dag: Dag) -> Dag:
+    """An equal DAG with no plan yet, so its plan counts down from the start."""
+    return Dag(dag.inputs, dag.gates, dag.outputs)
+
+
+class TestCompiledPlans:
+    """After _COMPILE_AFTER runs a plan runs as compiled chunks of at most
+    _CHUNK ops; every word and lane still equals the scalar oracle."""
+
+    @staticmethod
+    def random_dag(rng: random.Random) -> Dag:
+        """Gates of every kind and fan-in, some unread, and outputs on a few
+        gates and straight on an input node."""
+        inputs = tuple(f"i{j}" for j in range(rng.randint(0, 4)))
+        gates = []
+        for j in range(rng.randint(1, 24)):
+            gates.append(every_kind_gate(rng, f"g{j}", list(inputs) + [g.gid for g in gates]))
+        outs = [(f"o{j}", rng.choice(gates).gid) for j in range(rng.randint(1, 3))]
+        return Dag(inputs, tuple(gates), tuple(outs + [("o_in", i) for i in inputs[:1]]))
+
+    @staticmethod
+    def assert_oracle(dag: Dag, rng: random.Random, want: dict, lanes: bool):
+        width = len(dag.inputs)
+        if lanes:
+            m = rng.randint(0, width)
+            rest = rng.choice(all_words(width - m))
+            got = list(lane_words(eval_lanes(dag, m, rest), 3 ** m))
+            assert got == [want[x.concat(rest)] for x in all_words(m)], (dag, m, rest)
+        else:
+            x = rng.choice(all_words(width))
+            assert eval_dag(dag, x) == want[x], (dag, x)
+
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_random_dags_around_the_trigger(self, monkeypatch, past):
+        import mcsim.netlist as nl
+        monkeypatch.setattr(nl, "_COMPILE_AFTER", 5)
+        rng, kinds = random.Random(f"trigger/{past}"), set()
+        for _ in range(60):
+            dag = self.random_dag(rng)
+            kinds |= {(g.kind, len(g.args)) for g in dag.gates}
+            want = {x: scalar_eval_dag(dag, x) for x in all_words(len(dag.inputs))}
+            for lanes in (False, True):
+                d = fresh(dag)
+                for _ in range(5 + past):
+                    self.assert_oracle(d, rng, want, lanes)
+                assert d._plan[2] == max(-past, 0) and (d._plan[3] is None) == (past <= 0)
+                for _ in range(3):   # and after the trigger, compiled
+                    self.assert_oracle(d, rng, want, lanes)
+                assert d._plan[3] is not None
+        assert kinds == {(kind, arity) for kind, (lo, hi, _) in GATE_KINDS.items()
+                         for arity in range(lo, (4 if kind == "TABLE" else 6 if hi is None else hi) + 1)}
+
+    def test_the_trigger_is_the_module_count(self):
+        import mcsim.netlist as nl
+        from mcsim.components import build_pipeline
+        dag, rng = fresh(build_pipeline(4, 2, 1).dag), random.Random(252)
+        xs = [TernaryWord.from_digits(rng.choice(ALL_DIGITS) for _ in range(12))
+              for _ in range(8)]
+        want = [scalar_eval_dag(dag, x) for x in xs]
+        for t in range(nl._COMPILE_AFTER + 2):
+            assert eval_dag(dag, xs[t % 8]) == want[t % 8]
+            assert (dag._plan[3] is None) == (t < nl._COMPILE_AFTER), t
+
+    @pytest.mark.parametrize("ops", [63, 64, 65, 128, 129])
+    def test_chunk_boundaries(self, monkeypatch, ops):
+        import mcsim.netlist as nl
+        monkeypatch.setattr(nl, "_COMPILE_AFTER", 1)
+        rng, inputs = random.Random(f"chunks/{ops}"), ("a", "b", "c", "d")
+        gates = []
+        for j in range(ops):
+            # every fifth gate reads only inputs; the others also read gates up
+            # to 65 back, so chunks read rails from each of the chunks before
+            back = [gates[j - d].gid for d in (1, 2, 63, 64, 65) if j >= d]
+            gates.append(every_kind_gate(rng, f"g{j}", list(inputs) + back * (j % 5 > 0)))
+        # every gate is read, so the plan keeps all of them
+        dag = Dag(inputs, tuple(gates), tuple((f"o{j}", g.gid) for j, g in enumerate(gates)))
+        want = [scalar_eval_dag(dag, x) for x in all_words(4)]
+        assert [eval_dag(dag, x) for x in all_words(4)] == want
+        assert len(dag._plan[0]) == ops and len(dag._plan[3]) == -(-ops // 64)
+        assert list(lane_words(eval_lanes(dag, 4, TernaryWord(0, 0)), 81)) == want
+        for m in range(4):
+            rest = word("M10M").subword(m, 4)
+            assert list(lane_words(eval_lanes(dag, m, rest), 3 ** m)) == \
+                [want[all_words(4).index(x.concat(rest))] for x in all_words(m)]
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3),
+                                     (7, 2), (7, 3)])
+    def test_clock_sync_pipelines_before_and_after_compiling(self, monkeypatch, n, k):
+        import mcsim.netlist as nl
+        from mcsim.components import build_pipeline
+        monkeypatch.setattr(nl, "_COMPILE_AFTER", 6)
+        dag, width = fresh(build_pipeline(n, k, (n - 1) // 3).dag), (1 << k) - 1
+        rng = random.Random(f"compiled pipeline/{n}/{k}")
+        for t in range(12):
+            readings = []
+            for _ in range(n):
+                v = rng.randint(0, width)
+                meta = v < width and rng.random() < 0.3
+                readings.append("1" * v + "M" * meta + "0" * (width - v - meta))
+            x = word("".join(readings))
+            assert eval_dag(dag, x) == scalar_eval_dag(dag, x), readings
+            assert (dag._plan[3] is None) == (t < 6)
+        got = list(lane_words(eval_lanes(dag, 2, x.subword(2, x.width)), 9))
+        assert got == [scalar_eval_dag(dag, y.concat(x.subword(2, x.width)))
+                       for y in all_words(2)], readings
+        assert len(dag._plan[3]) == -(-len(dag._plan[0]) // 64)
+
+    def test_wide_gates_run_at_any_fan_in(self, monkeypatch):
+        # a chain of thousands of & or | terms would overflow CPython's compiler;
+        # the oracle is the same gate on its distinct inputs (Kleene AND is idempotent)
+        import mcsim.netlist as nl
+        monkeypatch.setattr(nl, "_COMPILE_AFTER", 1)
+        rng, inputs = random.Random(255), ("a", "b", "c", "d")
+        for kind in ("AND", "OR", "NAND", "NOR"):
+            args = tuple(rng.choice(inputs) for _ in range(5000))
+            dag = Dag(inputs, (Gate("g", kind, args), Gate("h", "XOR", ("g", "a"))),
+                      (("o", "g"), ("p", "h")))
+            narrow = Dag(inputs, (Gate("g", kind, tuple(sorted(set(args)))),) + dag.gates[1:],
+                         dag.outputs)
+            want = [scalar_eval_dag(narrow, x) for x in all_words(4)]
+            assert [eval_dag(dag, x) for x in all_words(4)] == want
+            assert list(lane_words(eval_lanes(dag, 4, TernaryWord(0, 0)), 81)) == want
+            assert dag._plan[3] is not None
+
+    def test_a_compiled_dag_pickles_and_counts_down_again(self, monkeypatch):
+        import pickle
+        import mcsim.netlist as nl
+        monkeypatch.setattr(nl, "_COMPILE_AFTER", 2)
+        dag = self.random_dag(random.Random(253))
+        words = all_words(len(dag.inputs))
+        for x in words[:3]:
+            eval_dag(dag, x)
+        assert dag._plan[3] is not None and dag == fresh(dag) and hash(dag) == hash(fresh(dag))
+        back = pickle.loads(pickle.dumps(dag))
+        assert back == dag and hash(back) == hash(dag) and "_plan" not in vars(back)
+        for t, x in enumerate(words[:4]):
+            assert eval_dag(back, x) == eval_dag(dag, x) == scalar_eval_dag(dag, x)
+            assert back._plan[2] == max(1 - t, 0) and (back._plan[3] is None) == (t < 2)
+
+    def test_lane_checks_run_compiled(self, monkeypatch, corpus_mixed):
+        # the lane passes of implements run compiled plans, the walk in
+        # reach_implements never-compiled ones: whole Verdicts agree
+        import mcsim.netlist as nl
+        from conftest import reach_implements, tightened
+        from mcsim.analysis import general_spec
+        from mcsim.components import build_fanout_buffer, masking_fanout_spec
+        from mcsim.executor import _schedule_fails, implements, outputs
+
+        def planned(c: Circuit, after: int) -> Circuit:
+            monkeypatch.setattr(nl, "_COMPILE_AFTER", after)
+            copy = Circuit(c.name, c.registers, fresh(c.dag))
+            copy.dag._plan
+            return copy
+        rng, cases = random.Random(254), []
+        for c in corpus_mixed:
+            walked = planned(c, 10 ** 9)
+            for r in (1, 2, 3):
+                exact = general_spec(c.m, c.n, {x: outputs(walked, x, r, None)
+                                                for x in all_words(c.m)})
+                cases += [(walked, r, exact), (walked, r, tightened(rng, exact))]
+        for r in range(1, 5):
+            cases.append((planned(build_fanout_buffer(r), 10 ** 9), r, masking_fanout_spec(r)))
+        seen = Counter()
+        for walked, r, f in cases:
+            c = planned(walked, 1)
+            got = implements(c, r, f)
+            assert got == reach_implements(walked, r, f), (c.name, r)
+            lanes = _schedule_fails(c, r, f, 10 ** 6) is not None
+            seen[lanes, got.ok, c.dag._plan[3] is not None] += 1
+            assert walked.dag._plan[3] is None
+        print(seen)
+        assert seen[True, True, True] > 50 and seen[True, False, True] > 50, seen
 
 
 class TestValidate:
