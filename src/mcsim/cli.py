@@ -236,9 +236,7 @@ def cmd_pipeline(args):
     n = len(readings)
     low, high = components.clock_sync_select(n, args.faults, readings)
     if args.emit == "netlist":
-        width = len(readings[0])
-        k = (width + 1).bit_length() - 1
-        c = components.build_pipeline(n, k, args.faults)
+        c = components.build_pipeline(n, components.pipeline_bits(len(readings[0])), args.faults)
         return 0, emit_netlist(c).rstrip("\n")
     return 0, "\n".join(["command: pipeline",
                          f"nodes: {n}",

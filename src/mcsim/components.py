@@ -11,11 +11,11 @@ words out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .analysis import FunctionSpec, closure_bool, general_spec, synthesize
-from .netlist import (Circuit, Gate, RegisterDecl, RegType, Role, eval_dag, make_circuit,
-                      splice_dag)
+from .netlist import (Circuit, Gate, RegisterDecl, RegType, Role, eval_packed, make_circuit,
+                      per_width, splice_dag)
 from .ternary_core import (
     META,
     ONE,
@@ -377,9 +377,15 @@ class TdcReading:
     word: TernaryWord
 
     def __post_init__(self):
-        text = str(self.word)
-        if text.lstrip("1").removeprefix("M").strip("0"):
-            raise InputError(f"not a TDC reading: {text}")
+        if self.word.packed not in _tdc_words(self.word.width):
+            raise InputError(f"not a TDC reading: {self.word}")
+
+
+@per_width
+def _tdc_words(width: int) -> frozenset[int]:
+    """The packed TDC readings of a width: 1^v 0^(w-v), and 1^v M 0^(w-v-1)."""
+    ones = [(4 ** v - 1) // 3 << 2 * (width - v) for v in range(width + 1)]
+    return frozenset(ones + [o | 2 << 2 * (width - v - 1) for v, o in enumerate(ones[:-1])])
 
 
 def tdc_readings(n: int, v: int, meta: bool = False) -> TdcReading:
@@ -434,6 +440,13 @@ def build_pipeline(n: int, k: int, f: int) -> Circuit:
     return make_circuit(f"clock_sync_{n}x{k}_f{f}", regs, gates, drives)
 
 
+def pipeline_bits(width: int) -> int:
+    """The k of build_pipeline for readings of a width, which must be 2^k - 1."""
+    if not width or width & width + 1:
+        raise InputError("reading width must be one less than a power of two")
+    return width.bit_length()
+
+
 def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWord]:
     """Fault-tolerant pick of the (n-f)-th and (f+1)-th largest readings.
 
@@ -449,10 +462,9 @@ def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWor
     width = len(words[0])
     if any(len(w) != width for w in words):
         raise InputError("readings must share one width")
-    k = max(width + 1, 2).bit_length() - 1
-    if (1 << k) - 1 != width:
-        raise InputError("reading width must be one less than a power of two")
+    k, x = pipeline_bits(width), 0
     for w in words:
         TdcReading(w)
-    out = eval_dag(build_pipeline(n, k, f).dag, reduce(TernaryWord.concat, words))
-    return out.subword(0, width), out.subword(width, 2 * width)
+        x = x << 2 * width | w.packed
+    out = eval_packed(build_pipeline(n, k, f).dag, x)
+    return TernaryWord(width, out >> 2 * width), TernaryWord(width, out & (1 << 2 * width) - 1)

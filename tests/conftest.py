@@ -183,6 +183,36 @@ def scalar_eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
     return TernaryWord.from_digits(vals[src] for _, src in dag.outputs)
 
 
+def text_tdc_error(w: TernaryWord) -> str | None:
+    """The TDC rule read off the word's text (ones, at most one M, zeros):
+    the error a refused word raises, or None for a TDC reading."""
+    text = str(w)
+    return f"not a TDC reading: {text}" if text.lstrip("1").removeprefix("M").strip("0") else None
+
+
+def concat_clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWord]:
+    """clock_sync_select on whole words: the same checks in the same order, the
+    text TDC rule, the readings joined by concat, scalar_eval_dag on the
+    pipeline, and the two selected words cut out with subword."""
+    from mcsim import components
+    words = [r.word if isinstance(r, components.TdcReading) else r for r in readings]
+    if len(words) != n:
+        raise InputError(f"expected {n} readings, got {len(words)}")
+    components._check_faults(n, f)
+    width = len(words[0])
+    if any(len(w) != width for w in words):
+        raise InputError("readings must share one width")
+    k = max(width + 1, 2).bit_length() - 1
+    if (1 << k) - 1 != width:
+        raise InputError("reading width must be one less than a power of two")
+    for w in words:
+        if error := text_tdc_error(w):
+            raise InputError(error)
+    out = scalar_eval_dag(components.build_pipeline(n, k, f).dag,
+                          functools.reduce(TernaryWord.concat, words))
+    return out.subword(0, width), out.subword(width, 2 * width)
+
+
 # Per-digit word predicates: the references for the whole-int versions.
 def scalar_res_contains(cube: TernaryWord, w: TernaryWord) -> bool:
     if cube.width != w.width:

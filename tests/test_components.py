@@ -4,11 +4,13 @@ sorting networks, and the clock-sync datapath."""
 import functools
 import itertools
 import random
+from collections import Counter
 from operator import and_
 
 import pytest
 
-from conftest import scalar_build_selector, scalar_cmux_spec, scalar_mux_spec
+from conftest import (concat_clock_sync_select, scalar_build_selector, scalar_cmux_spec,
+                      scalar_mux_spec, text_tdc_error)
 from mcsim.components import (
     SortingNetwork,
     TdcReading,
@@ -27,11 +29,12 @@ from mcsim.components import (
     cmux_spec,
     masking_fanout_spec,
     mux_spec,
+    pipeline_bits,
     tdc_readings,
 )
 from mcsim.analysis import FunctionSpec, closure_bool
 from mcsim.executor import implements, outputs, reach
-from mcsim.netlist import digit_lanes, eval_dag, parse_netlist, emit_netlist, validate
+from mcsim.netlist import Dag, digit_lanes, eval_dag, parse_netlist, emit_netlist, validate
 from mcsim.ternary_core import (
     META,
     CubeSet,
@@ -520,6 +523,20 @@ class TestTdcReadings:
         for ok in ("1M0", "110", "000", "111", "M00", "11M"):
             TdcReading(word(ok))
 
+    def test_packed_rule_matches_the_text_rule_on_every_word(self):
+        refused = Counter()
+        for width in range(8):
+            for w in all_ternary(width):
+                if error := text_tdc_error(w):
+                    with pytest.raises(InputError) as e:
+                        TdcReading(w)
+                    assert str(e.value) == error
+                    refused[width] += 1
+                else:
+                    assert TdcReading(w).word is w
+        # every word but the 2w+1 readings of its width is refused
+        assert [refused[w] for w in range(8)] == [3 ** w - 2 * w - 1 for w in range(8)]
+
     def test_readings_have_precision_one(self):
         code = tc(7)
         for v in range(7):
@@ -600,6 +617,115 @@ class TestClockSyncSelect:
         for text in ("011", "0M1"):
             with pytest.raises(InputError, match=f"^not a TDC reading: {text}$"):
                 clock_sync_select(4, 1, [word(text)] * 4)
+
+
+    def test_width_errors_come_before_tdc_errors(self):
+        mixed = [word("MMM"), word("0M1")] + [tdc_readings(1, 1)] * 2
+        with pytest.raises(InputError, match="^readings must share one width$"):
+            clock_sync_select(4, 1, mixed)
+        with pytest.raises(InputError, match="^reading width must be"):
+            clock_sync_select(4, 1, [word("0M")] * 4)
+        with pytest.raises(InputError, match="^expected 4 readings, got 3$"):
+            clock_sync_select(4, 1, [word("0M1")] * 3)
+
+    def test_pipeline_bits_take_widths_one_below_a_power_of_two(self):
+        for width in range(70):
+            k = max(width + 1, 2).bit_length() - 1
+            if (1 << k) - 1 == width:
+                assert pipeline_bits(width) == k
+            else:
+                with pytest.raises(InputError, match="one less than a power of two"):
+                    pipeline_bits(width)
+
+
+# pipeline-select's (n, k) mix, plus one-bit readings
+SELECT_MIX = [(4, 2), (5, 3), (6, 2), (7, 3), (4, 3), (7, 2), (5, 2), (6, 3),
+              (4, 1), (5, 1), (6, 1), (7, 1)]
+
+
+def seeded_readings(rng: random.Random, n: int, width: int) -> list:
+    """n TDC readings, about 30% with a boundary M, each a TdcReading or a bare word."""
+    out = []
+    for _ in range(n):
+        v = rng.randint(0, width)
+        r = tdc_readings(width, v, meta=v < width and rng.random() < 0.3)
+        out.append(r if rng.random() < 0.5 else r.word)
+    return out
+
+
+def select_outcome(select, n, f, readings):
+    """The (low, high) pair a select returns, or the type and text of its InputError."""
+    try:
+        return select(n, f, readings)
+    except InputError as e:
+        return type(e), str(e)
+
+
+class TestPackedSelect:
+    """clock_sync_select joins, evaluates and splits packed ints; every result
+    and refusal equals the whole-word path in conftest."""
+
+    @pytest.mark.parametrize("n,k", SELECT_MIX)
+    def test_matches_the_concat_path_before_and_after_compiling(self, monkeypatch, n, k):
+        import mcsim.components as comp
+        import mcsim.netlist as nl
+        monkeypatch.setattr(nl, "_COMPILE_AFTER", 6)
+        f, width = (n - 1) // 3, (1 << k) - 1
+        c = build_pipeline(n, k, f)
+        # an equal DAG with no plan yet, so it counts down from the lowered trigger
+        dag = Dag(c.dag.inputs, c.dag.gates, c.dag.outputs)
+        fresh = c.around(dag)
+        monkeypatch.setattr(comp, "build_pipeline",
+                            lambda *a: fresh if a == (n, k, f) else build_pipeline(*a))
+        rng = random.Random(f"packed select/{n}/{k}")
+        for t in range(12):
+            readings = seeded_readings(rng, n, width)
+            assert clock_sync_select(n, f, readings) == concat_clock_sync_select(n, f, readings)
+            assert (dag._plan[3] is None) == (t < 6), t
+
+    def test_refusals_match_the_concat_path(self):
+        rng, seen = random.Random("packed select refusals"), set()
+        for n, k in SELECT_MIX:
+            f, width = (n - 1) // 3, (1 << k) - 1
+            # one bit has no word that is not a reading
+            refused = [w for w in all_ternary(width) if text_tdc_error(w)] or [None]
+            for _ in range(4):
+                bad = seeded_readings(rng, n, width)
+                if r := rng.choice(refused):
+                    bad[rng.randrange(n)] = r
+                other = rng.choice([w for w in (1, 3, 7) if w != width])
+                mixed = list(bad)
+                mixed[rng.randrange(n)] = tdc_readings(other, rng.randint(0, other))
+                odd = rng.choice([0, 2, 4, 5, 6])
+                cases = [(n, f, bad)] * bool(r) + [
+                    (n, f, mixed), (n, f, bad[:-1]), (n, f, bad + bad[:1]),
+                    (n, (n + 2) // 3, bad), (n, -1, bad),
+                    (n, f, [rng.choice(list(all_ternary(odd)))] * n)]
+                for case in cases:
+                    got = select_outcome(clock_sync_select, *case)
+                    assert got == select_outcome(concat_clock_sync_select, *case), case
+                    assert got[0] is InputError, case
+                    seen.add(got[1].split()[0])
+        assert set(seen) == {"not", "readings", "expected", "need", "fault", "reading"}, seen
+
+    def test_passing_call_builds_two_words_and_formats_none(self, monkeypatch):
+        rng = random.Random("packed select cost")
+        items = [(n, (n - 1) // 3, seeded_readings(rng, n, (1 << k) - 1)) for n, k in SELECT_MIX]
+        want = [clock_sync_select(*item) for item in items]   # builds and plans each pipeline
+        made, init = Counter(), TernaryWord.__init__
+
+        def counted(self, *args):
+            made["words"] += 1
+            init(self, *args)
+
+        def no_text(self):
+            raise AssertionError("a word formatted as text")
+        monkeypatch.setattr(TernaryWord, "__init__", counted)
+        monkeypatch.setattr(TernaryWord, "__str__", no_text)
+        for (n, f, readings), w in zip(items, want):
+            made.clear()
+            assert clock_sync_select(n, f, readings) == w, (n, f)
+            assert made["words"] == 2, (n, f, made)
 
 
 class TestPipelineCircuit:
