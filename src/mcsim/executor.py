@@ -17,8 +17,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .netlist import (Circuit, RegType, _run, digit_lanes, eval_packed, lane_word,
-                      register_transitions)
+from .netlist import (Circuit, RegType, _run, _word_rails, digit_lanes, eval_packed,
+                      lane_word, register_transitions)
 from .ternary_core import (
     DEFAULT_MAX_STATES,
     META,
@@ -312,7 +312,7 @@ def _schedule_fails(c: Circuit, r: int, f, max_states: Optional[int]) -> Optiona
                 sum(t ** q for t in range(1, min(r, max_states + 1) + 1)) if q else r) > max_states:
         return None
     full, inputs, p = (1 << lanes) - 1, digit_lanes(c.m), c.init_word().packed >> 2 * c.n
-    init = tuple(((full, 0), (0, full), (full, full))[p >> 2 * j & 3] for j in reversed(range(k)))
+    init = tuple(zip(*_word_rails(p, k, full)))
     branching = []
     for i, rtype in held:  # its rails reading before, at (M) and after it resolves, on M lanes
         (z, o), arcs = (inputs + init)[i], register_transitions(rtype, META)
@@ -360,7 +360,7 @@ def implements(c: Circuit, r: int, f,
         for cube in outputs(c, iota, r, max_states):
             if not allowed.contains_word(cube):
                 return Verdict(False, iota, cube)
-    return Verdict(True)
+    return _PASS
 
 
 # ---------------------------------------------------------------------------

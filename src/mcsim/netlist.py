@@ -197,60 +197,51 @@ class Circuit:
 # and M sets both, so every gate kind is a rule over these pairs, and the
 # same rules evaluate one word (one lane) or a whole domain (one lane each).
 
-def _table(bits: str):
-    """The rule of a TABLE gate with these (checked) bits: the output can be
-    b wherever some row with output b can be read, the Kleene extension."""
-    arity = len(bits).bit_length() - 1
-    if arity == 2:  # z0, z1 (o0, o1): the second input's rails to a 0 (1) row, first input 0, 1
-        z0, z1, o0, o1 = [(bits[p] == b) | (bits[p + 1] == b) << 1 for b in "01" for p in (0, 2)]
-
-        def table2_rule(z, o, a, full):
-            y = (0, z[a[1]], o[a[1]], z[a[1]] | o[a[1]])
-            return z[a[0]] & y[z0] | o[a[0]] & y[z1], z[a[0]] & y[o0] | o[a[0]] & y[o1]
-        return table2_rule
-    rows = [(int(bit), [row >> j & 1 for j in reversed(range(arity))])
-            for row, bit in enumerate(bits)]
-
-    def table_rule(z, o, args, full):
-        can = [0, 0]
-        for bit, picks in rows:
-            lanes = full
-            for i, pick in zip(args, picks):
-                lanes &= o[i] if pick else z[i]
-            can[bit] |= lanes
-        return can[0], can[1]
-    return table_rule
-
-
 def _fold(op: str, names: list[str]) -> str:
     """The names joined by op as a balanced tree: CPython cannot compile a chain of thousands."""
     half = len(names) // 2
     return f"({_fold(op, names[:half])}) {op} ({_fold(op, names[half:])})" if half else names[0]
 
 
+def _shannon(z: list[str], o: list[str], rows: str) -> tuple[str, str]:
+    """TABLE's template, by Shannon's expansion on the first input: can_b is
+    z0 & can_b(low half) | o0 & can_b(high half). Equal halves are one, since
+    z0 | o0 is full in every lane, so a half of only b rows reads full, and of none 0."""
+    if len(rows) == 1:
+        return ("full", "0") if rows == "0" else ("0", "full")
+    lo, hi = rows[:len(rows) // 2], rows[len(rows) // 2:]
+    if lo == hi:
+        return _shannon(z[1:], o[1:], lo)
+    return tuple(" | ".join(rail if can == "full" else f"{rail} & ({can})"
+                            for rail, can in ((z[0], low), (o[0], high)) if can != "0")
+                 for low, high in zip(_shannon(z[1:], o[1:], lo), _shannon(z[1:], o[1:], hi)))
+
+
 # kind -> (fewest inputs, most inputs or None, template: the output's (can0, can1) as text over
-# the arguments' rail names); OR is AND on swapped rails, swapped back; TABLE's rule is _table's
+# the arguments' rail names, given the TABLE bits); OR is AND on swapped rails, swapped back.
+# TABLE's text grows as 2^fan-in (a rule at 10 inputs builds in 25 ms, peaking at 6 MB): its cap.
 GATE_KINDS = {
-    "AND": (2, None, lambda z, o: (_fold("|", z), _fold("&", o))),
-    "OR": (2, None, lambda z, o: (_fold("&", z), _fold("|", o))),
-    "NAND": (2, None, lambda z, o: (_fold("&", o), _fold("|", z))),
-    "NOR": (2, None, lambda z, o: (_fold("|", o), _fold("&", z))),
-    "XOR": (2, 2, lambda z, o: (f"{z[0]} & {z[1]} | {o[0]} & {o[1]}",
-                                f"{o[0]} & {z[1]} | {z[0]} & {o[1]}")),
-    "NOT": (1, 1, lambda z, o: (o[0], z[0])),
-    "BUF": (1, 1, lambda z, o: (z[0], o[0])),
-    "CONST0": (0, 0, lambda z, o: ("full", "0")),
-    "CONST1": (0, 0, lambda z, o: ("0", "full")),
-    "TABLE": (0, None, None),
+    "AND": (2, None, lambda z, o, t: (_fold("|", z), _fold("&", o))),
+    "OR": (2, None, lambda z, o, t: (_fold("&", z), _fold("|", o))),
+    "NAND": (2, None, lambda z, o, t: (_fold("&", o), _fold("|", z))),
+    "NOR": (2, None, lambda z, o, t: (_fold("|", o), _fold("&", z))),
+    "XOR": (2, 2, lambda z, o, t: (f"{z[0]} & {z[1]} | {o[0]} & {o[1]}",
+                                   f"{o[0]} & {z[1]} | {z[0]} & {o[1]}")),
+    "NOT": (1, 1, lambda z, o, t: (o[0], z[0])),
+    "BUF": (1, 1, lambda z, o, t: (z[0], o[0])),
+    "CONST0": (0, 0, lambda z, o, t: ("full", "0")),
+    "CONST1": (0, 0, lambda z, o, t: ("0", "full")),
+    "TABLE": (0, 10, _shannon),
 }
 
 
-@functools.cache
-def _rule(kind: str, arity: int):
-    """A kind's rule at one fan-in, written once per process from its template, which it carries."""
+@functools.lru_cache(maxsize=512)
+def _rule(kind: str, arity: int, table: str | None):
+    """A gate's rule, written from its kind's template at its fan-in (and TABLE bits) and
+    carrying that template for _chunks; the last 512 are kept, whatever the bits."""
     rule = eval("lambda z, o, a, full: (%s, %s)" % GATE_KINDS[kind][2](
-        *([f"{rail}[a[{i}]]" for i in range(arity)] for rail in "zo")))
-    rule.template = GATE_KINDS[kind][2]
+        *([f"{rail}[a[{i}]]" for i in range(arity)] for rail in "zo"), table))
+    rule.template = lambda z, o: GATE_KINDS[kind][2](z, o, table)
     return rule
 
 
@@ -262,32 +253,27 @@ _COMPILE_AFTER, _CHUNK = 240, 64
 
 
 def _compile(dag: Dag):
-    """The plan of a DAG with no findings: per gate its kind's rule at its fan-in and its
+    """The plan of a DAG with no findings: per gate its rule (see _rule) and its
     argument indices (inputs first, then gates in order), each output's index, the runs
     left before it is compiled, and its compiled chunks (None until then)."""
     index = {name: i for i, name in enumerate((*dag.inputs, *(g.gid for g in dag.gates)))}
-    ops = [(_table(g.table) if g.kind == "TABLE" else _rule(g.kind, len(g.args)),
-            tuple(map(index.__getitem__, g.args))) for g in dag.gates]
+    ops = [(_rule(g.kind, len(g.args), g.table), tuple(map(index.__getitem__, g.args)))
+           for g in dag.gates]
     return [ops, tuple(index[src] for _, src in dag.outputs), _COMPILE_AFTER, None]
 
 
 def _chunks(plan: list, base: int) -> list:
     """The plan's ops, results at rail index base on, compiled and kept in it as functions of at
-    most _CHUNK ops. Each names only z, o, full and, per rail index i, locals z<i>, o<i> and a
-    TABLE rule k<i>: it loads what it reads from earlier, computes its ops, extends z and o."""
+    most _CHUNK ops. Each names only z, o, full and, per rail index i, locals z<i> and o<i>: it
+    loads what it reads from earlier, computes its ops from their templates, extends z and o."""
     ops, chunks, ns = plan[0], [], {}
     for start in range(base, base + len(ops), _CHUNK):
         part = list(enumerate(ops[start - base:start - base + _CHUNK], start))
         lines = [f"z{a}, o{a} = z[{a}], o[{a}]"
                  for a in sorted({a for _, (_, args) in part for a in args if a < start})]
-        for i, (rule, args) in part:
-            zs, os = [f"z{a}" for a in args], [f"o{a}" for a in args]
-            if hasattr(rule, "template"):
-                lines.append(f"z{i}, o{i} = %s, %s" % rule.template(zs, os))
-            else:
-                ns[f"k{i}"] = rule
-                lines.append(f"z{i}, o{i} = k{i}([{', '.join(zs)}], [{', '.join(os)}], "
-                             f"{tuple(range(len(args)))}, full)")
+        lines += [f"z{i}, o{i} = %s, %s" % rule.template([f"z{a}" for a in args],
+                                                         [f"o{a}" for a in args])
+                  for i, (rule, args) in part]
         lines += [f"{rail}.extend([{', '.join(f'{rail}{i}' for i, _ in part)}])" for rail in "zo"]
         exec(compile("def chunk(z, o, full):\n    " + "\n    ".join(lines), "<plan>", "exec"), ns)
         chunks.append(ns.pop("chunk"))
@@ -449,12 +435,13 @@ def _dag_findings(dag: Dag) -> Iterator[str]:
         (lo, hi, _), arity = GATE_KINDS.get(g.kind, (0, None, None)), len(g.args)
         if g.kind not in GATE_KINDS:
             yield f"gate {g.gid}: unknown kind {g.kind!r}"
-        elif g.kind == "TABLE":
-            if not g.table or len(g.table) != 1 << arity or set(g.table) - {"0", "1"}:
-                yield f"gate {g.gid}: TABLE bits must be 2^{arity} characters over 0/1"
         elif arity < lo or hi is not None and arity > hi:
-            yield (f"gate {g.gid}: {g.kind} takes {'at least' if hi is None else 'exactly'} "
-                   f"{lo} inputs, got {arity}")
+            bound = f"at least {lo}" if hi is None else f"exactly {lo}" if lo == hi else \
+                f"at most {hi}"
+            yield f"gate {g.gid}: {g.kind} takes {bound} inputs, got {arity}"
+        elif g.kind == "TABLE" and (
+                not g.table or len(g.table) != 1 << arity or set(g.table) - {"0", "1"}):
+            yield f"gate {g.gid}: TABLE bits must be 2^{arity} characters over 0/1"
         for a in g.args:
             if a not in defined:
                 yield _USED_EARLY.format(g.gid, a)

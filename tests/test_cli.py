@@ -466,6 +466,8 @@ class TestRefusedFiles:
         ("I", "1I", "bad register name '1I'"),
         ("input I simple", "input I simple\ninput I simple", "register I declared twice"),
         ("g BUF I\ndrive O g", "1g BUF I\ndrive O 1g", "bad gate id '1g'"),
+        ("gate g BUF I", "gate g TABLE:" + "01" * 1024 + " I" * 11,
+         "gate g: TABLE takes at most 10 inputs, got 11"),
     ])
     def test_netlists(self, capsys, workspace, old, new, message):
         text = BUF_NET.replace(old, new)

@@ -145,7 +145,8 @@ def test_a_source_runner_elsewhere_is_caught(text, runs):
 
 def test_compiled_source_names_no_netlist_text(monkeypatch):
     # valid gate ids and input names that would mean something in Python
-    # source: none reaches the compiled chunks, which name only their locals
+    # source: none reaches the compiled chunks, which name only their locals,
+    # TABLE gates included
     from conftest import all_words, scalar_eval_dag
     import mcsim.netlist as nl
     from mcsim.netlist import Dag, Gate, eval_dag, eval_lanes
@@ -167,7 +168,9 @@ def test_compiled_source_names_no_netlist_text(monkeypatch):
     for name in ("exit", "os.system", "__import__", "_x.y", "print", "eval"):
         assert name not in sources[0]
     names = {node.id for node in ast.walk(ast.parse(sources[0])) if isinstance(node, ast.Name)}
-    assert names and all(re.fullmatch(r"z|o|full|[zok]\d+", n) for n in names), names
+    assert names and all(re.fullmatch(r"z|o|full|[zo]\d+", n) for n in names), names
+    # and the namespace each chunk runs in holds no rule, nor anything else
+    assert [set(chunk.__globals__) for chunk in dag._plan[3]] == [{"__builtins__"}]
 
 
 def uses_cached_property(text: str) -> bool:

@@ -159,17 +159,78 @@ class TestDualRail:
                                        rf"packed as {packed:#x} is 3, not 0, 1, or 2 \(M\)$"):
                         TernaryWord(width, packed)
 
-    @pytest.mark.parametrize("arity", [1, 2, 3])
-    def test_table_rule_is_the_kleene_extension(self, arity):
-        inputs = tuple(f"i{j}" for j in range(arity))
-        for bits in itertools.product("01", repeat=1 << arity):
-            table = "".join(bits)
-            want = [kleene_extend(table, x) for x in all_words(arity)]
-            assert [eval_gate("TABLE", table, list(x.digits()))
-                    for x in all_words(arity)] == want, table
-            dag = Dag(inputs, (Gate("g", "TABLE", inputs, table),), (("o", "g"),))
-            got = lane_words(eval_lanes(dag, arity, TernaryWord(0, 0)), 3 ** arity)
-            assert [w.digit(0) for w in got] == want, table
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3, 4, 10])
+    def test_table_rule_is_the_kleene_extension(self, monkeypatch, arity):
+        # every table of fan-in 0-3, 64 seeded ones of fan-in 4 and 3 of fan-in 10
+        # (on seeded words and lanes), each interpreted and compiled from its template
+        import mcsim.netlist as nl
+        rng, inputs = random.Random(f"table/{arity}"), tuple(f"i{j}" for j in range(arity))
+        tables = ["".join(bits) for bits in itertools.product("01", repeat=1 << arity)] \
+            if arity < 4 else ["".join(rng.choice("01") for _ in range(1 << arity))
+                               for _ in range(64 if arity == 4 else 3)]
+        m = min(arity, 4)
+        rests = [TernaryWord(0, 0)] if m == arity else \
+            [TernaryWord.from_digits(rng.choice(ALL_DIGITS) for _ in range(arity - m))
+             for _ in range(3)]
+        words = all_words(arity) if m == arity else \
+            [TernaryWord.from_digits(rng.choice(ALL_DIGITS) for _ in range(arity))
+             for _ in range(40)]
+        for table in tables:
+            want = {x: kleene_extend(table, x) for x in words + [y.concat(rest) for rest in rests
+                                                                  for y in all_words(m)]}
+            for x, v in want.items():
+                assert scalar_eval_gate("TABLE", table, list(x.digits())) is v
+            for after in (10 ** 9, 0):   # interpreted, then compiled on the first run
+                monkeypatch.setattr(nl, "_COMPILE_AFTER", after)
+                dag = Dag(inputs, (Gate("g", "TABLE", inputs, table),), (("o", "g"),))
+                for rest in rests:
+                    got = lane_words(eval_lanes(dag, m, rest), 3 ** m)
+                    assert [w.digit(0) for w in got] == \
+                        [want[y.concat(rest)] for y in all_words(m)], (table, rest)
+                for x in words:
+                    assert eval_dag(dag, x).digit(0) is want[x], (table, x)
+                    assert eval_gate("TABLE", table, list(x.digits())) is want[x], (table, x)
+                assert (dag._plan[3] is None) == (after > 0)
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple", "random"])
+    def test_every_lane_reads_some_value(self, monkeypatch, corpus, request):
+        # z | o == full on every output, interpreted and compiled: a TABLE template
+        # leans on it to make z_i & x | o_i & x one x
+        import mcsim.netlist as nl
+        monkeypatch.setattr(nl, "_COMPILE_AFTER", 1)
+        if corpus != "random":
+            dags = [c.dag for c in request.getfixturevalue(corpus)]
+        else:
+            # every gate an output, so every signal is checked
+            rng = random.Random(78)
+            dags = [Dag(d.inputs, d.gates, tuple((g.gid + "_o", g.gid) for g in d.gates))
+                    for d in (TestCompiledPlans.random_dag(rng) for _ in range(40))]
+            assert sum(g.kind == "TABLE" for dag in dags for g in dag.gates) > 30
+        for dag in map(fresh, dags):
+            width = len(dag.inputs)
+            for m in {0, width // 2, width}:
+                full = (1 << 3 ** m) - 1
+                for rest in all_words(width - m)[:9]:
+                    for _ in range(2):
+                        assert all(z | o == full for z, o in eval_lanes(dag, m, rest)), dag
+            assert dag._plan[3] is not None
+
+    def test_table_fan_in_is_capped_at_ten(self):
+        regs = tuple(RegisterDecl(f"i{j}", Role.INPUT, RegType.SIMPLE) for j in range(11)) + \
+            (RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO),)
+        for arity, table in ((10, "0110" * 256), (11, "0110" * 512), (11, "01")):
+            inputs = tuple(r.name for r in regs[:arity])
+            c = Circuit("c", regs[:arity] + regs[-1:],
+                        Dag(inputs, (Gate("g", "TABLE", inputs, table),), (("o", "g"),)))
+            if arity == 10:
+                assert validate(c) == []
+                x = word("01M10MM001")
+                assert eval_dag(c.dag, x).digit(0) is kleene_extend(table, x)
+            else:
+                assert validate(c) == ["gate g: TABLE takes at most 10 inputs, got 11"]
+                with pytest.raises(InputError, match="^gate g: TABLE takes at most 10 inputs, "
+                                   "got 11$"):
+                    eval_dag(c.dag, word("0" * 11))
 
     @pytest.mark.parametrize("kind,arities", [
         ("AND", (2, 3, 4)), ("OR", (2, 3, 4)), ("NAND", (2, 3, 4)),
@@ -303,7 +364,7 @@ class TestDualRail:
             assert "_plan" not in vars(dag)
         # every shape the table allows passes validate and evaluates as the scalar chain
         for kind, (lo, hi, _) in GATE_KINDS.items():
-            for arity in range(lo, (lo + 3 if hi is None else hi + 1)):
+            for arity in range(lo, (lo + 3 if hi is None else min(hi, lo + 2) + 1)):
                 table = "0110100110010110"[:1 << arity] if kind == "TABLE" else None
                 g = Gate("g", kind, ("a",) * arity, table)
                 assert validate(Circuit("c", regs, one_gate(g))) == []
