@@ -88,11 +88,6 @@ class FunctionSpec:
     def is_natural_form(self) -> bool:
         return self.rails is not None or self.entries is not None
 
-    def entry(self, x: TernaryWord) -> TernaryWord:
-        if self.entries is None:
-            raise InputError("not a natural-form specification")
-        return self.entries[x]
-
     def value_cubeset(self, x: TernaryWord) -> CubeSet:
         if self.entries is not None:
             return CubeSet(self.n, (self.entries[x],))
@@ -649,6 +644,8 @@ def parse_spec_table(text: str) -> FunctionSpec:
                 raise ParseError(lineno, str(e)) from None
         else:
             entries[x] = word_at(lineno, rhs.replace("*", "M"))
+        if len(x) != m or not general and len(entries[x]) != n:
+            raise ParseError(lineno, "row width disagrees with header")
     if general:
         return general_spec(m, n, values)
     return natural_spec(m, n, entries)

@@ -52,10 +52,6 @@ def _write_text(path, text):
         raise InputError(f"cannot write {path}: {e.strerror or e}")
 
 
-def _cubes(cs):
-    return ", ".join(str(c) for c in cs)
-
-
 def _load_circuit(path):
     return parse_netlist(_read_text(path))
 
@@ -95,8 +91,8 @@ def cmd_sim(args):
              f"rounds: {args.rounds}",
              f"max states: {args.max_states}"]
     distinct, loop = executor.frontiers(c, iota, args.rounds, args.max_states)
-    states = [_cubes(s) for s in distinct]
-    outs = [_cubes(executor.output_cubes(c, s)) for s in distinct]
+    states = list(map(str, distinct))
+    outs = [str(executor.output_cubes(c, s)) for s in distinct]
     rounds = range(args.rounds + 1)
     lines += [f"states[{t}]: {executor.replayed(states, loop, t)}" for t in rounds]
     lines += [f"outputs[{t}]: {executor.replayed(outs, loop, t)}" for t in rounds[1:]]
@@ -241,7 +237,7 @@ def cmd_pipeline(args):
     return 0, "\n".join(["command: pipeline",
                          f"nodes: {n}",
                          f"faults: {args.faults}",
-                         f"readings: {_cubes(readings)}",
+                         f"readings: {', '.join(args.readings)}",
                          f"low: {low}",
                          f"high: {high}"])
 

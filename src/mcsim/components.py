@@ -295,7 +295,7 @@ class SortingNetwork:
                 used |= {lo, hi}
 
     def apply(self, values):
-        """Run the comparators on plain values; for oracles and reports."""
+        """Run the comparators on plain values; a correct schedule returns them sorted."""
         vals = list(values)
         if len(vals) != self.channels:
             raise InputError(f"expected {self.channels} values")

@@ -15,7 +15,7 @@ import functools
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .netlist import (Circuit, RegType, _run, _word_rails, digit_lanes, eval_packed,
                       lane_word, register_transitions)
@@ -103,27 +103,6 @@ def _read_outcomes(c: Circuit, s: int, budget: _Budget) -> list[tuple[int, int]]
     budget.spend(1 << len(branches))
     return [_outcome(c, base, picked)
             for picked in itertools.product(*(arcs for _, arcs in branches))]
-
-
-def canonicalize_state_cubes(m: int, width: int,
-                             cubes: Iterable[TernaryWord]) -> CubeSet:
-    """Canonical form for state-cube sets.
-
-    Cubes agree as sets only when their exact input digits agree, so
-    the first m digits are literal values in the subsumption rule.
-    """
-    cubes = list(cubes)
-    for w in cubes:
-        if len(w) != width:
-            raise InputError(f"state cube width {len(w)}, expected {width}")
-    return _cubes(width, _canonical(width, map(_PACKED, cubes), m))
-
-
-def state_cube_contains(m: int, cube: TernaryWord, s: TernaryWord) -> bool:
-    """Membership of a concrete state in one state cube: the cube absorbs it."""
-    if len(cube) != len(s):
-        raise InputError("state width mismatch")
-    return _canonical(len(s), (cube.packed, s.packed), m) == (cube.packed,)
 
 
 def _successor_cubes(c: Circuit, s: int, budget: _Budget) -> list[int]:

@@ -290,14 +290,6 @@ def planned_dag(inputs: tuple[str, ...], gates: tuple[Gate, ...],
     return dag
 
 
-def eval_gate(kind: str, table: str | None, vals: list[Ternary]) -> Ternary:
-    """One gate on ternary values, as eval_dag evaluates it: the DAG of that
-    gate alone, named g, reading one input node per value."""
-    names = tuple(map(str, range(len(vals))))
-    dag = Dag(names, (Gate("g", kind, names, table),), (("y", "g"),))
-    return eval_dag(dag, TernaryWord.from_digits(vals)).digit(0)
-
-
 def _run(dag: Dag, z: list[int], o: list[int], full: int) -> list[tuple[int, int]]:
     """Rails of every DAG output, given the rails of every input node."""
     ops, out_idx, left, chunks = plan = dag._plan
@@ -315,8 +307,12 @@ def _run(dag: Dag, z: list[int], o: list[int], full: int) -> list[tuple[int, int
 
 def _word_rails(p: int, width: int, full: int) -> tuple[list[int], list[int]]:
     """The can0 and can1 rails of each digit of the width-digit packed word p, full or 0."""
-    digits = [p >> s & 3 for s in range(2 * width - 2, -1, -2)]
-    return [full * (d != 1) for d in digits], [full * (d != 0) for d in digits]
+    z, o = [], []
+    for s in range(2 * width - 2, -1, -2):
+        d = p >> s & 3
+        z.append(0 if d == 1 else full)
+        o.append(0 if d == 0 else full)
+    return z, o
 
 
 def eval_packed(dag: Dag, x: int) -> int:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 # Expanding the resolutions of more than this many M bits fails loudly
 # instead of hanging; callers may lower or (carefully) raise it per call.
@@ -61,10 +61,6 @@ class Ternary(IntEnum):
     ZERO = 0
     ONE = 1
     META = 2
-
-    @property
-    def is_stable(self) -> bool:
-        return self is not Ternary.META
 
     def __str__(self) -> str:
         return "01M"[self]
@@ -313,8 +309,6 @@ class CubeSet:
 def _canonical(width: int, cubes: Iterable[int], exact: int) -> tuple[int, ...]:
     """The packed cubes no other one contains, ascending. Cubes compare only when their
     first `exact` digits are equal, so those are literal values: an M there matches only an M."""
-    if not 0 <= exact <= width:
-        raise InputError(f"bad subword range [0:{exact}] for width {width}")
     if len(cubes := set(cubes)) < 2:
         return tuple(cubes)
     shift, meta = 2 * (width - exact), _meta_mask(width)
@@ -340,15 +334,13 @@ def cubeset_canonicalize(cs: CubeSet) -> CubeSet:
     return _cubes(cs.width, _canonical(cs.width, map(_PACKED, cs.cubes), 0))
 
 
-def kleene_extend(table: str | Sequence[int], x: TernaryWord) -> Ternary:
+def kleene_extend(table: str, x: TernaryWord) -> Ternary:
     """Evaluate a Boolean truth table on a ternary word.
 
     Returns b when the table is constant b over all full resolutions of x,
-    and M otherwise. The table lists outputs for inputs in ascending binary
-    order, MSB first.
+    and M otherwise. The table is the text of the outputs, 0 or 1, for
+    inputs in ascending binary order, MSB first.
     """
-    if not isinstance(table, str):
-        table = "".join(str(int(b)) for b in table)
     if len(table) != 1 << x.width or any(c not in "01" for c in table):
         raise InputError(f"truth table {table!r} does not match arity {x.width}")
     seen = {table[int(str(y) or "0", 2)] for y in res_full(x, x.width)}

@@ -2,10 +2,12 @@
 
 import contextlib
 import functools
+import importlib.util
 import itertools
 import random
 import resource
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from mcsim.netlist import (
     RegType,
     Role,
     digit_lanes,
+    eval_dag,
     eval_lanes,
     make_circuit,
     parse_netlist,
@@ -51,6 +54,22 @@ drive O1 g_and
 @pytest.fixture(scope="session")
 def feedback_circuit() -> Circuit:
     return parse_netlist(FEEDBACK_TEXT)
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def traced():
+    """(layer, name) for each name the benchmark's tracer wraps, from its
+    REPORTED and ATTRIBUTED tables; the name build stands for every build_*
+    function of its layer."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for table in (tracer.REPORTED, tracer.ATTRIBUTED):
+        for layer, names in table.items():
+            for name in names:
+                yield layer, name
 
 
 @contextlib.contextmanager
@@ -173,6 +192,14 @@ def scalar_eval_gate(kind, table, vals):
     if kind == "TABLE":
         return kleene_extend(table, TernaryWord.from_digits(vals))
     raise InputError(f"unknown gate kind {kind!r}")
+
+
+def gate_value(kind, table, vals):
+    """One gate on ternary values through eval_dag: the DAG of that gate
+    alone, named g, reading one input node per value."""
+    names = tuple(map(str, range(len(vals))))
+    dag = Dag(names, (Gate("g", kind, names, table),), (("y", "g"),))
+    return eval_dag(dag, TernaryWord.from_digits(vals)).digit(0)
 
 
 def scalar_eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:

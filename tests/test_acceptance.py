@@ -14,8 +14,10 @@ from conftest import (
     bool_tables,
     detector_spec,
     flatten_states,
+    gate_value,
     mm_example_spec,
     resolver_spec,
+    scalar_state_cube_contains,
     simple_copy,
     stable_words,
 )
@@ -47,7 +49,6 @@ from mcsim.executor import (
     parse_trace,
     reach,
     read_outcomes,
-    state_cube_contains,
     successors,
     trace_check,
 )
@@ -57,7 +58,6 @@ from mcsim.netlist import (
     RegType,
     Role,
     eval_dag,
-    eval_gate,
     eval_lanes,
     make_circuit,
     parse_netlist,
@@ -119,8 +119,8 @@ def test_criterion_01_kleene_tables():
         kind = "AND" if table is AND_TABLE else "OR"
         for (da, db), out in frozen.items():
             x = TernaryWord.from_digits([D[da], D[db]])
-            assert f.entry(x) == word(out)
-            assert eval_gate(kind, None, [D[da], D[db]]) is D[out]
+            assert f.entries[x] == word(out)
+            assert gate_value(kind, None, [D[da], D[db]]) is D[out]
 
 
 def test_criterion_02_worked_example_replay():
@@ -132,7 +132,7 @@ def test_criterion_02_worked_example_replay():
     iota = word("MM")
     for r, row in enumerate(t.rounds):
         cubes = reach(c, iota, r)
-        assert any(state_cube_contains(c.m, cube, row.state)
+        assert any(scalar_state_cube_contains(c.m, cube, row.state)
                    for cube in cubes)
 
 
@@ -260,7 +260,7 @@ def test_criterion_07_closure_synthesis():
             h = closure_bool(table)
             c = synthesize(h)
             for x in all_words(m):
-                assert eval_dag(c.dag, x) == h.entry(x)
+                assert eval_dag(c.dag, x) == h.entries[x]
             for x, row in table.items():
                 assert eval_dag(c.dag, x) == row
             if m <= 2:
@@ -277,7 +277,7 @@ def test_criterion_07_closure_synthesis():
                 c = synthesize(h)
                 assert eval_lanes(c.dag, m, TernaryWord(0, 0)) == list(h.rails)
                 for x, row in table.items():
-                    assert h.entry(x) == row
+                    assert h.entries[x] == row
                 if m <= 2 or rng.random() < 0.008:
                     assert implements(c, 1, h).ok
 

@@ -122,7 +122,7 @@ def closure_oracle(f):
 
 def res_m_specific(h):
     """Specificity over partial resolutions, not only the stable ones."""
-    return all(res_contains(h.entry(x), h.entry(y))
+    return all(res_contains(h.entries[x], h.entries[y])
                for x in all_words(h.m)
                for y in res_members(x))
 
@@ -223,10 +223,6 @@ class TestFunctionSpec:
         assert f.value_cubeset(word("1M")) == CubeSet.of(1, [word("M")])
         assert f.value_cubeset(word("11")) == CubeSet.of(1, [word("1")])
 
-    def test_entry_requires_natural_form(self):
-        with pytest.raises(InputError):
-            resolver_spec().entry(word("M"))
-
     def test_missing_input_rejected(self):
         entries = {x: word("0") for x in all_words(1) if x != word("M")}
         with pytest.raises(InputError, match="misses"):
@@ -263,22 +259,22 @@ class TestClosureBool:
     def test_and_matches_frozen_table(self):
         f = closure_bool(AND_TABLE)
         for x, e in self.AND_CLOSED.items():
-            assert str(f.entry(word(x))) == e
+            assert str(f.entries[word(x)]) == e
 
     def test_or_matches_frozen_table(self):
         f = closure_bool(OR_TABLE)
         for x, e in self.OR_CLOSED.items():
-            assert str(f.entry(word(x))) == e
+            assert str(f.entries[word(x)]) == e
 
     def test_identity_one_bit(self):
         f = closure_bool({word("0"): word("0"), word("1"): word("1")})
-        assert f.entry(word("0")) == word("0")
-        assert f.entry(word("1")) == word("1")
-        assert f.entry(word("M")) == word("M")
+        assert f.entries[word("0")] == word("0")
+        assert f.entries[word("1")] == word("1")
+        assert f.entries[word("M")] == word("M")
 
     def test_constant_zero_stays_zero_everywhere(self):
         f = closure_bool({y: word("0") for y in stable_words(2)})
-        assert all(f.entry(x) == word("0") for x in all_words(2))
+        assert all(f.entries[x] == word("0") for x in all_words(2))
 
     def test_all_two_input_functions_match_flat_oracle(self):
         for table in two_input_tables():
@@ -286,14 +282,14 @@ class TestClosureBool:
             for x in all_words(2):
                 seen = {table[y].digit(0) for y in full_res(x)}
                 want = seen.pop() if len(seen) == 1 else META
-                assert f.entry(x).digit(0) is want
+                assert f.entries[x].digit(0) is want
 
     def test_stable_inputs_keep_the_exact_value(self):
         rng = random.Random(4021)
         for _ in range(10):
             table = random_bool_table(rng, 3, 2)
             f = closure_bool(table)
-            assert all(f.entry(y) == table[y] for y in stable_words(3))
+            assert all(f.entries[y] == table[y] for y in stable_words(3))
 
     def test_always_natural(self):
         # mc closure reports its spec as natural without asking is_natural
@@ -336,7 +332,7 @@ class TestClosureGeneral:
     def test_cmux_frozen_rows(self):
         g = closure_general(cmux_general_spec())
         for x, e in self.CMUX_ROWS.items():
-            assert str(g.entry(word(x))) == e
+            assert str(g.entries[word(x)]) == e
 
     def test_cmux_matches_flat_oracle(self):
         f = cmux_general_spec()
@@ -362,14 +358,14 @@ class TestClosureGeneral:
         assert is_natural(h)
         assert not res_m_specific(h)
         g = closure_general(h)
-        assert g.entry(word("MM")) == word("M")
+        assert g.entries[word("MM")] == word("M")
         assert g.entries != h.entries
 
     def test_full_cube_values_give_any_everywhere(self):
         full = CubeSet.of(2, [word("MM")])
         f = general_spec(2, 2, {x: full for x in all_words(2)})
         g = closure_general(f)
-        assert all(g.entry(x) == word("MM") for x in all_words(2))
+        assert all(g.entries[x] == word("MM") for x in all_words(2))
 
     def test_idempotent(self):
         rng = random.Random(62)
@@ -385,7 +381,7 @@ class TestClosureGeneral:
             f = random_general(rng, 2, 1)
             g = closure_general(f)
             for x in all_words(2):
-                assert all(res_contains(g.entry(x), w)
+                assert all(res_contains(g.entries[x], w)
                            for w in flat_value(f, x))
 
     def test_always_natural(self):
@@ -422,7 +418,7 @@ class TestMinimality:
                 stable_entries = dict(zip(ys, picks))
                 for x in all_words(2):
                     for e in self.extension_choices(table, x, stable_entries):
-                        assert res_contains(e, closed.entry(x))
+                        assert res_contains(e, closed.entries[x])
 
     def test_sampled_three_input_extensions_contain_the_closure(self):
         rng = random.Random(3131)
@@ -440,7 +436,7 @@ class TestMinimality:
             h = natural_spec(3, 1, entries)
             assert is_natural(h)
             for x in all_words(3):
-                assert res_contains(h.entry(x), closed.entry(x))
+                assert res_contains(h.entries[x], closed.entries[x])
 
 
 class TestIsNatural:
@@ -498,7 +494,7 @@ class TestFindNaturalSubfunction:
         h = find_natural_subfunction(g)
         assert h is not None and is_natural(h)
         for x in all_words(3):
-            assert any(res_contains(c, h.entry(x))
+            assert any(res_contains(c, h.entries[x])
                        for c in g.value_cubeset(x))
 
     def test_entries_come_back_in_all_words_order(self):
@@ -549,10 +545,10 @@ class TestFindNaturalSubfunction:
                 continue
             assert is_natural(h)
             for x in all_words(2):
-                assert any(res_contains(c, h.entry(x))
+                assert any(res_contains(c, h.entries[x])
                            for c in g.value_cubeset(x))
                 if x.is_stable:
-                    assert h.entry(x).is_stable
+                    assert h.entries[x].is_stable
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -796,7 +792,7 @@ class TestHandedOver:
         one, both = CubeSet.of(1, [word("1")]), CubeSet.of(1, [word("0"), word("1")])
         h = closure_general(general_spec(1, 1, {word("0"): one, word("1"): one,
                                                 word("M"): both}))
-        assert not vars(h)["_closed"] and h.entry(word("M")) == word("M")
+        assert not vars(h)["_closed"] and h.entries[word("M")] == word("M")
         digits, ones = digit_lanes(1), [o & ~z for z, o in h.rails]
         assert _primes(digits, ones, closed=True) == [[0, 1]]
         assert _primes(digits, ones) == [[2]]
@@ -1347,7 +1343,7 @@ class TestSynthesize:
         h = closure_bool(AND_TABLE)
         c = synthesize(h)
         for x in all_words(2):
-            assert eval_dag(c.dag, x) == h.entry(x)
+            assert eval_dag(c.dag, x) == h.entries[x]
         assert implements(c, 1, h).ok
 
     def test_all_two_input_closures_round_trip(self):
@@ -1355,7 +1351,7 @@ class TestSynthesize:
             h = closure_bool(table)
             c = synthesize(h)
             for x in all_words(2):
-                assert eval_dag(c.dag, x) == h.entry(x)
+                assert eval_dag(c.dag, x) == h.entries[x]
 
     def test_cmux_closure_equals_the_consensus_circuit(self):
         table = {}
@@ -1408,7 +1404,7 @@ class TestSynthesize:
             c = synthesize(h)
             assert validate(c) == []
             for x in all_words(3):
-                assert eval_dag(c.dag, x) == h.entry(x)
+                assert eval_dag(c.dag, x) == h.entries[x]
 
     def test_widened_natural_specs_are_still_implemented(self):
         rng = random.Random(930)
@@ -1795,8 +1791,8 @@ class TestSpecTables:
     def test_parse_natural(self):
         f = parse_spec_table(NAT_FILE)
         assert f.is_natural_form and (f.m, f.n) == (1, 1)
-        assert f.entry(word("M")) == word("M")
-        assert f.entry(word("0")) == word("0")
+        assert f.entries[word("M")] == word("M")
+        assert f.entries[word("0")] == word("0")
 
     def test_parse_general(self):
         f = parse_spec_table(GEN_FILE)

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import FEEDBACK_TEXT, all_words, limited
+from conftest import FEEDBACK_TEXT, all_words, limited, scalar_state_cube_contains
 from mcsim.analysis import emit_spec_table, unroll
 from mcsim import cli, executor
 from mcsim.cli import build_parser, component_table, main
@@ -30,7 +30,6 @@ from mcsim.executor import (
     parse_trace,
     reach,
     run_trace,
-    state_cube_contains,
     trace_check,
 )
 from mcsim.netlist import emit_netlist, parse_netlist, validate
@@ -112,7 +111,7 @@ class TestSim:
                     if l.startswith("states[4]:"))
         cubes = [word(t.strip())
                  for t in line.split(":", 1)[1].split(",")]
-        assert any(state_cube_contains(2, c, word("1M11")) for c in cubes)
+        assert any(scalar_state_cube_contains(2, c, word("1M11")) for c in cubes)
 
     def test_stable_input_gives_singleton_outputs(self, capsys, fig4_path):
         rc, out, _ = run(capsys, ["sim", fig4_path, "00", "3"])
@@ -483,6 +482,12 @@ class TestRefusedFiles:
         ("# only a comment\n", "line 1: missing spec header"),
         ("spec m=1 n=1\n0 -> 0, 01\n1 -> 1\nM -> 0,1\n",
          "line 2: cube 01 does not have width 1"),
+        # a natural entry, and an input of a natural and of a general table
+        ("spec m=1 n=1\n0 -> 00\n1 -> 1\nM -> *\n", "line 2: row width disagrees with header"),
+        ("spec m=1 n=1\n0 -> 0\n1 -> 1\nM -> *\n10 -> 1\n",
+         "line 5: row width disagrees with header"),
+        ("spec m=1 n=1\n0 -> 0\n1 -> 1\nM -> 0, 1\n1M -> 1\n",
+         "line 5: row width disagrees with header"),
     ])
     def test_spec_files(self, capsys, workspace, text, message):
         spec = workspace("bad.spec", text)

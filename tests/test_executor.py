@@ -49,7 +49,6 @@ from mcsim.executor import (
     Verdict,
     _Budget,
     _read_outcomes,
-    canonicalize_state_cubes,
     check_round_budget,
     emit_trace,
     frontiers,
@@ -63,7 +62,6 @@ from mcsim.executor import (
     replayed,
     run_trace,
     spec_layers,
-    state_cube_contains,
     successors,
     trace_check,
 )
@@ -86,6 +84,8 @@ from mcsim.ternary_core import (
     ParseError,
     TernaryWord,
     _PACKED,
+    _canonical,
+    _cubes,
     cubeset_canonicalize,
     res_contains,
     res_full,
@@ -100,6 +100,12 @@ FIG4_TRACE = """\
 3 | 1M10 | 1M1 | 11 | 11
 4 | 1M11
 """
+
+
+def canonical_states(m, width, cubes):
+    """State cubes in the canonical form of reach, by _canonical: the first m
+    digits are literal, so cubes absorb one another only when those agree."""
+    return _cubes(width, _canonical(width, [w.packed for w in cubes], m))
 
 
 def frontier_rounds(c, iota, r):
@@ -256,7 +262,7 @@ class TestSuccessors:
         got = successors(feedback_circuit, word("MM11"))
         assert set(got) == {word("MMMM"), word("1MMM")}
         # the trace's s_1 is a member of the first cube
-        assert state_cube_contains(2, word("MMMM"), word("MM1M"))
+        assert scalar_state_cube_contains(2, word("MMMM"), word("MM1M"))
 
     def test_a_state_of_the_wrong_width(self, feedback_circuit):
         with pytest.raises(InputError, match="^state width 3 does not match 4 registers$"):
@@ -309,9 +315,9 @@ class TestReach:
         assert set(reach(c, word("MM"), 1)) == {word("MMMM"), word("1MMM")}
         r2 = reach(c, word("MM"), 2)
         assert word("1MMM") in set(r2)
-        assert any(state_cube_contains(2, cube, word("1MMM")) for cube in r2)
+        assert any(scalar_state_cube_contains(2, cube, word("1MMM")) for cube in r2)
         r4 = reach(c, word("MM"), 4)
-        assert any(state_cube_contains(2, cube, word("1M11")) for cube in r4)
+        assert any(scalar_state_cube_contains(2, cube, word("1M11")) for cube in r4)
 
     def test_matches_plain_iteration(self, corpus_mixed):
         rng = random.Random(8)
@@ -322,7 +328,7 @@ class TestReach:
             for r in range(7):
                 assert reach(c, iota, r) == frontier
                 nxt = [w for cube in frontier for w in successors(c, cube)]
-                frontier = canonicalize_state_cubes(c.m, width, nxt)
+                frontier = canonical_states(c.m, width, nxt)
 
     @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
     def test_matches_plain_walk_past_the_first_repeat(self, corpus, request):
@@ -336,11 +342,11 @@ class TestReach:
                 walk = [CubeSet.of(width, [iota.concat(c.init_word())])]
                 while walk[-1] not in walk[:-1]:
                     nxt = [w for cube in walk[-1] for w in successors(c, cube)]
-                    walk.append(canonicalize_state_cubes(c.m, width, nxt))
+                    walk.append(canonical_states(c.m, width, nxt))
                 period = len(walk) - 1 - walk.index(walk[-1])
                 for _ in range(3 * period):
                     nxt = [w for cube in walk[-1] for w in successors(c, cube)]
-                    walk.append(canonicalize_state_cubes(c.m, width, nxt))
+                    walk.append(canonical_states(c.m, width, nxt))
                 for r, frontier in enumerate(walk):
                     assert reach(c, iota, r) == frontier, (c.name, iota, r)
                 assert frontier_rounds(c, iota, len(walk) - 1) == walk
@@ -912,7 +918,7 @@ class TestTraces:
             t = run_trace(c, iota, 4)
             for r, row in enumerate(t.rounds):
                 cubes = reach(c, iota, r)
-                assert any(state_cube_contains(c.m, cube, row.state)
+                assert any(scalar_state_cube_contains(c.m, cube, row.state)
                            for cube in cubes)
 
     def test_emit_parse_roundtrip(self, feedback_circuit):
@@ -1015,7 +1021,7 @@ class TestScalarReferences:
             heads = [random_word(rng, m) for _ in range(rng.randint(1, 3))]
             cubes = [rng.choice(heads).concat(random_word(rng, width - m))
                      for _ in range(rng.randint(0, 12))]
-            got = canonicalize_state_cubes(m, width, cubes)
+            got = canonical_states(m, width, cubes)
             assert got == scalar_canonicalize_state_cubes(m, width, cubes), (m, cubes)
             dropped += len(set(cubes)) - len(got)
         assert dropped > 500
@@ -1029,12 +1035,9 @@ class TestScalarReferences:
             assert cubeset_canonicalize(cs) == scalar_cubeset_canonicalize(cs)
 
     def test_state_cube_width_errors(self):
-        with pytest.raises(InputError, match="state cube width 2, expected 3"):
-            canonicalize_state_cubes(1, 3, [word("000"), word("00")])
         for m in (-1, 4):
-            for fn in (canonicalize_state_cubes, scalar_canonicalize_state_cubes):
-                with pytest.raises(InputError, match="range"):
-                    fn(m, 3, [word("000")])
+            with pytest.raises(InputError, match="range"):
+                scalar_canonicalize_state_cubes(m, 3, [word("000")])
 
     @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
     def test_every_frontier_for_six_rounds(self, corpus, request):
@@ -1046,7 +1049,7 @@ class TestScalarReferences:
                     raw = [w for cube in walk[t] for w in raw_successors(c, cube)]
                     want = scalar_canonicalize_state_cubes(c.m, width, raw)
                     assert walk[t + 1] == want, (c.name, iota, t)
-                    assert canonicalize_state_cubes(c.m, width, raw) == want
+                    assert canonical_states(c.m, width, raw) == want
 
     def test_state_cube_contains_on_all_pairs(self):
         for width in range(5):
@@ -1054,13 +1057,14 @@ class TestScalarReferences:
             for m in range(width + 1):
                 for cube in words:
                     for s in words:
-                        assert state_cube_contains(m, cube, s) \
+                        # the cube absorbs s: canonical form keeps the cube alone
+                        assert (_canonical(width, (cube.packed, s.packed), m)
+                                == (cube.packed,)) \
                             == scalar_state_cube_contains(m, cube, s), (m, cube, s)
-        for fn in (state_cube_contains, scalar_state_cube_contains):
-            with pytest.raises(InputError, match="state width mismatch"):
-                fn(1, word("00"), word("000"))
-            with pytest.raises(InputError, match="range"):
-                fn(3, word("00"), word("00"))
+        with pytest.raises(InputError, match="state width mismatch"):
+            scalar_state_cube_contains(1, word("00"), word("000"))
+        with pytest.raises(InputError, match="range"):
+            scalar_state_cube_contains(3, word("00"), word("00"))
 
     @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple"])
     def test_read_outcomes_come_in_lex_order(self, corpus, request):
@@ -1164,7 +1168,7 @@ class TestPackedKernel:
                     assert read_outcomes(c, cube) == scalar_read_outcomes(c, cube), (c.name, cube)
                     raw += [nxt.concat(eval_dag(c.dag, read))
                             for read, nxt in scalar_read_outcomes(c, cube)]
-                got = canonicalize_state_cubes(c.m, width, raw)
+                got = canonical_states(c.m, width, raw)
                 assert got == scalar_canonicalize_state_cubes(c.m, width, raw), (c.name, raw)
                 tails = CubeSet.of(c.n, [w.subword(width - c.n, width) for w in raw])
                 assert cubeset_canonicalize(tails) == scalar_cubeset_canonicalize(tails)

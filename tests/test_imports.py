@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in it, and every
-private module-level name is used somewhere in the package, so a helper
-whose last caller is gone does not linger as a dead import or definition."""
+"""Every name a module of the package imports is used in it, every
+private module-level name is used somewhere in the package, and every
+public function or class is read by the package, the benchmark or README
+(or is one of a few library-only names), so a helper whose last caller is
+gone does not linger as a dead import or definition."""
 
 import ast
 import re
@@ -8,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import traced
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mcsim"
 
@@ -57,19 +60,19 @@ def defined_names(node: ast.stmt) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def orphaned_privates(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions, classes and constants that nothing
+def unread(sources: dict[str, str], wanted) -> list[str]:
+    """Module-level names for which wanted(node, name) holds and that nothing
     refers to outside their own definition, as module.name."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     used = sum((references(tree) for tree in trees.values()), Counter())
-    out = []
-    for mod, tree in trees.items():
-        for node in tree.body:
-            for name in defined_names(node):
-                private = name.startswith("_") and not name.startswith("__")
-                if private and used[name] == references(node)[name]:
-                    out.append(f"{mod}.{name}")
-    return sorted(out)
+    return sorted(f"{mod}.{name}" for mod, tree in trees.items() for node in tree.body
+                  for name in defined_names(node)
+                  if wanted(node, name) and used[name] == references(node)[name])
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants that nothing uses."""
+    return unread(sources, lambda node, name: name.startswith("_") and not name.startswith("__"))
 
 
 def test_every_private_helper_is_used():
@@ -82,6 +85,45 @@ def test_a_leftover_helper_is_caught():
                     "def f():\n    return _K\n",
                "b": "from .a import _Box\nx = _Box()\n"}
     assert orphaned_privates(sources) == ["a._GONE", "a._walk"]
+
+
+ROOT = SRC.parents[1]
+
+# Public names that no module, no traced benchmark name and no README line reads:
+# the library's own entry points, kept for callers outside the package.
+LIBRARY_ONLY = {"kleene_extend", "eval_lanes", "tdc_readings", "emit_truth_table"}
+
+
+def unread_publics(sources: dict[str, str], named: set[str]) -> list[str]:
+    """Public module-level functions and classes that nothing uses and whose
+    names are not in named."""
+    return unread(sources, lambda node, name: not name.startswith("_") and name not in named
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+
+
+def traced_names(sources: dict[str, str]) -> set[str]:
+    """The names the benchmark's tracer wraps, each build as its layer's build_*."""
+    return {fn for layer, name in traced()
+            for fn in (re.findall(r"^def (build_\w+)", sources[layer], re.M)
+                       if name == "build" else [name])}
+
+
+def test_every_public_name_is_read():
+    # what src/ does not read is traced, named in README, or library-only, and each
+    # library-only name is defined once and read nowhere else
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    named = traced_names(sources) | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unread = unread_publics(sources, named)
+    assert sorted(name.split(".")[1] for name in unread) == sorted(LIBRARY_ONLY), unread
+
+
+def test_a_public_leftover_is_caught():
+    sources = {"a": "from . import b\ndef used():\n    return b.helper()\n"
+                    "def gone():\n    return gone()\nclass Box:\n    pass\nclass Kept:\n    pass\n"
+                    "def _private():\n    pass\nLIMIT = 2\n",
+               "b": "from .a import used\ndef helper():\n    return 1\nx = used()\n"
+                    "def unread():\n    pass\n"}
+    assert unread_publics(sources, {"Kept"}) == ["a.Box", "a.gone", "b.unread"]
 
 
 PLAN_NAMES = {"_plan", "GATE_KINDS", "_rule", "_chunks"}

@@ -13,6 +13,7 @@ from conftest import (
     FEEDBACK_TEXT,
     all_words,
     bool_eval_dag,
+    gate_value,
     lane_words,
     random_circuit,
     random_gates,
@@ -34,7 +35,6 @@ from mcsim.netlist import (
     digit_lanes,
     emit_netlist,
     eval_dag,
-    eval_gate,
     eval_lanes,
     lane_word,
     make_circuit,
@@ -189,7 +189,7 @@ class TestDualRail:
                         [want[y.concat(rest)] for y in all_words(m)], (table, rest)
                 for x in words:
                     assert eval_dag(dag, x).digit(0) is want[x], (table, x)
-                    assert eval_gate("TABLE", table, list(x.digits())) is want[x], (table, x)
+                    assert gate_value("TABLE", table, list(x.digits())) is want[x], (table, x)
                 assert (dag._plan[3] is None) == (after > 0)
 
     @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_simple", "random"])
@@ -239,7 +239,7 @@ class TestDualRail:
     def test_every_gate_rule_matches_the_scalar_chain(self, kind, arities):
         for arity in arities:
             for vals in itertools.product(ALL_DIGITS, repeat=arity):
-                got = eval_gate(kind, None, list(vals))
+                got = gate_value(kind, None, list(vals))
                 assert got is scalar_eval_gate(kind, None, list(vals)), (kind, vals)
 
     def test_no_inputs_is_one_lane(self):
@@ -338,7 +338,7 @@ class TestDualRail:
         bad += [Gate("g", kind, ("a",) * arity) for kind in ("AND", "OR") for arity in (0, 1)]
         bad += [Gate("g", "FROB", ("a",)), Gate("g", "TABLE", ("a",), "01M")]
         cases = [(one_gate(g), g) for g in bad]
-        # references and names, where eval_gate, which names its own nodes,
+        # references and names, where gate_value, which names its own nodes,
         # has nothing to compare: a forward and an undefined reference, a
         # duplicate gate id, one equal to an input or output node, an
         # undefined output source, a bad gate id
@@ -356,7 +356,7 @@ class TestDualRail:
                 runs = [lambda: eval_dag(dag, word("0")),
                         lambda: eval_lanes(dag, 1, TernaryWord(0, 0))]
                 if g:
-                    runs.append(lambda: eval_gate(g.kind, g.table, [ZERO] * len(g.args)))
+                    runs.append(lambda: gate_value(g.kind, g.table, [ZERO] * len(g.args)))
                 for run in runs:
                     with pytest.raises(InputError) as got:
                         run()
@@ -370,7 +370,7 @@ class TestDualRail:
                 assert validate(Circuit("c", regs, one_gate(g))) == []
                 for vals in itertools.product(ALL_DIGITS, repeat=arity):
                     want = scalar_eval_gate(kind, table, list(vals))
-                    assert eval_gate(kind, table, list(vals)) is want, (kind, vals)
+                    assert gate_value(kind, table, list(vals)) is want, (kind, vals)
 
 
 def read_cone(dag: Dag) -> Dag:
