@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .analysis import FunctionSpec, closure_bool, general_spec, synthesize
-from .netlist import (Circuit, Gate, RegisterDecl, RegType, Role, eval_packed, make_circuit,
-                      per_width, splice_dag)
+from .netlist import (Circuit, Gate, RegisterDecl, RegType, Role, _packed, _run, _word_rails,
+                      make_circuit, per_width, splice_dag)
 from .ternary_core import (
     META,
     ONE,
@@ -294,17 +294,6 @@ class SortingNetwork:
                                      "channel-disjoint")
                 used |= {lo, hi}
 
-    def apply(self, values):
-        """Run the comparators on plain values; a correct schedule returns them sorted."""
-        vals = list(values)
-        if len(vals) != self.channels:
-            raise InputError(f"expected {self.channels} values")
-        for layer in self.layers:
-            for lo, hi in layer:
-                if vals[hi] < vals[lo]:
-                    vals[lo], vals[hi] = vals[hi], vals[lo]
-        return vals
-
 
 def _batcher_pairs(n: int):
     """Batcher's odd-even mergesort comparators for any channel count."""
@@ -377,15 +366,17 @@ class TdcReading:
     word: TernaryWord
 
     def __post_init__(self):
-        if self.word.packed not in _tdc_words(self.word.width):
+        if self.word.packed not in _tdc_rails(self.word.width):
             raise InputError(f"not a TDC reading: {self.word}")
 
 
 @per_width
-def _tdc_words(width: int) -> frozenset[int]:
-    """The packed TDC readings of a width: 1^v 0^(w-v), and 1^v M 0^(w-v-1)."""
+def _tdc_rails(width: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each packed TDC reading of a width, 1^v 0^(w-v) and 1^v M 0^(w-v-1),
+    mapped to its one-lane can0 and can1 rails."""
     ones = [(4 ** v - 1) // 3 << 2 * (width - v) for v in range(width + 1)]
-    return frozenset(ones + [o | 2 << 2 * (width - v - 1) for v, o in enumerate(ones[:-1])])
+    words = ones + [o | 2 << 2 * (width - v - 1) for v, o in enumerate(ones[:-1])]
+    return {p: tuple(map(tuple, _word_rails(p, width, 1))) for p in words}
 
 
 def tdc_readings(n: int, v: int, meta: bool = False) -> TdcReading:
@@ -459,12 +450,14 @@ def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWor
     if len(words) != n:
         raise InputError(f"expected {n} readings, got {len(words)}")
     _check_faults(n, f)
-    width = len(words[0])
-    if any(len(w) != width for w in words):
+    width = words[0].width
+    if any(w.width != width for w in words):
         raise InputError("readings must share one width")
-    k, x = pipeline_bits(width), 0
+    k, table, z, o = pipeline_bits(width), _tdc_rails(width), [], []
     for w in words:
-        TdcReading(w)
-        x = x << 2 * width | w.packed
-    out = eval_packed(build_pipeline(n, k, f).dag, x)
+        if (rails := table.get(w.packed)) is None:
+            raise InputError(f"not a TDC reading: {w}")
+        z += rails[0]
+        o += rails[1]
+    out = _packed(_run(build_pipeline(n, k, f).dag, z, o, 1))
     return TernaryWord(width, out >> 2 * width), TernaryWord(width, out & (1 << 2 * width) - 1)

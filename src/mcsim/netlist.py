@@ -315,12 +315,17 @@ def _word_rails(p: int, width: int, full: int) -> tuple[list[int], list[int]]:
     return z, o
 
 
-def eval_packed(dag: Dag, x: int) -> int:
-    """The packed output word of the DAG on one packed input word: no word is built."""
+def _packed(rails: list[tuple[int, int]]) -> int:
+    """The packed word whose digits have these one-lane rails."""
     packed = 0
-    for c0, c1 in _run(dag, *_word_rails(x, len(dag.inputs), 1), 1):
+    for c0, c1 in rails:
         packed = packed << 2 | c1 + (c0 & c1)
     return packed
+
+
+def eval_packed(dag: Dag, x: int) -> int:
+    """The packed output word of the DAG on one packed input word: no word is built."""
+    return _packed(_run(dag, *_word_rails(x, len(dag.inputs), 1), 1))
 
 
 def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:

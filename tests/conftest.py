@@ -240,6 +240,19 @@ def concat_clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, Ter
     return out.subword(0, width), out.subword(width, 2 * width)
 
 
+def apply_layers(net, values) -> list:
+    """Run a sorting network's comparator layers on plain values; a correct
+    schedule returns them sorted."""
+    vals = list(values)
+    if len(vals) != net.channels:
+        raise InputError(f"expected {net.channels} values")
+    for layer in net.layers:
+        for lo, hi in layer:
+            if vals[hi] < vals[lo]:
+                vals[lo], vals[hi] = vals[hi], vals[lo]
+    return vals
+
+
 # Per-digit word predicates: the references for the whole-int versions.
 def scalar_res_contains(cube: TernaryWord, w: TernaryWord) -> bool:
     if cube.width != w.width:

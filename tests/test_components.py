@@ -9,8 +9,8 @@ from operator import and_
 
 import pytest
 
-from conftest import (concat_clock_sync_select, scalar_build_selector, scalar_cmux_spec,
-                      scalar_mux_spec, text_tdc_error)
+from conftest import (apply_layers, concat_clock_sync_select, scalar_build_selector,
+                      scalar_cmux_spec, scalar_mux_spec, text_tdc_error)
 from mcsim.components import (
     SortingNetwork,
     TdcReading,
@@ -366,7 +366,7 @@ class TestSortingNetwork:
     def test_zero_one_principle(self, n):
         net, _ = build_sorting_network(n, 1)
         for bits in itertools.product((0, 1), repeat=n):
-            assert net.apply(bits) == sorted(bits)
+            assert apply_layers(net, bits) == sorted(bits)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_sorts_random_values(self, n):
@@ -374,13 +374,13 @@ class TestSortingNetwork:
         rng = random.Random(900 + n)
         for _ in range(50):
             vals = [rng.randrange(100) for _ in range(n)]
-            assert net.apply(vals) == sorted(vals)
+            assert apply_layers(net, vals) == sorted(vals)
 
     def test_apply_takes_one_value_per_channel(self):
         net, _ = build_sorting_network(4, 1)
         for vals in ([1, 0, 1], [1, 0, 1, 0, 1]):
             with pytest.raises(InputError, match="^expected 4 values$"):
-                net.apply(vals)
+                apply_layers(net, vals)
 
     def test_layers_are_channel_disjoint(self):
         for n in range(2, 9):
@@ -536,6 +536,28 @@ class TestTdcReadings:
                     assert TdcReading(w).word is w
         # every word but the 2w+1 readings of its width is refused
         assert [refused[w] for w in range(8)] == [3 ** w - 2 * w - 1 for w in range(8)]
+
+    def test_rails_table_keys_are_exactly_the_readings(self):
+        # every word up to width 7; from 8 to 15 every reading and seeded others,
+        # widths above 10 included, which per_width builds per call
+        from mcsim.components import _tdc_rails
+        from mcsim.netlist import _word_rails
+        rng = random.Random("tdc rails")
+        for width in range(16):
+            table = _tdc_rails(width)
+            if width < 8:
+                words = list(all_ternary(width))
+            else:
+                texts = ["1" * v + "0" * (width - v) for v in range(width + 1)]
+                texts += ["1" * v + "M" + "0" * (width - v - 1) for v in range(width)]
+                texts += ["".join(rng.choice("01M") for _ in range(width)) for _ in range(200)]
+                words = [word(t) for t in texts]
+            for w in words:
+                assert (w.packed in table) == (text_tdc_error(w) is None), w
+            assert len(table) == 2 * width + 1
+            for p, rails in table.items():
+                assert rails == tuple(map(tuple, _word_rails(p, width, 1))), (width, p)
+            assert (_tdc_rails(width) is table) == (width <= 10)
 
     def test_readings_have_precision_one(self):
         code = tc(7)
@@ -726,6 +748,45 @@ class TestPackedSelect:
             made.clear()
             assert clock_sync_select(n, f, readings) == w, (n, f)
             assert made["words"] == 2, (n, f, made)
+
+    def test_passing_call_builds_no_reading_and_packs_no_input_word(self, monkeypatch):
+        import mcsim.components as comp
+        import mcsim.netlist as nl
+        rng = random.Random("packed select work")
+        items = [(n, (n - 1) // 3, seeded_readings(rng, n, (1 << k) - 1)) for n, k in SELECT_MIX]
+        want = [clock_sync_select(*item) for item in items]   # fills each width's table
+        calls, post_init = Counter(), TdcReading.__post_init__
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(TdcReading, "__post_init__", counted("TdcReading", post_init))
+        for mod in (comp, nl):
+            for name in ("eval_packed", "_word_rails"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        tdc_readings(3, 1)
+        assert calls == {"TdcReading": 1}   # the counters see a reading built
+        calls.clear()
+        for (n, f, readings), w in zip(items, want):
+            assert clock_sync_select(n, f, readings) == w, (n, f)
+        assert calls == {}, calls
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n, k in SELECT_MIX if k > 1])
+    def test_a_bad_reading_after_good_mixed_ones_is_refused_as_concat(self, n, k):
+        f, width = (n - 1) // 3, (1 << k) - 1
+        rng = random.Random(f"bad after good/{n}/{k}")
+        refused = [w for w in all_ternary(width) if text_tdc_error(w)]
+        for _ in range(8):
+            good = seeded_readings(rng, n, width)
+            good[0], good[1] = tdc_readings(width, 0), tdc_readings(width, width).word
+            at = rng.randrange(2, n)
+            bad = good[:at] + [rng.choice(refused) for _ in good[at:]]
+            got = select_outcome(clock_sync_select, n, f, bad)
+            assert got == select_outcome(concat_clock_sync_select, n, f, bad)
+            assert got == (InputError, f"not a TDC reading: {bad[at]}")
 
 
 class TestPipelineCircuit:

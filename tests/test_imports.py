@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in it, every
-private module-level name is used somewhere in the package, and every
-public function or class is read by the package, the benchmark or README
-(or is one of a few library-only names), so a helper whose last caller is
-gone does not linger as a dead import or definition."""
+private module-level name and private method is used somewhere in the
+package, and every public function, class or method is read by the
+package, the benchmark or README (or is one of a few library-only names),
+so a helper whose last caller is gone does not linger as a dead import or
+definition."""
 
 import ast
 import re
@@ -60,18 +61,31 @@ def defined_names(node: ast.stmt) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+def definitions(tree: ast.Module):
+    """Each module-level statement with the names it defines, as name, and each
+    method of a module-level class with its own, as Class.name."""
+    for node in tree.body:
+        yield node, defined_names(node), ""
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item, [item.name], f"{node.name}."
+
+
 def unread(sources: dict[str, str], wanted) -> list[str]:
-    """Module-level names for which wanted(node, name) holds and that nothing
-    refers to outside their own definition, as module.name."""
+    """Module-level names and class methods for which wanted(node, name) holds
+    and that nothing refers to outside their own definition, as module.name or
+    module.Class.name."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     used = sum((references(tree) for tree in trees.values()), Counter())
-    return sorted(f"{mod}.{name}" for mod, tree in trees.items() for node in tree.body
-                  for name in defined_names(node)
+    return sorted(f"{mod}.{owner}{name}" for mod, tree in trees.items()
+                  for node, names, owner in definitions(tree) for name in names
                   if wanted(node, name) and used[name] == references(node)[name])
 
 
 def orphaned_privates(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions, classes and constants that nothing uses."""
+    """Private module-level functions, classes and constants, and private
+    methods, that nothing uses."""
     return unread(sources, lambda node, name: name.startswith("_") and not name.startswith("__"))
 
 
@@ -83,8 +97,9 @@ def test_a_leftover_helper_is_caught():
     sources = {"a": "def _walk(n):\n    return _walk(n - 1)\n"
                     "_K = 1\n_GONE: int = 2\nclass _Box:\n    pass\n"
                     "def f():\n    return _K\n",
-               "b": "from .a import _Box\nx = _Box()\n"}
-    assert orphaned_privates(sources) == ["a._GONE", "a._walk"]
+               "b": "from .a import _Box\nx = _Box()\nclass C:\n    def _used(self):\n"
+                    "        return 1\n    def _gone(self):\n        pass\ny = C()._used()\n"}
+    assert orphaned_privates(sources) == ["a._GONE", "a._walk", "b.C._gone"]
 
 
 ROOT = SRC.parents[1]
@@ -95,8 +110,8 @@ LIBRARY_ONLY = {"kleene_extend", "eval_lanes", "tdc_readings", "emit_truth_table
 
 
 def unread_publics(sources: dict[str, str], named: set[str]) -> list[str]:
-    """Public module-level functions and classes that nothing uses and whose
-    names are not in named."""
+    """Public module-level functions and classes, and public methods, that
+    nothing uses and whose names are not in named."""
     return unread(sources, lambda node, name: not name.startswith("_") and name not in named
                   and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
 
@@ -114,7 +129,7 @@ def test_every_public_name_is_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     named = traced_names(sources) | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unread = unread_publics(sources, named)
-    assert sorted(name.split(".")[1] for name in unread) == sorted(LIBRARY_ONLY), unread
+    assert sorted(name.split(".", 1)[1] for name in unread) == sorted(LIBRARY_ONLY), unread
 
 
 def test_a_public_leftover_is_caught():
@@ -122,8 +137,14 @@ def test_a_public_leftover_is_caught():
                     "def gone():\n    return gone()\nclass Box:\n    pass\nclass Kept:\n    pass\n"
                     "def _private():\n    pass\nLIMIT = 2\n",
                "b": "from .a import used\ndef helper():\n    return 1\nx = used()\n"
-                    "def unread():\n    pass\n"}
-    assert unread_publics(sources, {"Kept"}) == ["a.Box", "a.gone", "b.unread"]
+                    "def unread():\n    pass\n"
+                    "class Net:\n    def __len__(self):\n        return 0\n"
+                    "    def apply(self, v):\n        return self.apply(v)\n"
+                    "    def size(self):\n        return 1\n"
+                    "    @property\n    def width(self):\n        return 2\n"
+                    "    def _step(self):\n        pass\n"
+                    "n = Net()\nk = n.size() + n.width\n"}
+    assert unread_publics(sources, {"Kept"}) == ["a.Box", "a.gone", "b.Net.apply", "b.unread"]
 
 
 PLAN_NAMES = {"_plan", "GATE_KINDS", "_rule", "_chunks"}
