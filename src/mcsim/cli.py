@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import secrets
 import sys
 
 from . import analysis, components, executor
@@ -38,7 +37,7 @@ def _write_text(path, text):
     creates, then rename it over path; the mode is what open(path, "w")
     gives. The name does not grow with path's, so any name open() takes
     will do."""
-    tmp = os.path.join(os.path.dirname(path), f".{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
@@ -52,8 +51,14 @@ def _write_text(path, text):
         raise InputError(f"cannot write {path}: {e.strerror or e}")
 
 
-def _load_circuit(path):
-    return parse_netlist(_read_text(path))
+_parsed = functools.lru_cache(maxsize=32)(lambda parse, text: parse(text))
+
+
+def _load(path, parse):
+    """parse(the text at path), for a pure parse with a frozen value: the 32 last loaded texts
+    of at most 16 KiB keep theirs, and what it builds later, for the next commands to reuse."""
+    text = _read_text(path)
+    return parse(text) if len(text) > 1 << 14 else _parsed(parse, text)
 
 
 def _spec_shape(f, natural):
@@ -78,7 +83,7 @@ def _deliver(args, text, report):
 # Commands: each returns (exit code, report text)
 
 def cmd_sim(args):
-    c = _load_circuit(args.netlist)
+    c = _load(args.netlist, parse_netlist)
     iota = word(args.input)
     if args.rounds < 0:
         raise InputError("round count must be nonnegative")
@@ -107,8 +112,8 @@ def cmd_sim(args):
 
 
 def cmd_check(args):
-    c = _load_circuit(args.netlist)
-    f = analysis.parse_spec_table(_read_text(args.spec))
+    c = _load(args.netlist, parse_netlist)
+    f = _load(args.spec, analysis.parse_spec_table)
     v = executor.implements(c, args.rounds, f, max_states=args.max_states)
     lines = ["command: check",
              f"circuit: {c.name}",
@@ -127,7 +132,7 @@ def cmd_closure(args):
 
 
 def cmd_synth(args):
-    f = analysis.parse_spec_table(_read_text(args.spec))
+    f = _load(args.spec, analysis.parse_spec_table)
     natural = analysis.is_natural(f)
     lines = ["command: synth", f"spec: {_spec_shape(f, natural)}"]
     if natural:
@@ -147,14 +152,14 @@ def cmd_synth(args):
 
 
 def cmd_unroll(args):
-    c = _load_circuit(args.netlist)
+    c = _load(args.netlist, parse_netlist)
     u = analysis.unroll(c, args.rounds)
     return _deliver(args, emit_netlist(u), lambda: [
         "command: unroll", f"circuit: {u.name}", f"rounds: {args.rounds}"])
 
 
 def cmd_witness(args):
-    c = _load_circuit(args.netlist)
+    c = _load(args.netlist, parse_netlist)
     iota, iota2 = word(args.input), word(args.input2)
     t = analysis.metastable_witness(c, args.rounds, iota, iota2,
                                     max_states=args.max_states)

@@ -366,7 +366,7 @@ class TdcReading:
     word: TernaryWord
 
     def __post_init__(self):
-        if self.word.packed not in _tdc_rails(self.word.width):
+        if _tdc_lookup(self.word.width)(self.word.packed) is None:
             raise InputError(f"not a TDC reading: {self.word}")
 
 
@@ -379,16 +379,26 @@ def _tdc_rails(width: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
     return {p: tuple(map(tuple, _word_rails(p, width, 1))) for p in words}
 
 
+def _tdc_lookup(width: int):
+    """packed word -> its _tdc_rails entry, or None for a word that is no TDC reading. Above
+    width 10 no table is kept: p is matched with the readings its trailing zeros allow."""
+    if width <= 10:
+        return _tdc_rails(width).get
+    def rails(p):
+        z = ((p & -p).bit_length() - 1) // 2 if p else width    # 1^v 0^z or 1^(v-1) M 0^z
+        ones = (4 ** (width - z) - 1) // 3 << 2 * z
+        return _word_rails(p, width, 1) if p in (ones, ones ^ 3 << 2 * z) else None
+    return rails
+
+
 def tdc_readings(n: int, v: int, meta: bool = False) -> TdcReading:
     """The reading of a counter caught at value v: 1^v 0^(n-v), with the
     boundary bit metastable when the sample races the v -> v+1 tick."""
     if n < 1 or not 0 <= v <= n:
         raise InputError(f"value {v} out of range for width {n}")
-    if meta:
-        if v >= n:
-            raise InputError("no room for a boundary M at full scale")
-        return TdcReading(word("1" * v + "M" + "0" * (n - v - 1)))
-    return TdcReading(word("1" * v + "0" * (n - v)))
+    if meta and v >= n:
+        raise InputError("no room for a boundary M at full scale")
+    return TdcReading(word("1" * v + "M" * meta + "0" * (n - v - meta)))
 
 
 def _check_faults(n: int, f: int) -> None:
@@ -453,9 +463,9 @@ def clock_sync_select(n: int, f: int, readings) -> tuple[TernaryWord, TernaryWor
     width = words[0].width
     if any(w.width != width for w in words):
         raise InputError("readings must share one width")
-    k, table, z, o = pipeline_bits(width), _tdc_rails(width), [], []
+    k, lookup, z, o = pipeline_bits(width), _tdc_lookup(width), [], []
     for w in words:
-        if (rails := table.get(w.packed)) is None:
+        if (rails := lookup(w.packed)) is None:
             raise InputError(f"not a TDC reading: {w}")
         z += rails[0]
         o += rails[1]

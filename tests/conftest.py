@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mcsim import cli
 from mcsim.executor import Verdict, frontiers, outputs
 from mcsim.netlist import (
     Circuit,
@@ -49,6 +50,14 @@ gate g_and AND L1 g_or
 drive L1 g_or
 drive O1 g_and
 """
+
+
+@pytest.fixture(autouse=True)
+def fresh_load_memo():
+    """Each test starts with no netlist or spec text kept by `mc`'s loader,
+    so a test that counts the work inside one command does not depend on
+    which tests ran before it in this process."""
+    cli._parsed.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -806,3 +806,135 @@ class TestPipeline:
         rc, out, err = run(capsys, ["pipeline", *[reading] * 4, "--faults", "1"])
         assert (rc, out) == (2, "")
         assert err == f"error: not a TDC reading: {reading}\n"
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_wide_readings_are_refused_in_order_within_the_limits(self, capsys, k):
+        # above width 10 each reading is checked on its own digits, so a width-4095
+        # reading costs no table of 8,191 rail pairs before the pipeline refuses k
+        width = (1 << k) - 1
+        good, meta = "1" * 5 + "0" * (width - 5), "1" * 5 + "M" + "0" * (width - 6)
+        bad = good[:-1] + "1"
+        for readings, err in [
+                ([good, meta, good, good], f"TC-to-BRGC conversion takes 1 to 5 output bits, got {k}"),
+                ([good, good, bad, meta], f"not a TDC reading: {bad}"),
+                ([good, good, bad], "need more than 3f = 3 nodes, got 3"),
+                ([good, good, good[1:], bad], "readings must share one width")]:
+            argv = ["pipeline", *readings, "--faults", "1"]
+            with limited(argv):
+                rc = main(argv)
+            assert (rc, *capsys.readouterr()) == (2, "", f"error: {err}\n")
+
+
+class TestLoadMemo:
+    """`mc` keeps the parse of each netlist and spec text it has read in this
+    process, for at most 32 texts of at most 16 KiB; every command reports as
+    if it had parsed its files afresh."""
+
+    @staticmethod
+    def load_twice(path, parse):
+        first = cli._load(path, parse)
+        assert cli._load(path, parse) is first
+        return first
+
+    def test_every_corpus_netlist_loads_as_a_fresh_parse(self, workspace, corpus_mixed,
+                                                         corpus_simple, corpus_masked_locals):
+        circuits = corpus_mixed + corpus_simple + corpus_masked_locals + [
+            build_mux(), build_cmux_combinational(), build_fanout_buffer(3), build_counter(4)]
+        for i, c in enumerate(circuits):
+            text = emit_netlist(c)
+            got = self.load_twice(workspace(f"c{i}.net", text), parse_netlist)
+            assert got == parse_netlist(text) == c, c.name
+            assert emit_netlist(got) == text
+
+    def test_every_corpus_spec_loads_as_a_fresh_parse(self, workspace):
+        from conftest import bool_tables, mm_example_spec
+        from mcsim.analysis import closure_bool, parse_spec_table
+        from mcsim.components import masking_fanout_spec
+        specs = [closure_bool(t) for m in (1, 2) for t in bool_tables(m)]
+        specs += [mux_spec(), cmux_spec(), masking_fanout_spec(3), mm_example_spec()]
+        for i, f in enumerate(specs):
+            text = emit_spec_table(f)
+            got = self.load_twice(workspace(f"f{i}.spec", text), parse_spec_table)
+            assert got == parse_spec_table(text) == f, text
+            assert emit_spec_table(got) == text
+
+    def test_a_damaged_file_fails_alike_every_time(self, capsys, workspace):
+        net = workspace("bad.net", BUF_NET.replace("gate g BUF I", "gate g"))
+        spec = workspace("bad.spec", "spec m=1 n=1\n0 -> 00\n1 -> 1\nM -> *\n")
+        good = workspace("buf.net", BUF_NET)
+        for argv, err in [(["sim", net, "0", "1"], "line 4: expected: gate <id> <KIND> <src> ..."),
+                          (["check", good, spec, "1"], "line 2: row width disagrees with header"),
+                          (["synth", spec], "line 2: row width disagrees with header")]:
+            for _ in range(2):
+                assert run(capsys, argv) == (2, "", f"error: {err}\n"), argv
+        # only the good netlist is kept
+        assert cli._parsed.cache_info().currsize == 1
+
+    def test_a_rewritten_file_reports_its_new_text(self, capsys, workspace):
+        net, spec = workspace("c.net", ""), workspace("f.spec", "")
+        argvs = (["sim", net, "1", "1"], ["check", net, spec, "1"])
+        seen = []
+        for text, row in ((BUF_NET, "0 -> 0"), (CONST_NET, "0 -> 1")):
+            workspace("c.net", text)
+            workspace("f.spec", f"spec m=1 n=1\n{row}\n1 -> 1\nM -> *\n")
+            got = [run(capsys, argv) for argv in argvs]
+            cli._parsed.cache_clear()
+            assert got == [run(capsys, argv) for argv in argvs]
+            seen.append([(rc, out.splitlines()[1]) for rc, out, _ in got])
+        assert seen == [[(0, "circuit: buf")] * 2,
+                        [(0, "circuit: always_zero"), (1, "circuit: always_zero")]]
+
+    def test_the_33rd_text_evicts_the_least_recently_used(self, workspace):
+        paths = [workspace(f"c{i}.net", BUF_NET.replace("buf", f"buf{i}")) for i in range(33)]
+        kept = [cli._load(p, parse_netlist) for p in paths[:32]]
+        assert cli._parsed.cache_info().currsize == 32
+        assert cli._load(paths[0], parse_netlist) is kept[0]   # now the most recent
+        cli._load(paths[32], parse_netlist)
+        assert cli._parsed.cache_info().currsize == 32
+        assert cli._load(paths[0], parse_netlist) is kept[0]
+        again = cli._load(paths[1], parse_netlist)
+        assert again is not kept[1] and again == kept[1]
+
+    def test_a_text_over_16_kib_is_never_kept(self, workspace):
+        pad = 16384 - len(BUF_NET) - 1
+        at = workspace("at.net", BUF_NET + "#" * pad + "\n")
+        over = workspace("over.net", BUF_NET + "#" * (pad + 1) + "\n")
+        assert cli._load(at, parse_netlist) is cli._load(at, parse_netlist)
+        first = cli._load(over, parse_netlist)
+        assert cli._load(over, parse_netlist) is not first
+        assert cli._parsed.cache_info().currsize == 1
+
+    def test_repeated_commands_match_fresh_parses_past_the_compile(self, capsys, tmp_path,
+                                                                   corpus_mixed):
+        # 300 rounds of one circuit's sim, witness and check: its plan compiles
+        # partway, and every report and written file stays what a fresh parse gives
+        import random
+        c = next(c for c in corpus_mixed if c.m >= 2 and c.k >= 1 and len(c.dag.gates) >= 4)
+        net = tmp_path / "c.net"
+        net.write_text(emit_netlist(c))
+        rng = random.Random("load memo rounds")
+        rows = "".join(f"{x} -> {''.join(rng.choice('01M') for _ in range(c.n))}\n"
+                       for x in map(str, all_words(c.m)))
+        spec = tmp_path / "f.spec"
+        spec.write_text(f"spec m={c.m} n={c.n}\n{rows}")
+        trace, witness = tmp_path / "sim.trace", tmp_path / "w.trace"
+        x, y = "M" * c.m, "0" * c.m
+        commands = [["sim", str(net), x, "5", "--trace", str(trace)],
+                    ["witness", str(net), y, "1" * c.m, "3", "-o", str(witness)],
+                    ["check", str(net), str(spec), "2"]]
+
+        def once(argv, fresh):
+            if fresh:
+                cli._parsed.cache_clear()
+            for p in (trace, witness):
+                p.unlink(missing_ok=True)
+            got = run(capsys, argv)
+            return got + tuple(p.read_bytes() if p.exists() else None for p in (trace, witness))
+
+        want = [once(argv, True) for argv in commands]
+        assert [w[0] for w in want] == [0, 0, 1] and None not in (want[0][3], want[1][4])
+        assert cli._load(str(net), parse_netlist).dag._plan[3] is None
+        for _ in range(300):
+            assert [once(argv, False) for argv in commands] == want
+        assert cli._load(str(net), parse_netlist).dag._plan[3] is not None
+        assert [once(argv, True) for argv in commands] == want

@@ -559,6 +559,45 @@ class TestTdcReadings:
                 assert rails == tuple(map(tuple, _word_rails(p, width, 1))), (width, p)
             assert (_tdc_rails(width) is table) == (width <= 10)
 
+    def test_wide_readings_follow_the_text_rule(self):
+        # above width 10 no table is kept: a reading is checked on its own digits
+        from mcsim.components import _tdc_lookup
+        from mcsim.netlist import _word_rails
+        rng = random.Random("wide tdc readings")
+        for width in range(11, 32):
+            texts = ["1" * v + "0" * (width - v) for v in range(width + 1)]
+            texts += ["1" * v + "M" + "0" * (width - v - 1) for v in range(width)]
+            texts += ["".join(rng.choice("01M") for _ in range(width)) for _ in range(100)]
+            # near misses: a reading with one digit changed
+            for _ in range(100):
+                t, i = list(rng.choice(texts[:2 * width + 1])), rng.randrange(width)
+                t[i] = rng.choice("01M")
+                texts.append("".join(t))
+            for w in map(word, texts):
+                if error := text_tdc_error(w):
+                    with pytest.raises(InputError) as e:
+                        TdcReading(w)
+                    assert str(e.value) == error
+                else:
+                    assert TdcReading(w).word is w
+                    assert _tdc_lookup(width)(w.packed) == _word_rails(w.packed, width, 1), w
+
+    def test_wide_readings_build_no_rails_table(self, monkeypatch):
+        import mcsim.components as comp
+        widths, table = Counter(), comp._tdc_rails
+
+        def counted(width):
+            widths[width] += 1
+            return table(width)
+        monkeypatch.setattr(comp, "_tdc_rails", counted)
+        rng = random.Random("wide tdc tables")
+        for width in (3, 11, 15, 31, 63, 1023):
+            readings = seeded_readings(rng, 4, width)
+            for r in readings:
+                TdcReading(r.word if isinstance(r, TdcReading) else r)
+            select_outcome(clock_sync_select, 4, 1, readings)
+        assert set(widths) == {3}, widths
+
     def test_readings_have_precision_one(self):
         code = tc(7)
         for v in range(7):
@@ -729,6 +768,18 @@ class TestPackedSelect:
                     assert got[0] is InputError, case
                     seen.add(got[1].split()[0])
         assert set(seen) == {"not", "readings", "expected", "need", "fault", "reading"}, seen
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_wide_refusals_match_the_concat_path(self, k):
+        # each reading is checked on its digits, then the pipeline refuses the width
+        rng, width = random.Random(f"wide select/{k}"), (1 << k) - 1
+        for _ in range(4):
+            readings = seeded_readings(rng, 4, width)
+            bad = list(readings)
+            bad[rng.randrange(4)] = word("".join(rng.choice("01M") for _ in range(width)))
+            for case in (readings, bad):
+                got = select_outcome(clock_sync_select, 4, 1, case)
+                assert got == select_outcome(concat_clock_sync_select, 4, 1, case)
 
     def test_passing_call_builds_two_words_and_formats_none(self, monkeypatch):
         rng = random.Random("packed select cost")

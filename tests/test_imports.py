@@ -206,6 +206,37 @@ def test_a_source_runner_elsewhere_is_caught(text, runs):
     assert runs_source(text) is runs
 
 
+PARSERS = {"parse_netlist", "parse_spec_table"}
+
+
+def parses_files_itself(text: str) -> bool:
+    """Whether a module calls a netlist or spec-table parser, by name, as an
+    attribute or under an imported alias, rather than handing it to a loader."""
+    tree = ast.parse(text)
+    names = PARSERS | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       for a in node.names if a.name in PARSERS and a.asname}
+    return any(isinstance(node, ast.Call) and (node.func.id if isinstance(node.func, ast.Name)
+                                               else getattr(node.func, "attr", None)) in names
+               for node in ast.walk(tree))
+
+
+def test_cli_reads_netlists_and_specs_only_through_its_loader():
+    # so every command's files go through _load's memo
+    assert not parses_files_itself((SRC / "cli.py").read_text())
+
+
+@pytest.mark.parametrize("text, parses", [
+    ("def cmd(args):\n    return parse_netlist(_read_text(args.netlist))\n", True),
+    ("from . import analysis\nf = analysis.parse_spec_table(text)\n", True),
+    ("from .netlist import parse_netlist as read\nc = read(text)\n", True),
+    ("def cmd(args):\n    return _load(args.netlist, parse_netlist)\n", False),
+    ("def _parsed(parse, text):\n    return parse(text)\n", False),
+    ("table = analysis.parse_truth_table(_read_text(path))\n", False),
+])
+def test_a_parse_around_the_loader_is_caught(text, parses):
+    assert parses_files_itself(text) is parses
+
+
 def test_compiled_source_names_no_netlist_text(monkeypatch):
     # valid gate ids and input names that would mean something in Python
     # source: none reaches the compiled chunks, which name only their locals,
