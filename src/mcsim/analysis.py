@@ -12,10 +12,10 @@ between inputs with disjoint output sets, metastability must appear.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, Mapping, Optional
 
 from .executor import (ExecutionTrace, TraceRound, _Budget, _initial_state, _read_outcomes,
                        _trace_row, check_round_budget, covered, cube_layers, outputs, spec_layers)
@@ -76,9 +76,9 @@ class FunctionSpec:
     """
     m: int
     n: int
-    entries: Optional[dict] = _Entries()
-    values: Optional[dict] = None
-    rails: Optional[tuple] = field(default=None, compare=False, repr=False)
+    entries: dict | None = _Entries()
+    values: dict | None = None
+    rails: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rails is not None and self.entries is None:
@@ -244,7 +244,7 @@ def closure_general(f: FunctionSpec) -> FunctionSpec:
     return _natural(f.m, f.n, _zeta(digits, _hull(layers, f.n)))
 
 
-def _natural_hull(f: FunctionSpec, digits: list) -> Optional[list[tuple[int, int]]]:
+def _natural_hull(f: FunctionSpec, digits: list) -> list[tuple[int, int]] | None:
     """The rails of f's entries if f is natural, else None (digits: f.m's
     digit_lanes). A spec built natural (_natural) hands over its mark, and
     one found natural here keeps its hull as that mark."""
@@ -292,7 +292,7 @@ def _cones(m: int) -> list[int]:
 
 def find_natural_subfunction(g: FunctionSpec,
                              max_nodes: int = DEFAULT_MAX_STATES,
-                             ) -> Optional[FunctionSpec]:
+                             ) -> FunctionSpec | None:
     """A natural specification inside g, or None if no such thing exists.
 
     Searches one Boolean output word per stable input (larger entries at
@@ -310,7 +310,7 @@ def find_natural_subfunction(g: FunctionSpec,
     full, cones = (1 << 3 ** m) - 1, _cones(m)
     budget = _Budget(max_nodes, "subfunction search")
 
-    def assign(idx: int, rails: list) -> Optional[list]:
+    def assign(idx: int, rails: list) -> list | None:
         """rails: _zeta of the choices for the first idx stable inputs; it
         is OR-linear, so a choice at input idx ORs in that input's cone."""
         if idx == len(candidates):
@@ -525,8 +525,8 @@ def pivotal_sequence(x: TernaryWord, x2: TernaryWord) -> PivotalSequence:
 
 def metastable_witness(c: Circuit, r: int,
                        iota: TernaryWord, iota2: TernaryWord,
-                       max_states: Optional[int] = DEFAULT_MAX_STATES,
-                       ) -> Optional[ExecutionTrace]:
+                       max_states: int | None = DEFAULT_MAX_STATES,
+                       ) -> ExecutionTrace | None:
     """An r-round execution ending with a metastable output bit, reached
     from some input between iota and iota2 on a pivotal sequence.
 
@@ -547,7 +547,7 @@ def metastable_witness(c: Circuit, r: int,
     budget = _Budget(max_states, "witness search")
     failed: set[tuple[int, int]] = set()
 
-    def search(start: int) -> Optional[list[TraceRound]]:
+    def search(start: int) -> list[TraceRound] | None:
         """An r-round execution from packed state start that ends with a
         metastable output, depth first over the read outcomes in their order."""
         # per round on the path: its state, its untried outcomes, the one taken

@@ -242,7 +242,7 @@ def build_tc_to_brgc(k: int) -> Circuit:
     return make_circuit(f"tc_to_brgc_{k}", regs, gates, drives)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=3)  # k 1-3: every word width it builds
 def build_two_sort(k: int) -> Circuit:
     """min and max of two k-bit Gray-coded words, in one round.
 
@@ -261,7 +261,7 @@ def build_two_sort(k: int) -> Circuit:
     return replace(c, name=f"two_sort_{k}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # k 1-4: every width it builds
 def build_brgc_to_tc(k: int) -> Circuit:
     """Gray code in, canonical thermometer code (zeros first) out."""
     if not 1 <= k <= 4:
@@ -408,7 +408,7 @@ def _check_faults(n: int, f: int) -> None:
         raise InputError(f"need more than 3f = {3 * f} nodes, got {n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=42)  # n 2-8, k 1-3, f <= (n-1)//3: every pipeline it builds
 def build_pipeline(n: int, k: int, f: int) -> Circuit:
     """One combinational pass from n TC readings to the two selected TC
     control words: convert to Gray code, sort, tap the (f+1)-th largest

@@ -15,7 +15,6 @@ import functools
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from .netlist import (Circuit, RegType, _run, _word_rails, digit_lanes, eval_packed,
                       lane_word, register_transitions)
@@ -42,7 +41,7 @@ class _Budget:
     """Units of work left before a search gives up; None means unbounded."""
     __slots__ = ("left", "what")
 
-    def __init__(self, left: Optional[int], what: str = "state"):
+    def __init__(self, left: int | None, what: str = "state"):
         self.left = left
         self.what = what
 
@@ -54,7 +53,7 @@ class _Budget:
             raise BudgetError(f"{self.what} budget exceeded; raise the max-states cap")
 
 
-def check_round_budget(r: int, max_states: Optional[int]) -> None:
+def check_round_budget(r: int, max_states: int | None) -> None:
     """Refuse more rounds than the state budget: r rounds spend at least r."""
     if max_states is not None and r > max_states:
         raise BudgetError(f"{r} rounds exceed the state budget of "
@@ -122,7 +121,7 @@ def _initial_state(c: Circuit, iota: TernaryWord) -> int:
     return iota.packed << 2 * (c.k + c.n) | c.init_word().packed
 
 
-def _orbit(x, step, r: int) -> tuple[list, Optional[int]]:
+def _orbit(x, step, r: int) -> tuple[list, int | None]:
     """x, step(x), ... for rounds 0..r until a value repeats: the distinct
     values in order and the round the orbit loops back to (None if none
     repeats by round r). The rest is a replay; step sees no value twice."""
@@ -135,13 +134,13 @@ def _orbit(x, step, r: int) -> tuple[list, Optional[int]]:
     return list(first), None
 
 
-def replayed(seq: list, loop: Optional[int], t: int):
+def replayed(seq: list, loop: int | None, t: int):
     """Round t of an orbit, from a list aligned with its distinct values."""
     return seq[t] if t < len(seq) else seq[loop + (t - loop) % (len(seq) - loop)]
 
 
-def _frontiers(c: Circuit, iota: TernaryWord, r: int, max_states: Optional[int],
-               ) -> tuple[list[tuple[int, ...]], Optional[int]]:
+def _frontiers(c: Circuit, iota: TernaryWord, r: int, max_states: int | None,
+               ) -> tuple[list[tuple[int, ...]], int | None]:
     """frontiers, each frontier stepped as a tuple of ascending packed cubes."""
     budget = _Budget(max_states)
     memo: dict[int, list[int]] = {}
@@ -159,8 +158,8 @@ def _frontiers(c: Circuit, iota: TernaryWord, r: int, max_states: Optional[int],
 
 
 def frontiers(c: Circuit, iota: TernaryWord, r: int,
-              max_states: Optional[int] = DEFAULT_MAX_STATES,
-              ) -> tuple[list[CubeSet], Optional[int]]:
+              max_states: int | None = DEFAULT_MAX_STATES,
+              ) -> tuple[list[CubeSet], int | None]:
     """The orbit (see _orbit) of reach(c, iota, t) over t = 0..r, as a pair
     (distinct, loop): round t's frontier is replayed(distinct, loop, t).
 
@@ -173,7 +172,7 @@ def frontiers(c: Circuit, iota: TernaryWord, r: int,
 
 
 def reach(c: Circuit, iota: TernaryWord, r: int,
-          max_states: Optional[int] = DEFAULT_MAX_STATES) -> CubeSet:
+          max_states: int | None = DEFAULT_MAX_STATES) -> CubeSet:
     """States reachable in exactly r rounds from inputs iota, as cubes,
     read off the frontier orbit: O(prefix + period) rounds for any r."""
     if r < 0:
@@ -188,7 +187,7 @@ def output_cubes(c: Circuit, states: CubeSet) -> CubeSet:
 
 
 def outputs(c: Circuit, iota: TernaryWord, r: int,
-            max_states: Optional[int] = DEFAULT_MAX_STATES) -> CubeSet:
+            max_states: int | None = DEFAULT_MAX_STATES) -> CubeSet:
     """All output-register words the circuit can show after r >= 1 rounds."""
     if r < 1:
         raise InputError("outputs are defined from round 1 on")
@@ -199,8 +198,8 @@ def outputs(c: Circuit, iota: TernaryWord, r: int,
 class Verdict:
     """Result of an implements check; falsy iff a counterexample exists."""
     ok: bool
-    witness_input: Optional[TernaryWord] = None
-    witness_output: Optional[TernaryWord] = None
+    witness_input: TernaryWord | None = None
+    witness_output: TernaryWord | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -272,7 +271,7 @@ def covered(layers: list[tuple[int, list[tuple[int, int]]]],
     return inside
 
 
-def _schedule_fails(c: Circuit, r: int, f, max_states: Optional[int]) -> Optional[int]:
+def _schedule_fails(c: Circuit, r: int, f, max_states: int | None) -> int | None:
     """The inputs, as lanes in all_words order, whose outputs after r rounds
     leave f under some read schedule, or None where the walk must run. A
     schedule picks the round (0: never) at which each of the q masked
@@ -317,7 +316,7 @@ _PASS = Verdict(True)   # frozen, so every passing check can hand out this one
 
 
 def implements(c: Circuit, r: int, f,
-               max_states: Optional[int] = DEFAULT_MAX_STATES) -> Verdict:
+               max_states: int | None = DEFAULT_MAX_STATES) -> Verdict:
     """Does every output after r rounds land inside f, for every input word?
 
     f is a function specification: value_cubeset(iota) gives the allowed
@@ -352,9 +351,9 @@ class TraceRound:
     The closing row of a trace records only the state it reached.
     """
     state: TernaryWord
-    read: Optional[TernaryWord] = None
-    evaluation: Optional[TernaryWord] = None
-    written: Optional[TernaryWord] = None
+    read: TernaryWord | None = None
+    evaluation: TernaryWord | None = None
+    written: TernaryWord | None = None
 
     @property
     def is_full(self) -> bool:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import heapq
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
 
 from .ternary_core import (
     CHAR_TO_DIGIT,
@@ -157,9 +157,7 @@ class Circuit:
 
     @_derived
     def _init(self) -> TernaryWord:
-        regs = self.local_regs + self.output_regs
-        # the digits 0, 1, 2 (M) read in base 4 are the packed word
-        return TernaryWord(len(regs), int("0" + "".join(str(int(r.init)) for r in regs), 4))
+        return TernaryWord.from_digits(r.init for r in self.local_regs + self.output_regs)
 
     def around(self, dag: Dag) -> Circuit:
         """This circuit's name and registers around dag, handed every derived
@@ -336,13 +334,14 @@ def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:
 
 
 def per_width(build):
-    """build(width, *more), kept in table.kept per arguments while the width is
+    """build(width, *more), kept in table.kept per arguments while every argument is
     at most 10 (the widths the analysis takes), and built per call above."""
     kept = functools.cache(build)
 
     @functools.wraps(build)
     def table(width: int, *more):
-        return (kept if width <= 10 else build)(width, *more)
+        # a lone width, the common call, pays no max()
+        return (kept if width <= 10 and (not more or max(more) <= 10) else build)(width, *more)
     table.kept = kept
     return table
 
@@ -375,11 +374,7 @@ def eval_lanes(dag: Dag, m: int, rest: TernaryWord) -> list[tuple[int, int]]:
 
 def lane_word(rails: list[tuple[int, int]], lane: int) -> TernaryWord:
     """The word one lane carries, one digit per rail pair."""
-    packed = 0
-    for c0, c1 in rails:
-        c0, c1 = c0 >> lane & 1, c1 >> lane & 1
-        packed = packed << 2 | (c1 + (c0 & c1))
-    return TernaryWord(len(rails), packed)
+    return TernaryWord(len(rails), _packed([(z >> lane & 1, o >> lane & 1) for z, o in rails]))
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
-from typing import Iterable, Iterator
 
 # Expanding the resolutions of more than this many M bits fails loudly
 # instead of hanging; callers may lower or (carefully) raise it per call.
@@ -85,6 +85,7 @@ def _digit_value(d: Ternary | int) -> int:
 
 # each hex digit of a packed word holds two ternary digits; no word packs the 3 read as ?
 _HEX_PAIRS = str.maketrans({f"{h:x}": "01M?"[h >> 2] + "01M?"[h & 3] for h in range(16)})
+_M_TO_2 = str.maketrans("M", "2")
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -110,21 +111,18 @@ class TernaryWord:
         _SET_WIDTH(self, width)
         _SET_PACKED(self, packed)
 
+    # Text and digits are read as base-4 text of the digits 0, 1, 2 (M): one int() reads it
+    # in a linear pass into the packing, and a power-of-two base has no int-string limit.
     @staticmethod
     def from_digits(digits: Iterable[Ternary | int]) -> "TernaryWord":
-        packed = 0
-        width = 0
-        for d in digits:
-            packed = (packed << 2) | _digit_value(d)
-            width += 1
-        return TernaryWord(width, packed)
+        text = "".join(["012"[_digit_value(d)] for d in digits])
+        return TernaryWord(len(text), int(text or "0", 4))
 
     @staticmethod
     def parse(text: str) -> "TernaryWord":
-        try:
-            return TernaryWord.from_digits(CHAR_TO_DIGIT[c] for c in text)
-        except KeyError as e:
-            raise InputError(f"bad word {text!r}: digit must be 0, 1, or M") from e
+        if text.strip("01M"):
+            raise InputError(f"bad word {text!r}: digit must be 0, 1, or M")
+        return TernaryWord(len(text), int(text.translate(_M_TO_2) or "0", 4))
 
     def digit(self, i: int) -> Ternary:
         if not 0 <= i < self.width:
@@ -132,7 +130,7 @@ class TernaryWord:
         return DIGITS[(self.packed >> (2 * (self.width - 1 - i))) & 3]
 
     def digits(self) -> tuple[Ternary, ...]:
-        return tuple(self.digit(i) for i in range(self.width))
+        return tuple(map(CHAR_TO_DIGIT.__getitem__, str(self)))
 
     def with_digit(self, i: int, d: Ternary) -> "TernaryWord":
         if not 0 <= i < self.width:
@@ -232,7 +230,7 @@ _PACKED = attrgetter("packed")
 _WIDTH = attrgetter("width")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)   # the benchmark's workloads read 4 to 17 widths each
 def _meta_mask(width: int) -> int:
     """The packed word whose every digit is M (binary 1010...)."""
     return (4 ** width - 1) // 3 * 2

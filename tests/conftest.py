@@ -27,8 +27,8 @@ from mcsim.netlist import (
     parse_netlist,
 )
 from mcsim.ternary_core import (
-    DEFAULT_MAX_STATES, META, ONE, ZERO, BudgetError, CubeSet, InputError, TernaryWord,
-    kleene_extend)
+    CHAR_TO_DIGIT, DEFAULT_MAX_STATES, META, ONE, ZERO, BudgetError, CubeSet, InputError,
+    TernaryWord, _digit_value, kleene_extend)
 
 ALL_DIGITS = (ZERO, ONE, META)
 
@@ -260,6 +260,28 @@ def apply_layers(net, values) -> list:
             if vals[hi] < vals[lo]:
                 vals[lo], vals[hi] = vals[hi], vals[lo]
     return vals
+
+
+# The per-digit loops that read words before the base-4 codec, kept as its
+# references: each shifts one growing int per digit, so each is quadratic.
+def scalar_from_digits(digits) -> TernaryWord:
+    packed = 0
+    width = 0
+    for d in digits:
+        packed = (packed << 2) | _digit_value(d)
+        width += 1
+    return TernaryWord(width, packed)
+
+
+def scalar_parse(text: str) -> TernaryWord:
+    try:
+        return scalar_from_digits(CHAR_TO_DIGIT[c] for c in text)
+    except KeyError as e:
+        raise InputError(f"bad word {text!r}: digit must be 0, 1, or M") from e
+
+
+def scalar_digits(w: TernaryWord) -> tuple:
+    return tuple(w.digit(i) for i in range(w.width))
 
 
 # Per-digit word predicates: the references for the whole-int versions.

@@ -697,10 +697,12 @@ class TestShapeTables:
         assert all(an._shape(*shape) is t and t == copies[shape] for shape, t in tables.items())
 
     def test_wider_shapes_are_built_per_call(self):
+        # a shape is kept only while both m and n are at most 10
         import mcsim.analysis as an
         an._shape.kept.cache_clear()
-        h = closure_bool(random_bool_table(random.Random(58), 11, 1))
-        assert synthesize(h) == checked_synthesize(h)
+        for m, n in ((11, 1), (2, 11)):
+            h = closure_bool(random_bool_table(random.Random(58), m, n))
+            assert synthesize(h) == checked_synthesize(h)
         assert an._shape.kept.cache_info().currsize == 0
 
 

@@ -849,6 +849,23 @@ class TestPipelineCircuit:
     def test_builder_is_cached(self):
         assert build_pipeline(4, 2, 1) is build_pipeline(4, 2, 1)
 
+    @pytest.mark.parametrize("build, ranges", [
+        (build_two_sort, [range(-1, 6)]),
+        (build_brgc_to_tc, [range(-1, 7)]),
+        (build_pipeline, [range(11), range(5), range(-1, 5)]),
+    ])
+    def test_each_cached_builder_keeps_every_key_it_accepts(self, build, ranges):
+        # a builder refuses every argument outside a fixed set and lru_cache keeps
+        # only what returned, so a maxsize of that set's size evicts nothing
+        built = {}
+        for args in itertools.product(*ranges):
+            try:
+                built[args] = build(*args)
+            except InputError:
+                pass
+        assert len(built) == build.cache_info().maxsize
+        assert all(build(*args) is c for args, c in built.items())
+
     def test_rejects_too_many_faults(self):
         with pytest.raises(InputError):
             build_pipeline(3, 2, 1)

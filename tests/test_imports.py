@@ -6,7 +6,10 @@ so a helper whose last caller is gone does not linger as a dead import or
 definition."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -292,3 +295,81 @@ def test_no_module_uses_cached_property():
 ])
 def test_a_cached_property_is_caught(text, uses):
     assert uses_cached_property(text) is uses
+
+
+# Caches with no maxsize, each with the fixed key space that bounds it.
+FIXED_KEY_SPACE = {"build_parser": "no arguments: one parser",
+                   "per_width": "kept only while every argument is at most 10"}
+
+
+def unbounded_caches(text: str) -> list[str]:
+    """Where a module makes a cache with no bound: functools.cache under any
+    name, or lru_cache with a maxsize that is not a literal int. Each is named
+    by the function it decorates or sits in, or the module-level names it is
+    assigned to."""
+    tree = ast.parse(text)
+    caches = {"cache"} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                          for a in node.names if a.name == "cache" and a.asname}
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def unbounded(node) -> bool:
+        if name(node) in caches:
+            return True
+        if not (isinstance(node, ast.Call) and name(node.func) == "lru_cache"):
+            return False
+        size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+        return bool(size) and not (isinstance(size[0], ast.Constant)
+                                   and type(size[0].value) is int)
+
+    found = []
+
+    def visit(node, site):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            site = node.name
+        elif site == "<module>" and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            site = ", ".join(defined_names(node))
+        if unbounded(node):
+            found.append(site)
+        for child in ast.iter_child_nodes(node):
+            visit(child, site)
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_cache_is_bounded():
+    # a cache off this list has a maxsize; one on it is made where the list says
+    assert sorted(site for p in sorted(SRC.glob("*.py"))
+                  for site in unbounded_caches(p.read_text())) == sorted(FIXED_KEY_SPACE)
+
+
+@pytest.mark.parametrize("text, sites", [
+    ("import functools\n@functools.cache\ndef f(x):\n    return x\n", ["f"]),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef g(x):\n    return x\n",
+     ["g"]),
+    ("import functools\n@functools.lru_cache(None)\ndef g(x):\n    return x\n", ["g"]),
+    ("import functools\n@functools.lru_cache(maxsize=SIZE)\ndef g(x):\n    return x\n", ["g"]),
+    ("import functools\nmemo = functools.lru_cache(maxsize=None)(lambda t: t)\n", ["memo"]),
+    ("from functools import cache as keep\n@keep\ndef h(x):\n    return x\n", ["h"]),
+    ("import functools\ndef per_width(build):\n    kept = functools.cache(build)\n"
+     "    return kept\n", ["per_width"]),
+    ("import functools\nclass A:\n    @functools.cache\n    def m(self):\n        return 1\n",
+     ["m"]),
+    ("import functools\n@functools.lru_cache(maxsize=512)\ndef r(k):\n    return k\n", []),
+    ("from functools import lru_cache\n@lru_cache\ndef s(k):\n    return k\n", []),
+    ("import functools\n_parsed = functools.lru_cache(maxsize=32)(lambda p, t: p(t))\n", []),
+    ("def f():\n    '''Not a functools.cache.'''\n", []),
+])
+def test_an_unbounded_cache_is_caught(text, sites):
+    assert unbounded_caches(text) == sites
+
+
+def test_the_cli_imports_no_typing():
+    # annotations stay strings (from __future__ import annotations), so no
+    # module needs typing at run time, and a cold `mc` does not load it
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", "import sys, mcsim.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

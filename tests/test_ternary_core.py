@@ -3,13 +3,19 @@
 import copy
 import itertools
 import pickle
+import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    scalar_digits,
+    scalar_from_digits,
     scalar_meta_count,
+    scalar_parse,
     scalar_res_contains,
     scalar_superpose,
     scalar_words_compatible,
@@ -155,6 +161,81 @@ class TestWordBasics:
         v = w.with_digit(i, d)
         assert v.digit(i) is d
         assert all(v.digit(j) is w.digit(j) for j in range(w.width) if j != i)
+
+
+def best_time(convert, arg, repeat=7):
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        convert(arg)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class TestWordCodec:
+    """parse, from_digits and digits() read and write base-4 text in one
+    linear pass; the per-digit loops they replaced are the references."""
+
+    def test_every_short_word_matches_the_digit_loops(self):
+        for width in range(7):
+            for ds in itertools.product(ALL_DIGITS, repeat=width):
+                w = scalar_from_digits(ds)
+                text = "".join(map(str, ds))
+                assert word(text) == scalar_parse(text) == w
+                assert TernaryWord.from_digits(ds) == TernaryWord.from_digits(map(int, ds)) == w
+                assert w.digits() == scalar_digits(w) == ds
+                assert all(d is e for d, e in zip(w.digits(), ds))
+
+    def test_seeded_wide_words_match_the_digit_loops(self):
+        rng = random.Random(31)
+        texts = ["".join(rng.choice("01M") for _ in range(width))
+                 for width in (7, 64, 1000, 10 ** 4, 10 ** 5)]
+        texts += [c * 10 ** 4 for c in "01M"] + ["0" * 999 + "M"]
+        for text in texts:
+            w = scalar_parse(text)
+            assert word(text) == w and str(w) == text
+            ds = scalar_digits(w)
+            assert w.digits() == ds and TernaryWord.from_digits(ds) == w
+
+    @pytest.mark.parametrize("text", [" 0", "0 ", "0_1", "+1", "-1", "2", "3", "02", "0x1",
+                                      "0b1", "m", "01X", "x", "*", "1*", "\n", "0\t", "\u0661",
+                                      "M\u00a0", "0M1\x00"])
+    def test_a_damaged_word_is_refused_with_its_message(self, text):
+        # int(..., 4) alone would take some of these: the digits are checked first
+        with pytest.raises(InputError) as old:
+            scalar_parse(text)
+        with pytest.raises(InputError) as new:
+            word(text)
+        assert str(new.value) == str(old.value) == \
+            f"bad word {text!r}: digit must be 0, 1, or M"
+
+    @pytest.mark.parametrize("digits", [[0, 5], [ONE, -1], [3], ["0"], [ZERO, None], [1.5]])
+    def test_a_bad_digit_is_refused_with_its_message(self, digits):
+        with pytest.raises(InputError) as old:
+            scalar_from_digits(digits)
+        with pytest.raises(InputError) as new:
+            TernaryWord.from_digits(digits)
+        assert str(new.value) == str(old.value)
+
+    def test_a_16x_wider_word_takes_under_64x_the_time(self):
+        # linear is 16x and the per-digit loops were 256x; the rest is slack for a shared host
+        rng = random.Random(16)
+        narrow, wide = ("".join(rng.choice("01M") for _ in range(w)) for w in (8192, 16 * 8192))
+        for convert, read in ((word, str), (TernaryWord.from_digits, lambda t: word(t).digits()),
+                              (TernaryWord.digits, word), (str, word)):
+            small, large = (best_time(convert, read(text)) for text in (narrow, wide))
+            assert large < 64 * small, (convert, small, large)
+
+    def test_words_of_20000_widths_leave_under_1_mb(self):
+        # every construction reads _meta_mask(width), whose cache keeps its last 128 widths
+        tracemalloc.start()
+        try:
+            for width in range(1, 20001):
+                TernaryWord(width, 0)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
 
 
 class TestSlottedWord:
