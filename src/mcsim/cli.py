@@ -20,6 +20,7 @@ from .ternary_core import (
     DEFAULT_MAX_STATES,
     BudgetError,
     InputError,
+    _cubes_text,
     word,
 )
 
@@ -95,9 +96,9 @@ def cmd_sim(args):
              f"input: {iota}",
              f"rounds: {args.rounds}",
              f"max states: {args.max_states}"]
-    distinct, loop = executor.frontiers(c, iota, args.rounds, args.max_states)
-    states = list(map(str, distinct))
-    outs = [str(executor.output_cubes(c, s)) for s in distinct]
+    distinct, loop = executor._frontiers(c, iota, args.rounds, args.max_states)
+    states = [_cubes_text(c.m + c.k + c.n, s) for s in distinct]
+    outs = [_cubes_text(c.n, executor._output_cubes(c, s)) for s in distinct]
     rounds = range(args.rounds + 1)
     lines += [f"states[{t}]: {executor.replayed(states, loop, t)}" for t in rounds]
     lines += [f"outputs[{t}]: {executor.replayed(outs, loop, t)}" for t in rounds[1:]]
@@ -324,11 +325,16 @@ def build_parser():
                    default="report")
     p.set_defaults(func=cmd_pipeline)
 
+    parser.commands = sub.choices   # command name -> its parser, for main's one pass
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, argv = build_parser(), sys.argv[1:] if argv is None else argv
+    own = argv and parser.commands.get(argv[0])   # a command's parser takes the rest at once
+    args, extra = own.parse_known_args(argv[1:]) if own else parser.parse_known_args(argv)
+    if extra:   # what either pass leaves over, the full parse's own error
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if getattr(args, "max_states", 0) < 0:
             raise InputError(f"--max-states must be at least 0, not {args.max_states}")

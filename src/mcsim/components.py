@@ -386,8 +386,10 @@ def _tdc_lookup(width: int):
         return _tdc_rails(width).get
     def rails(p):
         z = ((p & -p).bit_length() - 1) // 2 if p else width    # 1^v 0^z or 1^(v-1) M 0^z
-        ones = (4 ** (width - z) - 1) // 3 << 2 * z
-        return _word_rails(p, width, 1) if p in (ones, ones ^ 3 << 2 * z) else None
+        v, ones = width - z, (4 ** (width - z) - 1) // 3 << 2 * z
+        m = p != ones   # the M of 1^(v-1) M 0^z can be 0 and 1; the rails are runs, linear
+        return ([0] * (v - m) + [1] * (z + m), [1] * v + [0] * z) \
+            if p in (ones, ones ^ 3 << 2 * z) else None
     return rails
 
 

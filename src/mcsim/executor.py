@@ -141,7 +141,8 @@ def replayed(seq: list, loop: int | None, t: int):
 
 def _frontiers(c: Circuit, iota: TernaryWord, r: int, max_states: int | None,
                ) -> tuple[list[tuple[int, ...]], int | None]:
-    """frontiers, each frontier stepped as a tuple of ascending packed cubes."""
+    """The orbit (see _orbit) of reach(c, iota, t)'s ascending packed cubes over t = 0..r. A round
+    expands each distinct cube once; the budget counts base states and successor cubes."""
     budget = _Budget(max_states)
     memo: dict[int, list[int]] = {}
 
@@ -157,20 +158,6 @@ def _frontiers(c: Circuit, iota: TernaryWord, r: int, max_states: int | None,
     return _orbit((_initial_state(c, iota),), step, r)
 
 
-def frontiers(c: Circuit, iota: TernaryWord, r: int,
-              max_states: int | None = DEFAULT_MAX_STATES,
-              ) -> tuple[list[CubeSet], int | None]:
-    """The orbit (see _orbit) of reach(c, iota, t) over t = 0..r, as a pair
-    (distinct, loop): round t's frontier is replayed(distinct, loop, t).
-
-    Round 0 is the literal initial state. Each later round expands each
-    distinct cube word of the previous round once; the one budget counts
-    base states visited plus successor cubes produced. A repeated frontier
-    expands no cube, so the replay spends nothing."""
-    distinct, loop = _frontiers(c, iota, r, max_states)
-    return [_cubes(c.m + c.k + c.n, f) for f in distinct], loop
-
-
 def reach(c: Circuit, iota: TernaryWord, r: int,
           max_states: int | None = DEFAULT_MAX_STATES) -> CubeSet:
     """States reachable in exactly r rounds from inputs iota, as cubes,
@@ -180,10 +167,15 @@ def reach(c: Circuit, iota: TernaryWord, r: int,
     return _cubes(c.m + c.k + c.n, replayed(*_frontiers(c, iota, r, max_states), r))
 
 
+def _output_cubes(c: Circuit, states: tuple[int, ...]) -> tuple[int, ...]:
+    """The packed output-register words some packed state cubes show, canonical."""
+    tail = (1 << 2 * c.n) - 1
+    return _canonical(c.n, [cube & tail for cube in states], 0)
+
+
 def output_cubes(c: Circuit, states: CubeSet) -> CubeSet:
     """The output-register words a set of state cubes shows."""
-    tail = (1 << 2 * c.n) - 1
-    return _cubes(c.n, _canonical(c.n, [cube.packed & tail for cube in states], 0))
+    return _cubes(c.n, _output_cubes(c, tuple(map(_PACKED, states))))
 
 
 def outputs(c: Circuit, iota: TernaryWord, r: int,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
@@ -161,8 +161,7 @@ class TernaryWord:
         return self.width
 
     def __str__(self) -> str:
-        text = f"{self.packed:0{(self.width + 1) // 2}x}".translate(_HEX_PAIRS)
-        return text[len(text) - self.width:]
+        return _text(self.width, self.packed)
 
     def __repr__(self) -> str:
         return f"word({str(self)!r})"
@@ -170,6 +169,17 @@ class TernaryWord:
 
 # the slots' own setters: the frozen class refuses setattr, in __init__ too
 _SET_WIDTH, _SET_PACKED = TernaryWord.width.__set__, TernaryWord.packed.__set__
+
+
+def _text(width: int, packed: int) -> str:
+    """A width-digit packed word's digits: a 1 just above the top one fixes the hex text's
+    length, and its text, 1 or 01, is cut."""
+    return f"{packed | 1 << 2 * width:x}".translate(_HEX_PAIRS)[2 - (width & 1):]
+
+
+def _cubes_text(width: int, cubes: Sequence[int]) -> str:
+    """The text of ascending, distinct packed cubes of one width, as CubeSet prints it."""
+    return ", ".join([_text(width, p) for p in cubes]) if cubes else "(empty)"
 
 
 def word(text: str) -> TernaryWord:
@@ -301,7 +311,7 @@ class CubeSet:
         return len(self.cubes)
 
     def __str__(self) -> str:
-        return ", ".join(str(c) for c in self.cubes) if self.cubes else "(empty)"
+        return _cubes_text(self.width, [c.packed for c in self.cubes])
 
 
 def _canonical(width: int, cubes: Iterable[int], exact: int) -> tuple[int, ...]:

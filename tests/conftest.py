@@ -8,11 +8,12 @@ import random
 import resource
 import signal
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from mcsim import cli
-from mcsim.executor import Verdict, frontiers, outputs
+from mcsim.executor import Verdict, _frontiers, outputs
 from mcsim.netlist import (
     Circuit,
     Dag,
@@ -28,7 +29,7 @@ from mcsim.netlist import (
 )
 from mcsim.ternary_core import (
     CHAR_TO_DIGIT, DEFAULT_MAX_STATES, META, ONE, ZERO, BudgetError, CubeSet, InputError,
-    TernaryWord, _digit_value, kleene_extend)
+    TernaryWord, _cubes, _digit_value, kleene_extend)
 
 ALL_DIGITS = (ZERO, ONE, META)
 
@@ -58,6 +59,18 @@ def fresh_load_memo():
     so a test that counts the work inside one command does not depend on
     which tests ran before it in this process."""
     cli._parsed.cache_clear()
+
+
+def full_parse_main(argv):
+    """cli.main with argv parsed as it was before main gave a command's arguments to the
+    command's own parser: in one pass of the top-level parser, which hands them on."""
+    parser = cli.build_parser()
+    with mock.patch.object(parser, "commands", {}), mock.patch.object(
+            parser, "parse_known_args", wraps=parser.parse_known_args) as full_pass:
+        try:
+            return cli.main(argv)
+        finally:
+            assert full_pass.call_count == 1, full_pass.call_args_list
 
 
 @pytest.fixture(scope="session")
@@ -347,6 +360,12 @@ def schedule_budget(c: Circuit, r: int) -> tuple[int, int]:
     q = sum(reg.rtype is not RegType.SIMPLE and (i < c.m or reg.init is META)
             for i, reg in enumerate(regs))
     return q, (1 + 2 ** q) * sum((t + 1) ** q for t in range(r))
+
+
+def frontiers(c: Circuit, iota: TernaryWord, r: int, max_states=DEFAULT_MAX_STATES):
+    """executor._frontiers with each distinct frontier a CubeSet: (distinct, loop)."""
+    distinct, loop = _frontiers(c, iota, r, max_states)
+    return [_cubes(c.m + c.k + c.n, f) for f in distinct], loop
 
 
 def last_useful_round(c: Circuit, cap: int = 40) -> int:

@@ -11,7 +11,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import FEEDBACK_TEXT, all_words, limited, scalar_state_cube_contains
+from conftest import (FEEDBACK_TEXT, all_words, frontiers, full_parse_main, limited,
+                      scalar_state_cube_contains)
 from mcsim.analysis import emit_spec_table, unroll
 from mcsim import cli, executor
 from mcsim.cli import build_parser, component_table, main
@@ -24,7 +25,6 @@ from mcsim.components import (
     mux_spec,
 )
 from mcsim.executor import (
-    frontiers,
     output_cubes,
     outputs,
     parse_trace,
@@ -33,7 +33,7 @@ from mcsim.executor import (
     trace_check,
 )
 from mcsim.netlist import emit_netlist, parse_netlist, validate
-from mcsim.ternary_core import DEFAULT_MAX_STATES, word
+from mcsim.ternary_core import DEFAULT_MAX_STATES, TernaryWord, word
 
 AND_TABLE = "table m=2 n=1\n00 -> 0\n01 -> 0\n10 -> 0\n11 -> 1\n"
 
@@ -188,10 +188,10 @@ class TestSim:
         assert f"states[{rounds}]: " in out
 
     def test_every_round_line_equals_the_library(self, capsys, workspace,
-                                                 corpus_mixed):
+                                                 corpus_mixed, corpus_masked_locals):
         # rounds run three times past the frontier walk's first repeat,
         # from where the report replays the lines of earlier rounds
-        for c in [parse_netlist(FEEDBACK_TEXT)] + corpus_mixed[:8]:
+        for c in [parse_netlist(FEEDBACK_TEXT)] + corpus_mixed[:8] + corpus_masked_locals:
             path = workspace("c.net", emit_netlist(c))
             for iota in all_words(c.m):
                 rounds = 3 * len(frontiers(c, iota, 10 ** 6)[0]) + 5
@@ -205,6 +205,32 @@ class TestSim:
                 want.append(f"peak state cubes: {max(map(len, walk))}")
                 rc, out, _ = run(capsys, ["sim", path, str(iota), str(rounds)])
                 assert (rc, out) == (0, "\n".join(want) + "\n"), (c.name, iota)
+
+    def test_the_report_builds_no_word_per_cube(self, capsys, workspace, corpus_mixed,
+                                                corpus_masked_locals, monkeypatch):
+        # without --trace the report is written from the packed frontiers: the words
+        # a command builds do not grow with its rounds or its frontiers' cubes
+        made, init = Counter(), TernaryWord.__init__
+
+        def counted(self, *args):
+            made["words"] += 1
+            init(self, *args)
+        counts, peaks = Counter(), set()
+        for c in [parse_netlist(FEEDBACK_TEXT)] + corpus_mixed[:8] + corpus_masked_locals[:8]:
+            path = workspace(f"{c.name}.net", emit_netlist(c))
+            for iota in all_words(c.m)[:9]:
+                for rounds in (0, 1, 4, 40):
+                    argv = ["sim", path, str(iota), str(rounds)]
+                    assert run(capsys, argv)[0] == 0   # parses the netlist, if not kept
+                    monkeypatch.setattr(TernaryWord, "__init__", counted)
+                    made.clear()
+                    rc, out, _ = run(capsys, argv)
+                    monkeypatch.setattr(TernaryWord, "__init__", init)
+                    assert rc == 0
+                    counts[made["words"]] += 1
+                    peaks.add(int(out.rsplit("peak state cubes: ", 1)[1]))
+        assert len(peaks) >= 4 and max(peaks) >= 6, peaks
+        assert list(counts) == [1], counts     # the input word
 
     def test_work_stops_growing_once_the_walk_is_periodic(self, capsys, fig4_path,
                                                            tmp_path, monkeypatch):
@@ -388,6 +414,110 @@ class TestParserReuse:
                                text=True)
         assert second == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert build_parser() is build_parser()
+
+
+COMMANDS = ["sim", "check", "closure", "synth", "unroll", "witness", "component", "pipeline"]
+
+
+def argv_corpus(net, spec, table, out):
+    """Well-formed and malformed argvs of every command, each writing at most out."""
+    sim = ["sim", net, "M", "3"]
+    corpus = [[], ["-h"], ["--help"], ["--he"], ["-x"], ["--"], [""], ["bogus"], ["si"],
+              ["si", net, "M", "3"], ["Sim", net, "M", "3"], ["sim "], ["-h", "sim"],
+              ["--", *sim], ["--max-states", "5", *sim], ["--", "--", *sim]]
+    corpus += [[c] for c in COMMANDS] + [[c, "-h"] for c in COMMANDS]
+    corpus += [[c, "--help", "x", "-y"] for c in COMMANDS] + [[c, "--he"] for c in COMMANDS]
+    corpus += [sim, sim[:2], sim[:3], sim + ["4"], sim + ["4", "5"], sim + ["-h"],
+               sim + ["--max", "9"], sim + ["--max-st", "5"], sim + ["--he"],
+               sim + ["--max-states=-1"], sim + ["--max-states", "-1"], sim + ["--max-states"],
+               sim + ["--max-states", "x"], sim + ["--max-states=7", "--max-states", "8"],
+               sim + ["--max-states", "2"], sim + ["--bogus"], sim + ["-o", out], sim + ["--"],
+               sim + ["--trace", out], sim + ["--trace=" + out], sim + ["--tr", out],
+               sim + ["--", "-1"], sim + ["--trace"], sim + ["x", "--trace", out],
+               ["sim", "--", net, "M", "3"], ["sim", net, "--", "M", "3"],
+               ["sim", net, "M", "--", "3"], ["sim", "--max", "9", net, "M", "3"],
+               ["sim", net, "M", "-1"], ["sim", net, "M", "-3", "--max-states", "5"],
+               ["sim", net, "M", "--", "-1"], ["sim", net, "-M", "3"], ["sim", net, "M", "3.5"],
+               ["sim", net, "M", "0x3"], ["sim", net, "MM", "3"], ["sim", net, "M", "0"],
+               ["sim", net + "-missing", "M", "3"], ["sim", net, "M", "3", "--trace", out, "-1"]]
+    corpus += [["check", net, spec, "2"], ["check", net, spec, "-1"], ["check", net, spec],
+               ["check", net, spec, "2", "extra"], ["check", net, spec, "2", "--trace", out],
+               ["check", net, spec, "2", "--max", "1"], ["check", net, table, "1"],
+               ["witness", net, "0", "1", "2"], ["witness", net, "0", "0", "2"],
+               ["witness", net, "0", "1", "-2"],
+               ["witness", net, "0", "1", "2", "-o", out], ["witness", net, "0", "1"],
+               ["witness", net, "0", "1", "2", "3"], ["witness", net, "0", "1", "2", "--o", out],
+               ["closure", table], ["closure", table, "-o", out], ["closure", table, "--out=" + out],
+               ["closure", table, "--max-states", "3"], ["closure", table, table],
+               ["synth", spec], ["synth", spec, "--max", "3"], ["synth", spec, "-o"],
+               ["synth", spec, "-o", out, "--max-states", "-2"],
+               ["unroll", net, "2"], ["unroll", net, "-2"], ["unroll", net, "2", "-o", out],
+               ["unroll", net], ["unroll", net, "two"]]
+    corpus += [["component", "mux"], ["component", "mux", "--emit", "netlist"],
+               ["component", "mux", "--emit", "text"], ["component", "mux", "--emit=bogus"],
+               ["component", "mux", "--em", "netlist"], ["component", "mux", "--emit"],
+               ["component", "counter", "-1"], ["component", "counter", "3", "--", "-1"],
+               ["component", "counter", "--", "3"], ["component", "nope", "1"],
+               ["pipeline", "10", "11", "01", "--faults", "0"], ["pipeline", "--faults", "1"],
+               ["pipeline", "10", "--faults", "0", "--emit", "bogus"], ["pipeline", "10", "11"],
+               ["pipeline", "10", "11", "--faults", "x"], ["pipeline", "-1", "--faults", "0"],
+               ["pipeline", "1M0", "100", "110", "111", "--faults", "1"],
+               ["pipeline", "1M0", "100", "110", "111", "--faults", "1", "--emit", "netlist"]]
+    return corpus
+
+
+def outcome(capsys, main_fn, argv, out):
+    """main_fn(argv)'s exit code, stdout, stderr and the text it wrote to out, if any."""
+    try:
+        rc = main_fn(argv)
+    except SystemExit as e:
+        rc = e.code
+    captured, written = capsys.readouterr(), None
+    if os.path.exists(out):
+        with open(out) as fh:
+            written = fh.read()
+        os.remove(out)
+    return rc, captured.out, captured.err, written
+
+
+class TestArgvParse:
+    """A command's argv[1:] goes to its own parser, once; anything else goes through
+    the top-level parser, as every argv once did."""
+
+    @pytest.fixture
+    def corpus(self, workspace, tmp_path):
+        out = str(tmp_path / "out.txt")
+        return argv_corpus(workspace("buf.net", BUF_NET), workspace("and.spec", AND_CLOSURE_SPEC),
+                           workspace("and.table", AND_TABLE), out), out
+
+    def test_every_argv_ends_as_the_full_parse_does(self, capsys, corpus):
+        argvs, out = corpus
+        codes = Counter()
+        for argv in argvs:
+            got = outcome(capsys, main, argv, out)
+            assert got == outcome(capsys, full_parse_main, argv, out), argv
+            codes[got[0]] += 1
+        assert set(codes) == {0, 1, 2, 3} and codes[0] > 20 and codes[2] > 50, codes
+
+    def test_a_command_skips_the_top_level_pass(self, capsys, monkeypatch, corpus):
+        argvs, out = corpus
+        well_formed = [a for a in argvs if a and a[0] in ("sim", "check", "witness")
+                       and outcome(capsys, full_parse_main, a, out)[0] in (0, 1)]
+        assert len(well_formed) > 15
+        parser, passes = build_parser(), []
+        top = parser.parse_known_args
+
+        def counted(*args):
+            passes.append(args)
+            return top(*args)
+        monkeypatch.setattr(parser, "parse_known_args", counted)
+        for argv in well_formed:
+            outcome(capsys, main, argv, out)
+            assert passes == [], argv
+        for argv in ([], ["-h"], ["bogus"]):
+            rc = outcome(capsys, main, argv, out)[0]
+            assert rc in (0, 2) and len(passes) == 1, argv
+            passes.clear()
 
 
 class TestCheck:

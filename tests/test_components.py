@@ -582,6 +582,53 @@ class TestTdcReadings:
                     assert TdcReading(w).word is w
                     assert _tdc_lookup(width)(w.packed) == _word_rails(w.packed, width, 1), w
 
+    def test_wide_rails_are_runs_equal_to_the_word_rails(self, monkeypatch):
+        # above width 10 a reading's rails are built as repeated runs, with no shift per
+        # digit: on every reading of widths 11-40 they are _word_rails', and every other
+        # word, random or one digit off a reading, gives None
+        import mcsim.components as comp
+        from mcsim.netlist import _word_rails
+        rng = random.Random("wide tdc runs")
+        cases = []
+        for width in range(11, 41):
+            readings = ["1" * v + "0" * (width - v) for v in range(width + 1)]
+            readings += ["1" * v + "M" + "0" * (width - v - 1) for v in range(width)]
+            others = ["".join(rng.choice("01M") for _ in range(width)) for _ in range(100)]
+            others += [t[:i] + rng.choice("01M".replace(t[i], "")) + t[i + 1:]
+                       for t in readings for i in (rng.randrange(width),)]
+            others += ["M" * width, "0" * (width - 1) + "1", "M" + "0" * (width - 1) + "M"]
+            others = [t for t in others if t not in readings]
+            assert all(text_tdc_error(word(t)) for t in others)
+            cases.append((width, [(word(t).packed, _word_rails(word(t).packed, width, 1))
+                                  for t in readings], [word(t).packed for t in others]))
+
+        def shifted(*args):
+            raise AssertionError("a wide reading's rails were read digit by digit")
+        monkeypatch.setattr(comp, "_word_rails", shifted)
+        for width, readings, others in cases:
+            lookup = comp._tdc_lookup(width)
+            for p, rails in readings:
+                assert lookup(p) == rails, (width, p)
+            for p in others:
+                assert lookup(p) is None, (width, p)
+
+    def test_a_16x_wider_reading_takes_under_64x_the_time(self):
+        # the runs are linear in the width; a shift per digit was quadratic
+        import time
+        from mcsim.components import _tdc_lookup
+
+        def best(width, text):
+            lookup, p, times = _tdc_lookup(width), word(text).packed, []
+            for _ in range(5):
+                start = time.perf_counter()
+                lookup(p)
+                times.append(time.perf_counter() - start)
+            return min(times)
+        for v in (0.5, 1):
+            small, large = (best(w, "1" * int(v * w - 1) + "M" + "0" * (w - int(v * w)))
+                            for w in (8192, 16 * 8192))
+            assert large < 64 * small, (v, small, large)
+
     def test_wide_readings_build_no_rails_table(self, monkeypatch):
         import mcsim.components as comp
         widths, table = Counter(), comp._tdc_rails

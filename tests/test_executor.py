@@ -13,6 +13,7 @@ from conftest import (
     assert_lane_spec_agrees,
     circuit_corpus,
     flatten_states,
+    frontiers,
     lane_implements,
     last_useful_round,
     reach_implements,
@@ -51,7 +52,6 @@ from mcsim.executor import (
     _read_outcomes,
     check_round_budget,
     emit_trace,
-    frontiers,
     implements,
     outputs,
     parse_trace,

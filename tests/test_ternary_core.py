@@ -30,6 +30,8 @@ from mcsim.ternary_core import (
     InputError,
     Ternary,
     TernaryWord,
+    _cubes,
+    _cubes_text,
     brgc,
     cubeset_canonicalize,
     decode,
@@ -420,6 +422,31 @@ class TestCubeSet:
         c = CubeSet.of(2, [word("M1")])
         assert a.is_disjoint(b)
         assert not a.is_disjoint(c)
+
+
+class TestPackedText:
+    """A word's text and a cube set's are written by one codec on packed ints."""
+
+    def test_every_short_word_spells_its_digits(self):
+        for width in range(7):
+            for w in all_words(width):
+                assert str(w) == "".join(map(str, scalar_digits(w)))
+
+    def test_cube_set_text_is_the_cubes_text_for_widths_up_to_40(self):
+        rng = random.Random("packed text")
+        for width in range(41):
+            pool = all_words(width) if width < 4 else \
+                [scalar_from_digits(rng.choice(ALL_DIGITS) for _ in range(width))
+                 for _ in range(40)]
+            sets = [[], pool[:1], pool[-1:], pool] + [rng.sample(pool, rng.randint(1, min(6, len(pool))))
+                                                      for _ in range(30)]
+            for cubes in sets:
+                packed = sorted({w.packed for w in cubes})
+                want = ", ".join("".join(map(str, scalar_digits(TernaryWord(width, p))))
+                                 for p in packed) if packed else "(empty)"
+                assert _cubes_text(width, packed) == str(_cubes(width, packed)) == want, \
+                    (width, packed)
+                assert str(CubeSet.of(width, cubes)) == want
 
 
 class TestKleene:
