@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 
-from .executor import (ExecutionTrace, TraceRound, _Budget, _initial_state, _read_outcomes,
-                       _trace_row, check_round_budget, covered, cube_layers, outputs, spec_layers)
+from .executor import (ExecutionTrace, _Budget, _initial_state, _read_outcomes, _trace,
+                       check_round_budget, covered, cube_layers, outputs, spec_layers)
 from .netlist import (
     Circuit,
     Gate,
@@ -26,7 +26,7 @@ from .netlist import (
     RegType,
     Role,
     digit_lanes,
-    eval_packed,
+    eval_memo,
     lane_word,
     make_circuit,
     per_width,
@@ -547,16 +547,15 @@ def metastable_witness(c: Circuit, r: int,
     budget = _Budget(max_states, "witness search")
     failed: set[tuple[int, int]] = set()
 
-    def search(start: int) -> list[TraceRound] | None:
+    def search(start: int) -> list[tuple[int, ...]] | None:
         """An r-round execution from packed state start that ends with a
         metastable output, depth first over the read outcomes in their order."""
-        # per round on the path: its state, its untried outcomes, the one taken
+        # per round on the path: its state, its untried outcomes, the row of the one taken
         path, state = [], start
         while True:
             remaining = r - len(path)
             if remaining == 0 and state & out_meta:
-                return [_trace_row(c, s, *taken) for s, _, taken in path] + [
-                    TraceRound(TernaryWord(c.m + c.k + c.n, state))]
+                return [row for *_, row in path] + [(state,)]
             if remaining and (state, remaining) not in failed:
                 path.append([state, iter(_read_outcomes(c, state, budget)), None])
             # back up to the deepest round with an untried outcome; each
@@ -567,8 +566,8 @@ def metastable_witness(c: Circuit, r: int,
             if not path:
                 return None
             read, nxt = step
-            ev = eval_packed(c.dag, read)
-            path[-1][2] = (read, ev)
+            ev = eval_memo(c.dag, read)
+            path[-1][2] = (path[-1][0], read, ev, ev)
             state = nxt << 2 * (c.k + c.n) | ev
 
     for p in pivotal_sequence(iota, iota2):
@@ -579,7 +578,7 @@ def metastable_witness(c: Circuit, r: int,
         if rows is None:
             raise RuntimeError("reach set shows a metastable output but no "
                                "execution realizes it; this cannot happen")
-        return ExecutionTrace(tuple(rows))
+        return _trace(c, rows)
     raise RuntimeError("disjoint outputs but no pivotal metastability; "
                        "this cannot happen for exact reach sets")
 

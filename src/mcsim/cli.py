@@ -99,15 +99,15 @@ def cmd_sim(args):
     distinct, loop = executor._frontiers(c, iota, args.rounds, args.max_states)
     states = [_cubes_text(c.m + c.k + c.n, s) for s in distinct]
     outs = [_cubes_text(c.n, executor._output_cubes(c, s)) for s in distinct]
-    rounds = range(args.rounds + 1)
-    lines += [f"states[{t}]: {executor.replayed(states, loop, t)}" for t in rounds]
-    lines += [f"outputs[{t}]: {executor.replayed(outs, loop, t)}" for t in rounds[1:]]
+    rounds = args.rounds + 1
+    lines += [f"states[{t}]: {s}" for t, s in enumerate(executor.unrolled(states, loop, rounds))]
+    lines += [f"outputs[{t}]: {s}" for t, s in enumerate(executor.unrolled(outs, loop, rounds)) if t]
     lines.append(f"peak state cubes: {max(map(len, distinct))}")
     if args.trace is not None:
         if args.rounds < 1:
             raise InputError("a trace needs at least one round")
-        t = executor.run_trace(c, iota, args.rounds)
-        _write_text(args.trace, executor.emit_trace(t))
+        rows = executor._trace_walk(c, iota, args.rounds)
+        _write_text(args.trace, executor._trace_text(rows, [c.trace_widths] * len(rows)))
         lines.append(f"trace written: {args.trace}")
     return 0, "\n".join(lines)
 

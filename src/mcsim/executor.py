@@ -16,7 +16,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 
-from .netlist import (Circuit, RegType, _run, _word_rails, digit_lanes, eval_packed,
+from .netlist import (Circuit, RegType, _run, _word_rails, digit_lanes, eval_memo, eval_packed,
                       lane_word, register_transitions)
 from .ternary_core import (
     DEFAULT_MAX_STATES,
@@ -30,6 +30,7 @@ from .ternary_core import (
     _cubes,
     _PACKED,
     _WIDTH,
+    _text,
     all_words,
     content_lines,
     res_contains,
@@ -105,7 +106,7 @@ def _read_outcomes(c: Circuit, s: int, budget: _Budget) -> list[tuple[int, int]]
 
 
 def _successor_cubes(c: Circuit, s: int, budget: _Budget) -> list[int]:
-    return [nxt << 2 * (c.k + c.n) | eval_packed(c.dag, read)
+    return [nxt << 2 * (c.k + c.n) | eval_memo(c.dag, read)
             for read, nxt in _read_outcomes(c, s, budget)]
 
 
@@ -137,6 +138,11 @@ def _orbit(x, step, r: int) -> tuple[list, int | None]:
 def replayed(seq: list, loop: int | None, t: int):
     """Round t of an orbit, from a list aligned with its distinct values."""
     return seq[t] if t < len(seq) else seq[loop + (t - loop) % (len(seq) - loop)]
+
+
+def unrolled(seq: list, loop: int | None, count: int) -> list:
+    """Rounds 0..count-1 of an orbit as replayed reads them, its cycle doubled until they fit."""
+    return seq[:count] if count <= len(seq) else unrolled(seq + seq[loop:], loop, count)
 
 
 def _frontiers(c: Circuit, iota: TernaryWord, r: int, max_states: int | None,
@@ -398,43 +404,45 @@ def trace_check(c: Circuit, t: ExecutionTrace) -> bool:
     return True
 
 
-def _trace_row(c: Circuit, state: int, read: int, evaluation: int) -> TraceRound:
-    """The row of one round on packed words, its evaluation written back unchanged."""
-    return TraceRound(TernaryWord(c.m + c.k + c.n, state), TernaryWord(c.m + c.k, read),
-                      *[TernaryWord(c.k + c.n, evaluation)] * 2)
+def _trace(c: Circuit, rows: list[tuple[int, ...]]) -> ExecutionTrace:
+    """The trace of packed rows (see _trace_walk); equal rows share one TraceRound."""
+    made = {row: TraceRound(*map(TernaryWord, c.trace_widths, row)) for row in set(rows)}
+    return ExecutionTrace(tuple(map(made.__getitem__, rows)))
 
 
-def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
-    """One deterministic execution: first read outcome, write = evaluation.
-
-    The next state depends on the state alone, so once a state repeats
-    the rounds of its cycle are replayed, not evaluated again."""
+def _trace_walk(c: Circuit, iota: TernaryWord, r: int) -> list[tuple[int, ...]]:
+    """run_trace's rounds as packed rows (state, read, evaluation, written), then (state,);
+    once a state repeats, the rows of its cycle are replayed, not evaluated again."""
     state = _initial_state(c, iota)
     if r < 0:
         raise InputError("round count must be nonnegative")
-    rows, shift = [], 2 * (c.k + c.n)   # packed (state, read, evaluation) per state stepped from
+    rows, shift = [], 2 * (c.k + c.n)   # the row of each state stepped from
 
     def step(state: int) -> int:
         base, branches = _reads(c, state)
         read, nxt = _outcome(c, base, [arcs[0] for _, arcs in branches])
-        evaluation = eval_packed(c.dag, read)
-        rows.append((state, read, evaluation))
+        evaluation = eval_memo(c.dag, read)
+        rows.append((state, read, evaluation, evaluation))
         return nxt << shift | evaluation
 
     states, loop = _orbit(state, step, r)
-    rows = [_trace_row(c, *row) for row in rows]
-    return ExecutionTrace(tuple(replayed(rows, loop, t) for t in range(r)) + (
-        TraceRound(TernaryWord(c.m + c.k + c.n, replayed(states, loop, r))),))
+    return unrolled(rows, loop, r) + [(replayed(states, loop, r),)]
+
+
+def run_trace(c: Circuit, iota: TernaryWord, r: int) -> ExecutionTrace:
+    """One deterministic execution: first read outcome, write = evaluation (see _trace_walk)."""
+    return _trace(c, _trace_walk(c, iota, r))
+
+
+def _trace_text(rows: list[tuple[int, ...]], widths: list[tuple[int, ...]]) -> str:
+    """The text of packed rows (see _trace_walk) and their widths; equal ones are formatted once."""
+    text = {key: " | ".join(map(_text, key[1], key[0])) for key in set(zip(rows, widths))}
+    return "\n".join([f"{i} | {text[key]}" for i, key in enumerate(zip(rows, widths))]) + "\n"
 
 
 def emit_trace(t: ExecutionTrace) -> str:
-    # replayed rounds share one row object (run_trace): format each object once
-    text: dict[int, str] = {}
-    for row in t.rounds:
-        if id(row) not in text:
-            words = (row.state, row.read, row.evaluation, row.written)
-            text[id(row)] = " | ".join(map(str, words if row.is_full else words[:1]))
-    return "\n".join(f"{i} | {text[id(row)]}" for i, row in enumerate(t.rounds)) + "\n"
+    rows = [(r.state, r.read, r.evaluation, r.written)[:4 if r.is_full else 1] for r in t.rounds]
+    return _trace_text(*([tuple(map(f, row)) for row in rows] for f in (_PACKED, _WIDTH)))
 
 
 def parse_trace(text: str) -> ExecutionTrace:

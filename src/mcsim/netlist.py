@@ -115,6 +115,7 @@ class Dag:
     inputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     outputs: tuple[tuple[str, str], ...]
+    _memo = _derived(lambda self: {})   # not a field: read word -> evaluation, for eval_memo
 
     @_derived
     def _plan(self):
@@ -132,8 +133,8 @@ class Dag:
         return _compile(self if len(gates) == len(self.gates) else replace(self, gates=gates))
 
     def __getstate__(self):
-        # the plan holds closures and compiled chunks, which do not pickle; it is rebuilt on use
-        return {k: v for k, v in vars(self).items() if k != "_plan"}
+        # the plan's closures and compiled chunks do not pickle, and the memo only saves work
+        return {k: v for k, v in vars(self).items() if k not in ("_plan", "_memo")}
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,8 @@ class Circuit:
     m = _derived(lambda self: len(self.input_regs))
     k = _derived(lambda self: len(self.local_regs))
     n = _derived(lambda self: len(self.output_regs))
+    # the widths of a trace row's state, read, evaluation and written words
+    trace_widths = _derived(lambda c: (c.m + c.k + c.n, c.m + c.k, c.k + c.n, c.k + c.n))
 
     @_derived
     def _init(self) -> TernaryWord:
@@ -324,6 +327,16 @@ def _packed(rails: list[tuple[int, int]]) -> int:
 def eval_packed(dag: Dag, x: int) -> int:
     """The packed output word of the DAG on one packed input word: no word is built."""
     return _packed(_run(dag, *_word_rails(x, len(dag.inputs), 1), 1))
+
+
+_MEMO_CAP = 1024   # words per DAG; a sequential-sim benchmark DAG sees at most 537
+
+
+def eval_memo(dag: Dag, x: int) -> int:
+    """eval_packed(dag, x), kept in the DAG's memo for the first _MEMO_CAP words x it sees."""
+    if (y := (memo := dag._memo).get(x)) is None and len(memo) < _MEMO_CAP:
+        y = memo[x] = eval_packed(dag, x)
+    return eval_packed(dag, x) if y is None else y
 
 
 def eval_dag(dag: Dag, x: TernaryWord) -> TernaryWord:

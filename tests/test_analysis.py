@@ -743,6 +743,27 @@ class TestHandedOver:
                 [eval_dag(c.dag, x) for x in all_words(c.m)]
             assert implements(copy, 1, h)
 
+    def test_circuits_around_one_shell_walk_their_own_dags(self):
+        # every circuit synthesize builds of one shape is handed the same shell's
+        # derived attributes; the evaluation memo is its DAG's, so circuits with
+        # different DAGs, walked in turn, each get their own successor cubes
+        from conftest import scalar_canonicalize_state_cubes, scalar_eval_dag, scalar_read_outcomes
+        from mcsim.executor import successors
+        rng = random.Random(53)
+        for m, n in ((1, 1), (2, 2), (3, 1)):
+            circuits = [synthesize(closure_bool(random_bool_table(rng, m, n))) for _ in range(8)]
+            assert len({c.dag for c in circuits}) > 2
+            assert len({id(c.registers) for c in circuits}) == 1
+            for s in all_words(m + n):
+                for c in circuits:
+                    want = scalar_canonicalize_state_cubes(m, m + n, [
+                        nxt.concat(scalar_eval_dag(c.dag, read))
+                        for read, nxt in scalar_read_outcomes(c, s)])
+                    assert successors(c, s) == want, (c.dag, s)
+            memos = [vars(c.dag)["_memo"] for c in circuits]
+            assert len(set(map(id, memos))) == len(circuits)
+            assert not any("_memo" in vars(c) for c in circuits)
+
     def test_marks_match_the_hull_from_scratch(self):
         from mcsim.analysis import _natural_hull
         rng = random.Random(52)

@@ -14,7 +14,7 @@ import pytest
 from conftest import (FEEDBACK_TEXT, all_words, frontiers, full_parse_main, limited,
                       scalar_state_cube_contains)
 from mcsim.analysis import emit_spec_table, unroll
-from mcsim import cli, executor
+from mcsim import cli, executor, netlist
 from mcsim.cli import build_parser, component_table, main
 from mcsim.components import (
     build_counter,
@@ -235,32 +235,36 @@ class TestSim:
     def test_work_stops_growing_once_the_walk_is_periodic(self, capsys, fig4_path,
                                                            tmp_path, monkeypatch):
         # past the round at which both the frontier walk and the trace have
-        # repeated, further rounds are replays and evaluate nothing
+        # repeated, further rounds are replays: they look up and evaluate nothing
         c, iota = parse_netlist(FEEDBACK_TEXT), word("MM")
         states = [row.state for row in run_trace(c, iota, 1000).rounds]
         trace_repeat = next(t for t, s in enumerate(states) if s in states[:t])
         short = max(len(frontiers(c, iota, 1000)[0]), trace_repeat) + 1
         calls = Counter()
 
-        def counted(name):
-            fn = getattr(executor, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
-            monkeypatch.setattr(executor, name, wrapper)
-        # the sim walk and the trace reach eval_packed through executor's name
-        counted("eval_packed")
-        counted("_successor_cubes")
+            monkeypatch.setattr(module, name, wrapper)
+        # the sim walk and the trace look read words up through executor's name,
+        # and a word the memo lacks runs the plan through netlist's
+        counted(executor, "eval_memo")
+        counted(netlist, "_run")
+        counted(executor, "_successor_cubes")
         work = {}
         for rounds in (short, 1000):
             calls.clear()
+            cli._parsed.cache_clear()   # a fresh parse: its DAG's memo starts empty
             rc, _, _ = run(capsys, ["sim", fig4_path, "MM", str(rounds),
                                     "--trace", str(tmp_path / "t.trace")])
             assert rc == 0
             work[rounds] = dict(calls)
         assert work[short] == work[1000]
-        assert work[short]["eval_packed"] > work[short]["_successor_cubes"] > 0
+        assert work[short]["eval_memo"] > work[short]["_successor_cubes"] > 0
+        assert work[short]["eval_memo"] > work[short]["_run"] > 0
 
 
 class TestOutOfMemory:
@@ -1035,9 +1039,11 @@ class TestLoadMemo:
         assert cli._parsed.cache_info().currsize == 1
 
     def test_repeated_commands_match_fresh_parses_past_the_compile(self, capsys, tmp_path,
-                                                                   corpus_mixed):
+                                                                   corpus_mixed, monkeypatch):
         # 300 rounds of one circuit's sim, witness and check: its plan compiles
-        # partway, and every report and written file stays what a fresh parse gives
+        # partway, and every report and written file stays what a fresh parse gives.
+        # A read word the DAG's memo holds runs no plan, and these commands read a
+        # few dozen words, so the kept circuit compiles after 8 runs, in the first round
         import random
         c = next(c for c in corpus_mixed if c.m >= 2 and c.k >= 1 and len(c.dag.gates) >= 4)
         net = tmp_path / "c.net"
@@ -1063,8 +1069,11 @@ class TestLoadMemo:
 
         want = [once(argv, True) for argv in commands]
         assert [w[0] for w in want] == [0, 0, 1] and None not in (want[0][3], want[1][4])
-        assert cli._load(str(net), parse_netlist).dag._plan[3] is None
+        monkeypatch.setattr(netlist, "_COMPILE_AFTER", 8)
+        cli._parsed.cache_clear()
+        plan = cli._load(str(net), parse_netlist).dag._plan
+        assert plan[3] is None
         for _ in range(300):
             assert [once(argv, False) for argv in commands] == want
-        assert cli._load(str(net), parse_netlist).dag._plan[3] is not None
+        assert cli._load(str(net), parse_netlist).dag._plan is plan and plan[3] is not None
         assert [once(argv, True) for argv in commands] == want

@@ -50,6 +50,8 @@ from mcsim.executor import (
     Verdict,
     _Budget,
     _read_outcomes,
+    _trace_text,
+    _trace_walk,
     check_round_budget,
     emit_trace,
     implements,
@@ -64,6 +66,7 @@ from mcsim.executor import (
     spec_layers,
     successors,
     trace_check,
+    unrolled,
 )
 from mcsim.netlist import (
     Gate,
@@ -962,6 +965,39 @@ class TestTraces:
         with pytest.raises(InputError):
             trace_check(feedback_circuit,
                         ExecutionTrace((TraceRound(word("000")),)))
+
+    def test_unrolled_orbits_equal_replayed_rounds(self):
+        # loop None (no repeat yet: at most len(seq) rounds), 0 and mid-list,
+        # with count below, at and past len(seq), and far past it
+        for size in range(1, 7):
+            seq = [f"v{i}" for i in range(size)]
+            for loop in dict.fromkeys((None, 0, size // 2, size - 1)):
+                counts = range(size + 1) if loop is None else [*range(4 * size + 3), 1000]
+                for count in counts:
+                    got = unrolled(seq, loop, count)
+                    assert got == [replayed(seq, loop, t) for t in range(count)], (loop, count)
+                assert seq == [f"v{i}" for i in range(size)]
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_masked_locals"])
+    def test_packed_trace_text_equals_emit_trace(self, corpus, request):
+        # mc sim --trace writes the walk's packed rows as text; that text equals
+        # emit_trace of run_trace and the scalar reference's words at rounds 1-40
+        rng = random.Random(f"packed trace/{corpus}")
+        periodic = 0
+        for c in request.getfixturevalue(corpus):
+            for iota in {word("M" * c.m), rng.choice(list(all_words(c.m)))}:
+                # the scalar reference's rows, each word's own text
+                ref = scalar_run_trace(c, iota, 40).rounds
+                lines = [" | ".join(map(str, (row.state, row.read, row.evaluation, row.written)))
+                         for row in ref[:40]]
+                for r in range(1, 41):
+                    rows = _trace_walk(c, iota, r)
+                    text = _trace_text(rows, [c.trace_widths] * len(rows))
+                    assert text == emit_trace(run_trace(c, iota, r)), (c.name, iota, r)
+                    assert text == "".join(f"{i} | {line}\n" for i, line in enumerate(
+                        lines[:r])) + f"{r} | {ref[r].state}\n", (c.name, iota, r)
+                periodic += len(set(rows)) < len(rows)
+        assert periodic > 20, periodic
 
 
 def random_word(rng, width, digits="01M"):

@@ -36,6 +36,7 @@ from mcsim.netlist import (
     emit_netlist,
     eval_dag,
     eval_lanes,
+    eval_memo,
     lane_word,
     make_circuit,
     parse_netlist,
@@ -670,6 +671,44 @@ class TestCompiledPlans:
             assert walked.dag._plan[3] is None
         print(seen)
         assert seen[True, True, True] > 50 and seen[True, False, True] > 50, seen
+
+
+class TestEvalMemo:
+    """eval_memo, through which the round walks read a DAG's evaluations, equals
+    the scalar evaluator on every word, within its cap and past it, and keeps
+    its memo on the DAG alone, out of a pickle."""
+
+    @pytest.mark.parametrize("corpus", ["corpus_mixed", "corpus_masked_locals"])
+    def test_every_word_matches_the_scalar_evaluator(self, corpus, request, monkeypatch):
+        import mcsim.netlist as nl
+        for cap in (nl._MEMO_CAP, 4):
+            monkeypatch.setattr(nl, "_MEMO_CAP", cap)
+            for c in request.getfixturevalue(corpus):
+                dag = fresh(c.dag)   # an equal DAG, its memo empty
+                xs = list(all_words(len(dag.inputs)))
+                want = [scalar_eval_dag(dag, x).packed for x in xs]
+                # the first pass fills the memo up to its cap, the second reads it
+                for _ in range(2):
+                    assert [eval_memo(dag, x.packed) for x in xs] == want, (c.name, cap)
+                assert dag._memo == dict(list(zip([x.packed for x in xs], want))[:cap])
+                assert "_memo" not in vars(c)
+
+    def test_a_hit_runs_no_plan(self, feedback_circuit):
+        dag, x = fresh(feedback_circuit.dag), word("0M1").packed
+        assert eval_memo(dag, x) == word("MM").packed
+        left = dag._plan[2]
+        assert [eval_memo(dag, x) for _ in range(5)] == [word("MM").packed] * 5
+        assert dag._plan[2] == left and eval_dag(dag, word("0M1")) == word("MM")
+        assert dag._plan[2] == left - 1   # eval_dag is not memoized
+
+    def test_a_pickled_dag_carries_no_memo(self):
+        import pickle
+        c, x = parse_netlist(FEEDBACK_TEXT), word("0M1").packed
+        assert eval_memo(c.dag, x) == word("MM").packed and c.dag._memo == {x: word("MM").packed}
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and "_memo" not in vars(back.dag) and "_plan" not in vars(back.dag)
+        assert eval_memo(back.dag, x) == word("MM").packed
+        assert back.dag._memo == c.dag._memo and back.dag._memo is not c.dag._memo
 
 
 class TestValidate:
