@@ -9,10 +9,10 @@ exceeded or out of memory. Configuration is flags only.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+import types
 
 from . import analysis, components, executor
 from .netlist import emit_netlist, parse_netlist
@@ -250,91 +250,93 @@ def cmd_pipeline(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_budget_flags(p):
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
-                   help="state-enumeration budget")
+ROUNDS = ("rounds", {"type": int})
+BUDGET = ("--max-states", {"type": int, "default": DEFAULT_MAX_STATES,
+                           "help": "state-enumeration budget"})
+EMIT = ("--emit", {"choices": ("netlist", "report"), "default": "report"})
+# mc's commands: name -> (help, handler, [(an argument's flags, its add_argument keywords)])
+COMMANDS = {
+    "sim": ("enumerate reachable states and outputs", cmd_sim, [
+        ("netlist", {}), ("input", {"help": "input word over {0,1,M}"}), ROUNDS,
+        ("--trace", {"help": "also write one concrete execution here"}), BUDGET]),
+    "check": ("does the circuit implement the spec", cmd_check,
+              [("netlist", {}), ("spec", {}), ROUNDS, BUDGET]),
+    "closure": ("metastable closure of a Boolean truth table", cmd_closure,
+                [("table", {}), ("-o --out", {"help": "write the spec here (default: stdout)"})]),
+    "synth": ("netlist realizing a specification", cmd_synth, [
+        ("spec", {}), ("-o --out", {"help": "write the netlist here (default: stdout)"}), BUDGET]),
+    "unroll": ("combinational r-round copy of a circuit", cmd_unroll,
+               [("netlist", {}), ROUNDS, ("-o --out", {})]),
+    "witness": ("execution forced metastable between two inputs", cmd_witness, [
+        ("netlist", {}), ("input", {}), ("input2", {}), ROUNDS, ("-o --out", {}), BUDGET]),
+    "component": ("emit a library component", cmd_component,
+                  [("name", {}), ("params", {"nargs": "*"}), EMIT]),
+    "pipeline": ("select fault-tolerant clock bounds from TDC readings", cmd_pipeline,
+                 [("readings", {"nargs": "+", "help": "ones-first TC words"}),
+                  ("--faults", {"type": int, "required": True}), EMIT]),
+}
 
 
 @functools.cache
 def build_parser():
+    import argparse   # only help, errors and the variadic commands need it
     parser = argparse.ArgumentParser(
         prog="mc",
         description="Worst-case metastability propagation in clocked "
                     "circuits: simulate, check, synthesize.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sim", help="enumerate reachable states and outputs")
-    p.add_argument("netlist")
-    p.add_argument("input", help="input word over {0,1,M}")
-    p.add_argument("rounds", type=int)
-    p.add_argument("--trace", help="also write one concrete execution here")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_sim)
-
-    p = sub.add_parser("check", help="does the circuit implement the spec")
-    p.add_argument("netlist")
-    p.add_argument("spec")
-    p.add_argument("rounds", type=int)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("closure",
-                       help="metastable closure of a Boolean truth table")
-    p.add_argument("table")
-    p.add_argument("-o", "--out", help="write the spec here "
-                                       "(default: stdout)")
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("synth", help="netlist realizing a specification")
-    p.add_argument("spec")
-    p.add_argument("-o", "--out", help="write the netlist here "
-                                       "(default: stdout)")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("unroll",
-                       help="combinational r-round copy of a circuit")
-    p.add_argument("netlist")
-    p.add_argument("rounds", type=int)
-    p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_unroll)
-
-    p = sub.add_parser("witness",
-                       help="execution forced metastable between two inputs")
-    p.add_argument("netlist")
-    p.add_argument("input")
-    p.add_argument("input2")
-    p.add_argument("rounds", type=int)
-    p.add_argument("-o", "--out")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("component", help="emit a library component")
-    p.add_argument("name")
-    p.add_argument("params", nargs="*")
-    p.add_argument("--emit", choices=("netlist", "report"),
-                   default="report")
-    p.set_defaults(func=cmd_component)
-
-    p = sub.add_parser("pipeline",
-                       help="select fault-tolerant clock bounds from "
-                            "TDC readings")
-    p.add_argument("readings", nargs="+", help="ones-first TC words")
-    p.add_argument("--faults", type=int, required=True)
-    p.add_argument("--emit", choices=("netlist", "report"),
-                   default="report")
-    p.set_defaults(func=cmd_pipeline)
-
+    for name, (text, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flags, kw in arguments:
+            p.add_argument(*flags.split(), **kw)
+        p.set_defaults(func=func)
     parser.commands = sub.choices   # command name -> its parser, for main's one pass
     return parser
 
 
+def _plain_args(argv):
+    """What argv[0]'s own parser makes of argv[1:] when argv is plain: each token from "-" is
+    one of the command's one-value options, followed by a value not from "-", the other tokens
+    are exactly its fixed positionals, and each value converts. Otherwise None, for argparse."""
+    command = argv and COMMANDS.get(argv[0])
+    if not command:
+        return None
+    args, options, positionals = {"func": command[1]}, {}, []
+    for flags, kw in command[2]:
+        if not kw.keys() <= {"type", "default", "help"}:
+            return None   # nargs, choices and required are argparse's to read
+        if flags[0] != "-":
+            positionals.append((flags, kw.get("type", str)))
+            continue
+        names = flags.split()
+        dest = next((n for n in names if n[:2] == "--"), names[0]).lstrip("-").replace("-", "_")
+        args[dest] = kw.get("default")
+        for name in names:
+            options[name] = dest, kw.get("type", str)
+    tokens, pending = iter(argv[1:]), iter(positionals)
+    try:
+        for token in tokens:
+            if token[:1] == "-":
+                dest, convert = options[token]
+                token = next(tokens, "-")   # a missing value reads as a dash
+                if token[:1] == "-":
+                    return None
+            else:
+                dest, convert = next(pending)
+            args[dest] = convert(token)
+    except (KeyError, StopIteration, ValueError):
+        return None
+    return None if next(pending, None) else types.SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser, argv = build_parser(), sys.argv[1:] if argv is None else argv
-    own = argv and parser.commands.get(argv[0])   # a command's parser takes the rest at once
-    args, extra = own.parse_known_args(argv[1:]) if own else parser.parse_known_args(argv)
-    if extra:   # what either pass leaves over, the full parse's own error
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    argv = sys.argv[1:] if argv is None else argv
+    if (args := _plain_args(argv)) is None:   # help, errors and variadic commands: argparse's
+        parser = build_parser()
+        own = argv and parser.commands.get(argv[0])   # a command's parser takes the rest at once
+        args, extra = own.parse_known_args(argv[1:]) if own else parser.parse_known_args(argv)
+        if extra:   # what either pass leaves over, the full parse's own error
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if getattr(args, "max_states", 0) < 0:
             raise InputError(f"--max-states must be at least 0, not {args.max_states}")

@@ -62,15 +62,100 @@ def fresh_load_memo():
 
 
 def full_parse_main(argv):
-    """cli.main with argv parsed as it was before main gave a command's arguments to the
-    command's own parser: in one pass of the top-level parser, which hands them on."""
+    """cli.main with argv parsed as it was before main read a plain command line from the
+    command table or gave a command's arguments to the command's own parser: in one pass of
+    the top-level parser, which hands them on."""
     parser = cli.build_parser()
-    with mock.patch.object(parser, "commands", {}), mock.patch.object(
+    with mock.patch.object(cli, "_plain_args", lambda argv: None), \
+            mock.patch.object(parser, "commands", {}), mock.patch.object(
             parser, "parse_known_args", wraps=parser.parse_known_args) as full_pass:
         try:
             return cli.main(argv)
         finally:
             assert full_pass.call_count == 1, full_pass.call_args_list
+
+
+@functools.cache
+def reference_parser():
+    """mc's parser as build_parser wrote it, one literal call per argument, before it was built
+    from cli.COMMANDS: the reference that the table-built parser and the table's own read of a
+    plain command line are held to."""
+    import argparse
+
+    def _add_budget_flags(p):
+        p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+                       help="state-enumeration budget")
+
+    parser = argparse.ArgumentParser(
+        prog="mc",
+        description="Worst-case metastability propagation in clocked "
+                    "circuits: simulate, check, synthesize.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("sim", help="enumerate reachable states and outputs")
+    p.add_argument("netlist")
+    p.add_argument("input", help="input word over {0,1,M}")
+    p.add_argument("rounds", type=int)
+    p.add_argument("--trace", help="also write one concrete execution here")
+    _add_budget_flags(p)
+    p.set_defaults(func=cli.cmd_sim)
+
+    p = sub.add_parser("check", help="does the circuit implement the spec")
+    p.add_argument("netlist")
+    p.add_argument("spec")
+    p.add_argument("rounds", type=int)
+    _add_budget_flags(p)
+    p.set_defaults(func=cli.cmd_check)
+
+    p = sub.add_parser("closure",
+                       help="metastable closure of a Boolean truth table")
+    p.add_argument("table")
+    p.add_argument("-o", "--out", help="write the spec here "
+                                       "(default: stdout)")
+    p.set_defaults(func=cli.cmd_closure)
+
+    p = sub.add_parser("synth", help="netlist realizing a specification")
+    p.add_argument("spec")
+    p.add_argument("-o", "--out", help="write the netlist here "
+                                       "(default: stdout)")
+    _add_budget_flags(p)
+    p.set_defaults(func=cli.cmd_synth)
+
+    p = sub.add_parser("unroll",
+                       help="combinational r-round copy of a circuit")
+    p.add_argument("netlist")
+    p.add_argument("rounds", type=int)
+    p.add_argument("-o", "--out")
+    p.set_defaults(func=cli.cmd_unroll)
+
+    p = sub.add_parser("witness",
+                       help="execution forced metastable between two inputs")
+    p.add_argument("netlist")
+    p.add_argument("input")
+    p.add_argument("input2")
+    p.add_argument("rounds", type=int)
+    p.add_argument("-o", "--out")
+    _add_budget_flags(p)
+    p.set_defaults(func=cli.cmd_witness)
+
+    p = sub.add_parser("component", help="emit a library component")
+    p.add_argument("name")
+    p.add_argument("params", nargs="*")
+    p.add_argument("--emit", choices=("netlist", "report"),
+                   default="report")
+    p.set_defaults(func=cli.cmd_component)
+
+    p = sub.add_parser("pipeline",
+                       help="select fault-tolerant clock bounds from "
+                            "TDC readings")
+    p.add_argument("readings", nargs="+", help="ones-first TC words")
+    p.add_argument("--faults", type=int, required=True)
+    p.add_argument("--emit", choices=("netlist", "report"),
+                   default="report")
+    p.set_defaults(func=cli.cmd_pipeline)
+
+    parser.commands = sub.choices   # command name -> its parser, for main's one pass
+    return parser
 
 
 @pytest.fixture(scope="session")

@@ -2,19 +2,25 @@
 
 import argparse
 import ast
+import contextlib
+import importlib
+import io
 import inspect
 import os
+import random
 import subprocess
 import sys
 import time
+import types
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 from conftest import (FEEDBACK_TEXT, all_words, frontiers, full_parse_main, limited,
-                      scalar_state_cube_contains)
+                      reference_parser, scalar_state_cube_contains)
 from mcsim.analysis import emit_spec_table, unroll
-from mcsim import cli, executor, netlist
+from mcsim import cli, components, executor, netlist
 from mcsim.cli import build_parser, component_table, main
 from mcsim.components import (
     build_counter,
@@ -35,6 +41,7 @@ from mcsim.executor import (
 from mcsim.netlist import emit_netlist, parse_netlist, validate
 from mcsim.ternary_core import DEFAULT_MAX_STATES, TernaryWord, word
 
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 AND_TABLE = "table m=2 n=1\n00 -> 0\n01 -> 0\n10 -> 0\n11 -> 1\n"
 
 AND_CLOSURE_SPEC = """\
@@ -485,8 +492,9 @@ def outcome(capsys, main_fn, argv, out):
 
 
 class TestArgvParse:
-    """A command's argv[1:] goes to its own parser, once; anything else goes through
-    the top-level parser, as every argv once did."""
+    """A plain command line is read from the command table; any other command's argv[1:]
+    goes to its own parser, once; anything else goes through the top-level parser, as
+    every argv once did."""
 
     @pytest.fixture
     def corpus(self, workspace, tmp_path):
@@ -508,6 +516,17 @@ class TestArgvParse:
         well_formed = [a for a in argvs if a and a[0] in ("sim", "check", "witness")
                        and outcome(capsys, full_parse_main, a, out)[0] in (0, 1)]
         assert len(well_formed) > 15
+        plain = [a for a in well_formed if plain_shape(a)]
+        assert 5 <= len(plain) < len(well_formed)
+        build_parser.cache_clear()
+        with mock.patch.object(cli, "build_parser", wraps=build_parser) as built:
+            for argv in plain:
+                outcome(capsys, main, argv, out)
+            assert built.call_count == 0 and build_parser.cache_info().currsize == 0
+            for argv in well_formed:   # abbreviations, --opt=v and "--" build it
+                calls = built.call_count
+                outcome(capsys, main, argv, out)
+                assert built.call_count == calls + (argv not in plain), argv
         parser, passes = build_parser(), []
         top = parser.parse_known_args
 
@@ -522,6 +541,138 @@ class TestArgvParse:
             rc = outcome(capsys, main, argv, out)[0]
             assert rc in (0, 2) and len(passes) == 1, argv
             passes.clear()
+
+
+def action_fields(action):
+    """What an argparse action is: its kind, flags, dest, conversion, default, arity, choices
+    (a subparsers action's by name), whether it is required, and its help."""
+    choices = list(action.choices) if isinstance(action.choices, dict) else action.choices
+    return (type(action).__name__, action.option_strings, action.dest, action.type,
+            action.default, action.nargs, choices, action.required, action.help)
+
+
+def subparser_reading(argv):
+    """vars() of what the reference parser's subparser for argv[0] makes of argv[1:], or None
+    when argv names no command, or the subparser exits or leaves arguments over."""
+    own = argv and reference_parser().commands.get(argv[0])
+    if not own:
+        return None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = own.parse_known_args(argv[1:])
+        except SystemExit:
+            return None
+    return None if extra else vars(args)
+
+
+def plain_shape(argv):
+    """Whether argv is plain by the reference subparser's own actions: every token from "-"
+    is one of its one-value option strings, followed by a token that is not, and the rest
+    are as many as its positionals, none of them variadic."""
+    own = reference_parser().commands[argv[0]]
+    positionals = [a for a in own._actions if not a.option_strings]
+    if any(a.nargs is not None for a in positionals):
+        return False
+    tokens, given = iter(argv[1:]), 0
+    for token in tokens:
+        if token[:1] != "-":
+            given += 1
+        else:   # help's nargs is 0
+            action = own._option_string_actions.get(token)
+            if action is None or action.nargs is not None or next(tokens, "-")[:1] == "-":
+                return False
+    return given == len(positionals)
+
+
+def generated_argvs(rng, net, spec, table, out, count):
+    """Seeded argvs for every command: positionals good and bad, too few or too many; the
+    command's options, others' options, abbreviations, --opt=v, "-", "--", "", -h and values
+    from "-", before, between and after the positionals, repeated now and then."""
+    values = {"netlist": [net], "spec": [spec], "table": [table], "input": ["M", "01", "-M"],
+              "input2": ["1"], "rounds": ["3", "0", "-1", "x", "3.5", "", "+2", "1_0", " 4"],
+              "name": ["mux", "counter", "nope"], "params": ["3", "-1"],
+              "readings": ["10", "11", "1M"]}
+    junk = ["--max-st", "--tr", "--ou", "--em", "--max-states=5", "--trace=" + out,
+            "--out=" + out, "--emit=netlist", "-o" + out, "-h", "--help", "--", "-", "",
+            "-x", "--bogus", "-1", "--faults", "--emit", "-o", "--trace", "--max-states"]
+    option_values = [out, "5", "0", "-5", "x", "netlist", "report", "bogus", "", "-", "--"]
+    for _ in range(count):
+        command = rng.choice(list(cli.COMMANDS) + ["bogus"])
+        if command == "bogus":
+            yield [command, net]
+            continue
+        own = reference_parser().commands[command]
+        argv = [rng.choice(values[a.dest]) for a in own._actions if not a.option_strings]
+        if rng.random() < 0.2:
+            argv.pop(rng.randrange(len(argv)))
+        if rng.random() < 0.2:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(["extra", "7"]))
+        options = [f for a in own._actions if a.option_strings and a.nargs is None
+                   for f in a.option_strings]
+        for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+            flag = rng.choice(options) if rng.random() < 0.8 else rng.choice(junk)
+            pair = [flag] if rng.random() < 0.1 else [flag, rng.choice(
+                option_values if rng.random() < 0.3 else option_values[:3])]
+            at = rng.randrange(len(argv) + 1)
+            argv[at:at] = pair
+        yield [command] + argv
+
+
+class TestCommandTable:
+    """cli.COMMANDS builds today's parser, and reads a plain command line as that parser does."""
+
+    @pytest.mark.parametrize("columns", ["40", "100"])
+    def test_the_table_builds_the_reference_parser(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        built, want = build_parser(), reference_parser()
+        assert list(built.commands) == list(want.commands) == list(cli.COMMANDS)
+        for got, ref in [(built, want)] + [(built.commands[c], want.commands[c])
+                                           for c in want.commands]:
+            assert got.prog == ref.prog and got._defaults == ref._defaults
+            assert got.format_usage() == ref.format_usage()
+            assert got.format_help() == ref.format_help()
+            assert list(map(action_fields, got._actions)) == list(map(action_fields, ref._actions))
+
+    def test_a_plain_argv_reads_as_its_subparser_does(self, workspace, tmp_path):
+        out = str(tmp_path / "out.txt")
+        files = (workspace("buf.net", BUF_NET), workspace("and.spec", AND_CLOSURE_SPEC),
+                 workspace("and.table", AND_TABLE))
+        argvs = argv_corpus(*files, out)
+        assert len(argvs) == 132
+        argvs += generated_argvs(random.Random("plain argvs"), *files, out, 4000)
+        read = Counter()
+        for argv in argvs:
+            plain, want = cli._plain_args(argv), subparser_reading(argv)
+            assert plain is None or vars(plain) == want, argv
+            shaped = want is not None and plain_shape(argv)
+            assert (plain is not None) == shaped, argv
+            read[plain is not None, want is not None] += 1
+        # every outcome shows up often: read by the table, declined but read by argparse,
+        # and declined because argparse rejects it
+        assert min(read[True, True], read[False, True], read[False, False]) > 200, read
+
+    def test_choices_and_required_options_are_left_to_argparse(self, monkeypatch):
+        # without its variadic params, component is plain but for --emit's choices
+        text, func, arguments = cli.COMMANDS["component"]
+        monkeypatch.setitem(cli.COMMANDS, "component", (text, func, [arguments[0], arguments[2]]))
+        assert cli._plain_args(["component", "mux"]) is None
+        monkeypatch.setitem(cli.COMMANDS, "component", (text, func, [arguments[0]]))
+        assert vars(cli._plain_args(["component", "mux"])) == {"func": func, "name": "mux"}
+        text, func, arguments = cli.COMMANDS["pipeline"]
+        monkeypatch.setitem(cli.COMMANDS, "pipeline", (text, func, [("readings", {}), arguments[1]]))
+        assert cli._plain_args(["pipeline", "10", "--faults", "0"]) is None
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_benchmark_argv_is_plain(self, monkeypatch, tmp_path, seed):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        mc = types.SimpleNamespace(cli=cli, components=components, netlist=netlist)
+        wl = workloads.SequentialSim(mc, seed, str(tmp_path))
+        argvs = [it.argv for _ in range(300) for it in wl.cycle()]
+        assert len(argvs) == 3000
+        for argv in argvs:
+            plain = cli._plain_args(argv)
+            assert plain is not None and vars(plain) == subparser_reading(argv), argv
 
 
 class TestCheck:

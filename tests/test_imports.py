@@ -8,13 +8,14 @@ definition."""
 import ast
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import traced
+from conftest import FEEDBACK_TEXT, traced
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mcsim"
 
@@ -373,3 +374,31 @@ def test_the_cli_imports_no_typing():
                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))"],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def argparse_after_a_plain_sim(package, tmp_path):
+    """The exit code of cli.main on a plain `mc sim` in a fresh python -S that imports mcsim
+    from package's parent, and which of argparse and its gettext that process then holds."""
+    net = tmp_path / "fig4.net"
+    net.write_text(FEEDBACK_TEXT)
+    code = ("import sys, mcsim.cli\n"
+            f"code = mcsim.cli.main(['sim', {str(net)!r}, 'MM', '5'])\n"
+            "print(code, sorted(m for m in ('argparse', 'gettext') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(package.parent)},
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def test_a_plain_command_loads_no_argparse(tmp_path):
+    # a plain command line is read from cli.COMMANDS; only build_parser imports argparse
+    assert argparse_after_a_plain_sim(SRC, tmp_path) == "0 []"
+
+
+def test_a_module_level_argparse_is_caught(tmp_path):
+    copy = tmp_path / "pkg" / "mcsim"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "cli.py"
+    cli.write_text(cli.read_text().replace("from __future__ import annotations\n",
+                                           "from __future__ import annotations\nimport argparse\n"))
+    assert argparse_after_a_plain_sim(copy, tmp_path) == "0 ['argparse', 'gettext']"
