@@ -247,16 +247,16 @@ def closure_general(f: FunctionSpec) -> FunctionSpec:
 def _natural_hull(f: FunctionSpec, digits: list) -> list[tuple[int, int]] | None:
     """The rails of f's entries if f is natural, else None (digits: f.m's
     digit_lanes). A spec built natural (_natural) hands over its mark, and
-    one found natural here keeps its hull as that mark."""
-    if (mark := getattr(f, "_hull_mark", None)) is not None:
-        return mark
+    one tested here keeps its verdict as that mark: its hull, or None."""
+    if "_hull_mark" in vars(f):   # a mark of None: tested, and not natural
+        return vars(f)["_hull_mark"]
     layers = spec_layers(f)
     hull = _hull(layers, f.n)
     joins = _zeta(digits, _stable_part(digits, hull))
     # natural: at every input the hull lies inside (so equals) an allowed
     # cube, and so does the join of the entries at its full resolutions
     natural = covered(layers, hull) == covered(layers, joins) == (1 << 3 ** f.m) - 1
-    return vars(f).setdefault("_hull_mark", hull) if natural else None
+    return vars(f).setdefault("_hull_mark", hull if natural else None)
 
 
 def is_natural(f: FunctionSpec) -> bool:

@@ -173,38 +173,14 @@ def cmd_witness(args):
         f"rounds: {args.rounds}", "verdict: witness"])
 
 
-def component_table():
-    """Every component `mc component` builds: name -> (parameter count,
-    builder, contract checks). A check is (label, spec builder, round); both
-    builders take the component's parameters, and a round of None is its
-    first parameter. Built per call, so a rebound `components` function
-    (a tracer's wrapper, say) is the one called."""
-    cmux = ("containing mux", components.cmux_spec)
-    return {
-        "mux": (0, components.build_mux, [("plain mux", components.mux_spec, 1), (*cmux, 1)]),
-        "cmux1": (0, components.build_cmux_combinational, [(*cmux, 1)]),
-        "cmux-clocked": (0, components.build_cmux_clocked, [(*cmux, 2)]),
-        "fanout-buffer": (1, components.build_fanout_buffer,
-                          [("masking fan-out", components.masking_fanout_spec, None)]),
-        "counter": (1, components.build_counter, []),
-        "selector": (1, components.build_selector, []),
-        "tc-to-brgc": (1, components.build_tc_to_brgc, []),
-        "two-sort": (1, components.build_two_sort, []),
-        "brgc-to-tc": (1, components.build_brgc_to_tc, []),
-        # builds the comparator schedule too, for the layers lines
-        "sorting-network": (2, components.build_sorting_network, []),
-    }
-
-
 def cmd_component(args):
     try:
         nums = [int(p) for p in args.params]
     except ValueError:
         raise InputError(f"component parameters must be integers: {args.params}")
-    table = component_table()
-    if args.name not in table:
-        raise InputError(f"unknown component {args.name!r}; known: {', '.join(sorted(table))}")
-    count, build, checks = table[args.name]
+    if args.name not in COMPONENTS:
+        raise InputError(f"unknown component {args.name!r}; known: {', '.join(sorted(COMPONENTS))}")
+    count, build, checks = COMPONENTS[args.name]
     if len(nums) != count:
         takes = ("no parameters", "one parameter", "channels and word width")[count]
         raise InputError(f"{args.name} takes {takes}")
@@ -250,6 +226,26 @@ def cmd_pipeline(args):
 
 # ---------------------------------------------------------------------------
 
+# mc component's components: name -> (parameter count, builder, [(check label, spec builder,
+# round)]); both builders take the parameters, and a round of None is the first parameter.
+COMPONENTS = {
+    "mux": (0, components.build_mux, [("plain mux", components.mux_spec, 1),
+                                      ("containing mux", components.cmux_spec, 1)]),
+    "cmux1": (0, components.build_cmux_combinational,
+              [("containing mux", components.cmux_spec, 1)]),
+    "cmux-clocked": (0, components.build_cmux_clocked,
+                     [("containing mux", components.cmux_spec, 2)]),
+    "fanout-buffer": (1, components.build_fanout_buffer,
+                      [("masking fan-out", components.masking_fanout_spec, None)]),
+    "counter": (1, components.build_counter, []),
+    "selector": (1, components.build_selector, []),
+    "tc-to-brgc": (1, components.build_tc_to_brgc, []),
+    "two-sort": (1, components.build_two_sort, []),
+    "brgc-to-tc": (1, components.build_brgc_to_tc, []),
+    # builds the comparator schedule too, for the layers lines
+    "sorting-network": (2, components.build_sorting_network, []),
+}
+
 ROUNDS = ("rounds", {"type": int})
 BUDGET = ("--max-states", {"type": int, "default": DEFAULT_MAX_STATES,
                            "help": "state-enumeration budget"})
@@ -290,7 +286,6 @@ def build_parser():
         for flags, kw in arguments:
             p.add_argument(*flags.split(), **kw)
         p.set_defaults(func=func)
-    parser.commands = sub.choices   # command name -> its parser, for main's one pass
     return parser
 
 
@@ -331,12 +326,8 @@ def _plain_args(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if (args := _plain_args(argv)) is None:   # help, errors and variadic commands: argparse's
-        parser = build_parser()
-        own = argv and parser.commands.get(argv[0])   # a command's parser takes the rest at once
-        args, extra = own.parse_known_args(argv[1:]) if own else parser.parse_known_args(argv)
-        if extra:   # what either pass leaves over, the full parse's own error
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    # help, errors and the variadic commands: argparse's, in one pass
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         if getattr(args, "max_states", 0) < 0:
             raise InputError(f"--max-states must be at least 0, not {args.max_states}")

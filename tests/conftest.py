@@ -63,11 +63,9 @@ def fresh_load_memo():
 
 def full_parse_main(argv):
     """cli.main with argv parsed as it was before main read a plain command line from the
-    command table or gave a command's arguments to the command's own parser: in one pass of
-    the top-level parser, which hands them on."""
+    command table: in one pass of the top-level parser, which hands it on."""
     parser = cli.build_parser()
-    with mock.patch.object(cli, "_plain_args", lambda argv: None), \
-            mock.patch.object(parser, "commands", {}), mock.patch.object(
+    with mock.patch.object(cli, "_plain_args", lambda argv: None), mock.patch.object(
             parser, "parse_known_args", wraps=parser.parse_known_args) as full_pass:
         try:
             return cli.main(argv)
@@ -154,7 +152,7 @@ def reference_parser():
                    default="report")
     p.set_defaults(func=cli.cmd_pipeline)
 
-    parser.commands = sub.choices   # command name -> its parser, for main's one pass
+    parser.commands = sub.choices   # command name -> its parser, for the tests' reads
     return parser
 
 

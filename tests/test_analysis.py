@@ -900,6 +900,30 @@ class TestHandOverWorkCounts:
         assert main(["synth", str(path)]) == 0
         assert capsys.readouterr().out.startswith("circuit synth_3x2\n") and len(hulls) == 1
 
+    def test_a_spec_keeps_its_verdict_natural_or_not(self, monkeypatch):
+        # a spec is tested once, whatever the verdict; n = 0's hull, [], is a verdict too,
+        # and each kept verdict is the one a fresh copy of the spec gets
+        import dataclasses
+        import mcsim.analysis as an
+        from mcsim.components import masking_fanout_spec
+        rng = random.Random(63)
+        specs = subfunction_corpus() + [masking_fanout_spec(r) for r in (1, 4, 8)]
+        specs += [closure_bool(random_bool_table(rng, m, 0)) for m in range(3)]
+        specs += [natural_spec(m, 0, dict.fromkeys(all_words(m), TernaryWord(0, 0)))
+                  for m in range(3)]
+        hull, hulls = an._hull, []
+        monkeypatch.setattr(an, "_hull", lambda *a: (hulls.append(a), hull(*a))[1])
+        seen = Counter()
+        for f in specs:
+            marked = "_hull_mark" in vars(f)
+            verdict = is_natural(f)
+            assert is_natural(f) is verdict and len(hulls) == (not marked), f
+            fresh = dataclasses.replace(f)
+            assert "_hull_mark" not in vars(fresh) and is_natural(fresh) is verdict, f
+            seen[marked, verdict] += 1
+            hulls.clear()
+        assert seen[False, True] > 10 and seen[False, False] > 100 and seen[True, True] > 30, seen
+
     def test_implements_on_a_synthesized_circuit_builds_no_plan(self, monkeypatch):
         from mcsim import netlist
         build, built = netlist.Dag.__dict__["_plan"].func, []

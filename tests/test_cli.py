@@ -21,7 +21,7 @@ from conftest import (FEEDBACK_TEXT, all_words, frontiers, full_parse_main, limi
                       reference_parser, scalar_state_cube_contains)
 from mcsim.analysis import emit_spec_table, unroll
 from mcsim import cli, components, executor, netlist
-from mcsim.cli import build_parser, component_table, main
+from mcsim.cli import COMPONENTS, build_parser, main
 from mcsim.components import (
     build_counter,
     build_fanout_buffer,
@@ -492,9 +492,8 @@ def outcome(capsys, main_fn, argv, out):
 
 
 class TestArgvParse:
-    """A plain command line is read from the command table; any other command's argv[1:]
-    goes to its own parser, once; anything else goes through the top-level parser, as
-    every argv once did."""
+    """A plain command line is read from the command table; anything else goes through the
+    top-level parser's parse_args, once, as every argv once did."""
 
     @pytest.fixture
     def corpus(self, workspace, tmp_path):
@@ -511,35 +510,25 @@ class TestArgvParse:
             codes[got[0]] += 1
         assert set(codes) == {0, 1, 2, 3} and codes[0] > 20 and codes[2] > 50, codes
 
-    def test_a_command_skips_the_top_level_pass(self, capsys, monkeypatch, corpus):
+    def test_a_plain_argv_builds_no_parser_and_any_other_takes_one_pass(self, capsys,
+                                                                        monkeypatch, corpus):
         argvs, out = corpus
-        well_formed = [a for a in argvs if a and a[0] in ("sim", "check", "witness")
-                       and outcome(capsys, full_parse_main, a, out)[0] in (0, 1)]
-        assert len(well_formed) > 15
-        plain = [a for a in well_formed if plain_shape(a)]
-        assert 5 <= len(plain) < len(well_formed)
+        plain = [a for a in argvs if subparser_reading(a) is not None and plain_shape(a)]
+        assert 5 <= len(plain) < len(argvs) - 100
         build_parser.cache_clear()
         with mock.patch.object(cli, "build_parser", wraps=build_parser) as built:
             for argv in plain:
                 outcome(capsys, main, argv, out)
             assert built.call_count == 0 and build_parser.cache_info().currsize == 0
-            for argv in well_formed:   # abbreviations, --opt=v and "--" build it
-                calls = built.call_count
-                outcome(capsys, main, argv, out)
-                assert built.call_count == calls + (argv not in plain), argv
         parser, passes = build_parser(), []
-        top = parser.parse_known_args
-
-        def counted(*args):
-            passes.append(args)
-            return top(*args)
-        monkeypatch.setattr(parser, "parse_known_args", counted)
-        for argv in well_formed:
+        for name in ("parse_args", "parse_known_args"):
+            def counted(*args, name=name, method=getattr(parser, name)):
+                passes.append(name)
+                return method(*args)
+            monkeypatch.setattr(parser, name, counted)
+        for argv in argvs:   # a command's own parser is reached only through the top level
             outcome(capsys, main, argv, out)
-            assert passes == [], argv
-        for argv in ([], ["-h"], ["bogus"]):
-            rc = outcome(capsys, main, argv, out)[0]
-            assert rc in (0, 2) and len(passes) == 1, argv
+            assert passes == ([] if argv in plain else ["parse_args", "parse_known_args"]), argv
             passes.clear()
 
 
@@ -549,6 +538,11 @@ def action_fields(action):
     choices = list(action.choices) if isinstance(action.choices, dict) else action.choices
     return (type(action).__name__, action.option_strings, action.dest, action.type,
             action.default, action.nargs, choices, action.required, action.help)
+
+
+def subparsers(parser):
+    """parser's command name -> subparser map, found through its subparsers action."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def subparser_reading(argv):
@@ -625,9 +619,9 @@ class TestCommandTable:
     def test_the_table_builds_the_reference_parser(self, monkeypatch, columns):
         monkeypatch.setenv("COLUMNS", columns)
         built, want = build_parser(), reference_parser()
-        assert list(built.commands) == list(want.commands) == list(cli.COMMANDS)
-        for got, ref in [(built, want)] + [(built.commands[c], want.commands[c])
-                                           for c in want.commands]:
+        commands = subparsers(built)
+        assert list(commands) == list(want.commands) == list(cli.COMMANDS)
+        for got, ref in [(built, want)] + [(commands[c], want.commands[c]) for c in want.commands]:
             assert got.prog == ref.prog and got._defaults == ref._defaults
             assert got.format_usage() == ref.format_usage()
             assert got.format_help() == ref.format_help()
@@ -942,9 +936,9 @@ TAKES = {0: "takes no parameters", 1: "takes one parameter", 2: "takes channels 
 
 
 class TestComponent:
-    @pytest.mark.parametrize("name", sorted(component_table()))
+    @pytest.mark.parametrize("name", sorted(COMPONENTS))
     def test_report_and_netlist_both_work(self, capsys, name):
-        count, _, checks = component_table()[name]
+        count, _, checks = COMPONENTS[name]
         params = VALID_PARAMS[count]
         rc, out, _ = run(capsys, ["component", name, *params])
         assert rc == 0

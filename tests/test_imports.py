@@ -376,6 +376,30 @@ def test_the_cli_imports_no_typing():
     assert out.stdout == "[]\n"
 
 
+def names_parse_known_args(text: str) -> bool:
+    """Whether a module names parse_known_args, called or not: a second pass over argv, or
+    one that leaves arguments over, where mc reads an argv once, through parse_args."""
+    return any((node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+               == "parse_known_args" for node in ast.walk(ast.parse(text)))
+
+
+def test_no_module_parses_argv_twice():
+    assert [p.stem for p in sorted(SRC.glob("*.py"))
+            if names_parse_known_args(p.read_text())] == []
+
+
+@pytest.mark.parametrize("text, names", [
+    ("args, extra = parser.parse_known_args(argv)\n", True),
+    ("own = sub.choices[argv[0]]\nargs, extra = own.parse_known_args(argv[1:])\n", True),
+    ("def main(argv):\n    read = build_parser().parse_known_args\n    return read(argv)[0]\n",
+     True),
+    ("args = _plain_args(argv) or build_parser().parse_args(argv)\n", False),
+    ("def main():\n    '''Never calls parse_known_args.'''\n", False),
+])
+def test_a_second_argv_pass_is_caught(text, names):
+    assert names_parse_known_args(text) is names
+
+
 def argparse_after_a_plain_sim(package, tmp_path):
     """The exit code of cli.main on a plain `mc sim` in a fresh python -S that imports mcsim
     from package's parent, and which of argparse and its gettext that process then holds."""
