@@ -11,7 +11,6 @@ between inputs with disjoint output sets, metastability must appear.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import reduce
@@ -332,9 +331,6 @@ def find_natural_subfunction(g: FunctionSpec,
 # ---------------------------------------------------------------------------
 # Prime implicants and circuit synthesis
 
-_FIND_FROM = 7  # inputs from which a scan of the bit string reads prime lanes faster
-
-
 def _primes(digits: list[tuple[int, int]], ones: list[int], closed=False) -> list[list[int]]:
     """Per Boolean function, 1 on the stable lanes in its ones and 0 on the
     other stable lanes, the lanes of its prime implicants in lex order.
@@ -349,12 +345,11 @@ def _primes(digits: list[tuple[int, int]], ones: list[int], closed=False) -> lis
         prime, lanes = imp, []
         for s, zero, one in steps:
             prime &= ~(imp >> 2 * s & zero | imp >> s & one)
-        if len(digits) < _FIND_FROM:
-            while prime:  # the lowest set bit's lane, then clear it
-                lanes.append((prime & -prime).bit_length() - 1)
-                prime &= prime - 1
-        else:  # lane L is character L of the reversed bit string
-            lanes = [one.start() for one in re.finditer("1", format(prime, "b")[::-1])]
+        bits = bin(prime)  # lane L is character top - L, so walking left reads lanes up
+        top, i = len(bits) - 1, bits.rfind("1")
+        while i >= 0:
+            lanes.append(top - i)
+            i = bits.rfind("1", 0, i)
         primes.append(lanes)
     return primes
 

@@ -10,7 +10,7 @@ words out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .analysis import FunctionSpec, closure_bool, general_spec, synthesize
@@ -258,7 +258,7 @@ def build_two_sort(k: int) -> Circuit:
             x = encode(code, u).concat(encode(code, v))
             table[x] = encode(code, min(u, v)).concat(encode(code, max(u, v)))
     c = synthesize(closure_bool(table))
-    return replace(c, name=f"two_sort_{k}")
+    return Circuit(f"two_sort_{k}", c.registers, c.dag)
 
 
 @lru_cache(maxsize=4)  # k 1-4: every width it builds
@@ -270,7 +270,7 @@ def build_brgc_to_tc(k: int) -> Circuit:
     out = tc((1 << k) - 1)
     table = {encode(code, v): encode(out, v) for v in range(code.range)}
     c = synthesize(closure_bool(table))
-    return replace(c, name=f"brgc_to_tc_{k}")
+    return Circuit(f"brgc_to_tc_{k}", c.registers, c.dag)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import functools
 import heapq
-import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .ternary_core import (
@@ -130,7 +129,7 @@ class Dag:
         for g in reversed(self.gates):
             read.update(g.args if g.gid in read else ())
         gates = tuple(g for g in self.gates if g.gid in read)
-        return _compile(self if len(gates) == len(self.gates) else replace(self, gates=gates))
+        return _compile(self if gates == self.gates else Dag(self.inputs, gates, self.outputs))
 
     def __getstate__(self):
         # the plan's closures and compiled chunks do not pickle, and the memo only saves work
@@ -390,7 +389,11 @@ def lane_word(rails: list[tuple[int, int]], lane: int) -> TernaryWord:
     return TernaryWord(len(rails), _packed([(z >> lane & 1, o >> lane & 1) for z, o in rails]))
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+def _named(s: str) -> bool:
+    """s is an ASCII letter or _, then ASCII letters, digits, _ and ."""
+    return s[:1] != "." and s.isascii() and s.replace(".", "_").isidentifier()
+
+
 # the members by their text, for parse_netlist: a dict read costs less than an Enum call
 _ROLES, _RTYPES = ({e.value: e for e in enum} for enum in (Role, RegType))
 
@@ -398,9 +401,11 @@ _ROLES, _RTYPES = ({e.value: e for e in enum} for enum in (Role, RegType))
 def validate(c: Circuit) -> list[str]:
     """All structural violations, as human-readable strings; [] iff valid."""
     out: list[str] = []
+    if c.name.split() != [c.name] or "#" in c.name:  # else emit_netlist's text misreads it
+        out.append(f"bad circuit name {c.name!r}")
     seen: dict[str, RegisterDecl] = {}
     for r in c.registers:
-        if not _NAME_RE.match(r.name):
+        if not _named(r.name):
             out.append(f"bad register name {r.name!r}")
         if r.name in seen:
             other = seen[r.name]
@@ -437,7 +442,7 @@ def _dag_findings(dag: Dag) -> Iterator[str]:
     references to nodes not defined before."""
     defined, outs = set(dag.inputs), {name for name, _ in dag.outputs}
     for g in dag.gates:
-        if not _NAME_RE.match(g.gid):
+        if not _named(g.gid):
             yield f"bad gate id {g.gid!r}"
         if g.gid in outs or g.gid in defined:
             yield f"gate id {g.gid} collides with an earlier name"

@@ -5,6 +5,7 @@ import functools
 import importlib.util
 import itertools
 import random
+import re
 import resource
 import signal
 from pathlib import Path
@@ -1276,3 +1277,26 @@ def scalar_spec_layers(f):
     return [(sum(1 << lane for lane, v in enumerate(values) if k < len(v)),
              scalar_rails([v[k] if k < len(v) else filler for v in values], f.n))
             for k in range(max(map(len, values)))]
+
+
+# The name rule and the prime-lane loop that netlist's exact name test and
+# analysis._primes' one bin() scan replaced, kept as references.
+def regex_name(s: str) -> bool:
+    """An ASCII letter or _, then ASCII letters, digits, _ and ., as one regex."""
+    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", s) is not None
+
+
+def lowest_bit_primes(digits, ones):
+    """analysis._primes(digits, ones, closed=True), each prime's lanes read by
+    taking its lowest set bit's lane and clearing that bit."""
+    steps = [(3 ** i, z & ~o, o & ~z) for i, (z, o) in enumerate(reversed(digits))]
+    primes = []
+    for imp in ones:
+        prime, lanes = imp, []
+        for s, zero, one in steps:
+            prime &= ~(imp >> 2 * s & zero | imp >> s & one)
+        while prime:
+            lanes.append((prime & -prime).bit_length() - 1)
+            prime &= prime - 1
+        primes.append(lanes)
+    return primes

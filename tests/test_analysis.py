@@ -15,6 +15,7 @@ from conftest import (
     circuit_corpus,
     detector_spec,
     eager_spec,
+    lowest_bit_primes,
     mm_example_spec,
     per_word_find_natural_subfunction,
     recursive_metastable_witness,
@@ -793,20 +794,16 @@ class TestHandedOver:
         assert len(specs) > 500
 
     @pytest.mark.parametrize("m", range(12))
-    def test_both_lane_scans_read_the_same_primes(self, m, monkeypatch):
-        # every width through str.find (threshold 0), then through
-        # lowest-set-bit clearing (threshold 12): closures, and random masks
-        # whose primes are sparse or dense
-        import mcsim.analysis as an
+    def test_both_lane_scans_read_the_same_primes(self, m):
+        # the bin() scan against the lowest-set-bit loop at every width: closures,
+        # and random masks whose primes are sparse or dense
+        from mcsim.analysis import _primes
         rng = random.Random(f"scan/{m}")
         digits = digit_lanes(m)
         ones = [o & ~z for z, o in closure_bool(random_bool_table(rng, m, 2)).rails]
         ones += [0, (1 << 3 ** m) - 1, rng.getrandbits(3 ** m)]
-        scans = []
-        for threshold in (0, 12):
-            monkeypatch.setattr(an, "_FIND_FROM", threshold)
-            scans.append(an._primes(digits, ones, closed=True))
-        assert scans[0] == scans[1] and scans[0][3] == [3 ** m - 1]
+        scan = _primes(digits, ones, closed=True)
+        assert scan == lowest_bit_primes(digits, ones) and scan[3] == [3 ** m - 1]
 
     def test_a_general_closure_keeps_the_zeta_path(self):
         from mcsim.analysis import _primes

@@ -400,6 +400,59 @@ def test_a_second_argv_pass_is_caught(text, names):
     assert names_parse_known_args(text) is names
 
 
+def imports_re(text: str) -> bool:
+    """Whether a module imports re or anything from it: names are checked by str methods
+    (netlist._named) and prime lanes read from bin() (analysis._primes)."""
+    return any(isinstance(node, ast.Import) and any(a.name.split(".")[0] == "re"
+                                                    for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "re" for node in ast.walk(ast.parse(text)))
+
+
+def test_no_module_imports_re():
+    assert [p.stem for p in sorted(SRC.glob("*.py")) if imports_re(p.read_text())] == []
+
+
+@pytest.mark.parametrize("text, imports", [
+    ("import re\nNAME = re.compile('[a-z]+')\n", True),
+    ("import os, re as regex\n", True),
+    ("from re import fullmatch\n", True),
+    ("def f(s):\n    import re\n    return re.escape(s)\n", True),
+    ("from .netlist import regs, rename\n", False),
+    ("def f():\n    '''Matches no re.'''\n    return bin(3).rfind('1')\n", False),
+])
+def test_a_re_import_is_caught(text, imports):
+    assert imports_re(text) is imports
+
+
+def copies_by_replace(text: str) -> bool:
+    """Whether a module takes replace from dataclasses, imported or read as
+    dataclasses.replace, where a plain constructor call makes the copy."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses" \
+                and any(a.name == "replace" for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "replace" \
+                and isinstance(node.value, ast.Name) and node.value.id == "dataclasses":
+            return True
+    return False
+
+
+def test_no_module_copies_by_dataclasses_replace():
+    assert [p.stem for p in sorted(SRC.glob("*.py")) if copies_by_replace(p.read_text())] == []
+
+
+@pytest.mark.parametrize("text, copies", [
+    ("from dataclasses import dataclass, replace\n", True),
+    ("from dataclasses import replace as copy\nc = copy(c, name='x')\n", True),
+    ("import dataclasses\nc = dataclasses.replace(c, name='x')\n", True),
+    ("from dataclasses import dataclass\nc = Circuit('x', c.registers, c.dag)\n", False),
+    ("import os\nos.replace(tmp, path)\ntext = rhs.replace('*', 'M')\n", False),
+])
+def test_a_dataclasses_replace_is_caught(text, copies):
+    assert copies_by_replace(text) is copies
+
+
 def argparse_after_a_plain_sim(package, tmp_path):
     """The exit code of cli.main on a plain `mc sim` in a fresh python -S that imports mcsim
     from package's parent, and which of argparse and its gettext that process then holds."""

@@ -17,6 +17,7 @@ from conftest import (
     lane_words,
     random_circuit,
     random_gates,
+    regex_name,
     scalar_dag_toposort,
     scalar_eval_dag,
     scalar_eval_gate,
@@ -342,7 +343,7 @@ class TestDualRail:
         # references and names, where gate_value, which names its own nodes,
         # has nothing to compare: a forward and an undefined reference, a
         # duplicate gate id, one equal to an input or output node, an
-        # undefined output source, a bad gate id
+        # undefined output source, bad gate ids
         cases += [(dag, None) for dag in (
             Dag(("a",), (Gate("g", "NOT", ("h",)), Gate("h", "NOT", ("a",))), (("o", "g"),)),
             Dag(("a",), (Gate("g", "NOT", ("zz",)),), (("o", "g"),)),
@@ -350,7 +351,8 @@ class TestDualRail:
             Dag(("a",), (Gate("a", "NOT", ("a",)),), (("o", "a"),)),
             Dag(("a",), (Gate("o", "NOT", ("a",)),), (("o", "o"),)),
             Dag(("a",), (Gate("g", "NOT", ("a",)),), (("o", "zz"),)),
-            Dag(("a",), (Gate("1g", "NOT", ("a",)),), (("o", "1g"),)))]
+            Dag(("a",), (Gate("1g", "NOT", ("a",)),), (("o", "1g"),)),
+            Dag(("a",), (Gate("g\n", "NOT", ("a",)),), (("o", "g\n"),)))]
         for dag, g in cases:
             [want] = validate(Circuit("c", regs, dag))
             for _ in range(2):
@@ -937,6 +939,55 @@ class TestNetlistFiles:
         assert eval_dag(c.dag, word("11")) == word("0")
         assert eval_dag(c.dag, word("1M")) == word("M")
         assert parse_netlist(emit_netlist(c)) == c
+
+
+def one_gate_circuit(name, register, gate):
+    """make_circuit of circuit name, whose output is gate, NOT of input register."""
+    regs = [RegisterDecl(register, Role.INPUT, RegType.SIMPLE),
+            RegisterDecl("o", Role.OUTPUT, RegType.SIMPLE, ZERO)]
+    return make_circuit(name, regs, [Gate(gate, "NOT", (register,))], {"o": gate})
+
+
+# seeded names: ASCII and non-ASCII letters and digits, dots, _, blanks, # and line ends
+NAME_PIECES = "abZq_" * 6 + "09." * 2 + " \t\r\n#-éßΩａǅ١²"
+
+
+def seeded_names(rng, count):
+    edges = ["", ".", "_", "a", "a.", "._", "_.1", "1a", "a\n", "\n", "a b", "x#y", "é", "a\t"]
+    return edges + ["".join(rng.choices(NAME_PIECES, k=rng.randrange(6))) for _ in range(count)]
+
+
+class TestNames:
+    def test_the_name_test_is_the_regex(self):
+        from mcsim.netlist import _named
+        names = seeded_names(random.Random("names"), 20000)
+        assert [n for n in names if _named(n) != regex_name(n)] == []
+        verdicts = Counter(map(regex_name, names))
+        assert min(verdicts.values()) > 2000, verdicts
+
+    @pytest.mark.parametrize("name, register, gate, problem", [
+        ("a b", "I", "g", "bad circuit name 'a b'"),
+        ("", "I", "g", "bad circuit name ''"),
+        ("x#y", "I", "g", "bad circuit name 'x#y'"),
+        ("c", "I\n", "g", "bad register name 'I\\n'"),
+        ("c", "I", "g\n", "bad gate id 'g\\n'"),
+    ])
+    def test_bad_names_are_refused(self, name, register, gate, problem):
+        with pytest.raises(InputError, match=f"^{re.escape(problem)}$"):
+            one_gate_circuit(name, register, gate)
+
+    def test_every_accepted_circuit_reads_back(self):
+        rng = random.Random("read back")
+        names, kept = seeded_names(rng, 3000), Counter()
+        for name in names:
+            try:
+                c = one_gate_circuit(name, rng.choice(names), rng.choice(names))
+            except InputError:
+                kept[False] += 1
+                continue
+            assert parse_netlist(emit_netlist(c)) == c, c
+            kept[True] += 1
+        assert min(kept.values()) > 100, kept
 
 
 class TestMakeCircuit:
