@@ -12,7 +12,6 @@ between inputs with disjoint output sets, metastability must appear.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 
@@ -24,6 +23,7 @@ from .netlist import (
     RegisterDecl,
     RegType,
     Role,
+    _derived,
     digit_lanes,
     eval_memo,
     lane_word,
@@ -43,6 +43,7 @@ from .ternary_core import (
     TernaryWord,
     _PACKED,
     _WIDTH,
+    _frozen,
     _meta_mask,
     all_words,
     content_lines,
@@ -51,17 +52,6 @@ from .ternary_core import (
 )
 
 
-class _Entries:
-    """FunctionSpec.entries of a lane-built spec: its rails, decoded on first read."""
-
-    def __get__(self, f, owner=None):
-        if f is None:
-            return None  # the field's default
-        entries = vars(f)["entries"] = _decode(f.m, f.n, f.rails)
-        return entries
-
-
-@dataclass(frozen=True)
 class FunctionSpec:
     """A specification: every m-digit input word gets a set of allowed outputs.
 
@@ -72,16 +62,25 @@ class FunctionSpec:
     keeps the layers of spec_layers, and a natural spec computed on lanes its
     entries as their rails; a closure or subfunction carries its naturalness, not
     tested again as a hand-built spec's is, and whether its rails are closed (_natural).
+    Specs are equal when m, n, entries and values are, whatever their rails.
     """
-    m: int
-    n: int
-    entries: dict | None = _Entries()
-    values: dict | None = None
-    rails: tuple | None = field(default=None, compare=False, repr=False)
+    __setattr__ = __delattr__ = _frozen
+    entries = _derived(lambda f: _decode(f.m, f.n, f.rails))   # a lane-built spec's, on first read
 
-    def __post_init__(self):
-        if self.rails is not None and self.entries is None:
-            del vars(self)["entries"]  # read through _Entries
+    def __init__(self, m: int, n: int, entries=None, values=None, rails=None):
+        vars(self).update(m=m, n=n, values=values, rails=rails)
+        if rails is None or entries is not None:
+            vars(self)["entries"] = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not FunctionSpec:
+            return NotImplemented
+        return (self.m, self.n, self.entries, self.values) == \
+            (other.m, other.n, other.entries, other.values)
+
+    def __repr__(self) -> str:
+        return f"FunctionSpec(m={self.m!r}, n={self.n!r}, entries={self.entries!r}, " \
+            f"values={self.values!r})"
 
     @property
     def is_natural_form(self) -> bool:
@@ -476,15 +475,15 @@ def unroll(c: Circuit, r: int) -> Circuit:
 # ---------------------------------------------------------------------------
 # Pivotal sequences and metastability witnesses
 
-@dataclass(frozen=True)
-class PivotalSequence:
-    """Words stepping between two inputs one bit at a time, through M."""
-    words: tuple[TernaryWord, ...]
+class PivotalSequence(tuple):
+    """Words stepping between two inputs one bit at a time, through M, as a tuple of them."""
+    __slots__ = ()
+    words = property(tuple)
 
-    def __post_init__(self):
-        if not self.words:
+    def __new__(cls, words: tuple[TernaryWord, ...]):
+        if not words:
             raise InputError("empty pivotal sequence")
-        for a, b in zip(self.words, self.words[1:]):
+        for a, b in zip(words, words[1:]):
             diff = [i for i in range(len(a)) if a.digit(i) is not b.digit(i)]
             if len(diff) != 1:
                 raise InputError(f"{a} -> {b}: must differ in exactly one bit")
@@ -492,12 +491,10 @@ class PivotalSequence:
             if a.digit(i) is not META and b.digit(i) is not META:
                 raise InputError(f"{a} -> {b}: the changing bit must pass "
                                  "through M")
+        return super().__new__(cls, words)
 
-    def __iter__(self):
-        return iter(self.words)
-
-    def __len__(self):
-        return len(self.words)
+    def __repr__(self) -> str:
+        return f"PivotalSequence(words={self.words!r})"
 
 
 def pivotal_sequence(x: TernaryWord, x2: TernaryWord) -> PivotalSequence:

@@ -15,7 +15,7 @@ import sys
 import types
 
 from . import analysis, components, executor
-from .netlist import emit_netlist, parse_netlist
+from .netlist import Circuit, emit_netlist, parse_netlist
 from .ternary_core import (
     DEFAULT_MAX_STATES,
     BudgetError,
@@ -185,7 +185,7 @@ def cmd_component(args):
         takes = ("no parameters", "one parameter", "channels and word width")[count]
         raise InputError(f"{args.name} takes {takes}")
     built = build(*nums)
-    net, c = built if isinstance(built, tuple) else (None, built)
+    net, c = (None, built) if isinstance(built, Circuit) else built
     if args.emit == "netlist":
         return 0, emit_netlist(c).rstrip("\n")
     lines = ["command: component",

@@ -10,7 +10,7 @@ words out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .analysis import FunctionSpec, closure_bool, general_spec, synthesize
@@ -276,23 +276,21 @@ def build_brgc_to_tc(k: int) -> Circuit:
 # ---------------------------------------------------------------------------
 # Sorting networks
 
-@dataclass(frozen=True)
-class SortingNetwork:
+class SortingNetwork(namedtuple("SortingNetwork", "channels word_width layers")):
     """Comparator schedule: layers of disjoint channel pairs."""
-    channels: int
-    word_width: int
-    layers: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for layer in self.layers:
+    def __new__(cls, channels: int, word_width: int, layers: tuple):
+        for layer in layers:
             used = set()
             for lo, hi in layer:
-                if not 0 <= lo < hi < self.channels:
+                if not 0 <= lo < hi < channels:
                     raise InputError(f"bad comparator ({lo}, {hi})")
                 if lo in used or hi in used:
                     raise InputError("comparators in one layer must be "
                                      "channel-disjoint")
                 used |= {lo, hi}
+        return super().__new__(cls, channels, word_width, layers)
 
 
 def _batcher_pairs(n: int):
@@ -359,15 +357,15 @@ def build_sorting_network(channels: int, word_width: int):
 # ---------------------------------------------------------------------------
 # The clock-synchronization datapath
 
-@dataclass(frozen=True)
-class TdcReading:
+class TdcReading(namedtuple("TdcReading", "word")):
     """A time-to-digital converter sample: ones, at most one M at the
     boundary, then zeros."""
-    word: TernaryWord
+    __slots__ = ()
 
-    def __post_init__(self):
-        if _tdc_lookup(self.word.width)(self.word.packed) is None:
-            raise InputError(f"not a TDC reading: {self.word}")
+    def __new__(cls, word: TernaryWord):
+        if _tdc_lookup(word.width)(word.packed) is None:
+            raise InputError(f"not a TDC reading: {word}")
+        return super().__new__(cls, word)
 
 
 @per_width

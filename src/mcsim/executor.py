@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .netlist import (Circuit, RegType, _run, _word_rails, digit_lanes, eval_memo, eval_packed,
                       lane_word, register_transitions)
@@ -192,12 +192,9 @@ def outputs(c: Circuit, iota: TernaryWord, r: int,
     return output_cubes(c, reach(c, iota, r, max_states))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "ok witness_input witness_output", defaults=(None, None))):
     """Result of an implements check; falsy iff a counterexample exists."""
-    ok: bool
-    witness_input: TernaryWord | None = None
-    witness_output: TernaryWord | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -342,25 +339,20 @@ def implements(c: Circuit, r: int, f,
 # ---------------------------------------------------------------------------
 # Execution traces
 
-@dataclass(frozen=True)
-class TraceRound:
+class TraceRound(namedtuple("TraceRound", "state read evaluation written", defaults=(None,) * 3)):
     """One table row: the state, then what was read, evaluated, written.
 
     The closing row of a trace records only the state it reached.
     """
-    state: TernaryWord
-    read: TernaryWord | None = None
-    evaluation: TernaryWord | None = None
-    written: TernaryWord | None = None
+    __slots__ = ()
 
     @property
     def is_full(self) -> bool:
         return self.read is not None
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
-    rounds: tuple[TraceRound, ...]
+class ExecutionTrace(namedtuple("ExecutionTrace", "rounds")):
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -441,7 +433,7 @@ def _trace_text(rows: list[tuple[int, ...]], widths: list[tuple[int, ...]]) -> s
 
 
 def emit_trace(t: ExecutionTrace) -> str:
-    rows = [(r.state, r.read, r.evaluation, r.written)[:4 if r.is_full else 1] for r in t.rounds]
+    rows = [r if r.is_full else r[:1] for r in t.rounds]   # a row is its words
     return _trace_text(*([tuple(map(f, row)) for row in rows] for f in (_PACKED, _WIDTH)))
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import heapq
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 from .ternary_core import (
@@ -25,6 +25,7 @@ from .ternary_core import (
     ParseError,
     Ternary,
     TernaryWord,
+    _frozen,
     content_lines,
 )
 
@@ -42,7 +43,7 @@ class RegType(Enum):
 
 
 class _derived:
-    """A value derived from a frozen instance on first read and kept in its
+    """A value derived from an immutable instance on first read and kept in its
     __dict__, where later reads find it first: functools.cached_property
     without the lock it takes before Python 3.12. A read that raises keeps
     nothing, so the next read raises again."""
@@ -60,17 +61,12 @@ class _derived:
         return value
 
 
-@dataclass(frozen=True, slots=True)
-class RegisterDecl:
+class RegisterDecl(namedtuple("RegisterDecl", "name role rtype init", defaults=(None,))):
     """One register: unique name, exactly one role, one type.
 
-    Input registers are never written and carry no init value.
+    Input registers are never written and carry no init value (None).
     """
-
-    name: str
-    role: Role
-    rtype: RegType
-    init: Ternary | None = None
+    __slots__ = ()
 
 
 def register_transitions(rtype: RegType, v: Ternary) -> tuple[tuple[Ternary, Ternary], ...]:
@@ -88,32 +84,23 @@ def register_transitions(rtype: RegType, v: Ternary) -> tuple[tuple[Ternary, Ter
     return ((ONE, META), (META, ZERO))
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """Single-output gate; args name input nodes or earlier gates."""
-
-    gid: str
-    kind: str
-    args: tuple[str, ...]
-    table: str | None = None  # TABLE gates only: 2^arity output bits
+class Gate(namedtuple("Gate", "gid kind args table", defaults=(None,))):
+    """Single-output gate; args name input nodes or earlier gates; table: TABLE's 2^arity bits."""
+    __slots__ = ()
 
     def __str__(self) -> str:
         kind = f"TABLE:{self.table}" if self.kind == "TABLE" else self.kind
         return " ".join(["gate", self.gid, kind, *self.args])
 
 
-@dataclass(frozen=True)
-class Dag:
+class Dag(namedtuple("Dag", "inputs gates outputs")):
     """Combinational DAG: named input nodes, gates, fan-in-1 output nodes.
 
     outputs lists (node name, source ref) pairs; a source ref is an input
     node name or a gate id. Gates must appear in topological order (see
     dag_toposort); validate() reports violations instead of raising.
     """
-
-    inputs: tuple[str, ...]
-    gates: tuple[Gate, ...]
-    outputs: tuple[tuple[str, str], ...]
+    __setattr__ = __delattr__ = _frozen
     _memo = _derived(lambda self: {})   # not a field: read word -> evaluation, for eval_memo
 
     @_derived
@@ -136,13 +123,9 @@ class Dag:
         return {k: v for k, v in vars(self).items() if k not in ("_plan", "_memo")}
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(namedtuple("Circuit", "name registers dag")):
     """Register declarations plus the DAG that rewrites them every round."""
-
-    name: str
-    registers: tuple[RegisterDecl, ...]
-    dag: Dag
+    __setattr__ = __delattr__ = _frozen
 
     def regs(self, role: Role) -> tuple[RegisterDecl, ...]:
         return tuple(r for r in self.registers if r.role is role)

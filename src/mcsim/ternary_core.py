@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
 
@@ -88,7 +88,12 @@ _HEX_PAIRS = str.maketrans({f"{h:x}": "01M?"[h >> 2] + "01M?"[h & 3] for h in ra
 _M_TO_2 = str.maketrans("M", "2")
 
 
-@dataclass(frozen=True, order=True, slots=True, init=False)
+def _frozen(self, name, *value):
+    """__setattr__ and __delattr__ of the value classes: every field is set as it is built."""
+    raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is immutable")
+
+
+@functools.total_ordering
 class TernaryWord:
     """Fixed-width vector over {0,1,M}, MSB first.
 
@@ -97,9 +102,8 @@ class TernaryWord:
     A word is checked once, when it is built: no digit is packed as 3 and
     no bit lies past the width, so nothing that reads a word checks again.
     """
-
-    width: int
-    packed: int
+    __slots__ = ("width", "packed")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, width: int, packed: int):
         if width < 0 or packed < 0 or packed >> 2 * width:
@@ -165,6 +169,22 @@ class TernaryWord:
 
     def __repr__(self) -> str:
         return f"word({str(self)!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not TernaryWord:
+            return NotImplemented
+        return self.packed == other.packed and self.width == other.width
+
+    def __lt__(self, other):
+        if other.__class__ is not TernaryWord:
+            return NotImplemented
+        return (self.width, self.packed) < (other.width, other.packed)
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.packed))
+
+    def __reduce__(self):
+        return TernaryWord, (self.width, self.packed)
 
 
 # the slots' own setters: the frozen class refuses setattr, in __init__ too
@@ -277,7 +297,6 @@ def superpose(a: TernaryWord, b: TernaryWord) -> TernaryWord:
     return TernaryWord(a.width, a.packed & ~(3 * diff) | diff << 1)
 
 
-@dataclass(frozen=True)
 class CubeSet:
     """A set of same-width cubes; denotes the union of their members.
 
@@ -285,9 +304,10 @@ class CubeSet:
     contained in another) is established by cubeset_canonicalize; the
     executor and analysis layers only hand out canonical sets.
     """
+    __setattr__ = __delattr__ = _frozen
 
-    width: int
-    cubes: tuple[TernaryWord, ...]
+    def __init__(self, width: int, cubes: tuple[TernaryWord, ...]):
+        vars(self).update(width=width, cubes=cubes)
 
     @staticmethod
     def of(width: int, cubes: Iterable[TernaryWord]) -> "CubeSet":
@@ -312,6 +332,17 @@ class CubeSet:
 
     def __str__(self) -> str:
         return _cubes_text(self.width, [c.packed for c in self.cubes])
+
+    def __repr__(self) -> str:
+        return f"CubeSet(width={self.width!r}, cubes={self.cubes!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not CubeSet:
+            return NotImplemented
+        return self.width == other.width and self.cubes == other.cubes
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.cubes))
 
 
 def _canonical(width: int, cubes: Iterable[int], exact: int) -> tuple[int, ...]:
@@ -355,23 +386,21 @@ def kleene_extend(table: str, x: TernaryWord) -> Ternary:
     return META if len(seen) > 1 else Ternary(int(seen.pop()))
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(namedtuple("Code", "kind width")):
     """An encoding of integers as stable words: unary TC or Gray BRGC.
 
     TC of width n encodes 0..n as 0^(n-v) 1^v; the mirrored spelling
     1^v 0^(n-v) (the order a thermometer delivers) decodes too. BRGC of
     width k encodes 0..2^k-1 bijectively with the reflected construction.
     """
+    __slots__ = ()
 
-    kind: str
-    width: int
-
-    def __post_init__(self):
-        if self.kind not in ("TC", "BRGC"):
-            raise InputError(f"unknown code kind {self.kind!r}")
-        if self.width < 1:
+    def __new__(cls, kind: str, width: int):
+        if kind not in ("TC", "BRGC"):
+            raise InputError(f"unknown code kind {kind!r}")
+        if width < 1:
             raise InputError("code width must be positive")
+        return super().__new__(cls, kind, width)
 
     @property
     def range(self) -> int:

@@ -900,7 +900,6 @@ class TestHandOverWorkCounts:
     def test_a_spec_keeps_its_verdict_natural_or_not(self, monkeypatch):
         # a spec is tested once, whatever the verdict; n = 0's hull, [], is a verdict too,
         # and each kept verdict is the one a fresh copy of the spec gets
-        import dataclasses
         import mcsim.analysis as an
         from mcsim.components import masking_fanout_spec
         rng = random.Random(63)
@@ -915,7 +914,7 @@ class TestHandOverWorkCounts:
             marked = "_hull_mark" in vars(f)
             verdict = is_natural(f)
             assert is_natural(f) is verdict and len(hulls) == (not marked), f
-            fresh = dataclasses.replace(f)
+            fresh = FunctionSpec(f.m, f.n, f.entries, f.values, f.rails)
             assert "_hull_mark" not in vars(fresh) and is_natural(fresh) is verdict, f
             seen[marked, verdict] += 1
             hulls.clear()

@@ -853,14 +853,14 @@ class TestPackedSelect:
         rng = random.Random("packed select work")
         items = [(n, (n - 1) // 3, seeded_readings(rng, n, (1 << k) - 1)) for n, k in SELECT_MIX]
         want = [clock_sync_select(*item) for item in items]   # fills each width's table
-        calls, post_init = Counter(), TdcReading.__post_init__
+        calls, new = Counter(), TdcReading.__new__
 
         def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
             return wrapper
-        monkeypatch.setattr(TdcReading, "__post_init__", counted("TdcReading", post_init))
+        monkeypatch.setattr(TdcReading, "__new__", counted("TdcReading", new))
         for mod in (comp, nl):
             for name in ("eval_packed", "_word_rails"):
                 if hasattr(mod, name):

@@ -4,7 +4,7 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -1039,7 +1039,7 @@ def mutated(rng, c, t):
         return t
     j = rng.randrange(len(w))
     d = rng.choice([x for x in (ZERO, ONE, META) if x is not w.digit(j)])
-    rows[i] = replace(rows[i], **{name: w.with_digit(j, d)})
+    rows[i] = rows[i]._replace(**{name: w.with_digit(j, d)})
     return ExecutionTrace(tuple(rows))
 
 

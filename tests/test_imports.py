@@ -376,6 +376,36 @@ def test_the_cli_imports_no_typing():
     assert out.stdout == "[]\n"
 
 
+# dataclasses and what it imports: a cold `mc` needs none of them
+DATACLASS_IMPORTS = ("ast", "dataclasses", "dis", "inspect", "re", "tokenize")
+
+
+def dataclass_imports_after_the_cli(package) -> list[str]:
+    """Which of DATACLASS_IMPORTS a fresh python -S holds once it has imported mcsim.cli
+    from package's parent."""
+    code = ("import sys, mcsim.cli\n"
+            f"print(*sorted(m for m in {DATACLASS_IMPORTS!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(package.parent)},
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_the_cli_imports_no_dataclasses():
+    # the value types are namedtuples and plain classes, so no class is generated by exec
+    assert dataclass_imports_after_the_cli(SRC) == []
+
+
+def test_a_dataclasses_import_is_caught(tmp_path):
+    copy = tmp_path / "pkg" / "mcsim"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    core = copy / "ternary_core.py"
+    core.write_text(core.read_text().replace("from __future__ import annotations\n",
+                                             "from __future__ import annotations\n"
+                                             "import dataclasses\n"))
+    assert dataclass_imports_after_the_cli(copy) == list(DATACLASS_IMPORTS)
+
+
 def names_parse_known_args(text: str) -> bool:
     """Whether a module names parse_known_args, called or not: a second pass over argv, or
     one that leaves arguments over, where mc reads an argv once, through parse_args."""

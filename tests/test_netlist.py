@@ -4,7 +4,6 @@ import itertools
 import random
 import re
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -301,13 +300,14 @@ class TestDualRail:
     def test_gates_and_registers_are_slotted_values(self, feedback_circuit):
         import pickle
         for x in feedback_circuit.registers + feedback_circuit.dag.gates:
-            first = fields(x)[0].name
+            first = x._fields[0]
             assert not hasattr(x, "__dict__")
-            with pytest.raises(FrozenInstanceError):
-                setattr(x, first, "z")
+            for name in (first, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, "z")
             back = pickle.loads(pickle.dumps(x))
             assert back == x and hash(back) == hash(x)
-            assert replace(x) == x and replace(x, **{first: "z"}) != x
+            assert type(x)(*x) == x._replace() == x and x._replace(**{first: "z"}) != x
 
     @pytest.mark.parametrize("gates,match", [
         ((Gate("g1", "NOT", ("g2",)), Gate("g2", "NOT", ("a",))), "before it is defined"),
@@ -387,6 +387,60 @@ def read_cone(dag: Dag) -> Dag:
             seen.add(ref)
             todo.extend(by_id[ref].args)
     return Dag(dag.inputs, tuple(g for g in dag.gates if g.gid in seen), dag.outputs)
+
+
+class TestValueTypes:
+    """Each of the model's 14 value types refuses assignment and deletion, pickles and copies
+    to an equal value with an equal hash, and shows the repr text its fields spell."""
+
+    def test_immutable_pickled_and_shown_by_fields(self):
+        import copy
+        import pickle
+        from mcsim.analysis import FunctionSpec, closure_bool, pivotal_sequence
+        from mcsim.components import SortingNetwork, TdcReading
+        from mcsim.executor import ExecutionTrace, TraceRound, Verdict
+        from mcsim.ternary_core import CubeSet, tc
+        last = TraceRound(word("1"))
+        cases = [  # (value, one of its fields, its repr)
+            (word("M1"), "width", "word('M1')"),
+            (CubeSet(2, (word("M1"),)), "cubes", "CubeSet(width=2, cubes=(word('M1'),))"),
+            (tc(2), "kind", "Code(kind='TC', width=2)"),
+            (RegisterDecl("r", Role.LOCAL, RegType.MASK0, ONE), "init",
+             "RegisterDecl(name='r', role=<Role.LOCAL: 'local'>, rtype=<RegType.MASK0: 'mask0'>, "
+             "init=<Ternary.ONE: 1>)"),
+            (Gate("g", "TABLE", ("a",), "01"), "args",
+             "Gate(gid='g', kind='TABLE', args=('a',), table='01')"),
+            (Dag(("a",), (), (("o", "a"),)), "gates",
+             "Dag(inputs=('a',), gates=(), outputs=(('o', 'a'),))"),
+            (Circuit("c", (), Dag((), (), ())), "dag",
+             "Circuit(name='c', registers=(), dag=Dag(inputs=(), gates=(), outputs=()))"),
+            (Verdict(False, word("M1"), word("1")), "ok",
+             "Verdict(ok=False, witness_input=word('M1'), witness_output=word('1'))"),
+            (last, "read", "TraceRound(state=word('1'), read=None, evaluation=None, written=None)"),
+            (ExecutionTrace((last,)), "rounds", f"ExecutionTrace(rounds=({last!r},))"),
+            (closure_bool({word(""): word("1")}), "rails",
+             "FunctionSpec(m=0, n=1, entries={word(''): word('1')}, values=None)"),
+            (pivotal_sequence(word("0"), word("1")), "words",
+             "PivotalSequence(words=(word('0'), word('M'), word('1')))"),
+            (SortingNetwork(2, 1, (((0, 1),),)), "layers",
+             "SortingNetwork(channels=2, word_width=1, layers=(((0, 1),),))"),
+            (TdcReading(word("10")), "word", "TdcReading(word=word('10'))"),
+        ]
+        assert len({type(v) for v, _, _ in cases}) == 14
+        for v, field, text in cases:
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(v, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(v, name)
+            assert repr(v) == text
+            for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+                assert twin == v and repr(twin) == text, text
+                if type(v) is FunctionSpec:   # its entries and values are dicts
+                    with pytest.raises(TypeError):
+                        hash(twin)
+                else:
+                    assert hash(twin) == hash(v), text
 
 
 class TestReadGates:

@@ -277,6 +277,8 @@ class TestSlottedWord:
             assert (a > b) == (pa > pb) and (a >= b) == (pa >= pb)
         assert all(hash(w) == hash((w.width, w.packed)) for w in self.WORDS)
         assert word("01") != (2, 1) and len({word("01"), word("01")}) == 1
+        with pytest.raises(TypeError):
+            word("0") < 1
 
 
 class TestEnumerators:
